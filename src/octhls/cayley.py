@@ -6,6 +6,10 @@ octonion quotients A/B below are taken as left division B^-1 A; this
 is the order under which the sphere distance transforms exactly into
 the group distance (the right-division variant fails that identity
 already in the associative subalgebra).
+
+Each map is written once, as a batched kernel over arrays (z (..., 8),
+t (..., 7), sphere points (..., 16)); the functions taking GroupElement
+or SpherePoint objects are one-row views of those kernels.
 """
 
 from __future__ import annotations
@@ -20,13 +24,17 @@ from .octonion import Octonion
 
 __all__ = [
     "SpherePoint",
+    "cayley_zt",
+    "cayley_inv_arrays",
+    "jac_cayley_zt",
+    "jac_cayley_sphere_arrays",
+    "hermitian_pairing",
+    "sdist_arrays",
     "cayley",
     "cayley_inv",
     "jac_cayley",
     "jac_cayley_sphere",
     "sdist",
-    "sdist_arrays",
-    "hermitian_pairing",
     "lift_function",
     "lower_function",
     "NORTH_POLE",
@@ -62,53 +70,72 @@ class SpherePoint:
 NORTH_POLE = SpherePoint(Octonion.zero(), Octonion.unit(0))
 SOUTH_POLE = SpherePoint(Octonion.zero(), -Octonion.unit(0))
 
-
-def cayley(u: GroupElement) -> SpherePoint:
-    """Map a group element to the sphere minus the south pole."""
-    z2 = u.z.norm() ** 2
-    t = u.t.as_octonion()
-    w = Octonion.from_real(1.0 + z2) - t  # 1 + |z|^2 - t, real part >= 1
-    winv = w.inv()
-    zeta1 = winv * (2.0 * u.z)
-    zeta2 = winv * (Octonion.from_real(1.0 - z2) + t)
-    return SpherePoint(zeta1, zeta2)
+# below this modulus 1 + zeta2 counts as zero: the point is the south pole
+_POLE_EPS = 1e-14
 
 
-def cayley_inv(zeta: SpherePoint) -> GroupElement:
-    """Inverse boundary transform; the south pole is the point at infinity."""
-    one_plus = Octonion.from_real(1.0) + zeta.zeta2
-    if one_plus.norm() < 1e-14:
+# ---------------------------------------------------------------------------
+# array kernels
+
+
+def _one_plus(x, sign=1.0):
+    """1 + sign * x for octonion arrays x of shape (..., 8), as a new array."""
+    out = sign * x
+    out[..., 0] += 1.0
+    return out
+
+
+def cayley_zt(z, t):
+    """Batched transform of group elements to sphere points (..., 16)."""
+    z = np.asarray(z, dtype=float)
+    tt = oc.from_im(t)
+    z2 = (z * z).sum(axis=-1)
+    w = -tt  # 1 + |z|^2 - t, real part >= 1
+    w[..., 0] = 1.0 + z2
+    winv = oc.conj(w) / (w * w).sum(axis=-1)[..., None]
+    tt[..., 0] = 1.0 - z2  # 1 - |z|^2 + t
+    return np.concatenate([oc.mul(winv, 2.0 * z), oc.mul(winv, tt)], axis=-1)
+
+
+def cayley_inv_arrays(v):
+    """Batched inverse transform (z, t); raises if any point is the south pole."""
+    v = np.asarray(v, dtype=float)
+    op = _one_plus(v[..., 8:])
+    n2 = (op * op).sum(axis=-1)
+    if (n2 < _POLE_EPS ** 2).any():
         raise ZeroDivisionError("Cayley inverse undefined at the south pole")
-    q = one_plus.inv()
-    z = q * zeta.zeta1
-    t = -(q * (Octonion.from_real(1.0) - zeta.zeta2)).im()
-    return GroupElement(z, t)
+    q = oc.conj(op) / n2[..., None]
+    return oc.mul(q, v[..., :8]), -oc.im(oc.mul(q, _one_plus(v[..., 8:], -1.0)))
 
 
-def jac_cayley(u: GroupElement) -> float:
-    """Jacobian determinant of the transform, 2^(Q-7) ((1+|z|^2)^2 + |t|^2)^(-Q/2)."""
-    w = (1.0 + u.z.norm() ** 2) ** 2 + u.t.norm() ** 2
+def jac_cayley_zt(z, t):
+    """Jacobian determinant 2^(Q-7) ((1+|z|^2)^2 + |t|^2)^(-Q/2), batched."""
+    z, t = np.asarray(z, dtype=float), np.asarray(t, dtype=float)
+    w = (1.0 + (z * z).sum(axis=-1)) ** 2 + (t * t).sum(axis=-1)
     return 2.0 ** (Q - 7) * w ** (-Q / 2)
 
 
-def jac_cayley_sphere(zeta: SpherePoint) -> float:
-    """The same Jacobian in sphere coordinates, 2^-7 |1 + zeta2|^Q."""
-    return 2.0 ** (-7) * (Octonion.from_real(1.0) + zeta.zeta2).norm() ** Q
+def jac_cayley_sphere_arrays(v):
+    """The same Jacobian in sphere coordinates, 2^-7 |1 + zeta2|^Q, batched."""
+    op = _one_plus(np.asarray(v, dtype=float)[..., 8:])
+    return 2.0 ** (-7) * (op * op).sum(axis=-1) ** (Q / 2)
 
 
-def hermitian_pairing(zeta: SpherePoint, eta: SpherePoint) -> Octonion:
-    """The component-wise pairing zeta1 conj(eta1) + zeta2 conj(eta2).
+def hermitian_pairing(zv, ev):
+    """The component-wise pairing zeta1 conj(eta1) + zeta2 conj(eta2), shape (..., 8).
 
     Its modulus and real part give the polar angles used by the zonal
     calculus.  Because octonion multiplication is non-associative this
     plain sum is *not* the quantity entering the sphere distance for
-    two generic points; see :func:`sdist`.
+    two generic points; see :func:`sdist_arrays`.
     """
-    return zeta.zeta1 * eta.zeta1.conj() + zeta.zeta2 * eta.zeta2.conj()
+    zv = np.asarray(zv, dtype=float)
+    ev = np.asarray(ev, dtype=float)
+    return oc.mul(zv[..., :8], oc.conj(ev[..., :8])) + oc.mul(zv[..., 8:], oc.conj(ev[..., 8:]))
 
 
-def sdist(zeta: SpherePoint, eta: SpherePoint) -> float:
-    """Sphere distance 2^(-1/2) |1 - zeta . conj(eta)|^(1/2).
+def sdist_arrays(zv, ev):
+    """Sphere distance 2^(-1/2) |1 - zeta . conj(eta)|^(1/2) for points (..., 16).
 
     The product zeta . conj(eta) keeps each term bracketed with the
     unit phases a = conj(1+zeta2)/|1+zeta2| and b = (1+eta2)/|1+eta2|
@@ -121,47 +148,57 @@ def sdist(zeta: SpherePoint, eta: SpherePoint) -> float:
     1 - zeta1 conj(eta1) - zeta2 conj(eta2); for octonions only the
     bracketed form satisfies the exact exchange identity with the
     group distance, d_S = d_G(u,v) / (W(u) W(v))^(1/4) with
-    W(u) = (1+|z|^2)^2 + |t|^2.  When either argument is a pole the
-    continuous limit is used.  On the zonal slice (eta = north pole)
-    the corrected and plain formulas coincide.
-    """
-    one = Octonion.from_real(1.0)
-    oz = one + zeta.zeta2
-    oe = one + eta.zeta2
-    nz, ne = oz.norm(), oe.norm()
-    if nz < 1e-14:
-        return math.sqrt((one + eta.zeta2.conj()).norm() / 2.0)
-    if ne < 1e-14:
-        return math.sqrt((one + zeta.zeta2.conj()).norm() / 2.0)
-    a = (1.0 / nz) * oz.conj()
-    b = (1.0 / ne) * oe
-    w = (
-        a * b
-        - (a * zeta.zeta1) * (eta.zeta1.conj() * b)
-        - (a * zeta.zeta2) * (eta.zeta2.conj() * b)
-    )
-    return math.sqrt(w.norm() / 2.0)
-
-
-def sdist_arrays(zv, ev):
-    """Batched sphere distance for point arrays of shape (..., 16).
-
-    Same phase-corrected pairing as :func:`sdist`; inputs on the exact
-    south pole are not supported (measure zero for sampled points).
+    W(u) = (1+|z|^2)^2 + |t|^2.  When either argument is the south
+    pole the continuous limit sqrt(|1 + other2| / 2) is used.  On the
+    zonal slice (eta = north pole) the corrected and plain formulas
+    coincide.
     """
     zv = np.asarray(zv, dtype=float)
     ev = np.asarray(ev, dtype=float)
-    one = np.zeros(8)
-    one[0] = 1.0
-    oz = one + zv[..., 8:]
-    oe = one + ev[..., 8:]
-    a = oc.conj(oz) / np.linalg.norm(oz, axis=-1, keepdims=True)
-    b = oe / np.linalg.norm(oe, axis=-1, keepdims=True)
+    oz = _one_plus(zv[..., 8:])
+    oe = _one_plus(ev[..., 8:])
+    nz = oc.norm(oz)[..., None]
+    ne = oc.norm(oe)[..., None]
+    a = oc.conj(oz) / np.where(nz < _POLE_EPS, 1.0, nz)
+    b = oe / np.where(ne < _POLE_EPS, 1.0, ne)
     pair = oc.mul(oc.mul(a, zv[..., :8]), oc.mul(oc.conj(ev[..., :8]), b)) + oc.mul(
         oc.mul(a, zv[..., 8:]), oc.mul(oc.conj(ev[..., 8:]), b)
     )
-    pair = oc.mul(a, b) - pair
-    return np.sqrt(np.linalg.norm(pair, axis=-1) / 2.0)
+    d = np.sqrt(oc.norm(oc.mul(a, b) - pair) / 2.0)
+    lo, hi = np.minimum(nz, ne)[..., 0], np.maximum(nz, ne)[..., 0]
+    return np.where(lo < _POLE_EPS, np.sqrt(hi / 2.0), d)
+
+
+# ---------------------------------------------------------------------------
+# one-point views: each calls its kernel on a one-row batch, so that it
+# returns exactly that kernel's row (numpy's scalar and array power
+# loops can differ in the last bit)
+
+
+def cayley(u: GroupElement) -> SpherePoint:
+    """Map a group element to the sphere minus the south pole."""
+    return SpherePoint.from_vector(cayley_zt(u.z.c[None], u.t.v[None])[0])
+
+
+def cayley_inv(zeta: SpherePoint) -> GroupElement:
+    """Inverse boundary transform; the south pole is the point at infinity."""
+    z, t = cayley_inv_arrays(zeta.as_vector()[None])
+    return GroupElement.from_arrays(z[0], t[0])
+
+
+def jac_cayley(u: GroupElement) -> float:
+    """Jacobian determinant of the transform at one group element."""
+    return float(jac_cayley_zt(u.z.c[None], u.t.v[None])[0])
+
+
+def jac_cayley_sphere(zeta: SpherePoint) -> float:
+    """The same Jacobian at one sphere point."""
+    return float(jac_cayley_sphere_arrays(zeta.as_vector()[None])[0])
+
+
+def sdist(zeta: SpherePoint, eta: SpherePoint) -> float:
+    """Sphere distance of two points; see :func:`sdist_arrays`."""
+    return float(sdist_arrays(zeta.as_vector()[None], eta.as_vector()[None])[0])
 
 
 def lift_function(f, p):

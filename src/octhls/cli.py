@@ -47,6 +47,15 @@ def _emit(command, rows, columns, fmt, out):
         sys.stdout.write(text)
 
 
+def _spectral_constant(lam):
+    """The sharp sphere constant from the spectrum: 2^(lam/2) lambda_00(lam/4) |S|^((lam-Q)/Q)."""
+    return (
+        2.0 ** (lam / 2.0)
+        * spectra.eig_K1(0, 0, lam / 4.0)
+        * constants.sphere_measure() ** ((lam - Q) / Q)
+    )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -56,12 +65,7 @@ def cmd_constants(args):
     for lam in sorted(_float_list(args.lam)):
         cg = constants.C_hls_group(lam)
         cs = constants.C_hls_sphere(lam)
-        spectral = (
-            2.0 ** (lam / 2.0)
-            * spectra.eig_K1(0, 0, lam / 4.0)
-            * constants.sphere_measure() ** ((lam - Q) / Q)
-        )
-        resid = abs(cs - spectral) / cs
+        resid = abs(cs - _spectral_constant(lam)) / cs
         rows.append({"name": "C_hls_group", "parameter": lam, "value": cg, "residual": ""})
         rows.append({"name": "C_hls_sphere", "parameter": lam, "value": cs, "residual": resid})
     for d in sorted(_float_list(args.d)):
@@ -78,6 +82,7 @@ def cmd_constants(args):
 def cmd_eigs(args):
     alphas = sorted(_float_list(args.alpha))
     jmax, kmax = args.jmax, args.kmax if args.kmax is not None else args.jmax
+    rtol = 1e-6 if args.tolerance is None else args.tolerance
     rows = []
     failed = False
     for alpha in alphas:
@@ -90,7 +95,7 @@ def cmd_eigs(args):
                 cf = closed(j, k, alpha)
                 qd = table.get(j, k)
                 if cf != 0.0:
-                    ok = abs(qd - cf) / abs(cf) < 1e-6
+                    ok = abs(qd - cf) / abs(cf) < rtol
                     rel = abs(qd - cf) / abs(cf)
                 else:
                     ok = abs(qd) < 1e-8
@@ -169,49 +174,41 @@ def _check(name, param, value, reference, tol, mode="abs"):
 
 
 def cmd_verify(args):
-    tol = args.tolerance
+    if args.mc_samples < 2:
+        raise ValueError(f"--mc-samples must be at least 2, got {args.mc_samples}")
+
+    def tol(default):
+        return default if args.tolerance is None else args.tolerance
+
     rng = np.random.Generator(np.random.Philox(key=[args.seed, 99]))
-    n = min(args.mc_samples, 2000)
+    n = args.mc_samples
     reports = []
 
-    # Cayley round trip, Jacobian duality, distance relation
+    # Cayley round trip, Jacobian duality, distance relation on pairs (2i, 2i+1)
     zs = rng.standard_normal((n, 8))
     ts = rng.standard_normal((n, 7))
-    worst_rt, worst_jac, worst_dr = 0.0, 0.0, 0.0
-    for i in range(n):
-        u = nilgroup.GroupElement.from_arrays(zs[i], ts[i])
-        zeta = cayley.cayley(u)
-        ub = cayley.cayley_inv(zeta)
-        worst_rt = max(
-            worst_rt,
-            float(np.max(np.abs(ub.z.c - u.z.c))),
-            float(np.max(np.abs(ub.t.v - u.t.v))),
-        )
-        jg, js = cayley.jac_cayley(u), cayley.jac_cayley_sphere(zeta)
-        worst_jac = max(worst_jac, abs(jg - js) / jg)
-    for i in range(0, n - 1, 2):
-        u = nilgroup.GroupElement.from_arrays(zs[i], ts[i])
-        v = nilgroup.GroupElement.from_arrays(zs[i + 1], ts[i + 1])
-        lhs = cayley.sdist(cayley.cayley(u), cayley.cayley(v))
-        rhs = (
-            2.0 ** (7.0 / Q - 1.0)
-            * (cayley.jac_cayley(u) * cayley.jac_cayley(v)) ** (1.0 / (2.0 * Q))
-            * nilgroup.gdist(u, v)
-        )
-        worst_dr = max(worst_dr, abs(lhs - rhs))
-    reports.append(_check("cayley_round_trip", "", worst_rt, 0.0, tol or 1e-11))
-    reports.append(_check("jacobian_duality", "", worst_jac, 0.0, tol or 1e-10))
-    reports.append(_check("distance_relation", "", worst_dr, 0.0, tol or 1e-10))
+    zeta = cayley.cayley_zt(zs, ts)
+    zb, tb = cayley.cayley_inv_arrays(zeta)
+    worst_rt = float(max(np.abs(zb - zs).max(), np.abs(tb - ts).max()))
+    jg = cayley.jac_cayley_zt(zs, ts)
+    worst_jac = float(np.max(np.abs(jg - cayley.jac_cayley_sphere_arrays(zeta)) / jg))
+    even, odd = slice(0, n - 1, 2), slice(1, n, 2)
+    lhs = cayley.sdist_arrays(zeta[even], zeta[odd])
+    rhs = (
+        2.0 ** (7.0 / Q - 1.0)
+        * (jg[even] * jg[odd]) ** (1.0 / (2.0 * Q))
+        * nilgroup.hnorm_zt(*nilgroup.gmul_zt(-zs[odd], -ts[odd], zs[even], ts[even]))
+    )
+    worst_dr = float(np.max(np.abs(lhs - rhs)))
+    reports.append(_check("cayley_round_trip", "", worst_rt, 0.0, tol(1e-11)))
+    reports.append(_check("jacobian_duality", "", worst_jac, 0.0, tol(1e-10)))
+    reports.append(_check("distance_relation", "", worst_dr, 0.0, tol(1e-10)))
 
     # spectral identity for the sharp constant
     for lam in (12.0, 16.0, 20.0):
-        spectral = (
-            2.0 ** (lam / 2.0)
-            * spectra.eig_K1(0, 0, lam / 4.0)
-            * constants.sphere_measure() ** ((lam - Q) / Q)
-        )
         reports.append(
-            _check("sharp_constant_spectral", lam, spectral, constants.C_hls_sphere(lam), tol or 1e-12, "rel")
+            _check("sharp_constant_spectral", lam, _spectral_constant(lam),
+                   constants.C_hls_sphere(lam), tol(1e-12), "rel")
         )
 
     # intertwining consistency
@@ -226,7 +223,7 @@ def cmd_verify(args):
                     * spectra.intertwining_spectrum(d, j, k)
                 )
                 worst = max(worst, abs(v - 1.0))
-    reports.append(_check("intertwining_identity", "", worst, 0.0, tol or 1e-10))
+    reports.append(_check("intertwining_identity", "", worst, 0.0, tol(1e-10)))
 
     # eigenvalue oracle, small grid
     alpha = 4.0
@@ -237,17 +234,17 @@ def cmd_verify(args):
         abs(table.get(j, k) - spectra.eig_K1(j, k, alpha)) / spectra.eig_K1(j, k, alpha)
         for j, k in table.indices()
     )
-    reports.append(_check("eigenvalue_oracle", alpha, worst, 0.0, tol or 1e-6))
+    reports.append(_check("eigenvalue_oracle", alpha, worst, 0.0, tol(1e-6)))
 
     # margin spot checks
-    reports.append(_check("margin_zero_00", 4.0, spectra.bilinear_margin(0, 0, 4.0), 0.0, tol or 1e-12))
+    reports.append(_check("margin_zero_00", 4.0, spectra.bilinear_margin(0, 0, 4.0), 0.0, tol(1e-12)))
     reports.append(
         _check(
             "margin_violation_25",
             2.5,
             min(spectra.bilinear_margin(j, k, 2.5) for j in range(21) for k in range(j + 1)),
             -0.011,
-            tol or 0.01,
+            tol(0.01),
         )
     )
 
@@ -255,27 +252,27 @@ def cmd_verify(args):
     one = functional.AxisZonalFunction(lambda th, ph: np.ones_like(th))
     reports.append(
         _check("hls_quotient_constant", 12.0, functional.hls_quotient(one, 12.0, jmax=2),
-               constants.C_hls_sphere(12.0), tol or 1e-10, "rel")
+               constants.C_hls_sphere(12.0), tol(1e-10), "rel")
     )
     ex = functional.ExtremizerParams(xi=0.3 * functional.NORTH_AXIS, lam=16.0)
     h = functional.extremizer_profile(ex)
     reports.append(
         _check("hls_quotient_extremizer", 16.0, functional.hls_quotient(h, 16.0, jmax=40),
-               constants.C_hls_sphere(16.0), tol or 1e-4, "rel")
+               constants.C_hls_sphere(16.0), tol(1e-4), "rel")
     )
 
     # Euler-Lagrange residuals
-    reports.append(_check("el_residual_extremizer", 16.0, functional.el_residual(ex), 0.0, tol or 1e-4))
+    reports.append(_check("el_residual_extremizer", 16.0, functional.el_residual(ex), 0.0, tol(1e-4)))
 
     # recentering
     p = 2.0 * Q / (2.0 * Q - 16.0)
     params, gn = functional.recenter(h, p)
     resid = float(np.linalg.norm(functional.center_mass(gn, p)))
-    reports.append(_check("recenter_residual", 16.0, resid, 0.0, tol or 1e-8))
+    reports.append(_check("recenter_residual", 16.0, resid, 0.0, tol(1e-8)))
 
     # Log-Sobolev pair at the constant
     lhs, rhs = functional.log_sobolev_pair(one, jmax=4)
-    reports.append(_check("log_sobolev_constant", "", abs(lhs) + abs(rhs), 0.0, tol or 1e-10))
+    reports.append(_check("log_sobolev_constant", "", abs(lhs) + abs(rhs), 0.0, tol(1e-10)))
 
     failed = any(not r["pass"] for r in reports)
     _emit(
@@ -311,7 +308,7 @@ def build_parser():
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
         p.add_argument("--tolerance", type=float, default=None,
-                       help="override every check tolerance (verify only)")
+                       help="override every check tolerance")
 
     for name, fn in (
         ("constants", cmd_constants),

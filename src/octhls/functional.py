@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import octonion as oc
-from .cayley import sdist_arrays
+from .cayley import hermitian_pairing, sdist_arrays
 from .constants import C_logsobolev, sphere_measure
 from .nilgroup import Q
 from .specfun import gegenbauer3_normalized, jacobi33_normalized
-from .spectra import eig_K1, logsob_gap
+from .spectra import _FH_CONST, eig_K1, logsob_gap
 
 __all__ = [
     "AxisZonalFunction",
@@ -96,16 +95,9 @@ def minimal_rotation(src, dst):
     return R
 
 
-def _pairing_with_axis(points, axis):
-    """Octonion pairing zeta1 conj(a1) + zeta2 conj(a2) for (..., 16) arrays."""
-    pts = np.asarray(points, dtype=float)
-    a = np.asarray(axis, dtype=float)
-    return oc.mul(pts[..., :8], oc.conj(a[:8])) + oc.mul(pts[..., 8:], oc.conj(a[8:]))
-
-
 def _axis_angles(points, axis):
     """Zonal angles (theta, phi) of sphere points relative to an axis."""
-    w = _pairing_with_axis(points, axis)
+    w = hermitian_pairing(points, axis)
     r = np.linalg.norm(w, axis=-1)
     theta = np.arccos(np.clip(r, 0.0, 1.0))
     cphi = np.where(r > 0.0, w[..., 0] / np.where(r > 0.0, r, 1.0), 1.0)
@@ -139,8 +131,6 @@ class AxisZonalFunction:
 
 # ---------------------------------------------------------------------------
 # quadrature grid and bispherical projection
-
-_FH_CONST = 16.0 * math.pi ** 7 / 45.0
 
 _GRIDS = {}
 
@@ -260,7 +250,7 @@ def project_bispherical(f, jmax=40, n_theta=200, n_phi=200):
             coeffs[(j, k)] = c
             norms2[(j, k)] = c * c * zn2
             znorm2[(j, k)] = zn2
-    l2 = float(np.dot(wt, (F * F * wp[None, :]).sum(axis=1)))
+    l2 = _integrate(F * F, n_theta, n_phi)
     return BisphericalFunction(jmax=jmax, coeffs=coeffs, norms2=norms2, znorm2=znorm2, l2=l2)
 
 
@@ -273,9 +263,7 @@ def _profile_integral(f, transform=None, n_theta=200, n_phi=200):
     """Integral of transform(F) over the sphere for a zonal-type f."""
     theta, wt, phi, wp = _grid(n_theta, n_phi)
     F = _profile_values(f, theta, phi)
-    if transform is not None:
-        F = transform(F)
-    return float(np.dot(wt, (F * wp[None, :]).sum(axis=1)))
+    return _integrate(F if transform is None else transform(F), n_theta, n_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +289,8 @@ class ExtremizerParams:
 
 def extremizer_eval(params: ExtremizerParams, zeta):
     """Pointwise extremizer value at sphere points ((..., 16) array or SpherePoint)."""
-    v = zeta.as_vector() if hasattr(zeta, "as_vector") else np.asarray(zeta, dtype=float)
-    pair = oc.mul(np.broadcast_to(params.xi[:8], v[..., :8].shape), oc.conj(v[..., :8])) + oc.mul(
-        np.broadcast_to(params.xi[8:], v[..., 8:].shape), oc.conj(v[..., 8:])
-    )
-    pair = np.array(pair, copy=True)
+    v = zeta.as_vector() if hasattr(zeta, "as_vector") else zeta
+    pair = hermitian_pairing(params.xi, v)
     pair[..., 0] -= 1.0
     dist = np.linalg.norm(pair, axis=-1)
     out = dist ** (-(2.0 * Q - params.lam) / 2.0)

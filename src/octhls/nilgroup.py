@@ -18,13 +18,11 @@ from .octonion import ImOctonion, Octonion
 __all__ = [
     "Q",
     "GroupElement",
-    "Dilation",
     "gmul",
     "ginv",
     "hnorm",
     "gdist",
     "dilate",
-    "translate",
     "inversion",
     "gmul_zt",
     "hnorm_zt",
@@ -53,20 +51,6 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement(z={self.z.c.tolist()}, t={self.t.v.tolist()})"
-
-
-class Dilation:
-    """Group dilation u -> (delta z, delta^2 t) with delta > 0."""
-
-    __slots__ = ("delta",)
-
-    def __init__(self, delta: float):
-        if not delta > 0:
-            raise ValueError("dilation scale must be positive")
-        self.delta = float(delta)
-
-    def __call__(self, u: GroupElement) -> GroupElement:
-        return dilate(self.delta, u)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +96,6 @@ def dilate(delta: float, u: GroupElement) -> GroupElement:
     if not delta > 0:
         raise ValueError("dilation scale must be positive")
     return GroupElement(delta * u.z, (delta ** 2) * u.t)
-
-
-def translate(u0: GroupElement, u: GroupElement) -> GroupElement:
-    """Left translation u -> u0 u."""
-    return gmul(u0, u)
 
 
 def inversion(u: GroupElement) -> GroupElement:

@@ -27,12 +27,6 @@ __all__ = [
     "im",
     "norm",
     "inv",
-    "oct_mul",
-    "oct_conj",
-    "oct_re",
-    "oct_im",
-    "oct_norm",
-    "oct_inv",
     "basis_table_text",
 ]
 
@@ -95,7 +89,7 @@ def mul(x, y):
 
 def conj(x):
     x = np.asarray(x, dtype=float)
-    out = -x.copy()
+    out = -x
     out[..., 0] = x[..., 0]
     return out
 
@@ -235,29 +229,3 @@ class ImOctonion:
     def __repr__(self):
         return f"ImOctonion({self.v.tolist()})"
 
-
-# ---------------------------------------------------------------------------
-# named operation aliases
-
-def oct_mul(x: Octonion, y: Octonion) -> Octonion:
-    return x * y
-
-
-def oct_conj(x: Octonion) -> Octonion:
-    return x.conj()
-
-
-def oct_re(x: Octonion) -> float:
-    return x.re()
-
-
-def oct_im(x: Octonion) -> ImOctonion:
-    return x.im()
-
-
-def oct_norm(x: Octonion) -> float:
-    return x.norm()
-
-
-def oct_inv(x: Octonion) -> Octonion:
-    return x.inv()

@@ -1,10 +1,8 @@
 """Special functions for the bispherical spectral theory.
 
-Provides stable log-gamma ratios, terminating Gauss hypergeometric
-sums, Gegenbauer C_n^(3) and Jacobi P_k^(3, 3+m) polynomials (by
-three-term recurrence, with variants normalized to 1 at x = 1), the
-zonal harmonics in polar angles (theta, phi), and the a_{j,k}^i
-coefficients of the Funk-Hecke reduction.
+Provides Gegenbauer C_n^(3) and Jacobi P_k^(3, 3+m) polynomials (by
+three-term recurrence, with variants normalized to 1 at x = 1) and the
+zonal harmonics in polar angles (theta, phi).
 
 Polar-angle convention: |zeta2| = cos(theta) with theta in [0, pi/2],
 Re zeta2 = cos(theta) cos(phi) with phi in [0, pi].
@@ -21,19 +19,13 @@ from scipy import special as sp
 
 __all__ = [
     "BisphericalIndex",
-    "PolarAngles",
-    "log_gamma",
-    "gamma_ratio",
     "digamma",
-    "hyp2f1_terminating",
     "gegenbauer3",
     "gegenbauer3_normalized",
     "jacobi33",
     "jacobi33_normalized",
     "zonal",
     "zonal_sine_form",
-    "a_coeff",
-    "a_coeff_sum",
 ]
 
 # seam between direct evaluation of the sine-sum form and its Taylor fallback;
@@ -55,52 +47,8 @@ class BisphericalIndex:
             raise ValueError(f"need j >= k >= 0, got ({self.j}, {self.k})")
 
 
-@dataclass(frozen=True)
-class PolarAngles:
-    """Angles (theta, phi) with theta in [0, pi/2] and phi in [0, pi]."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not (-1e-12 <= self.theta <= math.pi / 2 + 1e-12):
-            raise ValueError("theta out of [0, pi/2]")
-        if not (-1e-12 <= self.phi <= math.pi + 1e-12):
-            raise ValueError("phi out of [0, pi]")
-
-
-def log_gamma(x):
-    """log Gamma(x) for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("log_gamma requires positive arguments")
-    return sp.gammaln(x)
-
-
-def gamma_ratio(a, b):
-    """Gamma(a) / Gamma(b) for a, b > 0, evaluated in log space."""
-    return np.exp(log_gamma(a) - log_gamma(b))
-
-
 def digamma(x):
     return sp.digamma(x)
-
-
-def hyp2f1_terminating(n, b, c, x):
-    """Terminating Gauss series 2F1(-n, b; c; x), an (n+1)-term sum."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("series order n must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for m in range(n):
-        denom = (c + m) * (m + 1)
-        if denom == 0.0:
-            raise ZeroDivisionError("Pochhammer pole in hypergeometric denominator")
-        term = term * ((-n + m) * (b + m) / denom) * x
-        total = total + term
-    return total if total.shape else float(total)
 
 
 def _poly_recurrence(n, x, p0, p1, coeffs):
@@ -242,38 +190,3 @@ def zonal_sine_form(j, k, theta, phi):
     )
     return val if np.ndim(val) else float(val)
 
-
-# ---------------------------------------------------------------------------
-# Funk-Hecke cosine-combination coefficients
-
-
-def a_coeff(j, k, i):
-    """Coefficient a_{j,k}^i (product form), i in {0, 1, 2, 3}."""
-    m = int(j) - int(k)
-    if m < 0:
-        raise ValueError("need j >= k")
-    if i == 0:
-        return 0.25 / ((m + 1) * (m + 2) * (m + 3))
-    if i == 1:
-        return -0.75 / ((m + 1) * (m + 3) * (m + 4))
-    if i == 2:
-        return 0.75 / ((m + 2) * (m + 3) * (m + 5))
-    if i == 3:
-        return -0.25 / ((m + 3) * (m + 4) * (m + 5))
-    raise ValueError("index i must be in {0, 1, 2, 3}")
-
-
-def a_coeff_sum(j, k, i):
-    """Coefficient a_{j,k}^i written as the three-fraction sum; cross-check form."""
-    m = int(j) - int(k)
-    if m < 0:
-        raise ValueError("need j >= k")
-    if i == 0:
-        return 1 / (8 * (m + 3)) - 1 / (4 * (m + 2)) + 1 / (8 * (m + 1))
-    if i == 1:
-        return 3 / (8 * (m + 3)) - 1 / (4 * (m + 4)) - 1 / (8 * (m + 1))
-    if i == 2:
-        return -3 / (8 * (m + 3)) + 1 / (4 * (m + 2)) + 1 / (8 * (m + 5))
-    if i == 3:
-        return -1 / (8 * (m + 3)) + 1 / (4 * (m + 4)) - 1 / (8 * (m + 5))
-    raise ValueError("index i must be in {0, 1, 2, 3}")

@@ -16,9 +16,6 @@ of the north-pole-fixing frame.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -483,7 +480,7 @@ class EigenTable:
     """Eigenvalues over an index grid for one kernel exponent.
 
     ``values`` maps (j, k) to the eigenvalue; ``provenance`` records how
-    the numbers were produced ("closed-form" or "quadrature").
+    the numbers were produced.
     """
 
     alpha: float
@@ -495,31 +492,3 @@ class EigenTable:
 
     def indices(self):
         return sorted(self.values)
-
-    def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["j", "k", "alpha", "value", "provenance"])
-        for j, k in self.indices():
-            w.writerow([j, k, repr(self.alpha), repr(self.values[(j, k)]), self.provenance])
-        return buf.getvalue()
-
-    def to_json(self):
-        obj = {
-            "alpha": self.alpha,
-            "provenance": self.provenance,
-            "values": {f"{j},{k}": self.values[(j, k)] for j, k in self.indices()},
-        }
-        return json.dumps(obj, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_closed_form(cls, kind, alpha, jmax, kmax=None):
-        """Closed-form table for kind "K1" or "K2" over j <= jmax, k <= min(j, kmax)."""
-        fn = {"K1": eig_K1, "K2": eig_K2}[kind]
-        kmax = jmax if kmax is None else kmax
-        vals = {
-            (j, k): fn(j, k, alpha)
-            for j in range(jmax + 1)
-            for k in range(min(j, kmax) + 1)
-        }
-        return cls(alpha=float(alpha), provenance="closed-form", values=vals)

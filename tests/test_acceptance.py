@@ -85,39 +85,22 @@ def test_criterion_02_group_axioms_and_metric():
     _report(2, "group axioms and metric", worst, 1e-12, worst < 1e-12)
 
 
-def _batched_cayley(z, t):
-    one = np.zeros(8)
-    one[0] = 1.0
-    z2 = np.sum(z * z, axis=-1, keepdims=True)
-    w = (1.0 + z2) * one - np.concatenate([np.zeros_like(z2), t], axis=-1)
-    winv = oc.conj(w) / np.sum(w * w, axis=-1, keepdims=True)
-    nu = (1.0 - z2) * one + np.concatenate([np.zeros_like(z2), t], axis=-1)
-    return oc.mul(winv, 2.0 * z), oc.mul(winv, nu)
-
-
 def test_criterion_03_cayley_identities():
     rng = np.random.default_rng(103)
     n = 10000
     z = rng.standard_normal((n, 8))
     t = rng.standard_normal((n, 7))
-    zeta1, zeta2 = _batched_cayley(z, t)
-    one = np.zeros(8)
-    one[0] = 1.0
+    zeta = cayley.cayley_zt(z, t)
     # round trip
-    op = one + zeta2
-    q = oc.conj(op) / np.sum(op * op, axis=-1, keepdims=True)
-    zb = oc.mul(q, zeta1)
-    tb = -oc.mul(q, one - zeta2)[..., 1:]
+    zb, tb = cayley.cayley_inv_arrays(zeta)
     rt = max(np.abs(zb - z).max(), np.abs(tb - t).max())
     # Jacobian duality
-    W = (1.0 + np.sum(z * z, axis=1)) ** 2 + np.sum(t * t, axis=1)
-    jg = 2.0 ** (Q - 7) * W ** (-Q / 2.0)
-    js = 2.0 ** (-7) * np.linalg.norm(one + zeta2, axis=1) ** Q
-    jac = np.abs(jg - js).max() / jg.max() if jg.max() > 0 else 0.0
+    jg = cayley.jac_cayley_zt(z, t)
+    js = cayley.jac_cayley_sphere_arrays(zeta)
     jac = float(np.abs((jg - js) / jg).max())
     # distance relation on 5000 disjoint pairs
-    za, ta, zeta_a = z[:5000], t[:5000], np.concatenate([zeta1[:5000], zeta2[:5000]], axis=1)
-    zc, tc, zeta_c = z[5000:], t[5000:], np.concatenate([zeta1[5000:], zeta2[5000:]], axis=1)
+    za, ta, zeta_a = z[:5000], t[:5000], zeta[:5000]
+    zc, tc, zeta_c = z[5000:], t[5000:], zeta[5000:]
     lhs = cayley.sdist_arrays(zeta_a, zeta_c)
     zr, tr = ng.gmul_zt(-zc, -tc, za, ta)
     dg = ng.hnorm_zt(zr, tr)

@@ -113,22 +113,52 @@ def test_distance_relation_explicit_weights():
 def test_sdist_zonal_slice_matches_plain_pairing():
     # with one argument at the north pole the phase correction is trivial
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        z = cy.cayley(rand_elt(rng))
-        plain = math.sqrt(
-            (Octonion.from_real(1.0) - cy.hermitian_pairing(z, cy.NORTH_POLE)).norm() / 2.0
-        )
-        assert abs(cy.sdist(z, cy.NORTH_POLE) - plain) < 1e-14
+    zv = cy.cayley_zt(rng.standard_normal((20, 8)), rng.standard_normal((20, 7)))
+    w = cy.hermitian_pairing(zv, cy.NORTH_POLE.as_vector())
+    w[:, 0] -= 1.0
+    plain = np.sqrt(np.linalg.norm(w, axis=1) / 2.0)
+    assert np.max(np.abs(cy.sdist_arrays(zv, cy.NORTH_POLE.as_vector()) - plain)) < 1e-14
 
 
 def test_sdist_arrays_matches_scalar():
     rng = np.random.default_rng(8)
     pts = [cy.cayley(rand_elt(rng)) for _ in range(40)]
-    zv = np.array([p.as_vector() for p in pts[:20]])
-    ev = np.array([p.as_vector() for p in pts[20:]])
-    batch = cy.sdist_arrays(zv, ev)
-    for i in range(20):
-        assert abs(batch[i] - cy.sdist(pts[i], pts[20 + i])) < 1e-13
+    left = pts[:20] + [cy.NORTH_POLE, cy.SOUTH_POLE, cy.SOUTH_POLE, pts[0], cy.SOUTH_POLE]
+    right = pts[20:] + [cy.SOUTH_POLE, cy.NORTH_POLE, cy.SOUTH_POLE, cy.SOUTH_POLE, pts[1]]
+    batch = cy.sdist_arrays(
+        np.array([p.as_vector() for p in left]), np.array([p.as_vector() for p in right])
+    )
+    for i in range(len(left)):
+        assert abs(batch[i] - cy.sdist(left[i], right[i])) < 1e-13
+    # pole pairs: N/S and S/N at distance 1, S/S at 0, and the continuous limit
+    assert batch[20] == batch[21] == 1.0
+    assert batch[22] == 0.0
+    for i, p in ((23, pts[0]), (24, pts[1])):
+        limit = math.sqrt(np.linalg.norm(p.as_vector()[8:] + np.eye(8)[0]) / 2.0)
+        assert abs(batch[i] - limit) < 1e-15
+
+
+def test_scalar_views_are_kernel_rows():
+    rng = np.random.default_rng(14)
+    z, t = rng.standard_normal((30, 8)), rng.standard_normal((30, 7))
+    v = np.vstack([cy.cayley_zt(z, t), cy.NORTH_POLE.as_vector(), cy.SOUTH_POLE.as_vector()])
+    zb, tb = cy.cayley_inv_arrays(v[:-1])
+    jg = cy.jac_cayley_zt(z, t)
+    js = cy.jac_cayley_sphere_arrays(v)
+    ds = cy.sdist_arrays(v, v[::-1])
+    points = [cy.SpherePoint.from_vector(row) for row in v]
+    for i in range(len(v)):
+        if i < len(z):
+            u = GroupElement.from_arrays(z[i], t[i])
+            assert np.array_equal(cy.cayley(u).as_vector(), v[i])
+            assert cy.jac_cayley(u) == jg[i]
+        if i < len(v) - 1:
+            ub = cy.cayley_inv(points[i])
+            assert np.array_equal(ub.z.c, zb[i]) and np.array_equal(ub.t.v, tb[i])
+        assert cy.jac_cayley_sphere(points[i]) == js[i]
+        assert cy.sdist(points[i], points[-1 - i]) == ds[i]
+    with pytest.raises(ZeroDivisionError):
+        cy.cayley_inv_arrays(v)
 
 
 def test_triangle_ratio_recorded_not_asserted():

@@ -106,6 +106,27 @@ def test_verify_tolerance_override_failure(capsys):
     assert any(not r["pass"] for r in rows)
 
 
+def test_verify_tolerance_zero_is_honoured(capsys):
+    code, out, _ = run(["verify", "--mc-samples", "50", "--tolerance", "0"], capsys)
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    assert all(r["tolerance"] == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("n", ["0", "1", "-5"])
+def test_verify_rejects_too_few_samples(capsys, n):
+    code, out, err = run(["verify", "--mc-samples", n], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--mc-samples must be at least 2" in err
+
+
+def test_eigs_tolerance_override_failure(capsys):
+    code, out, _ = run(["eigs", "--alpha", "4", "--jmax", "1", "--tolerance", "1e-30"], capsys)
+    assert code == 1
+    assert any(not r["pass"] for r in json.loads(out)["rows"])
+
+
 def test_domain_error_exit_two(capsys):
     code, _, err = run(["constants", "--lambda", "25"], capsys)
     assert code == 2

@@ -1,4 +1,4 @@
-"""Special functions: hypergeometric sums, Gegenbauer/Jacobi recurrences, zonal harmonics."""
+"""Special functions: Gegenbauer/Jacobi recurrences, zonal harmonics."""
 
 import math
 
@@ -15,21 +15,6 @@ def test_bispherical_index_validation():
         sf.BisphericalIndex(1, 3)
     with pytest.raises(ValueError):
         sf.BisphericalIndex(-1, 0)
-
-
-def test_polar_angles_validation():
-    sf.PolarAngles(0.3, 1.0)
-    with pytest.raises(ValueError):
-        sf.PolarAngles(2.0, 1.0)
-
-
-def test_hyp2f1_terminating_against_scipy():
-    xs = np.linspace(-0.9, 0.9, 7)
-    for n in range(6):
-        for b, c in ((0.5, 3.5), (-2.6, 4.0), (1.25, 7.0)):
-            ours = np.array([sf.hyp2f1_terminating(n, b, c, x) for x in xs])
-            ref = sp.hyp2f1(-n, b, c, xs)
-            assert np.max(np.abs(ours - ref)) < 1e-12 * np.max(1.0 + np.abs(ref))
 
 
 def test_gegenbauer3_against_scipy():
@@ -99,16 +84,6 @@ def test_zonal_sine_form_small_phi_branch():
         assert np.max(np.abs(a - b)) < 1e-9
 
 
-def test_cosine_combination_coefficients():
-    for j, k in ((0, 0), (3, 1), (7, 2), (10, 10)):
-        for i in range(4):
-            assert abs(sf.a_coeff(j, k, i) - sf.a_coeff_sum(j, k, i)) < 1e-15
-    with pytest.raises(ValueError):
-        sf.a_coeff(1, 2, 0)
-    with pytest.raises(ValueError):
-        sf.a_coeff(2, 1, 4)
-
-
 def test_sine_sum_moments_vanish():
     # M_0 = M_1 = 0: the bracket starts at the sin^5 order
     for m in range(0, 8):
@@ -116,11 +91,3 @@ def test_sine_sum_moments_vanish():
         assert moments[0] == 0
         assert moments[1] == 0
         assert moments[2] != 0
-
-
-def test_gamma_helpers():
-    assert abs(sf.gamma_ratio(7.5, 7.5) - 1.0) < 1e-14
-    assert abs(sf.gamma_ratio(5.0, 3.0) - 12.0) < 1e-12
-    assert abs(sf.log_gamma(1.0)) < 1e-14
-    with pytest.raises(ValueError):
-        sf.log_gamma(-1.0)

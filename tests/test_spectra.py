@@ -1,6 +1,5 @@
 """Closed-form eigenvalues, quadrature oracle, margins, intertwining spectrum."""
 
-import json
 import math
 
 import numpy as np
@@ -199,18 +198,6 @@ def test_logsob_gap_monotone():
 
 # ---------------------------------------------------------------------------
 # tables
-
-
-def test_eigen_table_roundtrip():
-    table = spectra.EigenTable.from_closed_form("K1", 4.0, 2)
-    assert abs(table.get(0, 0) - spectra.eig_K1(0, 0, 4.0)) < 1e-14
-    csv_text = table.to_csv()
-    lines = csv_text.strip().split("\n")
-    assert lines[0].split(",")[:3] == ["j", "k", "alpha"]
-    assert len(lines) == 1 + len(list(table.indices()))
-    payload = json.loads(table.to_json())
-    assert payload["alpha"] == 4.0
-    assert "0,0" in payload["values"]
 
 
 def test_quadrature_table_provenance():
