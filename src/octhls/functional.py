@@ -13,6 +13,7 @@ measure |S^7||S^6| sin^7(theta) cos^7(theta) sin^6(phi) dtheta dphi.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from .cayley import hermitian_pairing, sdist_arrays
 from .constants import C_logsobolev, sphere_measure
 from .nilgroup import Q
-from .specfun import gegenbauer3_normalized, jacobi33_normalized
+from .specfun import gegenbauer3, jacobi33
 from .spectra import _FH_CONST, eig_K1, logsob_gap
 
 __all__ = [
@@ -161,11 +162,8 @@ def _profile_values(f, theta, phi):
     if isinstance(f, AxisZonalFunction):
         return np.asarray(f.profile(TH, PH), dtype=float) * np.ones_like(TH)
     if callable(f):
-        try:
-            vals = f(TH, PH)
-            return np.asarray(vals, dtype=float) * np.ones_like(TH)
-        except TypeError:
-            pass
+        if _required_positional(f) != 1:
+            return np.asarray(f(TH, PH), dtype=float) * np.ones_like(TH)
         # a pointwise sphere function: check it really is zonal about the
         # north axis by comparing two point families with the same angles
         th_s = np.linspace(0.3, 1.2, 4)
@@ -184,6 +182,15 @@ def _profile_values(f, theta, phi):
     raise TypeError("expected an AxisZonalFunction or a callable")
 
 
+def _required_positional(f):
+    """Number of positional parameters of f without a default: 1 for a
+    pointwise sphere function, 2 for a profile H(theta, phi)."""
+    return sum(
+        p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+        for p in inspect.signature(f).parameters.values()
+    )
+
+
 def _angles_to_point(theta, phi, hidden=0):
     """A representative sphere point with the given north-axis angles.
 
@@ -199,12 +206,21 @@ def _angles_to_point(theta, phi, hidden=0):
     return v
 
 
-def _zonal_factors(j, k, theta, phi):
-    """Separable factors (t_vec over theta, c_vec over phi) of the zonal harmonic."""
-    m = j - k
-    tvec = np.cos(theta) ** m * jacobi33_normalized(k, m, np.cos(2.0 * theta))
-    cvec = gegenbauer3_normalized(m, np.cos(phi))
-    return tvec, cvec
+def _basis(jmax, theta, phi):
+    """Separable factors of every zonal harmonic with j <= jmax.
+
+    Returns (pairs, m, T, C): the (j, k) pairs in order j, then k; the
+    index m = j - k of each pair; T[p] = cos^m theta p_k(cos 2 theta) over
+    theta for pair p; C[m] = c_m(cos phi) over phi.  The harmonic of pair
+    p is the outer product of T[p] and C[m[p]].
+    """
+    pairs = [(j, k) for j in range(jmax + 1) for k in range(j + 1)]
+    m = np.array([j - k for j, k in pairs])
+    T = np.empty((len(pairs), len(theta)))
+    for mm in range(jmax + 1):
+        sel = np.flatnonzero(m == mm)
+        T[sel] = np.cos(theta) ** mm * jacobi33(jmax - mm, mm, np.cos(2.0 * theta))
+    return pairs, m, T, gegenbauer3(jmax, np.cos(phi))
 
 
 @dataclass
@@ -220,7 +236,6 @@ class BisphericalFunction:
     jmax: int
     coeffs: dict
     norms2: dict
-    znorm2: dict
     l2: float
 
     def residual(self):
@@ -234,24 +249,22 @@ def project_bispherical(f, jmax=40, n_theta=200, n_phi=200):
     """Project a zonal-type function onto the (j, k) subspaces, j <= jmax.
 
     Accepts an AxisZonalFunction, a profile callable H(theta, phi), or a
-    pointwise sphere function (which must be zonal about the north axis;
-    anything else raises).
+    pointwise sphere function f(points) with one required argument (which
+    must be zonal about the north axis; anything else raises).
     """
     theta, wt, phi, wp = _grid(n_theta, n_phi)
     F = _profile_values(f, theta, phi)
-    coeffs, norms2, znorm2 = {}, {}, {}
-    Fp = F * wp[None, :]  # phi-weighted values
-    for j in range(jmax + 1):
-        for k in range(j + 1):
-            tvec, cvec = _zonal_factors(j, k, theta, phi)
-            zn2 = float(np.dot(wt, tvec * tvec) * np.dot(wp, cvec * cvec))
-            inner = float(np.dot(wt * tvec, Fp @ cvec))
-            c = inner / zn2
-            coeffs[(j, k)] = c
-            norms2[(j, k)] = c * c * zn2
-            znorm2[(j, k)] = zn2
-    l2 = _integrate(F * F, n_theta, n_phi)
-    return BisphericalFunction(jmax=jmax, coeffs=coeffs, norms2=norms2, znorm2=znorm2, l2=l2)
+    pairs, m, T, C = _basis(jmax, theta, phi)
+    G = (F * wp[None, :]) @ C.T  # G[i, m] = sum_q wp[q] F[i, q] c_m(phi_q)
+    inner = np.einsum("pi,ip->p", T * wt, G[:, m])
+    zn2 = ((T * T) @ wt) * ((C * C) @ wp)[m]
+    c = inner / zn2
+    return BisphericalFunction(
+        jmax=jmax,
+        coeffs=dict(zip(pairs, c.tolist())),
+        norms2=dict(zip(pairs, (c * c * zn2).tolist())),
+        l2=_integrate(F * F, n_theta, n_phi),
+    )
 
 
 def _integrate(values, n_theta=200, n_phi=200):
@@ -384,21 +397,13 @@ def el_residual(h, lam=None, jmax=40, n_points=100):
     p = 2.0 * Q / (2.0 * Q - lam)
     proj = project_bispherical(h, jmax)
     scale = 2.0 ** (lam / 2.0)
-    eigs = {
-        (j, k): scale * eig_K1(j, k, lam / 4.0) for (j, k) in proj.indices()
-    }
     ns = max(2, int(math.sqrt(n_points)))
     thetas = np.linspace(0.1, math.pi / 2 - 0.1, ns)
     phis = np.linspace(0.1, math.pi - 0.1, ns)
-    TH, PH = np.meshgrid(thetas, phis, indexing="ij")
-    conv = np.zeros_like(TH)
-    for (j, k), c in proj.coeffs.items():
-        tvec, cvec = _zonal_factors(j, k, TH.ravel(), PH.ravel())
-        conv += (c * eigs[(j, k)]) * (tvec * cvec).reshape(TH.shape)
-    hv = np.asarray(
-        h.profile(TH, PH) if isinstance(h, AxisZonalFunction) else h(TH, PH), dtype=float
-    ) * np.ones_like(TH)
-    ratio = conv / hv ** (p - 1.0)
+    pairs, m, T, C = _basis(jmax, thetas, phis)
+    a = np.array([proj.coeffs[(j, k)] * (scale * eig_K1(j, k, lam / 4.0)) for j, k in pairs])
+    conv = (T.T * a) @ C[m]
+    ratio = conv / _profile_values(h, thetas, phis) ** (p - 1.0)
     return float(ratio.std() / abs(ratio.mean()))
 
 

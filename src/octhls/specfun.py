@@ -1,8 +1,8 @@
 """Special functions for the bispherical spectral theory.
 
-Provides Gegenbauer C_n^(3) and Jacobi P_k^(3, 3+m) polynomials (by
-three-term recurrence, with variants normalized to 1 at x = 1) and the
-zonal harmonics in polar angles (theta, phi).
+Provides Gegenbauer C_n^(3) and Jacobi P_k^(3, 3+m) polynomials, normalized
+to 1 at x = 1 and returned for every degree 0..n from one pass of the
+three-term recurrence, and the zonal harmonics in polar angles (theta, phi).
 
 Polar-angle convention: |zeta2| = cos(theta) with theta in [0, pi/2],
 Re zeta2 = cos(theta) cos(phi) with phi in [0, pi].
@@ -15,15 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import special as sp
 
 __all__ = [
     "BisphericalIndex",
-    "digamma",
     "gegenbauer3",
-    "gegenbauer3_normalized",
     "jacobi33",
-    "jacobi33_normalized",
     "zonal",
     "zonal_sine_form",
 ]
@@ -47,68 +43,52 @@ class BisphericalIndex:
             raise ValueError(f"need j >= k >= 0, got ({self.j}, {self.k})")
 
 
-def digamma(x):
-    return sp.digamma(x)
-
-
-def _poly_recurrence(n, x, p0, p1, coeffs):
-    """Generic three-term recurrence p_m = (a_m x + b_m) p_{m-1} + c_m p_{m-2}."""
-    if n == 0:
-        return p0
-    prev, cur = p0, p1
-    for m in range(2, n + 1):
-        am, bm, cm = coeffs(m)
-        prev, cur = cur, (am * x + bm) * cur + cm * prev
-    return cur
+def _recurrence_rows(n, x, p1, step, scale):
+    """Rows 0..n of the three-term recurrence p_i = (a_i x + b_i) p_{i-1} + c_i p_{i-2},
+    started from p_0 = 1 and the given p_1, each row then multiplied by scale(i);
+    x is a float ndarray."""
+    n = int(n)
+    rows = np.empty((n + 1, *x.shape))
+    rows[0] = 1.0
+    if n >= 1:
+        rows[1] = p1
+    for i in range(2, n + 1):
+        a, b, c = step(i)
+        rows[i] = (a * x + b) * rows[i - 1] + c * rows[i - 2]
+    rows *= np.array([scale(i) for i in range(n + 1)]).reshape((n + 1,) + (1,) * x.ndim)
+    return rows
 
 
 def gegenbauer3(n, x):
-    """Gegenbauer polynomial C_n^(3)(x) by three-term recurrence."""
-    n = int(n)
+    """Rows 0..n of (5! i! / (i+5)!) C_i^(3)(x), each equal to 1 at x = 1;
+    shape (n + 1, *x.shape)."""
     x = np.asarray(x, dtype=float)
-    p0 = np.ones_like(x)
-    p1 = 6.0 * x
-
-    def coeffs(m):
-        return 2.0 * (m + 2.0) / m, 0.0, -(m + 4.0) / m
-
-    out = _poly_recurrence(n, x, p0, p1, coeffs)
-    return out if out.shape else float(out)
-
-
-def gegenbauer3_normalized(n, x):
-    """(5! n! / (n+5)!) C_n^(3)(x); equals 1 at x = 1."""
-    n = int(n)
-    scale = 120.0 / ((n + 1) * (n + 2) * (n + 3) * (n + 4) * (n + 5))
-    return scale * gegenbauer3(n, x)
+    return _recurrence_rows(
+        n, x, 6.0 * x,
+        lambda i: (2.0 * (i + 2.0) / i, 0.0, -(i + 4.0) / i),
+        lambda i: 120.0 / ((i + 1) * (i + 2) * (i + 3) * (i + 4) * (i + 5)),
+    )
 
 
 def jacobi33(k, m, x):
-    """Jacobi polynomial P_k^(3, 3+m)(x) by three-term recurrence."""
-    k = int(k)
+    """Rows 0..k of (3! i! / (i+3)!) P_i^(3, 3+m)(x), each equal to 1 at x = 1;
+    shape (k + 1, *x.shape)."""
     if m < 0:
         raise ValueError("weight offset m must be nonnegative")
     a, b = 3.0, 3.0 + m
     x = np.asarray(x, dtype=float)
-    p0 = np.ones_like(x)
-    p1 = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
 
-    def coeffs(n):
+    def step(n):
         c1 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
         c2 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
         c3 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
         c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
         return c3 / c1, c2 / c1, -c4 / c1
 
-    out = _poly_recurrence(k, x, p0, p1, coeffs)
-    return out if out.shape else float(out)
-
-
-def jacobi33_normalized(k, m, x):
-    """(3! k! / (k+3)!) P_k^(3, 3+m)(x); equals 1 at x = 1."""
-    k = int(k)
-    scale = 6.0 / ((k + 1) * (k + 2) * (k + 3))
-    return scale * jacobi33(k, m, x)
+    return _recurrence_rows(
+        k, x, (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0, step,
+        lambda i: 6.0 / ((i + 1) * (i + 2) * (i + 3)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +106,9 @@ def zonal(j, k, theta, phi):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     val = (
-        gegenbauer3_normalized(m, np.cos(phi))
+        gegenbauer3(m, np.cos(phi))[m]
         * np.cos(theta) ** m
-        * jacobi33_normalized(idx.k, m, np.cos(2.0 * theta))
+        * jacobi33(idx.k, m, np.cos(2.0 * theta))[idx.k]
     )
     return val if np.ndim(val) else float(val)
 
@@ -186,7 +166,7 @@ def zonal_sine_form(j, k, theta, phi):
         kappa
         * _sine_ratio(m, phi)
         * np.cos(theta) ** m
-        * jacobi33_normalized(idx.k, m, np.cos(2.0 * theta))
+        * jacobi33(idx.k, m, np.cos(2.0 * theta))[idx.k]
     )
     return val if np.ndim(val) else float(val)
 

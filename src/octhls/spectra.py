@@ -24,12 +24,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import special as sp
 
 from .nilgroup import Q
-from .specfun import (
-    BisphericalIndex,
-    digamma,
-    gegenbauer3_normalized,
-    jacobi33_normalized,
-)
+from .specfun import BisphericalIndex, gegenbauer3, jacobi33
 
 __all__ = [
     "ZonalKernel",
@@ -210,7 +205,7 @@ def _inner_profile(kern, theta, mmax, npp):
     phi, w = _phi_grid(theta, npp)
     x = np.cos(phi)
     base = kern.radial_angles(theta, phi) * np.sin(phi) ** 6 * w
-    return np.array([np.dot(base, gegenbauer3_normalized(m, x)) for m in range(mmax + 1)])
+    return gegenbauer3(mmax, x) @ base
 
 
 def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
@@ -219,28 +214,27 @@ def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
         raise ValueError("kernel is not integrable against the Funk-Hecke weight")
     ntp = max(16, int(nodes_theta) // 16)
     npp = max(16, int(nodes_phi) // 16)
-    mmax = max(j - k for j, k in pairs)
-    totals = {p: 0.0 for p in pairs}
+    ks = np.array([k for _, k in pairs])
+    ms = np.array([j - k for j, k in pairs])
+    mmax = int(ms.max())
+    by_m = [(m, np.flatnonzero(ms == m)) for m in np.unique(ms)]
+    totals = np.zeros(len(pairs))
     ref_total, quiet = 0.0, 0
     for level in range(400):
         hi = math.pi * 2.0 ** (-level - 1)
         lo = hi / 2.0
         th, wth = _panel(lo, hi, ntp)
-        contrib = {p: 0.0 for p in pairs}
+        inner = np.empty((len(th), mmax + 1))
         ref = 0.0
-        for theta, wt in zip(th, wth):
-            r = math.cos(theta)
-            inner = _inner_profile(kern, theta, mmax, npp)
-            base = wt * math.sin(theta) ** 7
-            s2 = math.cos(2.0 * theta)
-            for j, k in pairs:
-                m = j - k
-                contrib[(j, k)] += (
-                    base * r ** (m + 7) * jacobi33_normalized(k, m, s2) * inner[m]
-                )
-            ref += base * r ** 7 * abs(inner[0])
-        for p in pairs:
-            totals[p] += contrib[p]
+        for i, (theta, wt) in enumerate(zip(th, wth)):
+            inner[i] = _inner_profile(kern, theta, mmax, npp)
+            ref += wt * math.sin(theta) ** 7 * math.cos(theta) ** 7 * abs(inner[i, 0])
+        # jac[p, i] = p_k(cos 2 theta_i) for pair p = (k + m, k)
+        jac = np.empty((len(pairs), len(th)))
+        for m, sel in by_m:
+            jac[sel] = jacobi33(ks[sel].max(), m, np.cos(2.0 * th))[ks[sel]]
+        weight = wth * np.sin(th) ** 7 * np.cos(th) ** (ms[:, None] + 7)
+        totals += (weight * jac * inner.T[ms]).sum(axis=1)
         ref_total += ref
         if level >= 4 and ref <= 1e-15 * ref_total:
             quiet += 1
@@ -248,7 +242,7 @@ def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
                 break
         else:
             quiet = 0
-    return {p: _FH_CONST * v for p, v in totals.items()}
+    return {p: _FH_CONST * float(v) for p, v in zip(pairs, totals)}
 
 
 def eig_quadrature(kern, j, k, nodes_theta=256, nodes_phi=256):
@@ -303,12 +297,9 @@ def eig_K1(j, k, alpha):
     return _signed_exp(s1 * s2, float(log))
 
 
-def _eig_K2_raw(j, k, a):
-    """Four-term analytic continuation for the K2 eigenvalue; see eig_K2."""
-    lam1 = eig_K1(j, k, a)
+def _eig_K2_raw(j, k, a, lam1):
+    """Four-term analytic continuation for the K2 eigenvalue, given lam1 = eig_K1(j, k, a)."""
     if j == 0:
-        if a == 1.0:
-            raise ZeroDivisionError("K2 eigenvalue pole at alpha = 1, j = 0")
         sp1 = 1.0 if a > 1.0 else -1.0
         lp1 = -math.log(abs(a - 1.0))
     else:
@@ -337,27 +328,34 @@ def _eig_K2_raw(j, k, a):
     return lam1 + term_a + term_b + term_c
 
 
+def _eig_K1_K2(j, k, a):
+    """(eig_K1, eig_K2) on W_{j,k} at exponent a, with K1 evaluated once.
+
+    The isolated simple pole of K2 at a = 1, j = 0 is resolved by a
+    symmetric epsilon-average when the two-sided limit exists and
+    rejected (domain error) when it does not.
+    """
+    if j == 0 and abs(a - 1.0) < 1e-7:
+        eps = 1e-6
+        hi = _eig_K2_raw(j, k, a + eps, eig_K1(j, k, a + eps))
+        lo = _eig_K2_raw(j, k, a - eps, eig_K1(j, k, a - eps))
+        avg = 0.5 * (hi + lo)
+        if abs(hi - lo) > 1e-3 * (abs(avg) + 1.0):
+            raise ValueError(f"K2 eigenvalue has a genuine pole at alpha = 1 for (j, k) = (0, {k})")
+        return eig_K1(j, k, a), avg
+    lam1 = eig_K1(j, k, a)
+    return lam1, _eig_K2_raw(j, k, a, lam1)
+
+
 def eig_K2(j, k, alpha):
     """Closed-form eigenvalue of K2 = |w|^2 |1 - w|^(-2 alpha) on W_{j,k}.
 
     Evaluated by a four-term gamma-ratio decomposition valid across the
-    integer limit points.  The isolated simple pole at alpha = 1, j = 0
-    is resolved by a symmetric epsilon-average when the two-sided limit
-    exists and rejected (domain error) when it does not.
+    integer limit points, with the epsilon-average of _eig_K1_K2 at the
+    pole alpha = 1, j = 0.
     """
     idx = BisphericalIndex(j, k)
-    a = _check_alpha(alpha)
-    if idx.j == 0 and abs(a - 1.0) < 1e-7:
-        eps = 1e-6
-        hi = _eig_K2_raw(idx.j, idx.k, a + eps)
-        lo = _eig_K2_raw(idx.j, idx.k, a - eps)
-        avg = 0.5 * (hi + lo)
-        if abs(hi - lo) > 1e-3 * (abs(avg) + 1.0):
-            raise ValueError(
-                f"K2 eigenvalue has a genuine pole at alpha = 1 for (j, k) = (0, {idx.k})"
-            )
-        return avg
-    return _eig_K2_raw(idx.j, idx.k, a)
+    return _eig_K1_K2(idx.j, idx.k, _check_alpha(alpha))[1]
 
 
 def eig_K1_ratio(j, k, alpha):
@@ -390,8 +388,7 @@ def bilinear_margin(j, k, alpha):
     a = float(alpha)
     if not (0.0 < a < Q / 4):
         raise ValueError(f"margin needs 0 < alpha < {Q / 4} so that alpha - 1 > -1")
-    lam1 = eig_K1(idx.j, idx.k, a)
-    lam2 = eig_K2(idx.j, idx.k, a)
+    lam1, lam2 = _eig_K1_K2(idx.j, idx.k, a)
     lam1m = eig_K1(idx.j, idx.k, a - 1.0)
     return lam1 + lam2 - lam1m - (2.0 * a / (11.0 - a)) * lam1
 
@@ -452,10 +449,10 @@ def logsob_gap(j, k):
     """
     idx = BisphericalIndex(j, k)
     return _C0_LOGSOB * float(
-        digamma(idx.j + Q / 4.0)
-        + digamma(idx.k + Q / 4.0 - 3.0)
-        - digamma(Q / 4.0)
-        - digamma(Q / 4.0 - 3.0)
+        sp.digamma(idx.j + Q / 4.0)
+        + sp.digamma(idx.k + Q / 4.0 - 3.0)
+        - sp.digamma(Q / 4.0)
+        - sp.digamma(Q / 4.0 - 3.0)
     )
 
 

@@ -64,6 +64,25 @@ def test_project_single_zonal_mode():
     assert leak < 1e-12 * proj.l2
     assert proj.residual() < 1e-10
 
+    # a seeded sum of three modes: every coefficient is recovered
+    modes = [(0, 0), (3, 1), (5, 4)]
+    amps = np.random.default_rng(7).uniform(-1.0, 1.0, len(modes))
+    f = fn.AxisZonalFunction(
+        lambda th, ph: sum(a * zonal(j, k, th, ph) for a, (j, k) in zip(amps, modes))
+    )
+    proj = fn.project_bispherical(f, jmax=6)
+    expected = dict(zip(modes, amps))
+    for mode, c in proj.coeffs.items():
+        assert abs(c - expected.get(mode, 0.0)) < 1e-10, mode
+
+
+def test_project_profile_type_error_propagates():
+    def profile(th, ph):
+        raise TypeError("boom")
+
+    with pytest.raises(TypeError, match="boom"):
+        fn.project_bispherical(profile, jmax=2)
+
 
 def test_project_rejects_non_zonal():
     rng = np.random.default_rng(1)

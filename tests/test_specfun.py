@@ -18,31 +18,37 @@ def test_bispherical_index_validation():
 
 
 def test_gegenbauer3_against_scipy():
+    # every row i is C_i^(3) times its normalization 5! i! / (i+5)!
     xs = np.linspace(-1.0, 1.0, 11)
     for n in range(9):
-        ref = sp.eval_gegenbauer(n, 3.0, xs)
-        ours = sf.gegenbauer3(n, xs)
-        assert np.max(np.abs(ours - ref)) < 1e-10 * np.max(1.0 + np.abs(ref))
+        rows = sf.gegenbauer3(n, xs)
+        assert rows.shape == (n + 1, xs.size)
+        for i in range(n + 1):
+            ref = sp.eval_gegenbauer(i, 3.0, xs) / math.comb(i + 5, 5)
+            assert np.max(np.abs(rows[i] - ref)) < 1e-10 * np.max(1.0 + np.abs(ref))
 
 
 def test_gegenbauer3_normalized_at_one():
     for n in range(9):
-        assert abs(sf.gegenbauer3_normalized(n, 1.0) - 1.0) < 1e-12
+        assert np.all(np.abs(sf.gegenbauer3(n, 1.0) - 1.0) < 1e-12)
 
 
 def test_jacobi33_against_scipy():
+    # every row i is P_i^(3, 3+m) times its normalization 3! i! / (i+3)!
     xs = np.linspace(-1.0, 1.0, 11)
     for m in range(5):
         for k in range(7):
-            ref = sp.eval_jacobi(k, 3.0, 3.0 + m, xs)
-            ours = sf.jacobi33(k, m, xs)
-            assert np.max(np.abs(ours - ref)) < 1e-10 * np.max(1.0 + np.abs(ref))
+            rows = sf.jacobi33(k, m, xs)
+            assert rows.shape == (k + 1, xs.size)
+            for i in range(k + 1):
+                ref = sp.eval_jacobi(i, 3.0, 3.0 + m, xs) / math.comb(i + 3, 3)
+                assert np.max(np.abs(rows[i] - ref)) < 1e-10 * np.max(1.0 + np.abs(ref))
 
 
 def test_jacobi33_normalized_at_one():
     for m in range(4):
         for k in range(7):
-            assert abs(sf.jacobi33_normalized(k, m, 1.0) - 1.0) < 1e-12
+            assert np.all(np.abs(sf.jacobi33(k, m, 1.0) - 1.0) < 1e-12)
 
 
 def test_zonal_normalization_and_product_form():

@@ -133,6 +133,21 @@ def test_margin_zero_set_at_three():
                 assert m > 1e-6, (j, k)
 
 
+def test_margin_is_its_defining_combination():
+    # the shared K1 term must not change a single bit of the margin
+    for alpha in (0.5, 1.0, 2.5, 3.0, 3.5, 4.0, 5.2):
+        for j in range(6):
+            for k in range(j + 1):
+                lam1 = spectra.eig_K1(j, k, alpha)
+                ref = (
+                    lam1
+                    + spectra.eig_K2(j, k, alpha)
+                    - spectra.eig_K1(j, k, alpha - 1.0)
+                    - (2.0 * alpha / (11.0 - alpha)) * lam1
+                )
+                assert spectra.bilinear_margin(j, k, alpha) == ref, (j, k, alpha)
+
+
 def test_margin_violation_below_three():
     assert spectra.bilinear_margin(2, 2, 2.5) < -1e-3
 
