@@ -256,8 +256,8 @@ def project_bispherical(f, jmax=40, n_theta=200, n_phi=200):
     F = _profile_values(f, theta, phi)
     pairs, m, T, C = _basis(jmax, theta, phi)
     G = (F * wp[None, :]) @ C.T  # G[i, m] = sum_q wp[q] F[i, q] c_m(phi_q)
-    inner = np.einsum("pi,ip->p", T * wt, G[:, m])
-    zn2 = ((T * T) @ wt) * ((C * C) @ wp)[m]
+    inner = np.einsum("pi,i,ip->p", T, wt, G[:, m])
+    zn2 = np.einsum("pi,pi,i->p", T, T, wt) * ((C * C) @ wp)[m]
     c = inner / zn2
     return BisphericalFunction(
         jmax=jmax,

@@ -17,6 +17,7 @@ of the north-pole-fixing frame.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,52 +101,34 @@ def _signed_exp(sign, log):
 # zonal kernels
 
 
+@dataclass(frozen=True)
 class ZonalKernel:
     """A kernel K(w) that depends on w only through |w| and Re w.
 
-    ``radial(r, x)`` must accept a scalar r in [0, 1] and an ndarray of
-    cosines x, returning the kernel values; ``integrable`` marks whether
-    K is integrable against the Funk-Hecke weight.  ``radial_angles``
-    (optional) evaluates K(cos theta, cos phi) directly from the angles;
-    the quadrature prefers it because 1 - cos loses all digits near the
-    singular corner in the cosine parameterization.
+    ``angles(theta, phi)`` returns K at |w| = cos theta, Re w / |w| = cos phi
+    for arrays of any broadcastable shapes, with the broadcast shape; the
+    angles keep the digits that 1 - cos loses near the singular corner.
+    ``integrable`` marks whether K is integrable against the Funk-Hecke
+    weight.
     """
 
-    __slots__ = ("radial", "integrable", "name", "radial_angles")
-
-    def __init__(self, radial, integrable=True, name="zonal", radial_angles=None):
-        self.radial = radial
-        self.integrable = bool(integrable)
-        self.name = name
-        if radial_angles is None:
-            radial_angles = lambda theta, phi: self.radial(math.cos(theta), np.cos(phi))
-        self.radial_angles = radial_angles
-
-    def __call__(self, w):
-        """Evaluate at an octonion argument (object with .c, or (..., 8) array)."""
-        c = np.asarray(getattr(w, "c", w), dtype=float)
-        r = np.linalg.norm(c, axis=-1)
-        x = np.where(r > 0.0, c[..., 0] / np.where(r > 0.0, r, 1.0), 1.0)
-        out = self.radial(r, x)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def __repr__(self):
-        return f"ZonalKernel({self.name})"
+    angles: Callable
+    integrable: bool = True
+    name: str = "zonal"
 
 
 def _dist2_angles(theta, phi):
     """|1 - w|^2 = (1 - r)^2 + 2 r (1 - cos phi) at r = cos theta, cancellation-free."""
-    return 4.0 * math.sin(theta / 2.0) ** 4 + 4.0 * math.cos(theta) * np.sin(phi / 2.0) ** 2
+    return 4.0 * np.sin(theta / 2.0) ** 4 + 4.0 * np.cos(theta) * np.sin(phi / 2.0) ** 2
 
 
 def kernel_K1(alpha):
     """K1 = |1 - w|^(-2 alpha) = (1 - 2 r x + r^2)^(-alpha)."""
     a = float(alpha)
     return ZonalKernel(
-        lambda r, x: (1.0 - 2.0 * r * x + r * r) ** (-a),
+        lambda theta, phi: _dist2_angles(theta, phi) ** (-a),
         integrable=a < Q / 4,
-        name=f"K1^{a}",
-        radial_angles=lambda theta, phi: _dist2_angles(theta, phi) ** (-a),
+        name=f"K1 at alpha = {a}",
     )
 
 
@@ -153,10 +136,9 @@ def kernel_K2(alpha):
     """K2 = |w|^2 |1 - w|^(-2 alpha)."""
     a = float(alpha)
     return ZonalKernel(
-        lambda r, x: r * r * (1.0 - 2.0 * r * x + r * r) ** (-a),
+        lambda theta, phi: np.cos(theta) ** 2 * _dist2_angles(theta, phi) ** (-a),
         integrable=a < Q / 4,
-        name=f"K2^{a}",
-        radial_angles=lambda theta, phi: math.cos(theta) ** 2 * _dist2_angles(theta, phi) ** (-a),
+        name=f"K2 at alpha = {a}",
     )
 
 
@@ -171,71 +153,65 @@ def kernel_K2(alpha):
 # composite Gauss-Legendre panels refined dyadically toward 0.
 
 
-def _panel(a, b, n):
-    x, w = leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+def _panels(lo, hi, rule):
+    """Nodes and weights of the rule (x, w) on every panel [lo_i, hi_i], shape (panels, n)."""
+    x, w = rule
+    mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
     return mid + half * x, half * w
 
 
-def _phi_grid(theta, npp):
-    """Nodes/weights on [0, pi], refined dyadically down to the kernel width.
+def _phi_grid(theta, rule):
+    """Nodes/weights on [0, pi], refined dyadically down to the kernel width at theta.
 
     The kernel feature scale in phi at r = cos theta is ~ (1 - r); below
     it the integrand is smooth, so refinement stops there.
     """
     width = max(2.0 * math.sin(theta / 2.0) ** 2, 1e-300)
-    levels = int(math.ceil(math.log2(math.pi / width)))
-    levels = max(2, min(360, levels))
-    nodes, weights = [], []
-    hi = math.pi
-    for _ in range(levels):
-        lo = hi / 2.0
-        x, w = _panel(lo, hi, npp)
-        nodes.append(x)
-        weights.append(w)
-        hi = lo
-    x, w = _panel(0.0, hi, npp)
-    nodes.append(x)
-    weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _inner_profile(kern, theta, mmax, npp):
-    """Inner phi-integrals I_m = int K(cos theta, cos phi) c_m(cos phi) sin^6 phi dphi."""
-    phi, w = _phi_grid(theta, npp)
-    x = np.cos(phi)
-    base = kern.radial_angles(theta, phi) * np.sin(phi) ** 6 * w
-    return gegenbauer3(mmax, x) @ base
+    levels = max(2, min(360, math.ceil(math.log2(math.pi / width))))
+    hi = math.pi * 2.0 ** -np.arange(levels + 1)
+    phi, w = _panels(np.append(hi[1:], 0.0), hi, rule)
+    return phi.ravel(), w.ravel()
 
 
 def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
-    """Shared-grid evaluation of the Funk-Hecke integral for many (j, k)."""
+    """Shared-grid evaluation of the Funk-Hecke integral for many (j, k).
+
+    Dyadic theta level l is the panel [pi 2^(-l-2), pi 2^(-l-1)]; the
+    kernel is evaluated once per level on its (theta nodes x phi nodes)
+    array, with the phi grid of the level's smallest theta node.  Levels
+    are added until two in a row change the (0, 0) reference integral by
+    at most 1e-15 of its total; a non-finite running total raises.
+    """
     if not kern.integrable:
         raise ValueError("kernel is not integrable against the Funk-Hecke weight")
-    ntp = max(16, int(nodes_theta) // 16)
-    npp = max(16, int(nodes_phi) // 16)
+    rule_theta = leggauss(max(16, int(nodes_theta) // 16))
+    rule_phi = leggauss(max(16, int(nodes_phi) // 16))
+    hi = math.pi * 2.0 ** -np.arange(1, 401)  # at most 400 levels
+    thetas, wthetas = _panels(hi / 2.0, hi, rule_theta)
     ks = np.array([k for _, k in pairs])
     ms = np.array([j - k for j, k in pairs])
     mmax = int(ms.max())
     by_m = [(m, np.flatnonzero(ms == m)) for m in np.unique(ms)]
     totals = np.zeros(len(pairs))
     ref_total, quiet = 0.0, 0
-    for level in range(400):
-        hi = math.pi * 2.0 ** (-level - 1)
-        lo = hi / 2.0
-        th, wth = _panel(lo, hi, ntp)
-        inner = np.empty((len(th), mmax + 1))
-        ref = 0.0
-        for i, (theta, wt) in enumerate(zip(th, wth)):
-            inner[i] = _inner_profile(kern, theta, mmax, npp)
-            ref += wt * math.sin(theta) ** 7 * math.cos(theta) ** 7 * abs(inner[i, 0])
+    for level, (th, wth) in enumerate(zip(thetas, wthetas)):
+        phi, wphi = _phi_grid(th[0], rule_phi)
         # jac[p, i] = p_k(cos 2 theta_i) for pair p = (k + m, k)
         jac = np.empty((len(pairs), len(th)))
         for m, sel in by_m:
             jac[sel] = jacobi33(ks[sel].max(), m, np.cos(2.0 * th))[ks[sel]]
-        weight = wth * np.sin(th) ** 7 * np.cos(th) ** (ms[:, None] + 7)
-        totals += (weight * jac * inner.T[ms]).sum(axis=1)
+        w7 = wth * np.sin(th) ** 7 * np.cos(th) ** 7
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = kern.angles(th[:, None], phi) * (np.sin(phi) ** 6 * wphi)
+            inner = base @ gegenbauer3(mmax, np.cos(phi)).T  # inner[i, m]
+            totals += (w7 * np.cos(th) ** ms[:, None] * jac * inner.T[ms]).sum(axis=1)
+            ref = float(np.dot(w7, np.abs(inner[:, 0])))
         ref_total += ref
+        if not (np.isfinite(totals).all() and math.isfinite(ref_total)):
+            raise ValueError(
+                f"Funk-Hecke quadrature of {kern.name} is not finite at dyadic theta level"
+                f" {level}: the oracle cannot converge there"
+            )
         if level >= 4 and ref <= 1e-15 * ref_total:
             quiet += 1
             if quiet >= 2:

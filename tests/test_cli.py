@@ -3,10 +3,23 @@
 import csv
 import io
 import json
+import pathlib
+import shlex
 
 import pytest
 
 from octhls import cli, constants, spectra
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_command_lines():
+    """The ``octhls ...`` lines of README's "Command line" block, comments cut."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [line for line in lines if line.startswith("octhls ")]
 
 
 def run(argv, capsys):
@@ -136,6 +149,21 @@ def test_domain_error_exit_two(capsys):
 def test_eigs_bad_alpha_exit_two(capsys):
     code, _, err = run(["eigs", "--alpha", "6"], capsys)
     assert code == 2
+
+
+def test_eigs_non_convergence_exit_two(capsys):
+    # alpha = 5.3 is in the domain, but the quadrature cannot converge there
+    code, out, err = run(["eigs", "--alpha", "5.3", "--jmax", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "K1 at alpha = 5.3" in err and "dyadic theta level" in err
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_line(capsys, line):
+    code, out, _ = run(shlex.split(line)[1:], capsys)
+    assert code == 0
+    assert out.strip()
 
 
 def test_determinism(capsys):

@@ -57,14 +57,14 @@ def test_alpha_domain_errors():
 
 
 def test_quadrature_constant_kernel_gives_sphere_measure():
-    kern = spectra.ZonalKernel(lambda r, x: np.ones_like(x), name="one")
+    kern = spectra.ZonalKernel(lambda theta, phi: np.ones_like(theta * phi), name="one")
     val = spectra.eig_quadrature(kern, 0, 0)
     assert abs(val - SPHERE) / SPHERE < 1e-13
 
 
 def test_quadrature_orthogonality():
     # a constant kernel is orthogonal to every non-trivial zonal subspace
-    kern = spectra.ZonalKernel(lambda r, x: np.ones_like(x), name="one")
+    kern = spectra.ZonalKernel(lambda theta, phi: np.ones_like(theta * phi), name="one")
     for j, k in ((1, 0), (2, 1), (3, 3)):
         assert abs(spectra.eig_quadrature(kern, j, k)) < 1e-10
 
@@ -85,6 +85,14 @@ def test_quadrature_K2_matches_closed_form_spot():
         cf = spectra.eig_K2(j, k, alpha)
         qd = spectra.eig_quadrature(kern, j, k)
         assert abs(qd - cf) / abs(cf) < 1e-6
+
+
+def test_quadrature_non_convergence_raises():
+    # at alpha = 5.3 the kernel overflows near the corner before the dyadic
+    # levels settle; the oracle says so instead of returning inf (and, under
+    # the suite's error::RuntimeWarning filter, without a numpy warning)
+    with pytest.raises(ValueError, match=r"K1 at alpha = 5\.3 .* dyadic theta level \d+"):
+        spectra.eig_quadrature(spectra.kernel_K1(5.3), 0, 0)
 
 
 def test_ratio_identity_matches_direct_quotient():
