@@ -8,10 +8,15 @@ import numpy as np
 
 from octhls import cayley, nilgroup as ng
 from octhls import octonion as oc
-from octhls.nilgroup import GroupElement, Q
+from octhls.nilgroup import Q
 from octhls.octonion import basis_table_text
 
 rng = np.random.default_rng(0)
+
+
+def gdist(zu, tu, zv, tv):
+    """Left-invariant group distance |v^-1 u|."""
+    return ng.hnorm_zt(*ng.gmul_zt(-zv, -tv, zu, tu))
 
 
 def main():
@@ -27,34 +32,30 @@ def main():
     print("(nonzero: the algebra is alternative, not associative)")
 
     print(f"\nhomogeneous dimension Q = {Q}")
-    u = GroupElement.from_arrays(rng.standard_normal(8), rng.standard_normal(7))
-    v = GroupElement.from_arrays(rng.standard_normal(8), rng.standard_normal(7))
-    w = GroupElement.from_arrays(rng.standard_normal(8), rng.standard_normal(7))
-    print("d(u, v)                  =", ng.gdist(u, v))
-    print("d(wu, wv) (left transl.) =", ng.gdist(ng.gmul(w, u), ng.gmul(w, v)))
+    # three group elements u, v, w as rows: z (3, 8), t (3, 7)
+    zs, ts = rng.standard_normal((3, 8)), rng.standard_normal((3, 7))
+    (zu, zv, zw), (tu, tv, tw) = zs, ts
+    print("d(u, v)                  =", gdist(zu, tu, zv, tv))
+    print("d(wu, wv) (left transl.) =", gdist(*ng.gmul_zt(zw, tw, zu, tu), *ng.gmul_zt(zw, tw, zv, tv)))
     delta = 2.0
     print(
         "homogeneity |delta.u| / (delta |u|) =",
-        ng.hnorm(ng.dilate(delta, u)) / (delta * ng.hnorm(u)),
+        ng.hnorm_zt(delta * zu, delta ** 2 * tu) / (delta * ng.hnorm_zt(zu, tu)),
     )
+    zi, ti = ng.inversion_zt(zu, tu)
+    print("inversion |u*| |u|        =", ng.hnorm_zt(zi, ti) * ng.hnorm_zt(zu, tu))
 
-    print("\nboundary transform to the unit sphere of R^16:")
-    zeta = cayley.cayley(u)
-    print("|zeta|^2 =", zeta.zeta1.norm() ** 2 + zeta.zeta2.norm() ** 2)
-    back = cayley.cayley_inv(zeta)
-    print(
-        "round-trip residual =",
-        max(np.abs(back.z.c - u.z.c).max(), np.abs(back.t.v - u.t.v).max()),
-    )
-    print("Jacobian, group side :", cayley.jac_cayley(u))
-    print("Jacobian, sphere side:", cayley.jac_cayley_sphere(zeta))
+    print("\nboundary transform to the unit sphere of R^16 (all three rows at once):")
+    zeta = cayley.cayley_zt(zs, ts)
+    print("|zeta|^2 =", np.sum(zeta * zeta, axis=1))
+    zb, tb = cayley.cayley_inv_arrays(zeta)
+    print("round-trip residual =", max(np.abs(zb - zs).max(), np.abs(tb - ts).max()))
+    print("Jacobian, group side :", cayley.jac_cayley_zt(zs, ts))
+    print("Jacobian, sphere side:", cayley.jac_cayley_sphere_arrays(zeta))
 
-    lhs = cayley.sdist(cayley.cayley(u), cayley.cayley(v))
-    rhs = (
-        2.0 ** (7.0 / Q - 1.0)
-        * (cayley.jac_cayley(u) * cayley.jac_cayley(v)) ** (1.0 / (2 * Q))
-        * ng.gdist(u, v)
-    )
+    jac = cayley.jac_cayley_zt(zs, ts)
+    lhs = cayley.sdist_arrays(zeta[0], zeta[1])
+    rhs = 2.0 ** (7.0 / Q - 1.0) * (jac[0] * jac[1]) ** (1.0 / (2 * Q)) * gdist(zu, tu, zv, tv)
     print("\nexchange of distances:")
     print("  sphere distance          =", lhs)
     print("  weighted group distance  =", rhs)

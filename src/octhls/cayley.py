@@ -7,9 +7,10 @@ is the order under which the sphere distance transforms exactly into
 the group distance (the right-division variant fails that identity
 already in the associative subalgebra).
 
-Each map is written once, as a batched kernel over arrays (z (..., 8),
-t (..., 7), sphere points (..., 16)); the functions taking GroupElement
-or SpherePoint objects are one-row views of those kernels.
+A sphere point is a (..., 16) array.  Each map is written once, as a
+batched kernel over arrays (z (..., 8), t (..., 7), sphere points
+(..., 16)); ``cayley``, ``cayley_inv``, ``jac_cayley`` and
+``jac_cayley_sphere`` are one-row views of those kernels.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ import numpy as np
 
 from . import octonion as oc
 from .nilgroup import Q, GroupElement
-from .octonion import Octonion
 
 __all__ = [
-    "SpherePoint",
     "cayley_zt",
     "cayley_inv_arrays",
     "jac_cayley_zt",
@@ -34,41 +33,18 @@ __all__ = [
     "cayley_inv",
     "jac_cayley",
     "jac_cayley_sphere",
-    "sdist",
     "lift_function",
     "lower_function",
     "NORTH_POLE",
     "SOUTH_POLE",
 ]
 
-
-class SpherePoint:
-    """Unit vector in O^2, stored as two octonions."""
-
-    __slots__ = ("zeta1", "zeta2")
-
-    def __init__(self, zeta1: Octonion, zeta2: Octonion, check: bool = True):
-        self.zeta1 = zeta1
-        self.zeta2 = zeta2
-        if check:
-            r = zeta1.norm() ** 2 + zeta2.norm() ** 2
-            if abs(r - 1.0) > 1e-10:
-                raise ValueError(f"not a unit vector: |zeta|^2 = {r}")
-
-    @classmethod
-    def from_vector(cls, v, check=True):
-        v = np.asarray(v, dtype=float)
-        return cls(Octonion(v[:8]), Octonion(v[8:]), check=check)
-
-    def as_vector(self):
-        return np.concatenate([self.zeta1.c, self.zeta2.c])
-
-    def __repr__(self):
-        return f"SpherePoint({self.zeta1.c.tolist()}, {self.zeta2.c.tolist()})"
-
-
-NORTH_POLE = SpherePoint(Octonion.zero(), Octonion.unit(0))
-SOUTH_POLE = SpherePoint(Octonion.zero(), -Octonion.unit(0))
+#: the image of the identity (zeta1, zeta2) = (0, 1), and the point at infinity (0, -1)
+NORTH_POLE = np.zeros(16)
+NORTH_POLE[8] = 1.0
+SOUTH_POLE = -NORTH_POLE
+NORTH_POLE.setflags(write=False)
+SOUTH_POLE.setflags(write=False)
 
 # below this modulus 1 + zeta2 counts as zero: the point is the south pole
 _POLE_EPS = 1e-14
@@ -175,14 +151,14 @@ def sdist_arrays(zv, ev):
 # loops can differ in the last bit)
 
 
-def cayley(u: GroupElement) -> SpherePoint:
-    """Map a group element to the sphere minus the south pole."""
-    return SpherePoint.from_vector(cayley_zt(u.z.c[None], u.t.v[None])[0])
+def cayley(u: GroupElement):
+    """Map a group element to the sphere minus the south pole, as a (16,) row."""
+    return cayley_zt(u.z.c[None], u.t.v[None])[0]
 
 
-def cayley_inv(zeta: SpherePoint) -> GroupElement:
-    """Inverse boundary transform; the south pole is the point at infinity."""
-    z, t = cayley_inv_arrays(zeta.as_vector()[None])
+def cayley_inv(v) -> GroupElement:
+    """Inverse boundary transform of a (16,) row; the south pole is the point at infinity."""
+    z, t = cayley_inv_arrays(np.asarray(v, dtype=float)[None])
     return GroupElement.from_arrays(z[0], t[0])
 
 
@@ -191,43 +167,40 @@ def jac_cayley(u: GroupElement) -> float:
     return float(jac_cayley_zt(u.z.c[None], u.t.v[None])[0])
 
 
-def jac_cayley_sphere(zeta: SpherePoint) -> float:
-    """The same Jacobian at one sphere point."""
-    return float(jac_cayley_sphere_arrays(zeta.as_vector()[None])[0])
-
-
-def sdist(zeta: SpherePoint, eta: SpherePoint) -> float:
-    """Sphere distance of two points; see :func:`sdist_arrays`."""
-    return float(sdist_arrays(zeta.as_vector()[None], eta.as_vector()[None])[0])
+def jac_cayley_sphere(v) -> float:
+    """The same Jacobian at one sphere point, a (16,) row."""
+    return float(jac_cayley_sphere_arrays(np.asarray(v, dtype=float)[None])[0])
 
 
 def lift_function(f, p):
-    """Lift a group function to the sphere: f~(zeta) = f(C^-1 zeta) |J_C^-1|^(1/p).
+    """Lift a group function to the sphere: f~(v) = f(C^-1 v) |J_C^-1|^(1/p).
 
-    ``p`` may be ``math.inf`` for the plain-composition limit.  The lift
-    preserves the L^p norm.  Evaluation at the south pole raises.
+    ``f(z, t)`` takes group arrays (..., 8), (..., 7); the lift takes
+    sphere points (..., 16).  ``p`` may be ``math.inf`` for the
+    plain-composition limit.  The lift preserves the L^p norm.
+    Evaluation at the south pole raises.
     """
     if not (p > 1):
         raise ValueError("exponent p must exceed 1")
 
-    def ftilde(zeta: SpherePoint) -> float:
-        u = cayley_inv(zeta)
+    def ftilde(v):
+        z, t = cayley_inv_arrays(v)
         if math.isinf(p):
-            return f(u)
-        return f(u) * (1.0 / jac_cayley(u)) ** (1.0 / p)
+            return f(z, t)
+        return f(z, t) * (1.0 / jac_cayley_zt(z, t)) ** (1.0 / p)
 
     return ftilde
 
 
 def lower_function(ftilde, p):
-    """Inverse of :func:`lift_function`: f(u) = f~(C u) |J_C(u)|^(1/p)."""
+    """Inverse of :func:`lift_function`: f(z, t) = f~(C(z, t)) |J_C(z, t)|^(1/p)."""
     if not (p > 1):
         raise ValueError("exponent p must exceed 1")
 
-    def f(u: GroupElement) -> float:
-        zeta = cayley(u)
+    def f(z, t):
+        values = ftilde(cayley_zt(z, t))
         if math.isinf(p):
-            return ftilde(zeta)
-        return ftilde(zeta) * jac_cayley(u) ** (1.0 / p)
+            return values
+        return values * jac_cayley_zt(z, t) ** (1.0 / p)
 
     return f

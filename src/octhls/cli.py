@@ -288,36 +288,41 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+#: every flag: name -> add_argument keywords
+_FLAGS = {
+    "--lambda": dict(dest="lam", default="", help="comma-separated lambda grid"),
+    "--alpha": dict(default="", help="comma-separated alpha grid"),
+    "--d": dict(default="", help="comma-separated degree grid"),
+    "--jmax": dict(type=int, default=6),
+    "--kmax": dict(type=int, default=None),
+    "--nodes-theta": dict(type=int, default=256),
+    "--nodes-phi": dict(type=int, default=256),
+    "--mc-samples": dict(type=int, default=100000),
+    "--seed": dict(type=int, default=0),
+    "--tolerance": dict(type=float, default=None, help="override every check tolerance"),
+}
+
+#: subcommand -> (function, the flags it reads besides --format and --out)
+_COMMANDS = {
+    "constants": (cmd_constants, ("--lambda", "--d")),
+    "eigs": (cmd_eigs, ("--alpha", "--jmax", "--kmax", "--nodes-theta", "--nodes-phi", "--tolerance")),
+    "margin": (cmd_margin, ("--alpha", "--jmax", "--kmax")),
+    "verify": (cmd_verify, ("--nodes-theta", "--nodes-phi", "--mc-samples", "--seed", "--tolerance")),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="octhls",
         description="verification tables for the octonionic Heisenberg sharp-constant suite",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--lambda", dest="lam", default="", help="comma-separated lambda grid")
-        p.add_argument("--alpha", default="", help="comma-separated alpha grid")
-        p.add_argument("--d", default="", help="comma-separated degree grid")
-        p.add_argument("--jmax", type=int, default=6)
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--nodes-theta", type=int, default=256)
-        p.add_argument("--nodes-phi", type=int, default=256)
-        p.add_argument("--mc-samples", type=int, default=100000)
-        p.add_argument("--seed", type=int, default=0)
+    for name, (fn, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override every check tolerance")
-
-    for name, fn in (
-        ("constants", cmd_constants),
-        ("eigs", cmd_eigs),
-        ("margin", cmd_margin),
-        ("verify", cmd_verify),
-    ):
-        p = sub.add_parser(name)
-        common(p)
         p.set_defaults(fn=fn)
     return parser
 

@@ -14,28 +14,12 @@ from .nilgroup import Q
 from .spectra import c_d
 
 __all__ = [
-    "HlsParams",
     "sphere_measure",
     "C_hls_group",
     "C_hls_sphere",
     "C_sobolev",
     "C_logsobolev",
 ]
-
-
-class HlsParams:
-    """Parameters of the bilinear inequality: exponent lambda and p = 2Q/(2Q - lambda)."""
-
-    __slots__ = ("lam", "p", "sharp_regime")
-
-    def __init__(self, lam):
-        lam = float(lam)
-        if not (0.0 < lam < Q):
-            raise ValueError(f"lambda = {lam} outside (0, {Q})")
-        self.lam = lam
-        self.p = 2.0 * Q / (2.0 * Q - lam)
-        # the sharp constant is only proved for exponents >= 12
-        self.sharp_regime = lam >= 12.0
 
 
 def sphere_measure():
@@ -49,8 +33,9 @@ def C_hls_group(lam):
     2^(-4 lam/Q) |S|^(lam/Q) 7! Gamma((Q-lam)/2) /
     (Gamma((2Q-lam)/4) Gamma((2Q-lam)/4 - 3)).
     """
-    params = HlsParams(lam)
-    lam = params.lam
+    lam = float(lam)
+    if not (0.0 < lam < Q):
+        raise ValueError(f"lambda = {lam} outside (0, {Q})")
     gammas = math.exp(
         sp.gammaln((Q - lam) / 2.0)
         - sp.gammaln((2.0 * Q - lam) / 4.0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .cayley import hermitian_pairing, sdist_arrays
+from .cayley import NORTH_POLE, hermitian_pairing, sdist_arrays
 from .constants import C_logsobolev, sphere_measure
 from .nilgroup import Q
 from .specfun import gegenbauer3, jacobi33
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 #: the north pole of the zonal frame: e0 of the zeta2 slot
-NORTH_AXIS = np.zeros(16)
-NORTH_AXIS[8] = 1.0
+NORTH_AXIS = NORTH_POLE
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +120,8 @@ class AxisZonalFunction:
         self.name = name
 
     def __call__(self, points):
-        """Evaluate at sphere points given as a (..., 16) array or SpherePoint."""
-        v = points.as_vector() if hasattr(points, "as_vector") else points
-        theta, phi = _axis_angles(v, self.axis)
+        """Evaluate at sphere points, a (..., 16) array."""
+        theta, phi = _axis_angles(points, self.axis)
         return self.profile(theta, phi)
 
     def __repr__(self):
@@ -164,21 +162,14 @@ def _profile_values(f, theta, phi):
     if callable(f):
         if _required_positional(f) != 1:
             return np.asarray(f(TH, PH), dtype=float) * np.ones_like(TH)
-        # a pointwise sphere function: check it really is zonal about the
-        # north axis by comparing two point families with the same angles
-        th_s = np.linspace(0.3, 1.2, 4)
-        ph_s = np.linspace(0.4, 2.6, 4)
-        for t in th_s:
-            for p in ph_s:
-                za = _angles_to_point(t, p, hidden=0)
-                zb = _angles_to_point(t, p, hidden=1)
-                if abs(f(za) - f(zb)) > 1e-9 * (abs(f(za)) + 1.0):
-                    raise ValueError("input function is not zonal about the north axis")
-        out = np.empty_like(TH)
-        for i in range(TH.shape[0]):
-            for q in range(TH.shape[1]):
-                out[i, q] = f(_angles_to_point(TH[i, q], PH[i, q], hidden=0))
-        return out
+        # a pointwise sphere function f(points (..., 16)): check it really is
+        # zonal about the north axis on two point families with the same angles
+        th_s, ph_s = np.meshgrid(np.linspace(0.3, 1.2, 4), np.linspace(0.4, 2.6, 4))
+        fa = np.asarray(f(_angles_to_points(th_s, ph_s, hidden=0)), dtype=float)
+        fb = np.asarray(f(_angles_to_points(th_s, ph_s, hidden=1)), dtype=float)
+        if np.any(np.abs(fa - fb) > 1e-9 * (np.abs(fa) + 1.0)):
+            raise ValueError("input function is not zonal about the north axis")
+        return np.asarray(f(_angles_to_points(TH, PH, hidden=0)), dtype=float) * np.ones_like(TH)
     raise TypeError("expected an AxisZonalFunction or a callable")
 
 
@@ -191,18 +182,18 @@ def _required_positional(f):
     )
 
 
-def _angles_to_point(theta, phi, hidden=0):
-    """A representative sphere point with the given north-axis angles.
+def _angles_to_points(theta, phi, hidden=0):
+    """Representative sphere points (..., 16) with the given north-axis angles.
 
     ``hidden`` selects different coordinates in the directions the
     angles do not constrain.
     """
-    v = np.zeros(16)
+    v = np.zeros(np.shape(theta) + (16,))
     i1 = 1 if hidden == 0 else 3  # zeta1 direction
     i2 = 9 if hidden == 0 else 12  # imaginary zeta2 direction
-    v[i1] = math.sin(theta)
-    v[8] = math.cos(theta) * math.cos(phi)
-    v[i2] = math.cos(theta) * math.sin(phi)
+    v[..., i1] = np.sin(theta)
+    v[..., 8] = np.cos(theta) * np.cos(phi)
+    v[..., i2] = np.cos(theta) * np.sin(phi)
     return v
 
 
@@ -249,8 +240,9 @@ def project_bispherical(f, jmax=40, n_theta=200, n_phi=200):
     """Project a zonal-type function onto the (j, k) subspaces, j <= jmax.
 
     Accepts an AxisZonalFunction, a profile callable H(theta, phi), or a
-    pointwise sphere function f(points) with one required argument (which
-    must be zonal about the north axis; anything else raises).
+    pointwise sphere function f(points) of (..., 16) arrays with one
+    required argument (which must be zonal about the north axis; anything
+    else raises).
     """
     theta, wt, phi, wp = _grid(n_theta, n_phi)
     F = _profile_values(f, theta, phi)
@@ -300,14 +292,11 @@ class ExtremizerParams:
             raise ValueError(f"lambda = {self.lam} outside (0, {Q})")
 
 
-def extremizer_eval(params: ExtremizerParams, zeta):
-    """Pointwise extremizer value at sphere points ((..., 16) array or SpherePoint)."""
-    v = zeta.as_vector() if hasattr(zeta, "as_vector") else zeta
-    pair = hermitian_pairing(params.xi, v)
+def extremizer_eval(params: ExtremizerParams, points):
+    """Pointwise extremizer value at sphere points, a (..., 16) array."""
+    pair = hermitian_pairing(params.xi, points)
     pair[..., 0] -= 1.0
-    dist = np.linalg.norm(pair, axis=-1)
-    out = dist ** (-(2.0 * Q - params.lam) / 2.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.linalg.norm(pair, axis=-1) ** (-(2.0 * Q - params.lam) / 2.0)
 
 
 def extremizer_profile(params: ExtremizerParams):

@@ -9,8 +9,9 @@ table is built once at import time; see ``basis_table_text()`` for a
 human-readable dump of the e_i * e_j sign table.
 
 All functions accept plain ndarrays whose last axis has length 8, so
-bulk property checks can run vectorized.  The ``Octonion`` class is a
-thin scalar wrapper around the same kernels.
+bulk property checks can run vectorized.  ``Octonion`` and
+``ImOctonion`` are shape-checked coefficient records without
+arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "ImOctonion",
     "mul",
     "conj",
-    "re",
     "im",
     "norm",
     "inv",
@@ -81,10 +81,17 @@ def basis_table_text():
 
 
 def mul(x, y):
-    """Octonion product of arrays with shape (..., 8)."""
+    """Octonion product of arrays with shape (..., 8).
+
+    Summed over the left factor's coefficients, x_i (y @ MULT_TABLE[i]),
+    so that no (..., 8, 8) temporary is formed.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return np.einsum("...i,...j,ijk->...k", x, y, MULT_TABLE)
+    out = x[..., 0, None] * (y @ MULT_TABLE[0])
+    for i in range(1, 8):
+        out += x[..., i, None] * (y @ MULT_TABLE[i])
+    return out
 
 
 def conj(x):
@@ -92,10 +99,6 @@ def conj(x):
     out = -x
     out[..., 0] = x[..., 0]
     return out
-
-
-def re(x):
-    return np.asarray(x, dtype=float)[..., 0]
 
 
 def im(x):
@@ -125,7 +128,7 @@ def from_im(t):
 
 
 class Octonion:
-    """A single octonion, stored as 8 real coefficients (e0 first)."""
+    """A single octonion as a record of 8 real coefficients ``c`` (e0 first)."""
 
     __slots__ = ("c",)
 
@@ -135,64 +138,12 @@ class Octonion:
             raise ValueError("octonion needs exactly 8 coefficients")
         self.c = c
 
-    @classmethod
-    def unit(cls, k=0):
-        c = np.zeros(8)
-        c[k] = 1.0
-        return cls(c)
-
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(8))
-
-    @classmethod
-    def from_real(cls, a):
-        c = np.zeros(8)
-        c[0] = a
-        return cls(c)
-
-    def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion(mul(self.c, other.c))
-        return Octonion(self.c * float(other))
-
-    def __rmul__(self, other):
-        return Octonion(self.c * float(other))
-
-    def __add__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion(self.c + other.c)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion(self.c - other.c)
-        return NotImplemented
-
-    def __neg__(self):
-        return Octonion(-self.c)
-
-    def conj(self):
-        return Octonion(conj(self.c))
-
-    def re(self):
-        return float(self.c[0])
-
-    def im(self):
-        return ImOctonion(self.c[1:])
-
-    def norm(self):
-        return float(np.linalg.norm(self.c))
-
-    def inv(self):
-        return Octonion(inv(self.c))
-
     def __repr__(self):
         return f"Octonion({self.c.tolist()})"
 
 
 class ImOctonion:
-    """A purely imaginary octonion, stored as the 7 coefficients c1..c7."""
+    """A purely imaginary octonion as a record of the 7 coefficients ``v`` (c1..c7)."""
 
     __slots__ = ("v",)
 
@@ -202,30 +153,5 @@ class ImOctonion:
             raise ValueError("imaginary octonion needs exactly 7 coefficients")
         self.v = v
 
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(7))
-
-    def as_octonion(self):
-        return Octonion(from_im(self.v))
-
-    def __add__(self, other):
-        return ImOctonion(self.v + other.v)
-
-    def __sub__(self, other):
-        return ImOctonion(self.v - other.v)
-
-    def __neg__(self):
-        return ImOctonion(-self.v)
-
-    def __mul__(self, s):
-        return ImOctonion(self.v * float(s))
-
-    __rmul__ = __mul__
-
-    def norm(self):
-        return float(np.linalg.norm(self.v))
-
     def __repr__(self):
         return f"ImOctonion({self.v.tolist()})"
-

@@ -273,26 +273,33 @@ def eig_K1(j, k, alpha):
     return _signed_exp(s1 * s2, float(log))
 
 
-def _eig_K2_raw(j, k, a, lam1):
-    """Four-term analytic continuation for the K2 eigenvalue, given lam1 = eig_K1(j, k, a)."""
+def _eig_K1_K2(j, k, a):
+    """(eig_K1, eig_K2) on W_{j,k} at exponent a, with K1 evaluated once.
+
+    eig_K2 is eig_K1 plus three gamma-ratio terms.  At j = 0 (so k = 0)
+    two of them carry (a)_{-1} = 1 / (a - 1); their sum is
+    -2 pi^8 (a - 4) Gamma(12 - 2a) / (Gamma(9 - a) Gamma(12 - a)), where
+    that pole has cancelled, and with the first term the whole
+    eigenvalue is eig_K1 (a^2 - 11a + 44) / ((8 - a)(11 - a)), a
+    positive factor evaluated without cancellation.
+    """
+    lam1 = eig_K1(j, k, a)
     if j == 0:
-        sp1 = 1.0 if a > 1.0 else -1.0
-        lp1 = -math.log(abs(a - 1.0))
-    else:
-        sp1, lp1 = _log_poch(a, j - 1)
+        return lam1, lam1 * (a * a - 11.0 * a + 44.0) / ((8.0 - a) * (11.0 - a))
     sA, lA = _log_poch(a, j)
-    sB, lB = _log_poch(a - 3.0, k)
     sC, lC = _log_poch(a - 4.0, k)
     g12 = float(sp.gammaln(12.0 - 2.0 * a))
-    g13 = float(sp.gammaln(13.0 - 2.0 * a))
     term_a = -_signed_exp(
         sA * sC,
         _LOG_2PI8 + g12 + lA + lC - sp.gammaln(k + 8.0 - a) - sp.gammaln(j + 12.0 - a),
     )
     if a == 4.0:
-        return lam1 + term_a
+        return lam1, lam1 + term_a
     l4 = math.log(abs(a - 4.0))
     s4 = 1.0 if a > 4.0 else -1.0
+    sp1, lp1 = _log_poch(a, j - 1)
+    sB, lB = _log_poch(a - 3.0, k)
+    g13 = float(sp.gammaln(13.0 - 2.0 * a))
     term_b = -_signed_exp(
         s4 * sp1 * sB,
         _LOG_2PI8 + g12 + l4 + lp1 + lB - sp.gammaln(k + 9.0 - a) - sp.gammaln(j + 11.0 - a),
@@ -301,34 +308,15 @@ def _eig_K2_raw(j, k, a, lam1):
         s4 * sp1 * sC,
         _LOG_2PI8 + g13 + l4 + lp1 + lC - sp.gammaln(k + 9.0 - a) - sp.gammaln(j + 12.0 - a),
     )
-    return lam1 + term_a + term_b + term_c
-
-
-def _eig_K1_K2(j, k, a):
-    """(eig_K1, eig_K2) on W_{j,k} at exponent a, with K1 evaluated once.
-
-    The isolated simple pole of K2 at a = 1, j = 0 is resolved by a
-    symmetric epsilon-average when the two-sided limit exists and
-    rejected (domain error) when it does not.
-    """
-    if j == 0 and abs(a - 1.0) < 1e-7:
-        eps = 1e-6
-        hi = _eig_K2_raw(j, k, a + eps, eig_K1(j, k, a + eps))
-        lo = _eig_K2_raw(j, k, a - eps, eig_K1(j, k, a - eps))
-        avg = 0.5 * (hi + lo)
-        if abs(hi - lo) > 1e-3 * (abs(avg) + 1.0):
-            raise ValueError(f"K2 eigenvalue has a genuine pole at alpha = 1 for (j, k) = (0, {k})")
-        return eig_K1(j, k, a), avg
-    lam1 = eig_K1(j, k, a)
-    return lam1, _eig_K2_raw(j, k, a, lam1)
+    return lam1, lam1 + term_a + term_b + term_c
 
 
 def eig_K2(j, k, alpha):
     """Closed-form eigenvalue of K2 = |w|^2 |1 - w|^(-2 alpha) on W_{j,k}.
 
     Evaluated by a four-term gamma-ratio decomposition valid across the
-    integer limit points, with the epsilon-average of _eig_K1_K2 at the
-    pole alpha = 1, j = 0.
+    integer limit points; at j = 0 the terms are summed in closed form,
+    which removes the apparent pole at alpha = 1 (see _eig_K1_K2).
     """
     idx = BisphericalIndex(j, k)
     return _eig_K1_K2(idx.j, idx.k, _check_alpha(alpha))[1]

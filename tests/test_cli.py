@@ -167,6 +167,45 @@ def test_readme_command_line(capsys, line):
 
 
 def test_determinism(capsys):
-    a = run(["margin", "--alpha", "3.5", "--jmax", "6", "--seed", "1"], capsys)[1]
-    b = run(["margin", "--alpha", "3.5", "--jmax", "6", "--seed", "1"], capsys)[1]
+    argv = ["verify", "--mc-samples", "50", "--nodes-theta", "64", "--nodes-phi", "64"]
+    a = run([*argv, "--seed", "1"], capsys)[1]
+    b = run([*argv, "--seed", "1"], capsys)[1]
+    c = run([*argv, "--seed", "2"], capsys)[1]
     assert a == b
+    assert a != c  # the seed draws verify's sample points
+
+
+#: every flag with a valid value, and the flags each subcommand reads
+FLAG_VALUES = {
+    "--lambda": "12", "--alpha": "4", "--d": "2", "--jmax": "1", "--kmax": "1",
+    "--nodes-theta": "64", "--nodes-phi": "64", "--mc-samples": "50", "--seed": "3",
+    "--tolerance": "1e-6", "--format": "csv", "--out": "x.csv",
+}
+OUTPUT = {"--format", "--out"}
+READS = {
+    "constants": OUTPUT | {"--lambda", "--d"},
+    "eigs": OUTPUT | {"--alpha", "--jmax", "--kmax", "--nodes-theta", "--nodes-phi", "--tolerance"},
+    "margin": OUTPUT | {"--alpha", "--jmax", "--kmax"},
+    "verify": OUTPUT | {"--nodes-theta", "--nodes-phi", "--mc-samples", "--seed", "--tolerance"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_subcommand_accepts_its_flags(command):
+    argv = [command]
+    for flag in sorted(READS[command]):
+        argv += [flag, FLAG_VALUES[flag]]
+    assert cli.build_parser().parse_args(argv).command == command
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in sorted(READS) for f in FLAG_VALUES if f not in READS[c]],
+)
+def test_stray_flag_exits_two(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments" in out.err

@@ -13,14 +13,9 @@ def test_sphere_measure():
 
 
 def test_hls_params():
-    p = constants.HlsParams(12.0)
-    assert abs(p.p - 2.0 * Q / (2.0 * Q - 12.0)) < 1e-14
-    assert p.sharp_regime
-    assert not constants.HlsParams(8.0).sharp_regime
-    with pytest.raises(ValueError):
-        constants.HlsParams(0.0)
-    with pytest.raises(ValueError):
-        constants.HlsParams(22.0)
+    for lam in (0.0, 22.0):
+        with pytest.raises(ValueError):
+            constants.C_hls_group(lam)
 
 
 def test_hls_group_regression():

@@ -95,6 +95,24 @@ def test_project_rejects_non_zonal():
         fn.project_bispherical(pointwise, jmax=2)
 
 
+def test_project_pointwise_function():
+    # a pointwise f(points (..., 16)) is evaluated once on the whole grid and
+    # projects like its profile
+    params = fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=16.0)
+    calls = []
+
+    def pointwise(points):
+        calls.append(points.shape)
+        return fn.extremizer_eval(params, points)
+
+    by_points = fn.project_bispherical(pointwise, jmax=20)
+    by_profile = fn.project_bispherical(fn.extremizer_profile(params), jmax=20)
+    assert calls == [(4, 4, 16), (4, 4, 16), (200, 200, 16)]
+    for mode, c in by_profile.coeffs.items():
+        assert abs(by_points.coeffs[mode] - c) < 1e-10, mode
+    assert abs(by_points.l2 - by_profile.l2) < 1e-12 * by_profile.l2
+
+
 def test_parseval():
     params = fn.ExtremizerParams(xi=0.2 * fn.NORTH_AXIS, lam=16.0)
     h = fn.extremizer_profile(params)

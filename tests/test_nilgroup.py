@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from octhls import nilgroup as ng
-from octhls.nilgroup import GroupElement, Q
-from octhls.octonion import ImOctonion, Octonion
+from octhls import octonion as oc
+from octhls.nilgroup import Q
 
 
-def rand_elt(rng):
-    return GroupElement.from_arrays(rng.standard_normal(8), rng.standard_normal(7))
+def rand_zt(rng, n):
+    return rng.standard_normal((n, 8)), rng.standard_normal((n, 7))
+
+
+def gdist(zu, tu, zv, tv):
+    """Left-invariant distance |v^-1 u|."""
+    return ng.hnorm_zt(*ng.gmul_zt(-zv, -tv, zu, tu))
 
 
 def test_homogeneous_dimension():
@@ -18,105 +23,105 @@ def test_homogeneous_dimension():
 
 def test_identity_and_inverse():
     rng = np.random.default_rng(0)
-    e = GroupElement.identity()
-    for _ in range(20):
-        u = rand_elt(rng)
-        for w in (ng.gmul(u, e), ng.gmul(e, u)):
-            assert np.max(np.abs(w.z.c - u.z.c)) < 1e-14
-            assert np.max(np.abs(w.t.v - u.t.v)) < 1e-14
-        # the distance is a fourth root, so cancellation roundoff in the
-        # cross term surfaces at the 1e-8 scale even for equal arguments
-        assert ng.gdist(u, u) < 1e-7
-        assert ng.hnorm(ng.gmul(u, ng.ginv(u))) < 1e-7
-        assert ng.hnorm(ng.gmul(ng.ginv(u), u)) < 1e-7
+    z, t = rand_zt(rng, 20)
+    e, f = np.zeros(8), np.zeros(7)
+    for w_z, w_t in (ng.gmul_zt(z, t, e, f), ng.gmul_zt(e, f, z, t)):
+        assert np.max(np.abs(w_z - z)) < 1e-14
+        assert np.max(np.abs(w_t - t)) < 1e-14
+    # the distance is a fourth root, so cancellation roundoff in the
+    # cross term surfaces at the 1e-8 scale even for equal arguments
+    assert np.max(gdist(z, t, z, t)) < 1e-7
+    assert np.max(ng.hnorm_zt(*ng.gmul_zt(z, t, -z, -t))) < 1e-7
+    assert np.max(ng.hnorm_zt(*ng.gmul_zt(-z, -t, z, t))) < 1e-7
 
 
 def test_associativity():
     # the group is associative even though octonion multiplication is not:
     # the cross term only involves Im(z zbar'), bilinear in two elements
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        u, v, w = (rand_elt(rng) for _ in range(3))
-        a = ng.gmul(ng.gmul(u, v), w)
-        b = ng.gmul(u, ng.gmul(v, w))
-        assert np.max(np.abs(a.z.c - b.z.c)) < 1e-12
-        assert np.max(np.abs(a.t.v - b.t.v)) < 1e-12
+    z, t = rng.standard_normal((3, 50, 8)), rng.standard_normal((3, 50, 7))
+    a = ng.gmul_zt(*ng.gmul_zt(z[0], t[0], z[1], t[1]), z[2], t[2])
+    b = ng.gmul_zt(z[0], t[0], *ng.gmul_zt(z[1], t[1], z[2], t[2]))
+    assert np.max(np.abs(a[0] - b[0])) < 1e-12
+    assert np.max(np.abs(a[1] - b[1])) < 1e-12
 
 
 def test_hnorm_examples():
-    t = ImOctonion(np.r_[3.0, np.zeros(6)])
-    assert abs(ng.hnorm(GroupElement(Octonion.zero(), t)) - np.sqrt(3.0)) < 1e-14
-    z = Octonion(np.r_[2.0, np.zeros(7)])
-    assert abs(ng.hnorm(GroupElement(z, ImOctonion.zero())) - 2.0) < 1e-14
+    assert abs(ng.hnorm_zt(np.zeros(8), np.r_[3.0, np.zeros(6)]) - np.sqrt(3.0)) < 1e-14
+    assert abs(ng.hnorm_zt(np.r_[2.0, np.zeros(7)], np.zeros(7)) - 2.0) < 1e-14
 
 
 def test_gdist_closed_form():
     rng = np.random.default_rng(2)
-    for _ in range(30):
-        u, v = rand_elt(rng), rand_elt(rng)
-        tv = u.t.v - v.t.v + 2.0 * (u.z * v.z.conj()).im().v
-        closed = ((u.z - v.z).norm() ** 4 + float(tv @ tv)) ** 0.25
-        assert abs(ng.gdist(u, v) - closed) < 1e-12
-        assert abs(ng.gdist(u, v) - ng.gdist(v, u)) < 1e-12
+    zu, tu = rand_zt(rng, 30)
+    zv, tv = rand_zt(rng, 30)
+    cross = tu - tv + 2.0 * oc.im(oc.mul(zu, oc.conj(zv)))
+    closed = (np.sum((zu - zv) ** 2, axis=1) ** 2 + np.sum(cross ** 2, axis=1)) ** 0.25
+    assert np.max(np.abs(gdist(zu, tu, zv, tv) - closed)) < 1e-12
+    assert np.max(np.abs(gdist(zu, tu, zv, tv) - gdist(zv, tv, zu, tu))) < 1e-12
 
 
 def test_left_invariance():
     rng = np.random.default_rng(3)
-    for _ in range(30):
-        u, v, w = (rand_elt(rng) for _ in range(3))
-        d0 = ng.gdist(u, v)
-        d1 = ng.gdist(ng.gmul(w, u), ng.gmul(w, v))
-        assert abs(d0 - d1) < 1e-11 * max(1.0, d0)
+    (zu, tu), (zv, tv), (zw, tw) = (rand_zt(rng, 30) for _ in range(3))
+    d0 = gdist(zu, tu, zv, tv)
+    d1 = gdist(*ng.gmul_zt(zw, tw, zu, tu), *ng.gmul_zt(zw, tw, zv, tv))
+    assert np.all(np.abs(d0 - d1) < 1e-11 * np.maximum(1.0, d0))
 
 
 def test_dilation_homogeneity():
     rng = np.random.default_rng(4)
     for delta in (0.25, 1.0, 7.5):
-        for _ in range(10):
-            u = rand_elt(rng)
-            assert abs(ng.hnorm(ng.dilate(delta, u)) - delta * ng.hnorm(u)) < 1e-12 * max(
-                1.0, ng.hnorm(u)
-            )
+        z, t = rand_zt(rng, 10)
+        r = ng.hnorm_zt(z, t)
+        assert np.all(
+            np.abs(ng.hnorm_zt(delta * z, delta ** 2 * t) - delta * r) < 1e-12 * np.maximum(1.0, r)
+        )
 
 
 def test_dilation_is_automorphism():
     rng = np.random.default_rng(5)
     delta = 2.5
-    for _ in range(10):
-        u, v = rand_elt(rng), rand_elt(rng)
-        a = ng.dilate(delta, ng.gmul(u, v))
-        b = ng.gmul(ng.dilate(delta, u), ng.dilate(delta, v))
-        assert np.max(np.abs(a.z.c - b.z.c)) < 1e-12
-        assert np.max(np.abs(a.t.v - b.t.v)) < 1e-12
+    (zu, tu), (zv, tv) = rand_zt(rng, 10), rand_zt(rng, 10)
+    za, ta = ng.gmul_zt(zu, tu, zv, tv)
+    zb, tb = ng.gmul_zt(delta * zu, delta ** 2 * tu, delta * zv, delta ** 2 * tv)
+    assert np.max(np.abs(delta * za - zb)) < 1e-12
+    assert np.max(np.abs(delta ** 2 * ta - tb)) < 1e-12
 
 
 def test_inversion_norm_reciprocal():
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        u = rand_elt(rng)
-        s = ng.inversion(u)
-        assert abs(ng.hnorm(s) * ng.hnorm(u) - 1.0) < 1e-11
+    z, t = rand_zt(rng, 20)
+    assert np.max(np.abs(ng.hnorm_zt(*ng.inversion_zt(z, t)) * ng.hnorm_zt(z, t) - 1.0)) < 1e-11
 
 
 def test_inversion_involution():
     rng = np.random.default_rng(8)
-    for _ in range(20):
-        u = rand_elt(rng)
-        w = ng.inversion(ng.inversion(u))
-        assert np.max(np.abs(w.z.c - u.z.c)) < 1e-10
-        assert np.max(np.abs(w.t.v - u.t.v)) < 1e-10
+    z, t = rand_zt(rng, 20)
+    zw, tw = ng.inversion_zt(*ng.inversion_zt(z, t))
+    assert np.max(np.abs(zw - z)) < 1e-10
+    assert np.max(np.abs(tw - t)) < 1e-10
 
 
-def test_batched_matches_scalar():
-    rng = np.random.default_rng(9)
-    z1, z2 = rng.standard_normal((2, 40, 8))
-    t1, t2 = rng.standard_normal((2, 40, 7))
-    zb, tb = ng.gmul_zt(z1, t1, z2, t2)
-    nb = ng.hnorm_zt(z1, t1)
-    for i in range(40):
-        u = GroupElement.from_arrays(z1[i], t1[i])
-        v = GroupElement.from_arrays(z2[i], t2[i])
-        w = ng.gmul(u, v)
-        assert np.allclose(zb[i], w.z.c, atol=1e-13)
-        assert np.allclose(tb[i], w.t.v, atol=1e-13)
-        assert abs(nb[i] - ng.hnorm(u)) < 1e-13
+def test_inversion_is_right_division():
+    # z' = -z (|z|^2 - t)^-1, so z' (|z|^2 - t) = -z by the inverse property
+    rng = np.random.default_rng(10)
+    z, t = rand_zt(rng, 200)
+    zi, ti = ng.inversion_zt(z, t)
+    w = -oc.from_im(t)
+    w[:, 0] = np.sum(z * z, axis=1)
+    assert np.max(np.abs(oc.mul(zi, w) + z)) < 1e-12 * np.max(np.abs(z))
+    r4 = np.sum(z * z, axis=1) ** 2 + np.sum(t * t, axis=1)
+    assert np.max(np.abs(ti * r4[:, None] + t)) < 1e-12 * np.max(np.abs(t))
+    # one row and a batch give the same numbers
+    z0, t0 = ng.inversion_zt(z[0], t[0])
+    assert np.array_equal(z0, zi[0]) and np.array_equal(t0, ti[0])
+
+
+def test_inversion_pole_at_identity():
+    z, t = np.zeros((3, 8)), np.zeros((3, 7))
+    z[0, 2] = 1.0
+    with pytest.raises(ZeroDivisionError):
+        ng.inversion_zt(z, t)
+    with pytest.raises(ZeroDivisionError):
+        ng.inversion_zt(np.zeros(8), np.zeros(7))

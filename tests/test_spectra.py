@@ -1,6 +1,8 @@
 """Closed-form eigenvalues, quadrature oracle, margins, intertwining spectrum."""
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -41,12 +43,36 @@ def test_eig_K2_values():
 
 
 def test_eig_K2_removable_singularity():
-    # alpha = 1 has a removable 0/0 in the term combination; the symmetric
-    # epsilon average must agree with nearby direct evaluations
+    # the value at alpha = 1 must agree with the mean of nearby evaluations
     v = spectra.eig_K2(1, 1, 1.0)
     lo = spectra.eig_K2(1, 1, 1.0 - 1e-5)
     hi = spectra.eig_K2(1, 1, 1.0 + 1e-5)
     assert abs(v - 0.5 * (lo + hi)) < 1e-6 * abs(v)
+
+
+def _mpmath_reference():
+    """perfbench/reference.py: 40-digit mpmath transcriptions of the closed forms."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("octhls_mpmath_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_eig_K2_exact_at_alpha_one_pole():
+    # at j = k = 0 the four-term form has a removable 1/(alpha - 1); the
+    # closed-form sum must match the 40-digit reference right at the pole
+    ref = _mpmath_reference()
+    mp = ref.mp
+    for alpha in (1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-5, -0.5, 2.5, 3.5, 4.0, 5.45):
+        if alpha == 1.0:
+            # the reference divides by alpha - 1: take the two-sided mean
+            with mp.workdps(ref.DIGITS):
+                eps = mp.mpf("1e-15")
+                exact = 0.5 * (ref.eig_K2(0, 0, 1 + eps) + ref.eig_K2(0, 0, 1 - eps))
+        else:
+            exact = ref.eig_K2(0, 0, alpha)
+        assert abs(spectra.eig_K2(0, 0, alpha) - exact) < 1e-14 * abs(exact), alpha
 
 
 def test_alpha_domain_errors():
