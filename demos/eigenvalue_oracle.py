@@ -31,15 +31,17 @@ def main():
     print("\nbilinear eigenvalue margin (nonnegative for 3 <= alpha < 5.5):")
     for alpha in (2.5, 3.0, 4.0, 5.25):
         worst, arg = math.inf, None
-        zeros = 0
+        zeros, violated = 0, False
         for j in range(41):
             for k in range(j + 1):
-                m = spectra.bilinear_margin(j, k, alpha)
+                # a cell is zero (or violated) against the rounding of its own terms
+                terms = spectra.margin_terms(j, k, alpha)
+                m, tol = sum(terms), 1e-12 * sum(map(abs, terms))
                 if m < worst:
                     worst, arg = m, (j, k)
-                if abs(m) < 1e-10:
-                    zeros += 1
-        flag = "VIOLATED" if worst < -1e-12 else "ok"
+                zeros += abs(m) <= tol
+                violated = violated or m < -tol
+        flag = "VIOLATED" if violated else "ok"
         print(
             f"  alpha={alpha:5.2f}: min margin {worst: .5f} at {arg}, "
             f"{zeros} zero cells [{flag}]"

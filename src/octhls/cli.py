@@ -23,6 +23,12 @@ from .nilgroup import Q
 SCHEMA_VERSION = 1
 
 
+def _nonnegative_int(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _float_list(text):
     if text is None or text.strip() == "":
         return []
@@ -81,7 +87,6 @@ def cmd_constants(args):
 
 def cmd_eigs(args):
     alphas = sorted(_float_list(args.alpha))
-    jmax, kmax = args.jmax, args.kmax if args.kmax is not None else args.jmax
     rtol = 1e-6 if args.tolerance is None else args.tolerance
     rows = []
     failed = False
@@ -89,17 +94,13 @@ def cmd_eigs(args):
         for kind, kern in (("K1", spectra.kernel_K1(alpha)), ("K2", spectra.kernel_K2(alpha))):
             closed = {"K1": spectra.eig_K1, "K2": spectra.eig_K2}[kind]
             table = spectra.eig_quadrature_table(
-                kern, alpha, jmax, kmax, args.nodes_theta, args.nodes_phi
+                kern, alpha, args.jmax, args.kmax, args.nodes_theta, args.nodes_phi
             )
             for j, k in table.indices():
                 cf = closed(j, k, alpha)
                 qd = table.get(j, k)
-                if cf != 0.0:
-                    ok = abs(qd - cf) / abs(cf) < rtol
-                    rel = abs(qd - cf) / abs(cf)
-                else:
-                    ok = abs(qd) < 1e-8
-                    rel = abs(qd)
+                rel = abs(qd - cf) / abs(cf) if cf != 0.0 else abs(qd)
+                ok = rel < (rtol if cf != 0.0 else 1e-8)
                 failed = failed or not ok
                 rows.append(
                     {
@@ -129,22 +130,23 @@ def cmd_margin(args):
     rows = []
     for alpha in alphas:
         worst, arg = math.inf, None
-        zeros = []
+        zeros, violated = 0, False
         for j in range(args.jmax + 1):
             for k in range(min(j, args.kmax if args.kmax is not None else j) + 1):
-                m = spectra.bilinear_margin(j, k, alpha)
+                terms = spectra.margin_terms(j, k, alpha)
+                m, tol = sum(terms), 1e-12 * sum(map(abs, terms))
                 if m < worst:
                     worst, arg = m, (j, k)
-                if abs(m) < 1e-10:
-                    zeros.append([j, k])
+                zeros += abs(m) <= tol
+                violated = violated or m < -tol
         rows.append(
             {
                 "alpha": alpha,
                 "min_margin": worst,
                 "argmin_j": arg[0],
                 "argmin_k": arg[1],
-                "violated": worst < -1e-12,
-                "zero_count": len(zeros),
+                "violated": violated,
+                "zero_count": zeros,
             }
         )
     _emit(
@@ -293,8 +295,8 @@ _FLAGS = {
     "--lambda": dict(dest="lam", default="", help="comma-separated lambda grid"),
     "--alpha": dict(default="", help="comma-separated alpha grid"),
     "--d": dict(default="", help="comma-separated degree grid"),
-    "--jmax": dict(type=int, default=6),
-    "--kmax": dict(type=int, default=None),
+    "--jmax": dict(type=_nonnegative_int, default=6),
+    "--kmax": dict(type=_nonnegative_int, default=None),
     "--nodes-theta": dict(type=int, default=256),
     "--nodes-phi": dict(type=int, default=256),
     "--mc-samples": dict(type=int, default=100000),

@@ -37,6 +37,7 @@ __all__ = [
     "eig_K1",
     "eig_K2",
     "eig_K1_ratio",
+    "margin_terms",
     "bilinear_margin",
     "intertwining_spectrum",
     "c_d",
@@ -108,12 +109,9 @@ class ZonalKernel:
     ``angles(theta, phi)`` returns K at |w| = cos theta, Re w / |w| = cos phi
     for arrays of any broadcastable shapes, with the broadcast shape; the
     angles keep the digits that 1 - cos loses near the singular corner.
-    ``integrable`` marks whether K is integrable against the Funk-Hecke
-    weight.
     """
 
     angles: Callable
-    integrable: bool = True
     name: str = "zonal"
 
 
@@ -127,7 +125,6 @@ def kernel_K1(alpha):
     a = float(alpha)
     return ZonalKernel(
         lambda theta, phi: _dist2_angles(theta, phi) ** (-a),
-        integrable=a < Q / 4,
         name=f"K1 at alpha = {a}",
     )
 
@@ -137,7 +134,6 @@ def kernel_K2(alpha):
     a = float(alpha)
     return ZonalKernel(
         lambda theta, phi: np.cos(theta) ** 2 * _dist2_angles(theta, phi) ** (-a),
-        integrable=a < Q / 4,
         name=f"K2 at alpha = {a}",
     )
 
@@ -150,7 +146,10 @@ def kernel_K2(alpha):
 #                   * c_m(cos phi) sin^6 phi
 # with m = j - k, p_k and c_m the normalized Jacobi/Gegenbauer factors.
 # The kernel blows up at (theta, phi) = (0, 0); both integrals use
-# composite Gauss-Legendre panels refined dyadically toward 0.
+# composite Gauss-Legendre panels refined dyadically toward 0.  Near the
+# corner each theta level contributes a fixed ratio of the one before
+# (2^(4 alpha - Q) for K1 above alpha = 7/2, 2^-8 below), so the levels
+# left over close as one geometric tail at the ratio the levels measure.
 
 
 def _panels(lo, hi, rule):
@@ -166,8 +165,8 @@ def _phi_grid(theta, rule):
     The kernel feature scale in phi at r = cos theta is ~ (1 - r); below
     it the integrand is smooth, so refinement stops there.
     """
-    width = max(2.0 * math.sin(theta / 2.0) ** 2, 1e-300)
-    levels = max(2, min(360, math.ceil(math.log2(math.pi / width))))
+    width = 2.0 * math.sin(theta / 2.0) ** 2
+    levels = math.ceil(math.log2(math.pi / width))
     hi = math.pi * 2.0 ** -np.arange(levels + 1)
     phi, w = _panels(np.append(hi[1:], 0.0), hi, rule)
     return phi.ravel(), w.ravel()
@@ -178,22 +177,21 @@ def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
 
     Dyadic theta level l is the panel [pi 2^(-l-2), pi 2^(-l-1)]; the
     kernel is evaluated once per level on its (theta nodes x phi nodes)
-    array, with the phi grid of the level's smallest theta node.  Levels
-    are added until two in a row change the (0, 0) reference integral by
-    at most 1e-15 of its total; a non-finite running total raises.
+    array, with the phi grid of the level's smallest theta node.  Level L
+    adds c_L to the pairs and ref_L to the (0, 0) reference; once rho =
+    ref_L / ref_(L-1) < 1 with ref_L |rho - rho_(L-1)| / (1 - rho)^2 within
+    1e-15 of the reference total, c_L / (1 - rho) adds level L and its tail.
     """
-    if not kern.integrable:
-        raise ValueError("kernel is not integrable against the Funk-Hecke weight")
     rule_theta = leggauss(max(16, int(nodes_theta) // 16))
     rule_phi = leggauss(max(16, int(nodes_phi) // 16))
-    hi = math.pi * 2.0 ** -np.arange(1, 401)  # at most 400 levels
+    hi = math.pi * 2.0 ** -np.arange(1, 65)  # a budget of 64 levels
     thetas, wthetas = _panels(hi / 2.0, hi, rule_theta)
     ks = np.array([k for _, k in pairs])
     ms = np.array([j - k for j, k in pairs])
     mmax = int(ms.max())
     by_m = [(m, np.flatnonzero(ms == m)) for m in np.unique(ms)]
     totals = np.zeros(len(pairs))
-    ref_total, quiet = 0.0, 0
+    ref_total, prev, rho_prev = 0.0, 0.0, math.inf
     for level, (th, wth) in enumerate(zip(thetas, wthetas)):
         phi, wphi = _phi_grid(th[0], rule_phi)
         # jac[p, i] = p_k(cos 2 theta_i) for pair p = (k + m, k)
@@ -204,21 +202,24 @@ def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
         with np.errstate(over="ignore", invalid="ignore"):
             base = kern.angles(th[:, None], phi) * (np.sin(phi) ** 6 * wphi)
             inner = base @ gegenbauer3(mmax, np.cos(phi)).T  # inner[i, m]
-            totals += (w7 * np.cos(th) ** ms[:, None] * jac * inner.T[ms]).sum(axis=1)
+            c = (w7 * np.cos(th) ** ms[:, None] * jac * inner.T[ms]).sum(axis=1)
             ref = float(np.dot(w7, np.abs(inner[:, 0])))
         ref_total += ref
-        if not (np.isfinite(totals).all() and math.isfinite(ref_total)):
+        if not (np.isfinite(c).all() and math.isfinite(ref_total)):
             raise ValueError(
                 f"Funk-Hecke quadrature of {kern.name} is not finite at dyadic theta level"
                 f" {level}: the oracle cannot converge there"
             )
-        if level >= 4 and ref <= 1e-15 * ref_total:
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-    return {p: _FH_CONST * float(v) for p, v in zip(pairs, totals)}
+        rho = ref / prev if prev else math.inf  # no ratio after an empty level
+        if rho < 1.0 and ref * abs(rho - rho_prev) <= 1e-15 * (1.0 - rho) ** 2 * ref_total:
+            return {p: _FH_CONST * float(v) for p, v in zip(pairs, totals + c / (1.0 - rho))}
+        totals += c
+        prev, rho_prev = ref, rho
+    if not ref_total:  # the kernel vanishes on every level
+        return dict.fromkeys(pairs, 0.0)
+    raise ValueError(
+        f"Funk-Hecke quadrature of {kern.name} did not settle within {len(hi)} dyadic theta levels"
+    )
 
 
 def eig_quadrature(kern, j, k, nodes_theta=256, nodes_phi=256):
@@ -341,20 +342,22 @@ def eig_K1_ratio(j, k, alpha):
     return num / den
 
 
-def bilinear_margin(j, k, alpha):
-    """Margin lambda(K1) + lambda(K2) - lambda(K1^(alpha-1)) - 2a/(11-a) lambda(K1).
+def margin_terms(j, k, alpha):
+    """lambda(K1), lambda(K2), -lambda(K1^(alpha-1)), -2a/(11-a) lambda(K1) on W_{j,k}.
 
-    Nonnegative on 3 <= alpha < 11/2; any alpha in (0, 11/2) is accepted
-    for exploration.  At alpha = 3 every term is finite as evaluated by
-    the limit-aware eigenvalue routines, so no rescaling is applied.
+    Any alpha in (0, 11/2) is accepted for exploration (so alpha - 1 > -1).
+    At alpha = 3 every term is finite as evaluated by the limit-aware
+    eigenvalue routines, so no rescaling is applied.
     """
     idx = BisphericalIndex(j, k)
-    a = float(alpha)
-    if not (0.0 < a < Q / 4):
-        raise ValueError(f"margin needs 0 < alpha < {Q / 4} so that alpha - 1 > -1")
+    a = _check_alpha(alpha, lo=0.0)
     lam1, lam2 = _eig_K1_K2(idx.j, idx.k, a)
-    lam1m = eig_K1(idx.j, idx.k, a - 1.0)
-    return lam1 + lam2 - lam1m - (2.0 * a / (11.0 - a)) * lam1
+    return lam1, lam2, -eig_K1(idx.j, idx.k, a - 1.0), -(2.0 * a / (11.0 - a)) * lam1
+
+
+def bilinear_margin(j, k, alpha):
+    """The left-to-right sum of margin_terms; nonnegative on 3 <= alpha < 11/2."""
+    return sum(margin_terms(j, k, alpha))
 
 
 def intertwining_spectrum(d, j, k):

@@ -115,7 +115,7 @@ def test_criterion_03_cayley_identities():
 
 def test_criterion_04_eigenvalue_oracle_equivalence():
     worst = 0.0
-    for alpha in (1.0, 1.5, 2.0, 2.5, 3.0, 3.25, 3.5, 4.0, 4.75, 5.0, 5.2):
+    for alpha in (1.0, 1.5, 2.0, 2.5, 3.0, 3.25, 3.5, 4.0, 4.75, 5.0, 5.2, 5.25, 5.3, 5.45, 5.49):
         for kind, kern, closed in (
             ("K1", spectra.kernel_K1(alpha), spectra.eig_K1),
             ("K2", spectra.kernel_K2(alpha), spectra.eig_K2),

@@ -99,6 +99,25 @@ def test_margin_zero_set_alpha_three(capsys):
     assert not rows[0]["violated"]
 
 
+def test_margin_rounding_zero_not_violated(capsys):
+    # the (0, 0) margin is zero in exact arithmetic; near alpha = 11/2 its
+    # rounding (about -6e-11) is judged against the size of its terms
+    code, out, _ = run(["margin", "--alpha", "5.499", "--jmax", "3"], capsys)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert not row["violated"]
+    assert (row["argmin_j"], row["argmin_k"]) == (0, 0)
+
+
+def test_margin_zero_set_is_relative(capsys):
+    # margins near 7.6e-11 at j ~ 200 are genuine, not zeros: only (0, 0) is
+    code, out, _ = run(["margin", "--alpha", "4", "--jmax", "200"], capsys)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["zero_count"] == 1
+    assert not row["violated"]
+
+
 def test_verify_exit_zero(capsys):
     code, out, _ = run(
         ["verify", "--mc-samples", "200", "--nodes-theta", "128", "--nodes-phi", "128"],
@@ -152,11 +171,22 @@ def test_eigs_bad_alpha_exit_two(capsys):
 
 
 def test_eigs_non_convergence_exit_two(capsys):
-    # alpha = 5.3 is in the domain, but the quadrature cannot converge there
-    code, out, err = run(["eigs", "--alpha", "5.3", "--jmax", "1"], capsys)
+    # at alpha = 11/2 the kernel overflows, so the quadrature cannot converge
+    code, out, err = run(["eigs", "--alpha", "5.5", "--jmax", "1"], capsys)
     assert code == 2
     assert out == ""
-    assert "K1 at alpha = 5.3" in err and "dyadic theta level" in err
+    assert "K1 at alpha = 5.5" in err and "dyadic theta level" in err
+
+
+@pytest.mark.parametrize("command", ["eigs", "margin"])
+@pytest.mark.parametrize("flag", ["--jmax", "--kmax"])
+def test_negative_index_bound_exits_two(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--alpha", "4", flag, "-1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}: must be a non-negative integer" in out.err
 
 
 @pytest.mark.parametrize("line", _readme_command_lines())

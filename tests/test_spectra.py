@@ -114,11 +114,54 @@ def test_quadrature_K2_matches_closed_form_spot():
 
 
 def test_quadrature_non_convergence_raises():
-    # at alpha = 5.3 the kernel overflows near the corner before the dyadic
-    # levels settle; the oracle says so instead of returning inf (and, under
-    # the suite's error::RuntimeWarning filter, without a numpy warning)
-    with pytest.raises(ValueError, match=r"K1 at alpha = 5\.3 .* dyadic theta level \d+"):
-        spectra.eig_quadrature(spectra.kernel_K1(5.3), 0, 0)
+    # at alpha = 11/2 the kernel is not integrable: it overflows near the
+    # corner before the dyadic levels settle; the oracle says so instead of
+    # returning inf (and, under the suite's error::RuntimeWarning filter,
+    # without a numpy warning)
+    with pytest.raises(ValueError, match=r"K1 at alpha = 5\.5 .* dyadic theta level \d+"):
+        spectra.eig_quadrature(spectra.kernel_K1(5.5), 0, 0)
+
+
+def test_quadrature_level_budget_raises():
+    # sin^-8 theta against the sin^7 theta weight: every level contributes
+    # the same amount and nothing overflows, so the levels never settle
+    kern = spectra.ZonalKernel(lambda th, ph: np.sin(th) ** -8 + 0 * ph)
+    with pytest.raises(ValueError, match=r"zonal did not settle within 64 dyadic theta levels"):
+        spectra.eig_quadrature(kern, 0, 0)
+
+
+def test_quadrature_zero_kernel_gives_zero():
+    kern = spectra.ZonalKernel(lambda th, ph: np.zeros_like(th * ph), name="zero")
+    assert spectra.eig_quadrature(kern, 0, 0) == 0.0
+    assert spectra.eig_quadrature(kern, 3, 1) == 0.0
+
+
+def test_quadrature_kernel_vanishing_on_top_levels():
+    # the indicator of theta < pi/8 is zero on dyadic levels 0 and 1: an
+    # empty level gives no ratio, so the oracle must not stop there
+    kern = spectra.ZonalKernel(lambda th, ph: (th < np.pi / 8) + 0.0 * ph, name="cap")
+
+    def antiderivative(u):  # of sin^7 u
+        c = np.cos(u)
+        return -c + c ** 3 - 3.0 * c ** 5 / 5.0 + c ** 7 / 7.0
+
+    # the weight is sin^7(2 theta) up to constants, and pi/8 -> pi/4 in 2 theta
+    exact = SPHERE * (antiderivative(np.pi / 4) - antiderivative(0.0)) / (32.0 / 35.0)
+    assert abs(spectra.eig_quadrature(kern, 0, 0) - exact) / exact < 1e-13
+
+
+def test_quadrature_near_domain_edge():
+    # the measured geometric tail carries the oracle up to alpha < 11/2,
+    # where 92% of the (0, 0) integral lies beyond the last level
+    alpha = 5.499
+    for kern, closed in (
+        (spectra.kernel_K1(alpha), spectra.eig_K1),
+        (spectra.kernel_K2(alpha), spectra.eig_K2),
+    ):
+        table = spectra.eig_quadrature_table(kern, alpha, 6)
+        for j, k in table.indices():
+            cf = closed(j, k, alpha)
+            assert abs(table.get(j, k) - cf) / abs(cf) < 1e-12, (kern.name, j, k)
 
 
 def test_ratio_identity_matches_direct_quotient():
