@@ -29,6 +29,12 @@ def _nonnegative_int(text):
     return int(text)
 
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _float_list(text):
     if text is None or text.strip() == "":
         return []
@@ -297,8 +303,8 @@ _FLAGS = {
     "--d": dict(default="", help="comma-separated degree grid"),
     "--jmax": dict(type=_nonnegative_int, default=6),
     "--kmax": dict(type=_nonnegative_int, default=None),
-    "--nodes-theta": dict(type=int, default=256),
-    "--nodes-phi": dict(type=int, default=256),
+    "--nodes-theta": dict(type=_positive_int, default=256),
+    "--nodes-phi": dict(type=_positive_int, default=256),
     "--mc-samples": dict(type=int, default=100000),
     "--seed": dict(type=int, default=0),
     "--tolerance": dict(type=float, default=None, help="override every check tolerance"),

@@ -96,8 +96,12 @@ def minimal_rotation(src, dst):
 
 
 def _axis_angles(points, axis):
-    """Zonal angles (theta, phi) of sphere points relative to an axis."""
-    w = hermitian_pairing(points, axis)
+    """Zonal angles (theta, phi) of sphere points relative to an axis.
+
+    With the axis fixed the pairing is linear in the point: one (16, 8)
+    matrix whose rows are signed copies of the axis coefficients.
+    """
+    w = np.asarray(points, dtype=float) @ hermitian_pairing(np.eye(16), axis)
     r = np.linalg.norm(w, axis=-1)
     theta = np.arccos(np.clip(r, 0.0, 1.0))
     cphi = np.where(r > 0.0, w[..., 0] / np.where(r > 0.0, r, 1.0), 1.0)
@@ -294,7 +298,8 @@ class ExtremizerParams:
 
 def extremizer_eval(params: ExtremizerParams, points):
     """Pointwise extremizer value at sphere points, a (..., 16) array."""
-    pair = hermitian_pairing(params.xi, points)
+    # xi . conj(zeta) is linear in zeta: one (16, 8) matrix built from xi
+    pair = np.asarray(points, dtype=float) @ hermitian_pairing(params.xi, np.eye(16))
     pair[..., 0] -= 1.0
     return np.linalg.norm(pair, axis=-1) ** (-(2.0 * Q - params.lam) / 2.0)
 

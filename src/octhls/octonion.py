@@ -16,6 +16,8 @@ arithmetic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -80,17 +82,40 @@ def basis_table_text():
     return "\n".join(rows)
 
 
+#: rows per block of a batched product: a block's (B, 8) temporaries stay in L2
+_BLOCK = 2048
+
+
+def _mul_rows(x, y, out=None):
+    """sum_i x_i (y @ MULT_TABLE[i]), written into ``out`` when it is given."""
+    prod = np.multiply(x[..., 0, None], y @ MULT_TABLE[0], out=out)
+    for i in range(1, 8):
+        prod += x[..., i, None] * (y @ MULT_TABLE[i])
+    return prod
+
+
 def mul(x, y):
     """Octonion product of arrays with shape (..., 8).
 
     Summed over the left factor's coefficients, x_i (y @ MULT_TABLE[i]),
-    so that no (..., 8, 8) temporary is formed.
+    so that no (..., 8, 8) temporary is formed.  A broadcast shape of more
+    than ``_BLOCK`` rows runs in blocks along its leading axis, each
+    written into one output array; every entry of y @ MULT_TABLE[i] is a
+    single +-y_j, so blocking changes no bit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = x[..., 0, None] * (y @ MULT_TABLE[0])
-    for i in range(1, 8):
-        out += x[..., i, None] * (y @ MULT_TABLE[i])
+    shape = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
+    if math.prod(shape[:-1]) <= _BLOCK:
+        return _mul_rows(x, y)
+    out = np.empty(shape)
+    # align the leading axes; a length-1 leading axis broadcasts to every block
+    x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
+    y = y.reshape((1,) * (len(shape) - y.ndim) + y.shape)
+    step = max(1, _BLOCK // math.prod(shape[1:-1]))
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        _mul_rows(x if len(x) == 1 else x[rows], y if len(y) == 1 else y[rows], out[rows])
     return out
 
 

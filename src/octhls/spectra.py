@@ -181,7 +181,10 @@ def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
     adds c_L to the pairs and ref_L to the (0, 0) reference; once rho =
     ref_L / ref_(L-1) < 1 with ref_L |rho - rho_(L-1)| / (1 - rho)^2 within
     1e-15 of the reference total, c_L / (1 - rho) adds level L and its tail.
+    A node count n gives max(16, n // 16) Gauss-Legendre nodes per panel.
     """
+    if nodes_theta < 1 or nodes_phi < 1:
+        raise ValueError(f"node counts must be at least 1, got {nodes_theta} and {nodes_phi}")
     rule_theta = leggauss(max(16, int(nodes_theta) // 16))
     rule_phi = leggauss(max(16, int(nodes_phi) // 16))
     hi = math.pi * 2.0 ** -np.arange(1, 65)  # a budget of 64 levels

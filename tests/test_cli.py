@@ -189,6 +189,18 @@ def test_negative_index_bound_exits_two(capsys, command, flag):
     assert f"argument {flag}: must be a non-negative integer" in out.err
 
 
+@pytest.mark.parametrize("command", ["eigs", "verify"])
+@pytest.mark.parametrize("flag", ["--nodes-theta", "--nodes-phi"])
+@pytest.mark.parametrize("value", ["0", "-7"])
+def test_node_count_below_one_exits_two(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}: must be a positive integer, got '{value}'" in out.err
+
+
 @pytest.mark.parametrize("line", _readme_command_lines())
 def test_readme_command_line(capsys, line):
     code, out, _ = run(shlex.split(line)[1:], capsys)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from octhls import constants, functional as fn, spectra
+from octhls.cayley import hermitian_pairing
 from octhls.nilgroup import Q
 
 SPHERE = constants.sphere_measure()
@@ -132,6 +133,39 @@ def test_extremizer_eval_matches_profile():
     direct = fn.extremizer_eval(params, pts)
     via_profile = h(pts)
     assert np.max(np.abs(direct - via_profile)) < 1e-10 * np.max(direct)
+
+
+def _random_axis(seed):
+    a = np.random.default_rng(seed).standard_normal(16)
+    return a / np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("axis", [fn.NORTH_AXIS, _random_axis(21)], ids=["north", "random"])
+def test_pairing_matrix_matches_hermitian_pairing(axis):
+    # the fixed-axis pairing as one (16, 8) matrix against the two octonion
+    # products of hermitian_pairing: |w| = cos(theta), Re w = cos(theta) cos(phi)
+    pts = fn.sample_sphere(10 ** 4, seed=22)
+    w = hermitian_pairing(pts, axis)
+    theta, phi = fn._axis_angles(pts, axis)
+    assert np.max(np.abs(np.cos(theta) - np.linalg.norm(w, axis=-1))) <= 1e-15
+    assert np.max(np.abs(np.cos(theta) * np.cos(phi) - w[:, 0])) <= 1e-15
+    params = fn.ExtremizerParams(xi=0.3 * axis, lam=16.0)
+    pair = hermitian_pairing(params.xi, pts)
+    pair[:, 0] -= 1.0
+    ref = np.linalg.norm(pair, axis=-1) ** (-(2.0 * Q - params.lam) / 2.0)
+    assert np.max(np.abs(fn.extremizer_eval(params, pts) / ref - 1.0)) <= 1e-13
+
+
+def test_pairing_matrix_keeps_point_shape():
+    axis = _random_axis(23)
+    params = fn.ExtremizerParams(xi=0.3 * axis, lam=16.0)
+    pts = fn.sample_sphere(12, seed=24)
+    rows = (*fn._axis_angles(pts, axis), fn.extremizer_eval(params, pts))
+    for view in (pts[0], pts.reshape(3, 4, 16)):
+        got = (*fn._axis_angles(view, axis), fn.extremizer_eval(params, view))
+        for g, r in zip(got, rows):
+            assert np.shape(g) == view.shape[:-1]
+            np.testing.assert_allclose(np.ravel(g), r[: np.size(g)], rtol=1e-15)
 
 
 def test_extremizer_param_validation():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octhls import octonion as oc
 from octhls.octonion import ImOctonion, Octonion
@@ -98,7 +100,16 @@ def test_mul_matches_table_contraction():
     def contraction(a, b):
         return np.einsum("...i,...j,ijk->...k", a, b, oc.MULT_TABLE)
 
-    for a, b in ((x, y), (x[0], y), (x, y[0]), (x[0], y[0]), (x[:5, None], y[None, :7])):
+    # block boundaries: 2 blocks and one row, a length-1 leading axis against
+    # many blocks, blocks of broadcast pairs and of triples, and one row
+    n = 2 * oc._BLOCK + 1
+    cases = (
+        (x, y), (x[0], y), (x, y[0]), (x[0], y[0]), (x[:5, None], y[None, :7]),
+        (x[:n], y[:n]), (x[:1], y),
+        (x[:n, None], y[None, :3]), (x[:3 * n].reshape(n, 3, 8), y[:3]),
+        (x[:1], y[:1]),
+    )
+    for a, b in cases:
         assert np.array_equal(oc.mul(a, b), contraction(a, b))
 
 
@@ -122,3 +133,23 @@ def test_records_check_shape():
 def test_basis_table_text():
     text = oc.basis_table_text()
     assert "e1" in text and len(text.splitlines()) >= 8
+
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3 * oc._BLOCK), seed=st.integers(0, 2 ** 32 - 1))
+def test_algebra_laws_on_blocked_batches(n, seed):
+    # criterion 01's laws and 1e-12 bound, each residual relative to the
+    # scale of its terms, at batch sizes on both sides of the block boundaries
+    x, y, a = np.random.default_rng(seed).standard_normal((3, n, 8))
+    nx, ny, na = oc.norm(x), oc.norm(y), oc.norm(a)
+    xy = oc.mul(x, y)
+    laws = {
+        "norm": np.abs(oc.norm(xy) / (nx * ny) - 1.0),
+        "moufang": oc.norm(oc.mul(oc.mul(a, xy), a) - oc.mul(oc.mul(a, x), oc.mul(y, a)))
+        / (nx * ny * na * na),
+        "left": oc.norm(oc.mul(x, xy) - oc.mul(oc.mul(x, x), y)) / (nx * nx * ny),
+        "right": oc.norm(oc.mul(oc.mul(y, x), x) - oc.mul(y, oc.mul(x, x))) / (nx * nx * ny),
+    }
+    for law, res in laws.items():
+        assert res.max() < 1e-12, law

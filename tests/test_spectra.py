@@ -297,3 +297,12 @@ def test_quadrature_table_provenance():
     assert table.provenance == "quadrature"
     for j, k in table.indices():
         assert j >= k
+
+
+@pytest.mark.parametrize("nodes", [{"nodes_theta": 0}, {"nodes_phi": -7}])
+def test_quadrature_rejects_node_count_below_one(nodes):
+    kern = spectra.kernel_K1(4.0)
+    with pytest.raises(ValueError, match="node counts must be at least 1"):
+        spectra.eig_quadrature(kern, 0, 0, **nodes)
+    with pytest.raises(ValueError, match="node counts must be at least 1"):
+        spectra.eig_quadrature_table(kern, 4.0, 1, **nodes)
