@@ -43,10 +43,9 @@ class BisphericalIndex:
             raise ValueError(f"need j >= k >= 0, got ({self.j}, {self.k})")
 
 
-def _recurrence_rows(n, x, p1, step, scale):
+def _recurrence_rows(n, x, p1, step):
     """Rows 0..n of the three-term recurrence p_i = (a_i x + b_i) p_{i-1} + c_i p_{i-2},
-    started from p_0 = 1 and the given p_1, each row then multiplied by scale(i);
-    x is a float ndarray."""
+    started from p_0 = 1 and the given p_1; x is a float ndarray."""
     n = int(n)
     rows = np.empty((n + 1, *x.shape))
     rows[0] = 1.0
@@ -55,24 +54,25 @@ def _recurrence_rows(n, x, p1, step, scale):
     for i in range(2, n + 1):
         a, b, c = step(i)
         rows[i] = (a * x + b) * rows[i - 1] + c * rows[i - 2]
-    rows *= np.array([scale(i) for i in range(n + 1)]).reshape((n + 1,) + (1,) * x.ndim)
     return rows
 
 
-def gegenbauer3(n, x):
-    """Rows 0..n of (5! i! / (i+5)!) C_i^(3)(x), each equal to 1 at x = 1;
-    shape (n + 1, *x.shape)."""
+def _scaled(rows, scale):
+    """Every row i multiplied by scale(i), in place."""
+    n = len(rows)
+    rows *= np.array([scale(i) for i in range(n)]).reshape((n,) + (1,) * (rows.ndim - 1))
+    return rows
+
+
+def _gegenbauer3_rows(n, x):
+    """Rows 0..n of C_i^(3)(x) and the scale 5! i! / (i+5)! taking row i to 1 at x = 1."""
     x = np.asarray(x, dtype=float)
-    return _recurrence_rows(
-        n, x, 6.0 * x,
-        lambda i: (2.0 * (i + 2.0) / i, 0.0, -(i + 4.0) / i),
-        lambda i: 120.0 / ((i + 1) * (i + 2) * (i + 3) * (i + 4) * (i + 5)),
-    )
+    rows = _recurrence_rows(n, x, 6.0 * x, lambda i: (2.0 * (i + 2.0) / i, 0.0, -(i + 4.0) / i))
+    return rows, lambda i: 120.0 / ((i + 1) * (i + 2) * (i + 3) * (i + 4) * (i + 5))
 
 
-def jacobi33(k, m, x):
-    """Rows 0..k of (3! i! / (i+3)!) P_i^(3, 3+m)(x), each equal to 1 at x = 1;
-    shape (k + 1, *x.shape)."""
+def _jacobi33_rows(k, m, x):
+    """Rows 0..k of P_i^(3, 3+m)(x) and the scale 3! i! / (i+3)! taking row i to 1 at x = 1."""
     if m < 0:
         raise ValueError("weight offset m must be nonnegative")
     a, b = 3.0, 3.0 + m
@@ -85,10 +85,25 @@ def jacobi33(k, m, x):
         c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
         return c3 / c1, c2 / c1, -c4 / c1
 
-    return _recurrence_rows(
-        k, x, (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0, step,
-        lambda i: 6.0 / ((i + 1) * (i + 2) * (i + 3)),
-    )
+    rows = _recurrence_rows(k, x, (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0, step)
+    return rows, lambda i: 6.0 / ((i + 1) * (i + 2) * (i + 3))
+
+
+def gegenbauer3(n, x):
+    """Rows 0..n of (5! i! / (i+5)!) C_i^(3)(x), each equal to 1 at x = 1;
+    shape (n + 1, *x.shape)."""
+    return _scaled(*_gegenbauer3_rows(n, x))
+
+
+def jacobi33(k, m, x):
+    """Rows 0..k of (3! i! / (i+3)!) P_i^(3, 3+m)(x), each equal to 1 at x = 1;
+    shape (k + 1, *x.shape)."""
+    return _scaled(*_jacobi33_rows(k, m, x))
+
+
+def _top_row(rows, scale):
+    """Row n of rows 0..n multiplied by scale(n); the rows below are left unscaled."""
+    return rows[-1] * scale(len(rows) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +121,9 @@ def zonal(j, k, theta, phi):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     val = (
-        gegenbauer3(m, np.cos(phi))[m]
+        _top_row(*_gegenbauer3_rows(m, np.cos(phi)))
         * np.cos(theta) ** m
-        * jacobi33(idx.k, m, np.cos(2.0 * theta))[idx.k]
+        * _top_row(*_jacobi33_rows(idx.k, m, np.cos(2.0 * theta)))
     )
     return val if np.ndim(val) else float(val)
 
@@ -166,7 +181,7 @@ def zonal_sine_form(j, k, theta, phi):
         kappa
         * _sine_ratio(m, phi)
         * np.cos(theta) ** m
-        * jacobi33(idx.k, m, np.cos(2.0 * theta))[idx.k]
+        * _top_row(*_jacobi33_rows(idx.k, m, np.cos(2.0 * theta)))
     )
     return val if np.ndim(val) else float(val)
 

@@ -253,66 +253,63 @@ def _check_alpha(alpha, lo=-1.0):
     return a
 
 
-def eig_K1(j, k, alpha):
-    """Closed-form eigenvalue of K1 = |1 - w|^(-2 alpha) on W_{j,k}.
+def _closed_forms(j, k, a, n):
+    """The first n of eig_K1(a), eig_K2(a) and eig_K1(a - 1) on W_{j,k}, in one pass.
 
-    2 pi^8 Gamma(11 - 2a) (a)_j (a - 3)_k / (Gamma(j + 11 - a) Gamma(k + 8 - a)),
-    with the rising factorials supplying the correct vanishing limits at
-    the integer points a in {0, 1, 2, 3}.
-    """
-    idx = BisphericalIndex(j, k)
-    a = _check_alpha(alpha)
-    s1, l1 = _log_poch(a, idx.j)
-    s2, l2 = _log_poch(a - 3.0, idx.k)
-    if s1 * s2 == 0.0:
-        return 0.0
-    log = (
-        _LOG_2PI8
-        + sp.gammaln(11.0 - 2.0 * a)
-        + l1
-        + l2
-        - sp.gammaln(idx.j + 11.0 - a)
-        - sp.gammaln(idx.k + 8.0 - a)
-    )
-    return _signed_exp(s1 * s2, float(log))
-
-
-def _eig_K1_K2(j, k, a):
-    """(eig_K1, eig_K2) on W_{j,k} at exponent a, with K1 evaluated once.
+    Each signed log rising factorial and log-gamma is evaluated once and shared;
+    every sum keeps its formula's order, so each value is the one its formula gives alone.
 
     eig_K2 is eig_K1 plus three gamma-ratio terms.  At j = 0 (so k = 0)
     two of them carry (a)_{-1} = 1 / (a - 1); their sum is
     -2 pi^8 (a - 4) Gamma(12 - 2a) / (Gamma(9 - a) Gamma(12 - a)), where
     that pole has cancelled, and with the first term the whole
     eigenvalue is eig_K1 (a^2 - 11a + 44) / ((8 - a)(11 - a)), a
-    positive factor evaluated without cancellation.
+    positive factor evaluated without cancellation.  eig_K1 at b = a - 1
+    takes (a - 4)_k, Gamma(13 - 2a), Gamma(j + 12 - a) and Gamma(k + 9 - a)
+    from eig_K2 when its own arguments are the same floats; they can differ
+    only where a - 1 rounds (some a < 1/2, e.g. 1/3), and b is then evaluated alone.
     """
-    lam1 = eig_K1(j, k, a)
-    if j == 0:
-        return lam1, lam1 * (a * a - 11.0 * a + 44.0) / ((8.0 - a) * (11.0 - a))
-    sA, lA = _log_poch(a, j)
+    s1, l1 = _log_poch(a, j)
+    s2, l2 = _log_poch(a - 3.0, k)
+    g11 = float(sp.gammaln(11.0 - 2.0 * a))
+    gj11 = float(sp.gammaln(j + 11.0 - a))
+    gk8 = float(sp.gammaln(k + 8.0 - a))
+    lam1 = _signed_exp(s1 * s2, _LOG_2PI8 + g11 + l1 + l2 - gj11 - gk8)
+    if n == 1:
+        return (lam1,)
     sC, lC = _log_poch(a - 4.0, k)
     g12 = float(sp.gammaln(12.0 - 2.0 * a))
-    term_a = -_signed_exp(
-        sA * sC,
-        _LOG_2PI8 + g12 + lA + lC - sp.gammaln(k + 8.0 - a) - sp.gammaln(j + 12.0 - a),
-    )
-    if a == 4.0:
-        return lam1, lam1 + term_a
-    l4 = math.log(abs(a - 4.0))
-    s4 = 1.0 if a > 4.0 else -1.0
-    sp1, lp1 = _log_poch(a, j - 1)
-    sB, lB = _log_poch(a - 3.0, k)
     g13 = float(sp.gammaln(13.0 - 2.0 * a))
-    term_b = -_signed_exp(
-        s4 * sp1 * sB,
-        _LOG_2PI8 + g12 + l4 + lp1 + lB - sp.gammaln(k + 9.0 - a) - sp.gammaln(j + 11.0 - a),
-    )
-    term_c = _signed_exp(
-        s4 * sp1 * sC,
-        _LOG_2PI8 + g13 + l4 + lp1 + lC - sp.gammaln(k + 9.0 - a) - sp.gammaln(j + 12.0 - a),
-    )
-    return lam1, lam1 + term_a + term_b + term_c
+    gj12 = float(sp.gammaln(j + 12.0 - a))
+    gk9 = float(sp.gammaln(k + 9.0 - a))
+    if j == 0:
+        lam2 = lam1 * (a * a - 11.0 * a + 44.0) / ((8.0 - a) * (11.0 - a))
+    else:
+        lam2 = lam1 - _signed_exp(s1 * sC, _LOG_2PI8 + g12 + l1 + lC - gk8 - gj12)
+        if a != 4.0:
+            s4, l4 = (1.0 if a > 4.0 else -1.0), math.log(abs(a - 4.0))
+            sp1, lp1 = _log_poch(a, j - 1)
+            lam2 -= _signed_exp(s4 * sp1 * s2, _LOG_2PI8 + g12 + l4 + lp1 + l2 - gk9 - gj11)
+            lam2 += _signed_exp(s4 * sp1 * sC, _LOG_2PI8 + g13 + l4 + lp1 + lC - gk9 - gj12)
+    if n == 2:
+        return lam1, lam2
+    b = a - 1.0
+    if (b - 3.0, 11.0 - 2.0 * b, j + 11.0 - b, k + 8.0 - b) != (
+        a - 4.0, 13.0 - 2.0 * a, j + 12.0 - a, k + 9.0 - a
+    ):
+        return lam1, lam2, _closed_forms(j, k, b, 1)[0]
+    sb, lb = _log_poch(b, j)
+    return lam1, lam2, _signed_exp(sb * sC, _LOG_2PI8 + g13 + lb + lC - gj12 - gk9)
+
+
+def eig_K1(j, k, alpha):
+    """Closed-form eigenvalue of K1 = |1 - w|^(-2 alpha) on W_{j,k}.
+
+    2 pi^8 Gamma(11 - 2a) (a)_j (a - 3)_k / (Gamma(j + 11 - a) Gamma(k + 8 - a)),
+    the rising factorials supplying the vanishing limits at a in {0, 1, 2, 3}.
+    """
+    idx = BisphericalIndex(j, k)
+    return _closed_forms(idx.j, idx.k, _check_alpha(alpha), 1)[0]
 
 
 def eig_K2(j, k, alpha):
@@ -320,10 +317,10 @@ def eig_K2(j, k, alpha):
 
     Evaluated by a four-term gamma-ratio decomposition valid across the
     integer limit points; at j = 0 the terms are summed in closed form,
-    which removes the apparent pole at alpha = 1 (see _eig_K1_K2).
+    which removes the apparent pole at alpha = 1 (see _closed_forms).
     """
     idx = BisphericalIndex(j, k)
-    return _eig_K1_K2(idx.j, idx.k, _check_alpha(alpha))[1]
+    return _closed_forms(idx.j, idx.k, _check_alpha(alpha), 2)[1]
 
 
 def eig_K1_ratio(j, k, alpha):
@@ -354,8 +351,8 @@ def margin_terms(j, k, alpha):
     """
     idx = BisphericalIndex(j, k)
     a = _check_alpha(alpha, lo=0.0)
-    lam1, lam2 = _eig_K1_K2(idx.j, idx.k, a)
-    return lam1, lam2, -eig_K1(idx.j, idx.k, a - 1.0), -(2.0 * a / (11.0 - a)) * lam1
+    lam1, lam2, lam1_prev = _closed_forms(idx.j, idx.k, a, 3)
+    return lam1, lam2, -lam1_prev, -(2.0 * a / (11.0 - a)) * lam1
 
 
 def bilinear_margin(j, k, alpha):
@@ -367,16 +364,18 @@ def intertwining_spectrum(d, j, k):
     """Eigenvalue of the degree-d intertwining operator on W_{j,k}.
 
     Gamma(j + (Q+d)/4) / Gamma(j + (Q-d)/4) times the same ratio shifted
-    by -3 in k.  Requires 0 < d < Q.
+    by -3 in k.  Requires 0 < d < Q.  Zero where a denominator Gamma has a
+    pole: at d in {10, 14, 18} when k + (Q-d)/4 - 3 is a nonpositive integer.
     """
     idx = BisphericalIndex(j, k)
     d = float(d)
     if not (0.0 < d < Q):
         raise ValueError(f"degree d = {d} outside (0, {Q})")
     up, dn = (Q + d) / 4.0, (Q - d) / 4.0
-    s = 1.0
-    log = 0.0
+    s, log = 1.0, 0.0
     for x, sgn in ((idx.j + up, 1), (idx.j + dn, -1), (idx.k + up - 3.0, 1), (idx.k + dn - 3.0, -1)):
+        if sgn < 0 and x <= 0.0 and x == math.floor(x):
+            return 0.0  # 1 / Gamma vanishes at the poles of Gamma
         si, li = _signed_log_gamma(x)
         s *= si
         log += sgn * li

@@ -55,9 +55,17 @@ def test_zonal_normalization_and_product_form():
     # the zonal harmonic equals the normalized Gegenbauer x Jacobi product
     thetas = np.linspace(0.0, 1.4, 5)
     phis = np.linspace(0.0, 3.0, 5)
+    grid_th, grid_ph = np.meshgrid(thetas, phis)
     for j, k in ((0, 0), (1, 0), (2, 1), (4, 2), (5, 5)):
         assert abs(sf.zonal(j, k, 0.0, 0.0) - 1.0) < 1e-12
         m = j - k
+        # zonal normalizes only the rows it uses; they equal the full basis rows bit for bit
+        basis = (
+            sf.gegenbauer3(m, np.cos(grid_ph))[m]
+            * np.cos(grid_th) ** m
+            * sf.jacobi33(k, m, np.cos(2.0 * grid_th))[k]
+        )
+        assert np.array_equal(sf.zonal(j, k, grid_th, grid_ph), basis), (j, k)
         for th in thetas:
             for ph in phis:
                 val = sf.zonal(j, k, th, ph)

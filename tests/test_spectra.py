@@ -75,6 +75,34 @@ def test_eig_K2_exact_at_alpha_one_pole():
         assert abs(spectra.eig_K2(0, 0, alpha) - exact) < 1e-14 * abs(exact), alpha
 
 
+# j rows of the 40-digit comparison and their bounds: the worst relative errors
+# measured on this grid are 4.9e-13 (j <= 200), 2.5e-12 (j = 1000) and 4.6e-11
+# (j = 10^4), the log-gamma sums growing like j log j
+_REFERENCE_ROWS = (((0, 1, 2, 3, 4, 5, 10, 50, 200), 1e-12), ((1000,), 5e-12), ((10_000,), 1e-10))
+
+
+@pytest.mark.parametrize("alpha", [
+    1.0, 2.0, 3.0, 4.0,
+    1.0 + 1e-9, 2.0 + 1e-9, 3.0 + 1e-9, 4.0 + 1e-9,
+    pytest.param(1.0 - 1e-9, marks=pytest.mark.xfail(strict=True, reason=(
+        "a - 3.0 and a - 4.0 round here, and (a - 3)_k, (a - 4)_k take the rounding through"
+        " their factor a - 1 ~ -1e-9: 1.1e-7 relative error from k = 3 on"
+    ))),
+    2.0 - 1e-9, 3.0 - 1e-9, 4.0 - 1e-9,
+])
+def test_closed_forms_match_40_digit_reference(alpha):
+    # the integer limit points of the rising factorials, just off them, and j up to 10^4
+    ref = _mpmath_reference()
+    for js, bound in _REFERENCE_ROWS:
+        for j in js:
+            for k in sorted({0, 1, 2, 3, 4, 5, j // 2, j} & set(range(j + 1))):
+                for ours, exact in ((spectra.eig_K1, ref.eig_K1), (spectra.eig_K2, ref.eig_K2)):
+                    if ours is spectra.eig_K2 and (j, alpha) == (0, 1.0):
+                        continue  # the reference divides by alpha - 1: see the test above
+                    v, e = ours(j, k, alpha), exact(j, k, alpha)
+                    assert abs(v - e) <= bound * abs(e), (ours.__name__, j, k, alpha, v, e)
+
+
 def test_alpha_domain_errors():
     with pytest.raises(ValueError):
         spectra.eig_K1(0, 0, 5.5)  # Gamma(11 - 2 alpha) pole at alpha = 5.5
@@ -211,18 +239,21 @@ def test_margin_zero_set_at_three():
 
 
 def test_margin_is_its_defining_combination():
-    # the shared K1 term must not change a single bit of the margin
-    for alpha in (0.5, 1.0, 2.5, 3.0, 3.5, 4.0, 5.2):
-        for j in range(6):
+    # the log terms shared within one pass must not change a single bit of any
+    # term; a - 1 rounds at 0.1 and 1/3, and at 1/3 (not 0.1) the alpha - 1
+    # arguments then differ from those of alpha
+    for alpha in (0.1, 1.0 / 3.0, 0.5, 1.0, 2.5, 3.0, 3.5, 4.0, 5.2, 5.499):
+        for j in (*range(6), 50, 199, 200):
             for k in range(j + 1):
                 lam1 = spectra.eig_K1(j, k, alpha)
-                ref = (
-                    lam1
-                    + spectra.eig_K2(j, k, alpha)
-                    - spectra.eig_K1(j, k, alpha - 1.0)
-                    - (2.0 * alpha / (11.0 - alpha)) * lam1
+                terms = (
+                    lam1,
+                    spectra.eig_K2(j, k, alpha),
+                    -spectra.eig_K1(j, k, alpha - 1.0),
+                    -(2.0 * alpha / (11.0 - alpha)) * lam1,
                 )
-                assert spectra.bilinear_margin(j, k, alpha) == ref, (j, k, alpha)
+                assert spectra.margin_terms(j, k, alpha) == terms, (j, k, alpha)
+                assert spectra.bilinear_margin(j, k, alpha) == sum(terms), (j, k, alpha)
 
 
 def test_margin_violation_below_three():
@@ -249,6 +280,22 @@ def test_intertwining_identity():
                     * spectra.intertwining_spectrum(d, j, k)
                 )
                 assert abs(v - 1.0) < 1e-12
+
+
+def test_intertwining_zero_at_denominator_poles():
+    # 1 / Gamma(k + (Q - d)/4 - 3) vanishes where that argument is a nonpositive integer
+    for d in (10.0, 14.0, 18.0):
+        for j in range(5):
+            for k in range(j + 1):
+                v = spectra.intertwining_spectrum(d, j, k)
+                if k + (Q - d) / 4.0 - 3.0 <= 0.0:
+                    assert v == 0.0, (d, j, k)
+                else:
+                    assert v > 0.0, (d, j, k)
+    # the neighbour of the pole cell (14, 2, 1): Gamma(11) / Gamma(4) * Gamma(8) / Gamma(1)
+    ref = math.gamma(11) / math.gamma(4) * math.gamma(8) / math.gamma(1)
+    assert ref == 3_048_192_000.0
+    assert abs(spectra.intertwining_spectrum(14.0, 2, 2) - ref) <= 1e-14 * ref
 
 
 def test_c_d_poles():
