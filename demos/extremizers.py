@@ -55,13 +55,13 @@ def main():
         lambda th, ph: (1.0 - 2.0 * s * np.cos(th) * np.cos(ph) + s * s * np.cos(th) ** 2)
         ** (-Q / 4.0)
     )
-    l2 = fn._profile_integral(raw, lambda F: F * F)
+    l2 = fn.project_bispherical(raw, jmax=0).l2
     scl = math.sqrt(SPHERE / l2)
     f = fn.AxisZonalFunction(lambda th, ph: scl * raw.profile(th, ph))
     lhs, rhs = fn.log_sobolev_pair(f, jmax=40)
     print(f"   equality family : lhs {lhs:.8e}  rhs {rhs:.8e}")
     raw2 = fn.AxisZonalFunction(lambda th, ph: 1.0 + 0.4 * zonal(2, 1, th, ph))
-    scl2 = math.sqrt(SPHERE / fn._profile_integral(raw2, lambda F: F * F))
+    scl2 = math.sqrt(SPHERE / fn.project_bispherical(raw2, jmax=0).l2)
     g = fn.AxisZonalFunction(lambda th, ph: scl2 * raw2.profile(th, ph))
     lhs2, rhs2 = fn.log_sobolev_pair(g, jmax=10)
     print(f"   generic function: lhs {lhs2:.8e}  rhs {rhs2:.8e}  (strict)")

@@ -35,10 +35,25 @@ def _positive_int(text):
     return int(text)
 
 
+def _seed(text):
+    """A Philox key word: an integer in [0, 2^63)."""
+    if not text.isdecimal() or int(text) >= 2 ** 63:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**63), got {text!r}")
+    return int(text)
+
+
 def _float_list(text):
     if text is None or text.strip() == "":
         return []
     return [float(v) for v in text.split(",")]
+
+
+def _alpha_grid(text):
+    """The sorted --alpha grid of eigs and margin, which check nothing without one."""
+    alphas = sorted(_float_list(text))
+    if not alphas:
+        raise ValueError("--alpha needs at least one value")
+    return alphas
 
 
 def _emit(command, rows, columns, fmt, out):
@@ -53,7 +68,11 @@ def _emit(command, rows, columns, fmt, out):
             w.writerow([r.get(c, "") for c in columns])
         text = buf.getvalue()
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="")
+        except OSError as exc:  # a configuration error: main exits 2
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -92,7 +111,7 @@ def cmd_constants(args):
 
 
 def cmd_eigs(args):
-    alphas = sorted(_float_list(args.alpha))
+    alphas = _alpha_grid(args.alpha)
     rtol = 1e-6 if args.tolerance is None else args.tolerance
     rows = []
     failed = False
@@ -132,7 +151,7 @@ def cmd_eigs(args):
 
 
 def cmd_margin(args):
-    alphas = sorted(_float_list(args.alpha))
+    alphas = _alpha_grid(args.alpha)
     rows = []
     for alpha in alphas:
         worst, arg = math.inf, None
@@ -306,7 +325,7 @@ _FLAGS = {
     "--nodes-theta": dict(type=_positive_int, default=256),
     "--nodes-phi": dict(type=_positive_int, default=256),
     "--mc-samples": dict(type=int, default=100000),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_seed, default=0),
     "--tolerance": dict(type=float, default=None, help="override every check tolerance"),
 }
 

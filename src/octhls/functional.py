@@ -13,7 +13,7 @@ measure |S^7||S^6| sin^7(theta) cos^7(theta) sin^6(phi) dtheta dphi.
 
 from __future__ import annotations
 
-import inspect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +32,6 @@ __all__ = [
     "ExtremizerParams",
     "ConformalParams",
     "NORTH_AXIS",
-    "minimal_rotation",
     "sample_sphere",
     "extremizer_eval",
     "extremizer_profile",
@@ -55,7 +54,7 @@ NORTH_AXIS = NORTH_POLE
 
 
 # ---------------------------------------------------------------------------
-# sampling and rotations
+# sampling and zonal angles
 
 
 def sample_sphere(n, seed, stream=0):
@@ -67,32 +66,6 @@ def sample_sphere(n, seed, stream=0):
     rng = np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
     g = rng.standard_normal((n, 16))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def minimal_rotation(src, dst):
-    """The 16x16 rotation acting in the plane span{src, dst}, identity elsewhere."""
-    a = np.asarray(src, dtype=float)
-    a = a / np.linalg.norm(a)
-    b = np.asarray(dst, dtype=float)
-    b = b / np.linalg.norm(b)
-    c = float(a @ b)
-    if c > 1.0 - 1e-14:
-        return np.eye(16)
-    if c < -1.0 + 1e-14:
-        raise ValueError("antipodal axes: the minimal rotation is not unique")
-    u = b - c * a
-    u = u / np.linalg.norm(u)
-    s = math.sqrt(max(0.0, 1.0 - c * c))
-    R = np.eye(16)
-    # column convention: R @ src = dst
-    for p, q, m in (
-        (a, a, c - 1.0),
-        (a, u, s),
-        (u, a, -s),
-        (u, u, c - 1.0),
-    ):
-        R += m * np.outer(q, p)
-    return R
 
 
 def _axis_angles(points, axis):
@@ -135,70 +108,44 @@ class AxisZonalFunction:
 # ---------------------------------------------------------------------------
 # quadrature grid and bispherical projection
 
-_GRIDS = {}
 
-
-def _grid(n_theta=200, n_phi=200):
-    """Gauss-Legendre nodes/weights on [0, pi/2] x [0, pi] with the sphere measure.
+@functools.cache
+def _grid():
+    """200-node Gauss-Legendre rules on [0, pi/2] x [0, pi] with the sphere measure.
 
     Returns (theta, wt, phi, wp): the full measure of a profile F is
     sum_i sum_q wt[i] wp[q] F[i, q].
     """
-    key = (int(n_theta), int(n_phi))
-    if key not in _GRIDS:
-        x, w = leggauss(key[0])
-        theta = 0.25 * math.pi * (x + 1.0)
-        wt = (
-            0.25 * math.pi * w * np.sin(theta) ** 7 * np.cos(theta) ** 7 * _FH_CONST
-        )
-        x, w = leggauss(key[1])
-        phi = 0.5 * math.pi * (x + 1.0)
-        wp = 0.5 * math.pi * w * np.sin(phi) ** 6
-        _GRIDS[key] = (theta, wt, phi, wp)
-    return _GRIDS[key]
+    x, w = leggauss(200)
+    theta = 0.25 * math.pi * (x + 1.0)
+    wt = 0.25 * math.pi * w * np.sin(theta) ** 7 * np.cos(theta) ** 7 * _FH_CONST
+    phi = 0.5 * math.pi * (x + 1.0)
+    wp = 0.5 * math.pi * w * np.sin(phi) ** 6
+    return theta, wt, phi, wp
 
 
 def _profile_values(f, theta, phi):
-    """Profile values of f on the tensor grid, as an (n_theta, n_phi) array."""
-    TH, PH = np.meshgrid(theta, phi, indexing="ij")
-    if isinstance(f, AxisZonalFunction):
-        return np.asarray(f.profile(TH, PH), dtype=float) * np.ones_like(TH)
-    if callable(f):
-        if _required_positional(f) != 1:
-            return np.asarray(f(TH, PH), dtype=float) * np.ones_like(TH)
-        # a pointwise sphere function f(points (..., 16)): check it really is
-        # zonal about the north axis on two point families with the same angles
-        th_s, ph_s = np.meshgrid(np.linspace(0.3, 1.2, 4), np.linspace(0.4, 2.6, 4))
-        fa = np.asarray(f(_angles_to_points(th_s, ph_s, hidden=0)), dtype=float)
-        fb = np.asarray(f(_angles_to_points(th_s, ph_s, hidden=1)), dtype=float)
-        if np.any(np.abs(fa - fb) > 1e-9 * (np.abs(fa) + 1.0)):
-            raise ValueError("input function is not zonal about the north axis")
-        return np.asarray(f(_angles_to_points(TH, PH, hidden=0)), dtype=float) * np.ones_like(TH)
-    raise TypeError("expected an AxisZonalFunction or a callable")
+    """Values of f on the tensor grid theta x phi, a (len(theta), len(phi)) array.
 
-
-def _required_positional(f):
-    """Number of positional parameters of f without a default: 1 for a
-    pointwise sphere function, 2 for a profile H(theta, phi)."""
-    return sum(
-        p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        for p in inspect.signature(f).parameters.values()
-    )
-
-
-def _angles_to_points(theta, phi, hidden=0):
-    """Representative sphere points (..., 16) with the given north-axis angles.
-
-    ``hidden`` selects different coordinates in the directions the
-    angles do not constrain.
+    ``f`` is an AxisZonalFunction or a profile H(theta, phi).
     """
-    v = np.zeros(np.shape(theta) + (16,))
-    i1 = 1 if hidden == 0 else 3  # zeta1 direction
-    i2 = 9 if hidden == 0 else 12  # imaginary zeta2 direction
-    v[..., i1] = np.sin(theta)
-    v[..., 8] = np.cos(theta) * np.cos(phi)
-    v[..., i2] = np.cos(theta) * np.sin(phi)
-    return v
+    profile = f.profile if isinstance(f, AxisZonalFunction) else f
+    if not callable(profile):
+        raise TypeError("expected an AxisZonalFunction or a profile H(theta, phi)")
+    TH, PH = np.meshgrid(theta, phi, indexing="ij")
+    return np.asarray(profile(TH, PH), dtype=float) * np.ones_like(TH)
+
+
+def _grid_values(f):
+    """Values of f on the quadrature grid: the one evaluation each input gets."""
+    theta, _, phi, _ = _grid()
+    return _profile_values(f, theta, phi)
+
+
+def _integrate(values):
+    """Sphere integral of grid values."""
+    _, wt, _, wp = _grid()
+    return float(np.dot(wt, (values * wp[None, :]).sum(axis=1)))
 
 
 def _basis(jmax, theta, phi):
@@ -236,20 +183,18 @@ class BisphericalFunction:
     def residual(self):
         return self.l2 - sum(self.norms2.values())
 
-    def indices(self):
-        return sorted(self.coeffs)
 
-
-def project_bispherical(f, jmax=40, n_theta=200, n_phi=200):
+def project_bispherical(f, jmax=40):
     """Project a zonal-type function onto the (j, k) subspaces, j <= jmax.
 
-    Accepts an AxisZonalFunction, a profile callable H(theta, phi), or a
-    pointwise sphere function f(points) of (..., 16) arrays with one
-    required argument (which must be zonal about the north axis; anything
-    else raises).
+    ``f`` is an AxisZonalFunction or a profile callable H(theta, phi).
     """
-    theta, wt, phi, wp = _grid(n_theta, n_phi)
-    F = _profile_values(f, theta, phi)
+    return _project(_grid_values(f), jmax)
+
+
+def _project(F, jmax):
+    """The projection of grid values F (see _grid_values)."""
+    theta, wt, phi, wp = _grid()
     pairs, m, T, C = _basis(jmax, theta, phi)
     G = (F * wp[None, :]) @ C.T  # G[i, m] = sum_q wp[q] F[i, q] c_m(phi_q)
     inner = np.einsum("pi,i,ip->p", T, wt, G[:, m])
@@ -259,20 +204,8 @@ def project_bispherical(f, jmax=40, n_theta=200, n_phi=200):
         jmax=jmax,
         coeffs=dict(zip(pairs, c.tolist())),
         norms2=dict(zip(pairs, (c * c * zn2).tolist())),
-        l2=_integrate(F * F, n_theta, n_phi),
+        l2=_integrate(F * F),
     )
-
-
-def _integrate(values, n_theta=200, n_phi=200):
-    theta, wt, phi, wp = _grid(n_theta, n_phi)
-    return float(np.dot(wt, (values * wp[None, :]).sum(axis=1)))
-
-
-def _profile_integral(f, transform=None, n_theta=200, n_phi=200):
-    """Integral of transform(F) over the sphere for a zonal-type f."""
-    theta, wt, phi, wp = _grid(n_theta, n_phi)
-    F = _profile_values(f, theta, phi)
-    return _integrate(F if transform is None else transform(F), n_theta, n_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +281,8 @@ def hls_quotient(f, lam, jmax=40):
     """The sharp-constant quotient I(f, f) / ||f||_p^2 for a zonal-type f."""
     lam = float(lam)
     p = 2.0 * Q / (2.0 * Q - lam)
-    proj = project_bispherical(f, jmax)
-    pnorm2 = _profile_integral(f, lambda F: np.abs(F) ** p) ** (2.0 / p)
-    return hls_spectral(proj, lam) / pnorm2
+    F = _grid_values(f)
+    return hls_spectral(_project(F, jmax), lam) / _integrate(np.abs(F) ** p) ** (2.0 / p)
 
 
 def hls_mc(f, g, lam, n, seed):
@@ -375,8 +307,8 @@ def hls_mc(f, g, lam, n, seed):
     return est, stderr
 
 
-def el_residual(h, lam=None, jmax=40, n_points=100):
-    """Coefficient of variation of (K * h)(zeta) / h(zeta)^(p-1) over sample points.
+def el_residual(h, lam=None, jmax=40):
+    """Coefficient of variation of (K * h)(zeta) / h(zeta)^(p-1) over a 10 x 10 angle grid.
 
     A small value certifies the Euler-Lagrange equation up to its free
     constant.  ``h`` may be ExtremizerParams (lambda taken from it) or a
@@ -391,9 +323,8 @@ def el_residual(h, lam=None, jmax=40, n_points=100):
     p = 2.0 * Q / (2.0 * Q - lam)
     proj = project_bispherical(h, jmax)
     scale = 2.0 ** (lam / 2.0)
-    ns = max(2, int(math.sqrt(n_points)))
-    thetas = np.linspace(0.1, math.pi / 2 - 0.1, ns)
-    phis = np.linspace(0.1, math.pi - 0.1, ns)
+    thetas = np.linspace(0.1, math.pi / 2 - 0.1, 10)
+    phis = np.linspace(0.1, math.pi - 0.1, 10)
     pairs, m, T, C = _basis(jmax, thetas, phis)
     a = np.array([proj.coeffs[(j, k)] * (scale * eig_K1(j, k, lam / 4.0)) for j, k in pairs])
     conv = (T.T * a) @ C[m]
@@ -409,17 +340,14 @@ def second_variation(h, phi_fn, lam, jmax=40):
     """
     lam = float(lam)
     p = 2.0 * Q / (2.0 * Q - lam)
-    theta, wt, phi, wp = _grid()
-    H = _profile_values(h, theta, phi)
-    P = _profile_values(phi_fn, theta, phi)
+    H = _grid_values(h)
+    P = _grid_values(phi_fn)
     constraint = _integrate(H ** (p - 1.0) * P)
     scale_c = math.sqrt(max(_integrate(H ** (2.0 * p - 2.0)) * _integrate(P * P), 1e-300))
     if abs(constraint) > 1e-6 * scale_c:
         raise ValueError("test direction violates int h^(p-1) phi = 0")
-    ph = project_bispherical(h, jmax)
-    pp = project_bispherical(phi_fn, jmax)
-    ikh = hls_spectral(ph, lam)
-    ikp = hls_spectral(pp, lam)
+    ikh = hls_spectral(_project(H, jmax), lam)
+    ikp = hls_spectral(_project(P, jmax), lam)
     return ikp * _integrate(H ** p) - (p - 1.0) * ikh * _integrate(H ** (p - 2.0) * P * P)
 
 
@@ -427,7 +355,7 @@ def second_variation(h, phi_fn, lam, jmax=40):
 # center of mass and recentering
 
 
-def center_mass(h, p, n_theta=200, n_phi=200):
+def center_mass(h, p):
     """The 16-vector int zeta h(zeta)^p dzeta for a zonal-type h.
 
     For an axis-zonal function only the axis component survives (the
@@ -435,12 +363,15 @@ def center_mass(h, p, n_theta=200, n_phi=200):
     so the integral reduces to the scalar int cos(theta) cos(phi) h^p.
     """
     axis = h.axis if isinstance(h, AxisZonalFunction) else NORTH_AXIS
-    theta, wt, phi, wp = _grid(n_theta, n_phi)
-    F = _profile_values(h, theta, phi)
-    comp = float(
+    return _axis_moment(_grid_values(h), p) * axis
+
+
+def _axis_moment(F, p):
+    """The axis component int cos(theta) cos(phi) F^p of grid values F."""
+    theta, wt, phi, wp = _grid()
+    return float(
         np.dot(wt * np.cos(theta), ((F ** p) * (wp * np.cos(phi))[None, :]).sum(axis=1))
     )
-    return comp * axis
 
 
 def center_mass_mc(h, p, n, seed):
@@ -526,8 +457,7 @@ def recenter(h, p, tol=1e-8, max_iter=200):
     if not isinstance(h, AxisZonalFunction):
         h = AxisZonalFunction(h)
     axis = h.axis
-    mass = _profile_integral(h, lambda F: np.abs(F) ** p)
-    scale = (sphere_measure() / mass) ** (1.0 / p)
+    scale = (sphere_measure() / _integrate(np.abs(_grid_values(h)) ** p)) ** (1.0 / p)
     base = AxisZonalFunction(
         lambda th, ph, _h=h.profile, _s=scale: _s * _h(th, ph), axis=axis, name=h.name
     )
@@ -535,13 +465,11 @@ def recenter(h, p, tol=1e-8, max_iter=200):
     def centered(logd):
         delta = math.exp(logd)
         g = conformal_pullback(base, ConformalParams(delta, axis), p)
-        m = _profile_integral(g, lambda F: np.abs(F) ** p)
-        gn = AxisZonalFunction(
-            lambda th, ph, _g=g.profile, _s=(sphere_measure() / m) ** (1.0 / p): _s
-            * _g(th, ph),
-            axis=axis,
-        )
-        resid = float(center_mass(gn, p) @ axis)
+        G = _grid_values(g)
+        s = (sphere_measure() / _integrate(np.abs(G) ** p)) ** (1.0 / p)
+        gn = AxisZonalFunction(lambda th, ph, _g=g.profile: s * _g(th, ph), axis=axis)
+        # s * G are the grid values of gn: G is already broadcast to the grid
+        resid = float((_axis_moment(s * G, p) * axis) @ axis)
         return resid, gn, delta
 
     x0, x1 = 0.0, 0.25
@@ -579,14 +507,12 @@ def log_sobolev_pair(f, jmax=40):
     LHS is the spectral d_S^(-Q) energy sum 2 gap_{j,k} |f_{j,k}|^2; RHS
     is C_logsobolev() int f^2 log f^2.
     """
-    theta, wt, phi, wp = _grid()
-    F = _profile_values(f, theta, phi)
+    F = _grid_values(f)
     if np.any(F < 0.0):
         raise ValueError("log-Sobolev input must be nonnegative")
-    l2 = _integrate(F * F)
-    if abs(l2 - sphere_measure()) > 1e-8 * sphere_measure():
+    proj = _project(F, jmax)
+    if abs(proj.l2 - sphere_measure()) > 1e-8 * sphere_measure():
         raise ValueError("input must be normalized to int f^2 = |S|")
-    proj = project_bispherical(f, jmax)
     lhs = 2.0 * sum(
         logsob_gap(j, k) * n2 for (j, k), n2 in proj.norms2.items() if (j, k) != (0, 0)
     )

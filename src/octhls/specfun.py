@@ -11,13 +11,11 @@ Re zeta2 = cos(theta) cos(phi) with phi in [0, pi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "BisphericalIndex",
     "gegenbauer3",
     "jacobi33",
     "zonal",
@@ -31,16 +29,11 @@ __all__ = [
 _PHI_SMALL = 5e-2
 
 
-@dataclass(frozen=True)
-class BisphericalIndex:
-    """Index (j, k) of a bispherical harmonic subspace, j >= k >= 0."""
-
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if not (self.j >= self.k >= 0):
-            raise ValueError(f"need j >= k >= 0, got ({self.j}, {self.k})")
+def _check_index(j, k):
+    """(j, k), checked to index a bispherical harmonic subspace: j >= k >= 0."""
+    if not (j >= k >= 0):
+        raise ValueError(f"need j >= k >= 0, got ({j}, {k})")
+    return j, k
 
 
 def _recurrence_rows(n, x, p1, step):
@@ -116,14 +109,14 @@ def zonal(j, k, theta, phi):
     Evaluates the product of the normalized Gegenbauer factor in phi and
     the normalized Jacobi factor in theta; accepts scalar or array angles.
     """
-    idx = BisphericalIndex(j, k)
-    m = idx.j - idx.k
+    j, k = _check_index(j, k)
+    m = j - k
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     val = (
         _top_row(*_gegenbauer3_rows(m, np.cos(phi)))
         * np.cos(theta) ** m
-        * _top_row(*_jacobi33_rows(idx.k, m, np.cos(2.0 * theta)))
+        * _top_row(*_jacobi33_rows(k, m, np.cos(2.0 * theta)))
     )
     return val if np.ndim(val) else float(val)
 
@@ -171,8 +164,8 @@ def zonal_sine_form(j, k, theta, phi):
     The overall constant is fixed once by matching the hypergeometric
     product form at theta = phi = 0.
     """
-    idx = BisphericalIndex(j, k)
-    m = idx.j - idx.k
+    j, k = _check_index(j, k)
+    m = j - k
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     # at phi = 0 the ratio tends to M_2/5!, so kappa * ratio(0) = 1
@@ -181,7 +174,7 @@ def zonal_sine_form(j, k, theta, phi):
         kappa
         * _sine_ratio(m, phi)
         * np.cos(theta) ** m
-        * _top_row(*_jacobi33_rows(idx.k, m, np.cos(2.0 * theta)))
+        * _top_row(*_jacobi33_rows(k, m, np.cos(2.0 * theta)))
     )
     return val if np.ndim(val) else float(val)
 

@@ -25,7 +25,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import special as sp
 
 from .nilgroup import Q
-from .specfun import BisphericalIndex, gegenbauer3, jacobi33
+from .specfun import _check_index, gegenbauer3, jacobi33
 
 __all__ = [
     "ZonalKernel",
@@ -63,11 +63,13 @@ def _signed_log_gamma(x):
     return float(sp.gammasgn(x)), float(sp.gammaln(x))
 
 
-def _log_poch(a, n):
-    """(sign, log|.|) of the rising factorial a (a+1) ... (a+n-1).
+def _log_poch(a, n, shift=0):
+    """(sign, log|.|) of the rising factorial (a + shift) (a + shift + 1) ... (a + shift + n - 1).
 
-    Sign 0 means the product vanishes exactly (a is a nonpositive
-    integer reachable within n steps).
+    Each factor is formed as a + (shift + i) from a itself, so a shift
+    that would round a (e.g. a - 3 for a just below 1) loses no digits.
+    Sign 0 means the product vanishes exactly (a + shift is a
+    nonpositive integer reachable within n steps).
     """
     a = float(a)
     n = int(n)
@@ -75,23 +77,19 @@ def _log_poch(a, n):
         raise ValueError("rising factorial needs n >= 0")
     if n == 0:
         return 1.0, 0.0
-    if a > 0.0:
-        return 1.0, float(sp.gammaln(a + n) - sp.gammaln(a))
-    # peel off the nonpositive leading factors, then a gamma ratio
-    neg = int(math.ceil(-a))
-    sign, total = 1.0, 0.0
-    for i in range(min(neg, n)):
-        f = a + i
-        if f == 0.0:
-            return 0.0, -math.inf
-        if f < 0.0:
-            sign = -sign
-        total += math.log(abs(f))
+    if a + shift > 0.0:  # rounding keeps the sign of a + shift
+        return 1.0, float(sp.gammaln(a + (shift + n)) - sp.gammaln(a + shift))
+    # the factors i < neg are negative; factor neg is the first >= 0
+    neg = min(n, math.ceil(-a) - shift)
+    total = 0.0
+    for i in range(neg):
+        total += math.log(-(a + (shift + i)))
     if neg < n:
-        if a + neg == 0.0:
+        lo = a + (shift + neg)
+        if lo == 0.0:
             return 0.0, -math.inf
-        total += float(sp.gammaln(a + n) - sp.gammaln(a + neg))
-    return sign, total
+        total += float(sp.gammaln(a + (shift + n)) - sp.gammaln(lo))
+    return (-1.0) ** neg, total
 
 
 def _signed_exp(sign, log):
@@ -227,8 +225,8 @@ def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
 
 def eig_quadrature(kern, j, k, nodes_theta=256, nodes_phi=256):
     """Funk-Hecke eigenvalue of a zonal kernel on the (j, k) subspace."""
-    idx = BisphericalIndex(j, k)
-    return _quadrature_core(kern, [(idx.j, idx.k)], nodes_theta, nodes_phi)[(idx.j, idx.k)]
+    pair = _check_index(j, k)
+    return _quadrature_core(kern, [pair], nodes_theta, nodes_phi)[pair]
 
 
 def eig_quadrature_table(kern, alpha, jmax, kmax=None, nodes_theta=256, nodes_phi=256):
@@ -266,18 +264,19 @@ def _closed_forms(j, k, a, n):
     eigenvalue is eig_K1 (a^2 - 11a + 44) / ((8 - a)(11 - a)), a
     positive factor evaluated without cancellation.  eig_K1 at b = a - 1
     takes (a - 4)_k, Gamma(13 - 2a), Gamma(j + 12 - a) and Gamma(k + 9 - a)
-    from eig_K2 when its own arguments are the same floats; they can differ
-    only where a - 1 rounds (some a < 1/2, e.g. 1/3), and b is then evaluated alone.
+    from eig_K2 when b is a - 1 exactly: then each factor b + (i - 3) and
+    each gamma argument of b is the same float as a's.  b rounds only for
+    some a < 1/2 (e.g. 1/3), and is then evaluated alone.
     """
     s1, l1 = _log_poch(a, j)
-    s2, l2 = _log_poch(a - 3.0, k)
+    s2, l2 = _log_poch(a, k, -3)
     g11 = float(sp.gammaln(11.0 - 2.0 * a))
     gj11 = float(sp.gammaln(j + 11.0 - a))
     gk8 = float(sp.gammaln(k + 8.0 - a))
     lam1 = _signed_exp(s1 * s2, _LOG_2PI8 + g11 + l1 + l2 - gj11 - gk8)
     if n == 1:
         return (lam1,)
-    sC, lC = _log_poch(a - 4.0, k)
+    sC, lC = _log_poch(a, k, -4)
     g12 = float(sp.gammaln(12.0 - 2.0 * a))
     g13 = float(sp.gammaln(13.0 - 2.0 * a))
     gj12 = float(sp.gammaln(j + 12.0 - a))
@@ -294,9 +293,7 @@ def _closed_forms(j, k, a, n):
     if n == 2:
         return lam1, lam2
     b = a - 1.0
-    if (b - 3.0, 11.0 - 2.0 * b, j + 11.0 - b, k + 8.0 - b) != (
-        a - 4.0, 13.0 - 2.0 * a, j + 12.0 - a, k + 9.0 - a
-    ):
+    if math.fsum((a, -b, -1.0)) != 0.0:  # the exact a - b - 1: nonzero where a - 1 rounds
         return lam1, lam2, _closed_forms(j, k, b, 1)[0]
     sb, lb = _log_poch(b, j)
     return lam1, lam2, _signed_exp(sb * sC, _LOG_2PI8 + g13 + lb + lC - gj12 - gk9)
@@ -308,8 +305,7 @@ def eig_K1(j, k, alpha):
     2 pi^8 Gamma(11 - 2a) (a)_j (a - 3)_k / (Gamma(j + 11 - a) Gamma(k + 8 - a)),
     the rising factorials supplying the vanishing limits at a in {0, 1, 2, 3}.
     """
-    idx = BisphericalIndex(j, k)
-    return _closed_forms(idx.j, idx.k, _check_alpha(alpha), 1)[0]
+    return _closed_forms(*_check_index(j, k), _check_alpha(alpha), 1)[0]
 
 
 def eig_K2(j, k, alpha):
@@ -319,8 +315,7 @@ def eig_K2(j, k, alpha):
     integer limit points; at j = 0 the terms are summed in closed form,
     which removes the apparent pole at alpha = 1 (see _closed_forms).
     """
-    idx = BisphericalIndex(j, k)
-    return _closed_forms(idx.j, idx.k, _check_alpha(alpha), 2)[1]
+    return _closed_forms(*_check_index(j, k), _check_alpha(alpha), 2)[1]
 
 
 def eig_K1_ratio(j, k, alpha):
@@ -329,16 +324,16 @@ def eig_K1_ratio(j, k, alpha):
     Rational closed form valid for alpha > 3 where the denominator
     eigenvalue never vanishes.
     """
-    idx = BisphericalIndex(j, k)
+    j, k = _check_index(j, k)
     a = _check_alpha(alpha)
     if not a > 3.0:
         raise ValueError("ratio requires alpha > 3")
     num = (a - 1.0) * (11.0 - 2.0 * a) * (12.0 - 2.0 * a)
-    den = (idx.j + a - 1.0) * (idx.k + 8.0 - a) * (idx.j + 11.0 - a)
+    den = (j + a - 1.0) * (k + 8.0 - a) * (j + 11.0 - a)
     # the (a - 4)/(k + a - 4) factor is an exact cancellation at k = 0, a = 4
-    if idx.k + a - 4.0 != 0.0:
+    if k + a - 4.0 != 0.0:
         num *= a - 4.0
-        den *= idx.k + a - 4.0
+        den *= k + a - 4.0
     return num / den
 
 
@@ -349,9 +344,8 @@ def margin_terms(j, k, alpha):
     At alpha = 3 every term is finite as evaluated by the limit-aware
     eigenvalue routines, so no rescaling is applied.
     """
-    idx = BisphericalIndex(j, k)
     a = _check_alpha(alpha, lo=0.0)
-    lam1, lam2, lam1_prev = _closed_forms(idx.j, idx.k, a, 3)
+    lam1, lam2, lam1_prev = _closed_forms(*_check_index(j, k), a, 3)
     return lam1, lam2, -lam1_prev, -(2.0 * a / (11.0 - a)) * lam1
 
 
@@ -367,13 +361,13 @@ def intertwining_spectrum(d, j, k):
     by -3 in k.  Requires 0 < d < Q.  Zero where a denominator Gamma has a
     pole: at d in {10, 14, 18} when k + (Q-d)/4 - 3 is a nonpositive integer.
     """
-    idx = BisphericalIndex(j, k)
+    j, k = _check_index(j, k)
     d = float(d)
     if not (0.0 < d < Q):
         raise ValueError(f"degree d = {d} outside (0, {Q})")
     up, dn = (Q + d) / 4.0, (Q - d) / 4.0
     s, log = 1.0, 0.0
-    for x, sgn in ((idx.j + up, 1), (idx.j + dn, -1), (idx.k + up - 3.0, 1), (idx.k + dn - 3.0, -1)):
+    for x, sgn in ((j + up, 1), (j + dn, -1), (k + up - 3.0, 1), (k + dn - 3.0, -1)):
         if sgn < 0 and x <= 0.0 and x == math.floor(x):
             return 0.0  # 1 / Gamma vanishes at the poles of Gamma
         si, li = _signed_log_gamma(x)
@@ -416,10 +410,10 @@ def logsob_gap(j, k):
     C0 [psi(j + Q/4) + psi(k + Q/4 - 3) - psi(Q/4) - psi(Q/4 - 3)];
     zero at (0,0) and strictly increasing in each index.
     """
-    idx = BisphericalIndex(j, k)
+    j, k = _check_index(j, k)
     return _C0_LOGSOB * float(
-        sp.digamma(idx.j + Q / 4.0)
-        + sp.digamma(idx.k + Q / 4.0 - 3.0)
+        sp.digamma(j + Q / 4.0)
+        + sp.digamma(k + Q / 4.0 - 3.0)
         - sp.digamma(Q / 4.0)
         - sp.digamma(Q / 4.0 - 3.0)
     )

@@ -178,6 +178,41 @@ def test_eigs_non_convergence_exit_two(capsys):
     assert "K1 at alpha = 5.5" in err and "dyadic theta level" in err
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(["constants", "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 63), str(10 ** 23), "1.5"])
+def test_seed_outside_key_range_exits_two(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--seed", seed])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --seed: must be an integer in [0, 2**63), got '{seed}'" in out.err
+
+
+def test_seed_key_range_upper_end(capsys):
+    # the largest accepted seed draws sample points without a numpy cast warning
+    code, out, _ = run(["verify", "--mc-samples", "50", "--seed", str(2 ** 63 - 1)], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"]
+
+
+@pytest.mark.parametrize("command", ["eigs", "margin"])
+@pytest.mark.parametrize("alpha", [None, "", " "])
+def test_empty_alpha_grid_exits_two(capsys, command, alpha):
+    code, out, err = run([command] + ([] if alpha is None else ["--alpha", alpha]), capsys)
+    assert code == 2
+    assert out == ""
+    assert "--alpha needs at least one value" in err
+
+
 @pytest.mark.parametrize("command", ["eigs", "margin"])
 @pytest.mark.parametrize("flag", ["--jmax", "--kmax"])
 def test_negative_index_bound_exits_two(capsys, command, flag):

@@ -18,7 +18,7 @@ def const_one():
 
 
 # ---------------------------------------------------------------------------
-# sampling and rotations
+# sampling
 
 
 def test_sample_sphere_unit_and_deterministic():
@@ -29,17 +29,6 @@ def test_sample_sphere_unit_and_deterministic():
     assert np.array_equal(a, b)
     c = fn.sample_sphere(500, seed=4)
     assert not np.array_equal(a, c)
-
-
-def test_minimal_rotation():
-    rng = np.random.default_rng(0)
-    src = rng.standard_normal(16)
-    src /= np.linalg.norm(src)
-    dst = rng.standard_normal(16)
-    dst /= np.linalg.norm(dst)
-    R = fn.minimal_rotation(src, dst)
-    assert np.allclose(R @ src, dst, atol=1e-12)
-    assert np.allclose(R @ R.T, np.eye(16), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -85,33 +74,43 @@ def test_project_profile_type_error_propagates():
         fn.project_bispherical(profile, jmax=2)
 
 
-def test_project_rejects_non_zonal():
-    rng = np.random.default_rng(1)
-    hidden = rng.standard_normal(16)
-
-    def pointwise(points):
-        return 1.0 + points @ hidden
-
-    with pytest.raises(ValueError):
-        fn.project_bispherical(pointwise, jmax=2)
-
-
-def test_project_pointwise_function():
-    # a pointwise f(points (..., 16)) is evaluated once on the whole grid and
-    # projects like its profile
-    params = fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=16.0)
+def test_each_input_evaluated_once(monkeypatch):
+    # every routine evaluates each input on the quadrature grid once;
+    # recenter once up front and once per conformal pullback it tries
+    lam = 16.0
+    p = 2.0 * Q / (2.0 * Q - lam)
     calls = []
 
-    def pointwise(points):
-        calls.append(points.shape)
-        return fn.extremizer_eval(params, points)
+    def counted(profile):
+        def wrapped(th, ph):
+            calls.append(np.shape(th))
+            return profile(th, ph)
 
-    by_points = fn.project_bispherical(pointwise, jmax=20)
-    by_profile = fn.project_bispherical(fn.extremizer_profile(params), jmax=20)
-    assert calls == [(4, 4, 16), (4, 4, 16), (200, 200, 16)]
-    for mode, c in by_profile.coeffs.items():
-        assert abs(by_points.coeffs[mode] - c) < 1e-10, mode
-    assert abs(by_points.l2 - by_profile.l2) < 1e-12 * by_profile.l2
+        return wrapped
+
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=lam))
+    one = counted(lambda th, ph: np.ones_like(th))
+    wave = counted(lambda th, ph: np.cos(th) * np.cos(ph))  # orthogonal to the constant
+    runs = {
+        "project_bispherical": (lambda: fn.project_bispherical(one, jmax=4), 1),
+        "hls_quotient": (lambda: fn.hls_quotient(one, lam, jmax=4), 1),
+        "center_mass": (lambda: fn.center_mass(one, p), 1),
+        "second_variation": (lambda: fn.second_variation(one, wave, lam, jmax=4), 2),
+        "log_sobolev_pair": (lambda: fn.log_sobolev_pair(one, jmax=4), 1),
+    }
+    for name, (run, n) in runs.items():
+        calls.clear()
+        run()
+        assert calls == [(200, 200)] * n, name
+    pullbacks = []
+    pullback = fn.conformal_pullback
+    monkeypatch.setattr(
+        fn, "conformal_pullback", lambda *a: pullbacks.append(a) or pullback(*a)
+    )
+    calls.clear()
+    fn.recenter(fn.AxisZonalFunction(counted(h.profile), axis=h.axis), p)
+    assert len(pullbacks) >= 2
+    assert calls == [(200, 200)] * (1 + len(pullbacks))
 
 
 def test_parseval():
@@ -270,8 +269,8 @@ def test_conformal_pullback_preserves_lp_norm():
     params = fn.ExtremizerParams(xi=0.2 * fn.NORTH_AXIS, lam=lam)
     h = fn.extremizer_profile(params)
     g = fn.conformal_pullback(h, fn.ConformalParams(1.7, fn.NORTH_AXIS), p)
-    n_h = fn._profile_integral(h, lambda F: np.abs(F) ** p)
-    n_g = fn._profile_integral(g, lambda F: np.abs(F) ** p)
+    n_h = fn._integrate(np.abs(fn._grid_values(h)) ** p)
+    n_g = fn._integrate(np.abs(fn._grid_values(g)) ** p)
     assert abs(n_h - n_g) / n_h < 1e-10
 
 
@@ -324,7 +323,7 @@ def test_recenter_random_direction():
 
 
 def _normalize_l2(f):
-    l2 = fn._profile_integral(f, lambda F: F * F)
+    l2 = fn.project_bispherical(f, jmax=0).l2
     s = math.sqrt(SPHERE / l2)
     return fn.AxisZonalFunction(lambda th, ph: s * f.profile(th, ph), axis=f.axis)
 

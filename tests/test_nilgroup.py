@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octhls import nilgroup as ng
 from octhls import octonion as oc
@@ -10,6 +12,22 @@ from octhls.nilgroup import Q
 
 def rand_zt(rng, n):
     return rng.standard_normal((n, 8)), rng.standard_normal((n, 7))
+
+
+def rand_dilated_zt(seed, n):
+    """n rows of (z, t) dilated by scales spread over 10^-2 .. 10^2: z ~ d, t ~ d^2."""
+    rng = np.random.default_rng(seed)
+    z, t = rand_zt(rng, n)
+    d = 10.0 ** rng.uniform(-2.0, 2.0, (n, 1))
+    return d * z, d * d * t
+
+
+def rownorm(x):
+    return np.linalg.norm(x, axis=-1)
+
+
+#: batch sizes past the octonion product's row block, so its blocked path runs
+BLOCKED_BATCHES = st.integers(oc._BLOCK + 1, 3 * oc._BLOCK)
 
 
 def gdist(zu, tu, zv, tv):
@@ -125,3 +143,55 @@ def test_inversion_pole_at_identity():
         ng.inversion_zt(z, t)
     with pytest.raises(ZeroDivisionError):
         ng.inversion_zt(np.zeros(8), np.zeros(7))
+
+
+# ---------------------------------------------------------------------------
+# the group laws on batches of more than one octonion row block; each
+# residual is relative to the scale of its terms
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(n=BLOCKED_BATCHES, seed=st.integers(0, 2 ** 32 - 1))
+def test_group_product_associative_with_inverse(n, seed):
+    (z0, t0), (z1, t1), (z2, t2) = (rand_dilated_zt([seed, i], n) for i in range(3))
+    za, ta = ng.gmul_zt(*ng.gmul_zt(z0, t0, z1, t1), z2, t2)
+    zb, tb = ng.gmul_zt(z0, t0, *ng.gmul_zt(z1, t1, z2, t2))
+    lz = rownorm(z0) + rownorm(z1) + rownorm(z2)
+    lt = rownorm(t0) + rownorm(t1) + rownorm(t2) + 2.0 * (
+        rownorm(z0) * rownorm(z1) + rownorm(z0) * rownorm(z2) + rownorm(z1) * rownorm(z2)
+    )
+    assert (rownorm(za - zb) / lz).max() < 1e-12
+    assert (rownorm(ta - tb) / lt).max() < 1e-12
+    # (-z, -t) is a two-sided inverse: z cancels exactly, t to the scale |z|^2 + |t|
+    for zi, ti in (ng.gmul_zt(z0, t0, -z0, -t0), ng.gmul_zt(-z0, -t0, z0, t0)):
+        assert not zi.any()
+        assert (rownorm(ti) / (rownorm(z0) ** 2 + rownorm(t0))).max() < 1e-12
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(n=BLOCKED_BATCHES, seed=st.integers(0, 2 ** 32 - 1))
+def test_distance_left_invariant(n, seed):
+    (zu, tu), (zv, tv), (zw, tw) = (rand_zt(np.random.default_rng([seed, i]), n) for i in range(3))
+    d0 = gdist(zu, tu, zv, tv)
+    d1 = gdist(*ng.gmul_zt(zw, tw, zu, tu), *ng.gmul_zt(zw, tw, zv, tv))
+    assert (np.abs(d1 - d0) / np.maximum(1.0, d0)).max() < 1e-11
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    n=BLOCKED_BATCHES,
+    seed=st.integers(0, 2 ** 32 - 1),
+    delta=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+)
+def test_norm_homogeneous_under_dilation(n, seed, delta):
+    z, t = rand_dilated_zt(seed, n)
+    r = ng.hnorm_zt(z, t)
+    assert (np.abs(ng.hnorm_zt(delta * z, delta ** 2 * t) / (delta * r) - 1.0)).max() < 1e-12
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(n=BLOCKED_BATCHES, seed=st.integers(0, 2 ** 32 - 1))
+def test_inversion_maps_norm_to_reciprocal(n, seed):
+    z, t = rand_dilated_zt(seed, n)
+    r = ng.hnorm_zt(z, t)
+    assert (np.abs(ng.hnorm_zt(*ng.inversion_zt(z, t)) * r - 1.0)).max() < 1e-12

@@ -10,11 +10,11 @@ from octhls import specfun as sf
 
 
 def test_bispherical_index_validation():
-    sf.BisphericalIndex(3, 1)
+    assert sf._check_index(3, 1) == (3, 1)
     with pytest.raises(ValueError):
-        sf.BisphericalIndex(1, 3)
+        sf._check_index(1, 3)
     with pytest.raises(ValueError):
-        sf.BisphericalIndex(-1, 0)
+        sf._check_index(-1, 0)
 
 
 def test_gegenbauer3_against_scipy():

@@ -84,11 +84,7 @@ _REFERENCE_ROWS = (((0, 1, 2, 3, 4, 5, 10, 50, 200), 1e-12), ((1000,), 5e-12), (
 @pytest.mark.parametrize("alpha", [
     1.0, 2.0, 3.0, 4.0,
     1.0 + 1e-9, 2.0 + 1e-9, 3.0 + 1e-9, 4.0 + 1e-9,
-    pytest.param(1.0 - 1e-9, marks=pytest.mark.xfail(strict=True, reason=(
-        "a - 3.0 and a - 4.0 round here, and (a - 3)_k, (a - 4)_k take the rounding through"
-        " their factor a - 1 ~ -1e-9: 1.1e-7 relative error from k = 3 on"
-    ))),
-    2.0 - 1e-9, 3.0 - 1e-9, 4.0 - 1e-9,
+    1.0 - 1e-9, 2.0 - 1e-9, 3.0 - 1e-9, 4.0 - 1e-9,
 ])
 def test_closed_forms_match_40_digit_reference(alpha):
     # the integer limit points of the rising factorials, just off them, and j up to 10^4
