@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import special as sp
-
 from .nilgroup import Q
 from .spectra import c_d
 
@@ -36,10 +34,8 @@ def C_hls_group(lam):
     lam = float(lam)
     if not (0.0 < lam < Q):
         raise ValueError(f"lambda = {lam} outside (0, {Q})")
-    gammas = math.exp(
-        sp.gammaln((Q - lam) / 2.0)
-        - sp.gammaln((2.0 * Q - lam) / 4.0)
-        - sp.gammaln((2.0 * Q - lam) / 4.0 - 3.0)
+    gammas = math.gamma((Q - lam) / 2.0) / (
+        math.gamma((2.0 * Q - lam) / 4.0) * math.gamma((2.0 * Q - lam) / 4.0 - 3.0)
     )
     return (
         2.0 ** (-4.0 * lam / Q)
@@ -74,5 +70,5 @@ def C_logsobolev():
     return (
         2.0 ** (Q / 2 + 3)
         * math.pi ** 8
-        / (Q * sp.gamma(Q / 4.0) * sp.gamma(Q / 4.0 - 3.0))
+        / (Q * math.gamma(Q / 4.0) * math.gamma(Q / 4.0 - 3.0))
     )

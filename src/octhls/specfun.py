@@ -10,23 +10,13 @@ Re zeta2 = cos(theta) cos(phi) with phi in [0, pi].
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 import numpy as np
 
 __all__ = [
     "gegenbauer3",
     "jacobi33",
     "zonal",
-    "zonal_sine_form",
 ]
-
-# seam between direct evaluation of the sine-sum form and its Taylor fallback;
-# below the seam the sin^5 quotient cancels catastrophically, so the seam sits
-# where both branches are accurate (direct ~1e-11, Taylor converged for the
-# frequencies m+5 <= ~45 exercised by the cross-checks)
-_PHI_SMALL = 5e-2
 
 
 def _check_index(j, k):
@@ -119,62 +109,3 @@ def zonal(j, k, theta, phi):
         * _top_row(*_jacobi33_rows(k, m, np.cos(2.0 * theta)))
     )
     return val if np.ndim(val) else float(val)
-
-
-def _sine_sum_coeffs(m):
-    """Exact coefficients c_r of the bracket sum_r c_r sin(n_r phi), n_r = m+1, m+3, m+5."""
-    c1 = Fraction(1, 4 * (m + 3)) - Fraction(1, 2 * (m + 2)) + Fraction(1, 4 * (m + 1))
-    c3 = Fraction(1, m + 3) - Fraction(1, 2 * (m + 2)) - Fraction(1, 2 * (m + 4))
-    c5 = Fraction(1, 4 * (m + 3)) - Fraction(1, 2 * (m + 4)) + Fraction(1, 4 * (m + 5))
-    return {m + 1: c1, m + 3: c3, m + 5: c5}
-
-
-def _sine_sum_moments(m, imax=9):
-    """Exact odd moments M_i = sum_r c_r n_r^(2i+1); M_0 = M_1 = 0 identically."""
-    coeffs = _sine_sum_coeffs(m)
-    return [sum(c * Fraction(n) ** (2 * i + 1) for n, c in coeffs.items()) for i in range(imax + 1)]
-
-
-def _sine_ratio(m, phi):
-    """The quotient [bracket]/sin^5(phi), with a Taylor fallback near phi = 0."""
-    phi = np.asarray(phi, dtype=float)
-    out = np.empty_like(phi)
-    small = np.abs(phi) < _PHI_SMALL
-    if np.any(~small):
-        p = phi[~small]
-        s = np.zeros_like(p)
-        for n, c in _sine_sum_coeffs(m).items():
-            s += float(c) * np.sin(n * p)
-        out[~small] = s / np.sin(p) ** 5
-    if np.any(small):
-        p = phi[small]
-        moments = _sine_sum_moments(m)
-        num = np.zeros_like(p)
-        for i in range(2, len(moments)):
-            num += (-1.0) ** i * float(moments[i]) / math.factorial(2 * i + 1) * p ** (2 * i + 1)
-        sin5 = np.where(p == 0.0, 1.0, np.sin(np.where(p == 0.0, 1.0, p)) ** 5)
-        ratio = np.where(p == 0.0, float(moments[2]) / math.factorial(5), num / sin5)
-        out[small] = ratio
-    return out
-
-
-def zonal_sine_form(j, k, theta, phi):
-    """The sine-sum form of the zonal harmonic, calibrated to match :func:`zonal`.
-
-    The overall constant is fixed once by matching the hypergeometric
-    product form at theta = phi = 0.
-    """
-    j, k = _check_index(j, k)
-    m = j - k
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    # at phi = 0 the ratio tends to M_2/5!, so kappa * ratio(0) = 1
-    kappa = math.factorial(5) / float(_sine_sum_moments(m)[2])
-    val = (
-        kappa
-        * _sine_ratio(m, phi)
-        * np.cos(theta) ** m
-        * _top_row(*_jacobi33_rows(k, m, np.cos(2.0 * theta)))
-    )
-    return val if np.ndim(val) else float(val)
-

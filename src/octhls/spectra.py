@@ -1,10 +1,10 @@
 """Eigenvalues of zonal integral kernels on the 15-sphere.
 
 Two independent routes to the same numbers: closed-form gamma-ratio
-formulas (evaluated in signed log space so indices up to 10^4 neither
-overflow nor lose the sign bookkeeping at the integer limit points)
-and a Funk-Hecke quadrature oracle that integrates the kernel against
-the zonal harmonics directly.  Also: the spectrum of the intertwining
+formulas (gamma constants times prefix products of rising-factorial
+ratios, so indices up to 10^4 neither overflow nor lose the exact zeros
+at the integer limit points) and a Funk-Hecke quadrature oracle that
+integrates the kernel against the zonal harmonics directly.  Also: the spectrum of the intertwining
 operator of degree d, its fundamental-solution constant, the bilinear
 eigenvalue margin, and the Log-Sobolev spectral gap.
 
@@ -16,13 +16,13 @@ of the north-pole-fixing frame.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special as sp
 
 from .nilgroup import Q
 from .specfun import _check_index, gegenbauer3, jacobi33
@@ -45,55 +45,8 @@ __all__ = [
     "logsob_gap_limit",
 ]
 
-_LOG_2PI8 = math.log(2.0) + 8.0 * math.log(math.pi)
-
 # overall Funk-Hecke constant: volume of the angular fibres over (theta, phi)
 _FH_CONST = 16.0 * math.pi ** 7 / 45.0
-
-
-# ---------------------------------------------------------------------------
-# signed log-space building blocks
-
-
-def _signed_log_gamma(x):
-    """(sign, log|Gamma(x)|); raises at the poles x = 0, -1, -2, ..."""
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at {x}")
-    return float(sp.gammasgn(x)), float(sp.gammaln(x))
-
-
-def _log_poch(a, n, shift=0):
-    """(sign, log|.|) of the rising factorial (a + shift) (a + shift + 1) ... (a + shift + n - 1).
-
-    Each factor is formed as a + (shift + i) from a itself, so a shift
-    that would round a (e.g. a - 3 for a just below 1) loses no digits.
-    Sign 0 means the product vanishes exactly (a + shift is a
-    nonpositive integer reachable within n steps).
-    """
-    a = float(a)
-    n = int(n)
-    if n < 0:
-        raise ValueError("rising factorial needs n >= 0")
-    if n == 0:
-        return 1.0, 0.0
-    if a + shift > 0.0:  # rounding keeps the sign of a + shift
-        return 1.0, float(sp.gammaln(a + (shift + n)) - sp.gammaln(a + shift))
-    # the factors i < neg are negative; factor neg is the first >= 0
-    neg = min(n, math.ceil(-a) - shift)
-    total = 0.0
-    for i in range(neg):
-        total += math.log(-(a + (shift + i)))
-    if neg < n:
-        lo = a + (shift + neg)
-        if lo == 0.0:
-            return 0.0, -math.inf
-        total += float(sp.gammaln(a + (shift + n)) - sp.gammaln(lo))
-    return (-1.0) ** neg, total
-
-
-def _signed_exp(sign, log):
-    return 0.0 if sign == 0.0 else sign * math.exp(log)
 
 
 # ---------------------------------------------------------------------------
@@ -251,52 +204,71 @@ def _check_alpha(alpha, lo=-1.0):
     return a
 
 
-def _closed_forms(j, k, a, n):
-    """The first n of eig_K1(a), eig_K2(a) and eig_K1(a - 1) on W_{j,k}, in one pass.
+# eig_K1, eig_K2 and margin_terms are sums of terms
+#   2 pi^8 Gamma(t - 2a) (a)_j (a + s)_k / (Gamma(j + t - a) Gamma(k + u - a)),
+# each a j-factor times a k-factor.  With Gamma(n + t - a) = Gamma(t - a) (t - a)_n
+# a factor is a gamma constant times the prefix product of the ratios
+# (a + (s + i)) / ((t - a) + i), i < n; a product of n such ratios rounds by
+# at most about n ulps (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, ch. 3).
 
-    Each signed log rising factorial and log-gamma is evaluated once and shared;
-    every sum keeps its formula's order, so each value is the one its formula gives alone.
+_2PI8 = 2.0 * math.pi ** 8
+# j-factors 2 pi^8 Gamma(t - 2a) (a)_n / Gamma(n + t - a), keyed by t
+_J_FACTORS = (11, 12, 13)
+# k-factors (a + s)_n / Gamma(n + u - a), keyed by (s, u)
+_K_FACTORS = ((-3, 8), (-4, 8), (-3, 9), (-4, 9))
+
+
+@functools.lru_cache(maxsize=32)
+def _factor_tables(a, size):
+    """The j- and k-factors at alpha = a for n < size, as dicts of read-only float views.
+
+    Each numerator a + (s + i) is formed from a itself, so a shift that
+    would round a (a - 3 for a just below 1) loses no digits, and a factor
+    is exactly 0 from the first numerator that is.  Every gamma argument
+    and denominator is positive for alpha in (-1, 11/2).  All seven tables
+    are one cumprod.
+    """
+    starts = [_2PI8 * math.gamma(t - 2.0 * a) / math.gamma(t - a) for t in _J_FACTORS]
+    starts += [1.0 / math.gamma(u - a) for _, u in _K_FACTORS]
+    num, den = np.array([(0, t) for t in _J_FACTORS] + list(_K_FACTORS)).T[:, :, None]
+    i = np.arange(size - 1)
+    rows = np.cumprod(np.column_stack([starts, (a + (num + i)) / ((den - a) + i)]), axis=1)
+    rows.flags.writeable = False
+    rows = [memoryview(row) for row in rows]  # an index is a Python float
+    return dict(zip(_J_FACTORS, rows)), dict(zip(_K_FACTORS, rows[len(_J_FACTORS):]))
+
+
+def _tables(j, a):
+    """_factor_tables for indices up to j, the size rounded up to a power of two >= 64:
+    a scan over j builds O(log j) tables, and a call is an index."""
+    return _factor_tables(a, 64 << (int(j) >> 6).bit_length())
+
+
+def _eig_K1(j, k, a):
+    jf, kf = _tables(j, a)
+    return jf[11][j] * kf[-3, 8][k] + 0.0  # an exact zero is +0.0 whatever the other signs
+
+
+def _eig_K2(j, k, a, lam1):
+    """eig_K2 from lam1 = eig_K1 at the same (j, k, a).
 
     eig_K2 is eig_K1 plus three gamma-ratio terms.  At j = 0 (so k = 0)
     two of them carry (a)_{-1} = 1 / (a - 1); their sum is
     -2 pi^8 (a - 4) Gamma(12 - 2a) / (Gamma(9 - a) Gamma(12 - a)), where
     that pole has cancelled, and with the first term the whole
     eigenvalue is eig_K1 (a^2 - 11a + 44) / ((8 - a)(11 - a)), a
-    positive factor evaluated without cancellation.  eig_K1 at b = a - 1
-    takes (a - 4)_k, Gamma(13 - 2a), Gamma(j + 12 - a) and Gamma(k + 9 - a)
-    from eig_K2 when b is a - 1 exactly: then each factor b + (i - 3) and
-    each gamma argument of b is the same float as a's.  b rounds only for
-    some a < 1/2 (e.g. 1/3), and is then evaluated alone.
+    positive factor evaluated without cancellation.
     """
-    s1, l1 = _log_poch(a, j)
-    s2, l2 = _log_poch(a, k, -3)
-    g11 = float(sp.gammaln(11.0 - 2.0 * a))
-    gj11 = float(sp.gammaln(j + 11.0 - a))
-    gk8 = float(sp.gammaln(k + 8.0 - a))
-    lam1 = _signed_exp(s1 * s2, _LOG_2PI8 + g11 + l1 + l2 - gj11 - gk8)
-    if n == 1:
-        return (lam1,)
-    sC, lC = _log_poch(a, k, -4)
-    g12 = float(sp.gammaln(12.0 - 2.0 * a))
-    g13 = float(sp.gammaln(13.0 - 2.0 * a))
-    gj12 = float(sp.gammaln(j + 12.0 - a))
-    gk9 = float(sp.gammaln(k + 9.0 - a))
     if j == 0:
-        lam2 = lam1 * (a * a - 11.0 * a + 44.0) / ((8.0 - a) * (11.0 - a))
-    else:
-        lam2 = lam1 - _signed_exp(s1 * sC, _LOG_2PI8 + g12 + l1 + lC - gk8 - gj12)
-        if a != 4.0:
-            s4, l4 = (1.0 if a > 4.0 else -1.0), math.log(abs(a - 4.0))
-            sp1, lp1 = _log_poch(a, j - 1)
-            lam2 -= _signed_exp(s4 * sp1 * s2, _LOG_2PI8 + g12 + l4 + lp1 + l2 - gk9 - gj11)
-            lam2 += _signed_exp(s4 * sp1 * sC, _LOG_2PI8 + g13 + l4 + lp1 + lC - gk9 - gj12)
-    if n == 2:
-        return lam1, lam2
-    b = a - 1.0
-    if math.fsum((a, -b, -1.0)) != 0.0:  # the exact a - b - 1: nonzero where a - 1 rounds
-        return lam1, lam2, _closed_forms(j, k, b, 1)[0]
-    sb, lb = _log_poch(b, j)
-    return lam1, lam2, _signed_exp(sb * sC, _LOG_2PI8 + g13 + lb + lC - gj12 - gk9)
+        return lam1 * (a * a - 11.0 * a + 44.0) / ((8.0 - a) * (11.0 - a))
+    jf, kf = _tables(j, a)
+    return (
+        lam1
+        - jf[12][j] * kf[-4, 8][k]
+        - (a - 4.0) * jf[12][j - 1] * kf[-3, 9][k]
+        + (a - 4.0) * jf[13][j - 1] * kf[-4, 9][k]
+    )
 
 
 def eig_K1(j, k, alpha):
@@ -305,7 +277,8 @@ def eig_K1(j, k, alpha):
     2 pi^8 Gamma(11 - 2a) (a)_j (a - 3)_k / (Gamma(j + 11 - a) Gamma(k + 8 - a)),
     the rising factorials supplying the vanishing limits at a in {0, 1, 2, 3}.
     """
-    return _closed_forms(*_check_index(j, k), _check_alpha(alpha), 1)[0]
+    j, k = _check_index(j, k)
+    return _eig_K1(j, k, _check_alpha(alpha))
 
 
 def eig_K2(j, k, alpha):
@@ -313,9 +286,11 @@ def eig_K2(j, k, alpha):
 
     Evaluated by a four-term gamma-ratio decomposition valid across the
     integer limit points; at j = 0 the terms are summed in closed form,
-    which removes the apparent pole at alpha = 1 (see _closed_forms).
+    which removes the apparent pole at alpha = 1 (see _eig_K2).
     """
-    return _closed_forms(*_check_index(j, k), _check_alpha(alpha), 2)[1]
+    j, k = _check_index(j, k)
+    a = _check_alpha(alpha)
+    return _eig_K2(j, k, a, _eig_K1(j, k, a))
 
 
 def eig_K1_ratio(j, k, alpha):
@@ -344,14 +319,23 @@ def margin_terms(j, k, alpha):
     At alpha = 3 every term is finite as evaluated by the limit-aware
     eigenvalue routines, so no rescaling is applied.
     """
+    j, k = _check_index(j, k)
     a = _check_alpha(alpha, lo=0.0)
-    lam1, lam2, lam1_prev = _closed_forms(*_check_index(j, k), a, 3)
-    return lam1, lam2, -lam1_prev, -(2.0 * a / (11.0 - a)) * lam1
+    lam1 = _eig_K1(j, k, a)
+    return lam1, _eig_K2(j, k, a, lam1), -_eig_K1(j, k, a - 1.0), -(2.0 * a / (11.0 - a)) * lam1
 
 
 def bilinear_margin(j, k, alpha):
     """The left-to-right sum of margin_terms; nonnegative on 3 <= alpha < 11/2."""
     return sum(margin_terms(j, k, alpha))
+
+
+def _signed_log_gamma(x):
+    """(sign, log|Gamma(x)|); raises at the poles x = 0, -1, -2, ..."""
+    x = float(x)
+    if x <= 0.0 and x == math.floor(x):
+        raise ValueError(f"gamma pole at {x}")
+    return (-1.0 if x < 0.0 and math.floor(x) % 2 else 1.0), math.lgamma(x)
 
 
 def intertwining_spectrum(d, j, k):
@@ -373,7 +357,7 @@ def intertwining_spectrum(d, j, k):
         si, li = _signed_log_gamma(x)
         s *= si
         log += sgn * li
-    return _signed_exp(s, log)
+    return s * math.exp(log)
 
 
 def c_d(d):
@@ -393,29 +377,27 @@ def c_d(d):
         + l2
         - ((Q - d) / 2.0 + 1.0) * math.log(2.0)
         - 8.0 * math.log(math.pi)
-        - sp.gammaln(d / 2.0)
+        - math.lgamma(d / 2.0)
     )
-    return _signed_exp(s1 * s2, float(log))
+    return s1 * s2 * math.exp(log)
 
 
 # Log-Sobolev gap constant, from the residue of Gamma(11 - 2 alpha) at
 # alpha = 11/2 in the K1 eigenvalue family (including the 2^(Q/2) kernel
 # normalization).
-_C0_LOGSOB = 2.0 ** (Q // 2 + 1) * math.pi ** 8 / (sp.gamma(5.5) * sp.gamma(2.5))
+_C0_LOGSOB = 2.0 ** (Q // 2 + 1) * math.pi ** 8 / (math.gamma(5.5) * math.gamma(2.5))
 
 
 def logsob_gap(j, k):
     """Spectral gap of the endpoint kernel d_S^(-Q) on W_{j,k}.
 
-    C0 [psi(j + Q/4) + psi(k + Q/4 - 3) - psi(Q/4) - psi(Q/4 - 3)];
+    C0 [psi(j + Q/4) + psi(k + Q/4 - 3) - psi(Q/4) - psi(Q/4 - 3)], the
+    digamma differences summed as sum_{i<j} 1/(Q/4 + i) + sum_{i<k} 1/(Q/4 - 3 + i);
     zero at (0,0) and strictly increasing in each index.
     """
     j, k = _check_index(j, k)
-    return _C0_LOGSOB * float(
-        sp.digamma(j + Q / 4.0)
-        + sp.digamma(k + Q / 4.0 - 3.0)
-        - sp.digamma(Q / 4.0)
-        - sp.digamma(Q / 4.0 - 3.0)
+    return _C0_LOGSOB * math.fsum(
+        [1.0 / (Q / 4.0 + i) for i in range(j)] + [1.0 / (Q / 4.0 - 3.0 + i) for i in range(k)]
     )
 
 

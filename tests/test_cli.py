@@ -3,15 +3,19 @@
 import csv
 import io
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
 from octhls import cli, constants, spectra
 
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _readme_command_lines():
@@ -286,3 +290,13 @@ def test_stray_flag_exits_two(capsys, command, flag):
     out = capsys.readouterr()
     assert out.out == ""
     assert "unrecognized arguments" in out.err
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it would add about 0.3 s to every octhls command
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import octhls.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

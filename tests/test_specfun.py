@@ -1,12 +1,74 @@
 """Special functions: Gegenbauer/Jacobi recurrences, zonal harmonics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
 from octhls import specfun as sf
+
+# ---------------------------------------------------------------------------
+# the sine-sum form of the zonal harmonics: an independent second form, the
+# oracle for sf.zonal below
+
+# seam between direct evaluation of the sine-sum form and its Taylor fallback;
+# below the seam the sin^5 quotient cancels catastrophically, so the seam sits
+# where both branches are accurate (direct ~1e-11, Taylor converged for the
+# frequencies m+5 <= ~45 exercised by the cross-checks)
+_PHI_SMALL = 5e-2
+
+
+def _sine_sum_coeffs(m):
+    """Exact coefficients c_r of the bracket sum_r c_r sin(n_r phi), n_r = m+1, m+3, m+5."""
+    c1 = Fraction(1, 4 * (m + 3)) - Fraction(1, 2 * (m + 2)) + Fraction(1, 4 * (m + 1))
+    c3 = Fraction(1, m + 3) - Fraction(1, 2 * (m + 2)) - Fraction(1, 2 * (m + 4))
+    c5 = Fraction(1, 4 * (m + 3)) - Fraction(1, 2 * (m + 4)) + Fraction(1, 4 * (m + 5))
+    return {m + 1: c1, m + 3: c3, m + 5: c5}
+
+
+def _sine_sum_moments(m, imax=9):
+    """Exact odd moments M_i = sum_r c_r n_r^(2i+1); M_0 = M_1 = 0 identically."""
+    coeffs = _sine_sum_coeffs(m)
+    return [sum(c * Fraction(n) ** (2 * i + 1) for n, c in coeffs.items()) for i in range(imax + 1)]
+
+
+def _sine_ratio(m, phi):
+    """The quotient [bracket]/sin^5(phi), with a Taylor fallback near phi = 0."""
+    phi = np.asarray(phi, dtype=float)
+    out = np.empty_like(phi)
+    small = np.abs(phi) < _PHI_SMALL
+    if np.any(~small):
+        p = phi[~small]
+        s = np.zeros_like(p)
+        for n, c in _sine_sum_coeffs(m).items():
+            s += float(c) * np.sin(n * p)
+        out[~small] = s / np.sin(p) ** 5
+    if np.any(small):
+        p = phi[small]
+        moments = _sine_sum_moments(m)
+        num = np.zeros_like(p)
+        for i in range(2, len(moments)):
+            num += (-1.0) ** i * float(moments[i]) / math.factorial(2 * i + 1) * p ** (2 * i + 1)
+        sin5 = np.where(p == 0.0, 1.0, np.sin(np.where(p == 0.0, 1.0, p)) ** 5)
+        ratio = np.where(p == 0.0, float(moments[2]) / math.factorial(5), num / sin5)
+        out[small] = ratio
+    return out
+
+
+def zonal_sine_form(j, k, theta, phi):
+    """The sine-sum form of the zonal harmonic, calibrated to match sf.zonal.
+
+    The overall constant is fixed once by matching the hypergeometric
+    product form at theta = phi = 0.
+    """
+    m = j - k
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    # at phi = 0 the ratio tends to M_2/5!, so kappa * ratio(0) = 1
+    kappa = math.factorial(5) / float(_sine_sum_moments(m)[2])
+    return kappa * _sine_ratio(m, phi) * np.cos(theta) ** m * sf.jacobi33(k, m, np.cos(2.0 * theta))[k]
 
 
 def test_bispherical_index_validation():
@@ -85,7 +147,7 @@ def test_zonal_sine_form_matches_product_form():
     phis = rng.uniform(0.0, math.pi, 40)
     for j, k in ((0, 0), (2, 0), (3, 1), (6, 2)):
         a = sf.zonal(j, k, thetas, phis)
-        b = sf.zonal_sine_form(j, k, thetas, phis)
+        b = zonal_sine_form(j, k, thetas, phis)
         assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -94,14 +156,14 @@ def test_zonal_sine_form_small_phi_branch():
     phis = np.array([0.0, 1e-7, 1e-3, 0.049, 0.051, 0.2])
     for j, k in ((3, 1), (5, 2)):
         a = sf.zonal(j, k, 0.7, phis)
-        b = sf.zonal_sine_form(j, k, 0.7, phis)
+        b = zonal_sine_form(j, k, 0.7, phis)
         assert np.max(np.abs(a - b)) < 1e-9
 
 
 def test_sine_sum_moments_vanish():
     # M_0 = M_1 = 0: the bracket starts at the sin^5 order
     for m in range(0, 8):
-        moments = sf._sine_sum_moments(m)
+        moments = _sine_sum_moments(m)
         assert moments[0] == 0
         assert moments[1] == 0
         assert moments[2] != 0

@@ -42,6 +42,21 @@ def test_eig_K2_values():
     assert abs(spectra.eig_K2(2, 1, 3.5) - 0.22177794905922618) < 1e-12
 
 
+def test_exact_zeros_are_positive_zero():
+    # the rising factorials vanish exactly at the integer limit points; the
+    # value is +0.0 (never -0.0 from the signs of the other factors), so
+    # eigs prints 0.0
+    zeros = 0
+    for alpha in (0.0, 1.0, 2.0, 3.0):
+        for j in range(8):
+            for k in range(j + 1):
+                for v in (spectra.eig_K1(j, k, alpha), spectra.eig_K2(j, k, alpha)):
+                    if v == 0.0:
+                        zeros += 1
+                        assert math.copysign(1.0, v) == 1.0, (j, k, alpha)
+    assert zeros > 0
+
+
 def test_eig_K2_removable_singularity():
     # the value at alpha = 1 must agree with the mean of nearby evaluations
     v = spectra.eig_K2(1, 1, 1.0)
@@ -76,9 +91,27 @@ def test_eig_K2_exact_at_alpha_one_pole():
 
 
 # j rows of the 40-digit comparison and their bounds: the worst relative errors
-# measured on this grid are 4.9e-13 (j <= 200), 2.5e-12 (j = 1000) and 4.6e-11
-# (j = 10^4), the log-gamma sums growing like j log j
-_REFERENCE_ROWS = (((0, 1, 2, 3, 4, 5, 10, 50, 200), 1e-12), ((1000,), 5e-12), ((10_000,), 1e-10))
+# measured on the integer-limit grid are 9.7e-15 (j <= 200), 7.0e-14 (j = 1000)
+# and 1.5e-12 (j = 10^4), the prefix products rounding by about j ulps
+_REFERENCE_ROWS = (((0, 1, 2, 3, 4, 5, 10, 25, 36, 50, 200), 1e-12), ((1000,), 5e-12), ((10_000,), 1e-10))
+
+
+def _check_reference(alpha, k2_scale):
+    """eig_K1 and eig_K2 against 40 digits on _REFERENCE_ROWS; eig_K2 relative to
+    |lambda_K1| + |lambda_K2| when k2_scale, else to |lambda_K2|."""
+    ref = _mpmath_reference()
+    for js, bound in _REFERENCE_ROWS:
+        for j in js:
+            for k in sorted({0, 1, 2, 3, 4, 5, j // 2, j} & set(range(j + 1))):
+                e1 = ref.eig_K1(j, k, alpha)
+                v1 = spectra.eig_K1(j, k, alpha)
+                assert abs(v1 - e1) <= bound * abs(e1), ("eig_K1", j, k, alpha, v1, e1)
+                if (j, alpha) == (0, 1.0):
+                    continue  # the reference divides by alpha - 1: see the test above
+                e2 = ref.eig_K2(j, k, alpha)
+                v2 = spectra.eig_K2(j, k, alpha)
+                scale = abs(e1) + abs(e2) if k2_scale else abs(e2)
+                assert abs(v2 - e2) <= bound * scale, ("eig_K2", j, k, alpha, v2, e2)
 
 
 @pytest.mark.parametrize("alpha", [
@@ -88,15 +121,16 @@ _REFERENCE_ROWS = (((0, 1, 2, 3, 4, 5, 10, 50, 200), 1e-12), ((1000,), 5e-12), (
 ])
 def test_closed_forms_match_40_digit_reference(alpha):
     # the integer limit points of the rising factorials, just off them, and j up to 10^4
-    ref = _mpmath_reference()
-    for js, bound in _REFERENCE_ROWS:
-        for j in js:
-            for k in sorted({0, 1, 2, 3, 4, 5, j // 2, j} & set(range(j + 1))):
-                for ours, exact in ((spectra.eig_K1, ref.eig_K1), (spectra.eig_K2, ref.eig_K2)):
-                    if ours is spectra.eig_K2 and (j, alpha) == (0, 1.0):
-                        continue  # the reference divides by alpha - 1: see the test above
-                    v, e = ours(j, k, alpha), exact(j, k, alpha)
-                    assert abs(v - e) <= bound * abs(e), (ours.__name__, j, k, alpha, v, e)
+    _check_reference(alpha, k2_scale=False)
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.1, 1.0 / 3.0, 0.5, 0.75])
+def test_closed_forms_below_alpha_one_match_40_digit_reference(alpha):
+    # below alpha = 1 the four terms of eig_K2 cancel (at alpha = -0.5, eig_K2(25, 3)
+    # is 6.1e-18 against eig_K1 4.8e-13), so eig_K2 is judged against
+    # |lambda_K1| + |lambda_K2|; the worst measured is 3.0e-14 of that (alpha = 0.1,
+    # cell (1, 0)).  alpha = 0 is left out: the exact eig_K2(1, 0, 0) is 0
+    _check_reference(alpha, k2_scale=True)
 
 
 def test_alpha_domain_errors():
@@ -321,6 +355,21 @@ def test_logsob_gap_matches_numerical_limit():
         gap = spectra.logsob_gap(j, k)
         lim = spectra.logsob_gap_limit(j, k)
         assert abs(gap - lim) / gap < 1e-6
+
+
+def test_logsob_gap_matches_mpmath_digamma():
+    # C0 [psi(j + Q/4) + psi(k + Q/4 - 3) - psi(Q/4) - psi(Q/4 - 3)] at 40 digits
+    mp = _mpmath_reference().mp
+    idx = (1, 10, 200, 10_000)
+    with mp.workdps(40):
+        q4 = mp.mpf(Q) / 4
+        c0 = mp.mpf(2) ** (Q // 2 + 1) * mp.pi ** 8 / (mp.gamma(q4) * mp.gamma(q4 - 3))
+        for j in idx:
+            for k in (k for k in idx if k <= j):
+                psi = mp.digamma(j + q4) + mp.digamma(k + q4 - 3) - mp.digamma(q4) - mp.digamma(q4 - 3)
+                exact = c0 * psi
+                gap = spectra.logsob_gap(j, k)
+                assert abs(gap - exact) <= 1e-12 * exact, (j, k, gap, exact)
 
 
 def test_logsob_gap_monotone():
