@@ -227,13 +227,20 @@ def _factor_tables(a, size):
     would round a (a - 3 for a just below 1) loses no digits, and a factor
     is exactly 0 from the first numerator that is.  Every gamma argument
     and denominator is positive for alpha in (-1, 11/2).  All seven tables
-    are one cumprod.
+    are one in-place cumprod.
     """
     starts = [_2PI8 * math.gamma(t - 2.0 * a) / math.gamma(t - a) for t in _J_FACTORS]
     starts += [1.0 / math.gamma(u - a) for _, u in _K_FACTORS]
-    num, den = np.array([(0, t) for t in _J_FACTORS] + list(_K_FACTORS)).T[:, :, None]
-    i = np.arange(size - 1)
-    rows = np.cumprod(np.column_stack([starts, (a + (num + i)) / ((den - a) + i)]), axis=1)
+    # one (7, size) array holds the starts, then the ratios row by row, then the products
+    rows = np.empty((len(starts), size))
+    rows[:, 0] = starts
+    i = np.arange(size - 1.0)
+    den = np.empty(size - 1)
+    for row, (s, t) in zip(rows, [(0, t) for t in _J_FACTORS] + list(_K_FACTORS)):
+        num = np.add(i, s, out=row[1:])
+        num += a
+        num /= np.add(i, t - a, out=den)
+    np.cumprod(rows, axis=1, out=rows)
     rows.flags.writeable = False
     rows = [memoryview(row) for row in rows]  # an index is a Python float
     return dict(zip(_J_FACTORS, rows)), dict(zip(_K_FACTORS, rows[len(_J_FACTORS):]))

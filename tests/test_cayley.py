@@ -156,6 +156,22 @@ def test_scalar_views_are_kernel_rows():
         cy.cayley_inv_arrays(v)
 
 
+def test_one_row_calls_are_batch_rows():
+    # a one-row group product or sphere distance is exactly that row of a batch,
+    # the poles included
+    rng = np.random.default_rng(15)
+    z1, t1 = rand_zt(rng, 50)
+    z2, t2 = rand_zt(rng, 50)
+    zb, tb = ng.gmul_zt(z1, t1, z2, t2)
+    u = np.vstack([cy.cayley_zt(*rand_zt(rng, 48)), cy.NORTH_POLE, cy.SOUTH_POLE])
+    w = u[::-1]
+    db = cy.sdist_arrays(u, w)
+    for i in range(50):
+        z, t = ng.gmul_zt(z1[i], t1[i], z2[i], t2[i])
+        assert np.array_equal(z, zb[i]) and np.array_equal(t, tb[i])
+        assert cy.sdist_arrays(u[i], w[i]) == db[i]
+
+
 def test_triangle_ratio_recorded_not_asserted():
     # descriptive: record the worst triangle ratio without asserting a bound
     rng = np.random.default_rng(9)

@@ -103,11 +103,19 @@ def test_mul_matches_table_contraction():
     # block boundaries: 2 blocks and one row, a length-1 leading axis against
     # many blocks, blocks of broadcast pairs and of triples, and one row
     n = 2 * oc._BLOCK + 1
+    # layouts across 2 blocks and one row: the strided column views of an
+    # (n, 16) array that the Cayley kernels pass, a Fortran-ordered batch,
+    # an integer batch; and an empty batch, whose product has shape (0, 8)
+    v = np.hstack([x[:n], y[:n]])
+    ints = np.random.default_rng(17).integers(-9, 10, (2, n, 8))
     cases = (
         (x, y), (x[0], y), (x, y[0]), (x[0], y[0]), (x[:5, None], y[None, :7]),
         (x[:n], y[:n]), (x[:1], y),
         (x[:n, None], y[None, :3]), (x[:3 * n].reshape(n, 3, 8), y[:3]),
         (x[:1], y[:1]),
+        (v[:, 8:], v[::-1, :8]), (v[::-1, :8], v[:, 8:]),
+        (np.asfortranarray(x[:n]), y[:n]), (x[:n], np.asfortranarray(y[:n])),
+        (ints[0], ints[1]), (ints[0], y[:n]), (x[:0], y[:0]),
     )
     for a, b in cases:
         assert np.array_equal(oc.mul(a, b), contraction(a, b))
