@@ -192,10 +192,20 @@ def project_bispherical(f, jmax=40):
     return _project(_grid_values(f), jmax)
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_basis(jmax):
+    """_basis on the quadrature grid, built once per jmax and shared read-only."""
+    theta, _, phi, _ = _grid()
+    pairs, m, T, C = _basis(jmax, theta, phi)
+    for arr in (m, T, C):
+        arr.flags.writeable = False
+    return tuple(pairs), m, T, C
+
+
 def _project(F, jmax):
     """The projection of grid values F (see _grid_values)."""
-    theta, wt, phi, wp = _grid()
-    pairs, m, T, C = _basis(jmax, theta, phi)
+    _, wt, _, wp = _grid()
+    pairs, m, T, C = _grid_basis(jmax)
     G = (F * wp[None, :]) @ C.T  # G[i, m] = sum_q wp[q] F[i, q] c_m(phi_q)
     inner = np.einsum("pi,i,ip->p", T, wt, G[:, m])
     zn2 = np.einsum("pi,pi,i->p", T, T, wt) * ((C * C) @ wp)[m]

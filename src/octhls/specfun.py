@@ -28,34 +28,46 @@ def _check_index(j, k):
 
 def _recurrence_rows(n, x, p1, step):
     """Rows 0..n of the three-term recurrence p_i = (a_i x + b_i) p_{i-1} + c_i p_{i-2},
-    started from p_0 = 1 and the given p_1; x is a float ndarray."""
-    n = int(n)
-    rows = np.empty((n + 1, *x.shape))
-    rows[0] = 1.0
+    started from p_0 = 1 and the given p_1 and yielded in turn; x is a float ndarray.
+    Only the last two rows are kept."""
+    prev, row = None, np.ones(x.shape)
+    yield row
     if n >= 1:
-        rows[1] = p1
-    for i in range(2, n + 1):
+        prev, row = row, p1
+        yield row
+    for i in range(2, int(n) + 1):
         a, b, c = step(i)
-        rows[i] = (a * x + b) * rows[i - 1] + c * rows[i - 2]
-    return rows
+        prev, row = row, (a * x + b) * row + c * prev
+        yield row
 
 
-def _scaled(rows, scale):
-    """Every row i multiplied by scale(i), in place."""
-    n = len(rows)
-    rows *= np.array([scale(i) for i in range(n)]).reshape((n,) + (1,) * (rows.ndim - 1))
-    return rows
+def _stacked(n, x, rows, scale):
+    """Rows 0..n, row i multiplied by scale(i), as one (n + 1, *x.shape) array."""
+    out = np.empty((int(n) + 1, *np.shape(x)))
+    for i, row in enumerate(rows):
+        out[i] = row
+    out *= np.array([scale(i) for i in range(len(out))]).reshape((len(out),) + (1,) * np.ndim(x))
+    return out
+
+
+def _top_row(rows, scale):
+    """The last row n, multiplied by scale(n); the rows below are dropped as they go."""
+    for n, row in enumerate(rows):
+        pass
+    return row * scale(n)
 
 
 def _gegenbauer3_rows(n, x):
-    """Rows 0..n of C_i^(3)(x) and the scale 5! i! / (i+5)! taking row i to 1 at x = 1."""
+    """Rows 0..n of C_i^(3)(x), yielded in turn, and the scale 5! i! / (i+5)! taking
+    row i to 1 at x = 1."""
     x = np.asarray(x, dtype=float)
     rows = _recurrence_rows(n, x, 6.0 * x, lambda i: (2.0 * (i + 2.0) / i, 0.0, -(i + 4.0) / i))
     return rows, lambda i: 120.0 / ((i + 1) * (i + 2) * (i + 3) * (i + 4) * (i + 5))
 
 
 def _jacobi33_rows(k, m, x):
-    """Rows 0..k of P_i^(3, 3+m)(x) and the scale 3! i! / (i+3)! taking row i to 1 at x = 1."""
+    """Rows 0..k of P_i^(3, 3+m)(x), yielded in turn, and the scale 3! i! / (i+3)! taking
+    row i to 1 at x = 1."""
     if m < 0:
         raise ValueError("weight offset m must be nonnegative")
     a, b = 3.0, 3.0 + m
@@ -75,18 +87,13 @@ def _jacobi33_rows(k, m, x):
 def gegenbauer3(n, x):
     """Rows 0..n of (5! i! / (i+5)!) C_i^(3)(x), each equal to 1 at x = 1;
     shape (n + 1, *x.shape)."""
-    return _scaled(*_gegenbauer3_rows(n, x))
+    return _stacked(n, x, *_gegenbauer3_rows(n, x))
 
 
 def jacobi33(k, m, x):
     """Rows 0..k of (3! i! / (i+3)!) P_i^(3, 3+m)(x), each equal to 1 at x = 1;
     shape (k + 1, *x.shape)."""
-    return _scaled(*_jacobi33_rows(k, m, x))
-
-
-def _top_row(rows, scale):
-    """Row n of rows 0..n multiplied by scale(n); the rows below are left unscaled."""
-    return rows[-1] * scale(len(rows) - 1)
+    return _stacked(k, x, *_jacobi33_rows(k, m, x))
 
 
 # ---------------------------------------------------------------------------

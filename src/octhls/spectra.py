@@ -213,15 +213,16 @@ def _check_alpha(alpha, lo=-1.0):
 # Algorithms, 2002, ch. 3).
 
 _2PI8 = 2.0 * math.pi ** 8
-# j-factors 2 pi^8 Gamma(t - 2a) (a)_n / Gamma(n + t - a), keyed by t
+# j-factors 2 pi^8 Gamma(t - 2a) (a)_n / Gamma(n + t - a), for t = 11, 12, 13
 _J_FACTORS = (11, 12, 13)
-# k-factors (a + s)_n / Gamma(n + u - a), keyed by (s, u)
+# k-factors (a + s)_n / Gamma(n + u - a), for (s, u) = (-3, 8), (-4, 8), (-3, 9), (-4, 9)
 _K_FACTORS = ((-3, 8), (-4, 8), (-3, 9), (-4, 9))
 
 
 @functools.lru_cache(maxsize=32)
 def _factor_tables(a, size):
-    """The j- and k-factors at alpha = a for n < size, as dicts of read-only float views.
+    """The j- and k-factors at alpha = a for n < size: seven read-only float views,
+    the j-factors in _J_FACTORS order, then the k-factors in _K_FACTORS order.
 
     Each numerator a + (s + i) is formed from a itself, so a shift that
     would round a (a - 3 for a just below 1) loses no digits, and a factor
@@ -242,23 +243,23 @@ def _factor_tables(a, size):
         num /= np.add(i, t - a, out=den)
     np.cumprod(rows, axis=1, out=rows)
     rows.flags.writeable = False
-    rows = [memoryview(row) for row in rows]  # an index is a Python float
-    return dict(zip(_J_FACTORS, rows)), dict(zip(_K_FACTORS, rows[len(_J_FACTORS):]))
+    return tuple(memoryview(row) for row in rows)  # an index is a Python float
 
 
-def _tables(j, a):
-    """_factor_tables for indices up to j, the size rounded up to a power of two >= 64:
-    a scan over j builds O(log j) tables, and a call is an index."""
-    return _factor_tables(a, 64 << (int(j) >> 6).bit_length())
+def _size(j):
+    """The _factor_tables size for indices up to j: a power of two >= 64, so a
+    scan over j builds O(log j) tables, and a call is an index."""
+    return 64 << (int(j) >> 6).bit_length()
 
 
-def _eig_K1(j, k, a):
-    jf, kf = _tables(j, a)
-    return jf[11][j] * kf[-3, 8][k] + 0.0  # an exact zero is +0.0 whatever the other signs
+def _eig_K1(j, k, rows):
+    """eig_K1 from the _factor_tables rows of its exponent: the t = 11 j-factor
+    times the (s, u) = (-3, 8) k-factor."""
+    return rows[0][j] * rows[3][k] + 0.0  # an exact zero is +0.0 whatever the other signs
 
 
-def _eig_K2(j, k, a, lam1):
-    """eig_K2 from lam1 = eig_K1 at the same (j, k, a).
+def _eig_K2(j, k, a, lam1, rows):
+    """eig_K2 from lam1 = eig_K1 at the same (j, k, a) and the _factor_tables rows at a.
 
     eig_K2 is eig_K1 plus three gamma-ratio terms.  At j = 0 (so k = 0)
     two of them carry (a)_{-1} = 1 / (a - 1); their sum is
@@ -269,12 +270,12 @@ def _eig_K2(j, k, a, lam1):
     """
     if j == 0:
         return lam1 * (a * a - 11.0 * a + 44.0) / ((8.0 - a) * (11.0 - a))
-    jf, kf = _tables(j, a)
+    _, j12, j13, _, k48, k39, k49 = rows
     return (
         lam1
-        - jf[12][j] * kf[-4, 8][k]
-        - (a - 4.0) * jf[12][j - 1] * kf[-3, 9][k]
-        + (a - 4.0) * jf[13][j - 1] * kf[-4, 9][k]
+        - j12[j] * k48[k]
+        - (a - 4.0) * j12[j - 1] * k39[k]
+        + (a - 4.0) * j13[j - 1] * k49[k]
     )
 
 
@@ -285,7 +286,7 @@ def eig_K1(j, k, alpha):
     the rising factorials supplying the vanishing limits at a in {0, 1, 2, 3}.
     """
     j, k = _check_index(j, k)
-    return _eig_K1(j, k, _check_alpha(alpha))
+    return _eig_K1(j, k, _factor_tables(_check_alpha(alpha), _size(j)))
 
 
 def eig_K2(j, k, alpha):
@@ -297,7 +298,8 @@ def eig_K2(j, k, alpha):
     """
     j, k = _check_index(j, k)
     a = _check_alpha(alpha)
-    return _eig_K2(j, k, a, _eig_K1(j, k, a))
+    rows = _factor_tables(a, _size(j))
+    return _eig_K2(j, k, a, _eig_K1(j, k, rows), rows)
 
 
 def eig_K1_ratio(j, k, alpha):
@@ -324,12 +326,22 @@ def margin_terms(j, k, alpha):
 
     Any alpha in (0, 11/2) is accepted for exploration (so alpha - 1 > -1).
     At alpha = 3 every term is finite as evaluated by the limit-aware
-    eigenvalue routines, so no rescaling is applied.
+    eigenvalue routines, so no rescaling is applied.  A call reads one
+    table set at alpha and one at alpha - 1.
     """
     j, k = _check_index(j, k)
     a = _check_alpha(alpha, lo=0.0)
-    lam1 = _eig_K1(j, k, a)
-    return lam1, _eig_K2(j, k, a, lam1), -_eig_K1(j, k, a - 1.0), -(2.0 * a / (11.0 - a)) * lam1
+    size = _size(j)
+    rows = _factor_tables(a, size)
+    below = _factor_tables(a - 1.0, size)
+    # the two _eig_K1 products written out: a margin scan makes one call per cell
+    lam1 = rows[0][j] * rows[3][k] + 0.0
+    return (
+        lam1,
+        _eig_K2(j, k, a, lam1, rows),
+        -(below[0][j] * below[3][k] + 0.0),
+        -(2.0 * a / (11.0 - a)) * lam1,
+    )
 
 
 def bilinear_margin(j, k, alpha):

@@ -113,6 +113,23 @@ def test_each_input_evaluated_once(monkeypatch):
     assert calls == [(200, 200)] * (1 + len(pullbacks))
 
 
+def test_projection_basis_built_once_per_jmax():
+    fn._grid_basis.cache_clear()
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=16.0))
+    for _ in range(6):
+        fn.hls_quotient(h, 16.0, jmax=40)
+    assert fn._grid_basis.cache_info().misses == 1
+    # another jmax in between leaves the jmax = 40 projection unchanged
+    F = fn._grid_values(h)
+    first, small, again = (fn._project(F, jmax) for jmax in (40, 4, 40))
+    assert again == first
+    assert small.coeffs.keys() == {(j, k) for j in range(5) for k in range(j + 1)}
+    _, _, T, C = fn._grid_basis(40)
+    for arr in (T, C):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
 def test_parseval():
     params = fn.ExtremizerParams(xi=0.2 * fn.NORTH_AXIS, lam=16.0)
     h = fn.extremizer_profile(params)

@@ -272,8 +272,9 @@ def test_margin_is_its_defining_combination():
     # the log terms shared within one pass must not change a single bit of any
     # term; a - 1 rounds at 0.1 and 1/3, and at 1/3 (not 0.1) the alpha - 1
     # arguments then differ from those of alpha
+    # j = 63 | 64, 127 | 128 straddle the table sizes; 1000 reads a 1024-entry table
     for alpha in (0.1, 1.0 / 3.0, 0.5, 1.0, 2.5, 3.0, 3.5, 4.0, 5.2, 5.499):
-        for j in (*range(6), 50, 199, 200):
+        for j in (*range(6), 50, 63, 64, 65, 127, 128, 199, 200, 1000):
             for k in range(j + 1):
                 lam1 = spectra.eig_K1(j, k, alpha)
                 terms = (
@@ -282,12 +283,42 @@ def test_margin_is_its_defining_combination():
                     -spectra.eig_K1(j, k, alpha - 1.0),
                     -(2.0 * alpha / (11.0 - alpha)) * lam1,
                 )
-                assert spectra.margin_terms(j, k, alpha) == terms, (j, k, alpha)
+                got = spectra.margin_terms(j, k, alpha)
+                assert got == terms, (j, k, alpha)
+                # == takes -0.0 for 0.0; the signs of zero must match too
+                assert [math.copysign(1.0, t) for t in got] == [
+                    math.copysign(1.0, t) for t in terms
+                ], (j, k, alpha)
                 assert spectra.bilinear_margin(j, k, alpha) == sum(terms), (j, k, alpha)
 
 
 def test_margin_violation_below_three():
     assert spectra.bilinear_margin(2, 2, 2.5) < -1e-3
+
+
+@pytest.mark.parametrize("fn", [spectra.margin_terms, spectra.bilinear_margin])
+def test_margin_validates_its_arguments(fn):
+    for j, k in ((2, 3), (3, -1), (0, -1)):
+        with pytest.raises(ValueError):
+            fn(j, k, 4.0)
+    for alpha in (0.0, -0.5, 5.5, 6.0, math.nan):
+        with pytest.raises(ValueError):
+            fn(3, 1, alpha)
+    for j, k in ((0, 0), (64, 7), (150, 70)):
+        want = fn(j, k, 4.0)
+        got = fn(np.int64(j), np.int64(k), 4.0)
+        assert got == want and type(got) is type(want), (j, k)
+        assert all(type(t) is float for t in (got if isinstance(got, tuple) else (got,)))
+
+
+def test_margin_scan_builds_two_table_sets_per_size():
+    # a j <= 200 scan reads sizes 64, 128 and 256 at alpha and at alpha - 1, once each
+    spectra._factor_tables.cache_clear()
+    for _ in range(2):
+        for j in range(201):
+            for k in range(j + 1):
+                spectra.bilinear_margin(j, k, 4.0)
+    assert spectra._factor_tables.cache_info().misses == 6
 
 
 # ---------------------------------------------------------------------------
