@@ -5,7 +5,8 @@ The multiplication convention is fixed by applying the doubling rule
     (a, b) (c, d) = (a c - conj(d) b,  d a + b conj(c))
 
 twice, starting from the complex numbers.  The resulting signed basis
-table is built once at import time; see ``basis_table_text()`` for a
+table is built once at import time, one broadcast doubling pass over
+all 64 basis pairs; see ``basis_table_text()`` for a
 human-readable dump of the e_i * e_j sign table.
 
 All functions accept plain ndarrays whose last axis has length 8, so
@@ -37,34 +38,33 @@ __all__ = [
 
 
 def _cd_mul(x, y):
-    """Cayley-Dickson product of two coefficient vectors of length 2^m."""
-    n = len(x)
+    """Cayley-Dickson products of stacks of coefficient vectors of length 2^m
+    (the last axis); the leading axes broadcast."""
+    n = x.shape[-1]
     if n == 1:
-        return np.array([x[0] * y[0]])
+        return x * y
     h = n // 2
-    a, b = x[:h], x[h:]
-    c, d = y[:h], y[h:]
+    a, b = x[..., :h], x[..., h:]
+    c, d = y[..., :h], y[..., h:]
     return np.concatenate(
         [
             _cd_mul(a, c) - _cd_mul(_cd_conj(d), b),
             _cd_mul(d, a) + _cd_mul(b, _cd_conj(c)),
-        ]
+        ],
+        axis=-1,
     )
 
 
 def _cd_conj(x):
-    out = -np.asarray(x, dtype=float).copy()
-    out[0] = -out[0]
+    out = -x
+    out[..., 0] = x[..., 0]
     return out
 
 
 def _build_table():
-    table = np.zeros((8, 8, 8))
+    """One doubling pass over all 64 basis pairs: row i of the left stack against row j of the right."""
     eye = np.eye(8)
-    for i in range(8):
-        for j in range(8):
-            table[i, j] = _cd_mul(eye[i], eye[j])
-    return table
+    return _cd_mul(eye[:, None], eye[None, :])
 
 
 #: MULT_TABLE[i, j, k] is the e_k coefficient of e_i * e_j (entries in {-1, 0, 1}).

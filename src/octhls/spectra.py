@@ -38,6 +38,7 @@ __all__ = [
     "eig_K2",
     "eig_K1_ratio",
     "margin_terms",
+    "margin_table",
     "bilinear_margin",
     "intertwining_spectrum",
     "c_d",
@@ -143,7 +144,7 @@ def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
     ks = np.array([k for _, k in pairs])
     ms = np.array([j - k for j, k in pairs])
     mmax = int(ms.max())
-    by_m = [(m, np.flatnonzero(ms == m)) for m in np.unique(ms)]
+    by_m = [(m, np.flatnonzero(ms == m)) for m in sorted(set(ms.tolist()))]
     totals = np.zeros(len(pairs))
     ref_total, prev, rho_prev = 0.0, 0.0, math.inf
     for level, (th, wth) in enumerate(zip(thetas, wthetas)):
@@ -270,6 +271,13 @@ def _eig_K2(j, k, a, lam1, rows):
     """
     if j == 0:
         return lam1 * (a * a - 11.0 * a + 44.0) / ((8.0 - a) * (11.0 - a))
+    return _eig_K2_sum(j, k, a, lam1, rows)
+
+
+def _eig_K2_sum(j, k, a, lam1, rows):
+    """The four-term eig_K2 sum at j >= 1: lam1 minus the t = 12 term and the two
+    (a - 4) terms.  j and k are indices, or broadcasting index arrays with rows
+    as ndarrays; either way each element takes the same operations in the same order."""
     _, j12, j13, _, k48, k39, k49 = rows
     return (
         lam1
@@ -342,6 +350,50 @@ def margin_terms(j, k, alpha):
         -(below[0][j] * below[3][k] + 0.0),
         -(2.0 * a / (11.0 - a)) * lam1,
     )
+
+
+#: j rows per margin_table block: at --jmax 10^4 a block's (64, 10^4) term arrays are 5 MiB each
+_MARGIN_ROWS = 64
+
+
+def margin_table(alpha, jmax, kmax=None):
+    """margin_terms on every cell j <= jmax, k <= min(j, kmax), in scan order (j, then k).
+
+    Returns an iterator over blocks of at most _MARGIN_ROWS j rows, each a triple
+    (j, k, terms): the index arrays of the block's cells and their four terms as a
+    (4, cells) array, equal to margin_terms cell by cell to the last bit.  The
+    K1 terms are the j-row of each table broadcast against its k-row, the K2
+    term is _eig_K2_sum on the (j column, k row) index arrays, and the j = 0
+    cell is _eig_K2's closed form; so memory grows with jmax, not jmax^2.
+    The arguments are checked when this is called, not when the first block is read.
+    """
+    a = _check_alpha(alpha, lo=0.0)
+    jmax, kmax = _check_index(jmax, jmax if kmax is None else min(kmax, jmax))
+    size = _size(jmax)
+    rows = [np.asarray(row) for row in _factor_tables(a, size)]
+    below = [np.asarray(row) for row in _factor_tables(a - 1.0, size)]
+    return (
+        _margin_block(a, j0, min(j0 + _MARGIN_ROWS, jmax + 1), kmax, rows, below)
+        for j0 in range(0, jmax + 1, _MARGIN_ROWS)
+    )
+
+
+def _margin_block(a, j0, j1, kmax, rows, below):
+    """The margin_table block of rows j0 <= j < j1 (see margin_table)."""
+    j = np.arange(j0, j1)[:, None]
+    k = np.arange(min(j1 - 1, kmax) + 1)
+    lam1 = rows[0][j] * rows[3][k] + 0.0
+    k2 = np.empty_like(lam1)
+    first = 1 if j0 == 0 else 0  # row j = 0 holds one cell, summed by _eig_K2's closed form
+    k2[first:] = _eig_K2_sum(j[first:], k, a, lam1[first:], rows)
+    if first:
+        k2[0, 0] = _eig_K2(0, 0, a, lam1[0, 0], rows)
+    cell = k <= j
+    terms = np.empty((4, np.count_nonzero(cell)))
+    terms[0], terms[1] = lam1[cell], k2[cell]
+    terms[2] = (-(below[0][j] * below[3][k] + 0.0))[cell]
+    terms[3] = -(2.0 * a / (11.0 - a)) * terms[0]
+    return np.broadcast_to(j, cell.shape)[cell], np.broadcast_to(k, cell.shape)[cell], terms
 
 
 def bilinear_margin(j, k, alpha):

@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -120,6 +122,71 @@ def test_margin_zero_set_is_relative(capsys):
     row = json.loads(out)["rows"][0]
     assert row["zero_count"] == 1
     assert not row["violated"]
+
+
+def scalar_margin_rows(alphas, jmax, kmax=None):
+    """The margin rows by the cell-by-cell loop cmd_margin once ran: one
+    margin_terms call per cell, its sum the margin, the first minimum kept."""
+    rows = []
+    for alpha in sorted(alphas):
+        worst, arg = math.inf, None
+        zeros, violated = 0, False
+        for j in range(jmax + 1):
+            for k in range(min(j, kmax if kmax is not None else j) + 1):
+                terms = spectra.margin_terms(j, k, alpha)
+                m, tol = sum(terms), 1e-12 * sum(map(abs, terms))
+                if m < worst:
+                    worst, arg = m, (j, k)
+                zeros += abs(m) <= tol
+                violated = violated or m < -tol
+        rows.append(
+            {
+                "alpha": alpha,
+                "min_margin": worst,
+                "argmin_j": arg[0],
+                "argmin_k": arg[1],
+                "violated": violated,
+                "zero_count": zeros,
+            }
+        )
+    return rows
+
+
+# at 3, 4.5 and 5.499 the minima are rounding residues of exact zeros, so the order
+# of each cell's sum shows in them
+@pytest.mark.parametrize(
+    "alphas, jmax, kmax",
+    [((2.5, 3.0, 4.0), 200, None), ((3.0,), 8, 3), ((3.0, 4.5, 5.499), 70, None)],
+)
+def test_margin_rows_match_the_scalar_loop(capsys, alphas, jmax, kmax):
+    argv = ["margin", "--alpha", ",".join(map(str, alphas)), "--jmax", str(jmax)]
+    argv += [] if kmax is None else ["--kmax", str(kmax)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    want = scalar_margin_rows(alphas, jmax, kmax)
+    assert rows == want
+    # == takes -0.0 for 0.0; the sign of a zero minimum must match too
+    assert [math.copysign(1.0, r["min_margin"]) for r in rows] == [
+        math.copysign(1.0, r["min_margin"]) for r in want
+    ]
+
+
+def test_margin_memory_is_bounded_by_the_block(capsys):
+    # the scan holds a few blocks of _MARGIN_ROWS j rows at a time, not the
+    # grid: 20 float arrays of one block's (_MARGIN_ROWS, jmax + 1) rectangle
+    # (29 MiB here) bound it, where the grid's four terms alone take 138 MiB
+    jmax = 3000
+    bound = 20 * 8 * spectra._MARGIN_ROWS * (jmax + 1)
+    assert bound < 4 * 8 * (jmax + 1) * (jmax + 2) // 2 // 4
+    tracemalloc.start()
+    try:
+        code, _, _ = run(["margin", "--alpha", "4", "--jmax", str(jmax)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < bound
 
 
 def test_verify_exit_zero(capsys):
@@ -292,11 +359,29 @@ def test_stray_flag_exits_two(capsys, command, flag):
     assert "unrecognized arguments" in out.err
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test dependency only; importing it would add about 0.3 s to every octhls command
+def _python_with_src(code):
+    """The stripped standard output of ``code`` run in a fresh interpreter with src/ on the path."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import octhls.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it would add about 0.3 s to every octhls command
+    code = "import octhls.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _python_with_src(code) == "[]"
+
+
+def test_commands_load_no_numpy_ma():
+    # numpy.ma costs about 20 ms to import, and no octhls command needs it
+    code = (
+        "import contextlib, io, sys\n"
+        "from octhls import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['eigs', '--alpha', '4', '--jmax', '2'])\n"
+        "    cli.main(['margin', '--alpha', '4', '--jmax', '2'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    assert _python_with_src(code) == "[]"

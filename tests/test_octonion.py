@@ -21,6 +21,33 @@ def test_table_shape_and_unit():
     assert np.allclose(oc.mul(x, e0), x)
 
 
+def _cd_mul_pair(x, y):
+    """The Cayley-Dickson product of two coefficient vectors, one pair at a time."""
+    n = len(x)
+    if n == 1:
+        return np.array([x[0] * y[0]])
+    h = n // 2
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+    return np.concatenate(
+        [_cd_mul_pair(a, c) - _cd_mul_pair(_cd_conj_pair(d), b),
+         _cd_mul_pair(d, a) + _cd_mul_pair(b, _cd_conj_pair(c))]
+    )
+
+
+def _cd_conj_pair(x):
+    out = -np.asarray(x, dtype=float).copy()
+    out[0] = -out[0]
+    return out
+
+
+def test_table_is_the_per_pair_recursion():
+    eye = np.eye(8)
+    want = np.array([[_cd_mul_pair(eye[i], eye[j]) for j in range(8)] for i in range(8)])
+    # to the bit, the sign of every zero included
+    assert oc.MULT_TABLE.dtype == want.dtype
+    assert oc.MULT_TABLE.tobytes() == want.tobytes()
+
+
 def test_imaginary_units_square_to_minus_one():
     for k in range(1, 8):
         ek = np.eye(8)[k]

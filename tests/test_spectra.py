@@ -321,6 +321,54 @@ def test_margin_scan_builds_two_table_sets_per_size():
     assert spectra._factor_tables.cache_info().misses == 6
 
 
+def _margin_table_cells(alpha, jmax, kmax=None):
+    """margin_table's blocks joined: (j, k, terms as (cells, 4))."""
+    blocks = list(spectra.margin_table(alpha, jmax, kmax))
+    j, k, terms = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+    return j, k, terms.T
+
+
+# jmax at the table sizes (64, 128) and the block edges, each side
+_B = spectra._MARGIN_ROWS
+_TABLE_JMAX = sorted({0, 1, 63, 64, 65, 127, 128, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1})
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0 - 1e-9, 1.0, 3.0, 4.0, 5.499])
+def test_margin_table_is_margin_terms_cell_by_cell(alpha):
+    grids = [(jmax, None) for jmax in _TABLE_JMAX]
+    grids += [(jmax, kmax) for jmax in (_B, 2 * _B + 1) for kmax in (0, 7, jmax - 1, jmax, jmax + 5)]
+    for jmax, kmax in grids:
+        j, k, got = _margin_table_cells(alpha, jmax, kmax)
+        kcap = jmax if kmax is None else kmax
+        cells = [(jj, kk) for jj in range(jmax + 1) for kk in range(min(jj, kcap) + 1)]
+        assert list(zip(j.tolist(), k.tolist())) == cells, (jmax, kmax)
+        want = np.array([spectra.margin_terms(jj, kk, alpha) for jj, kk in cells])
+        # == takes -0.0 for 0.0; the signs of zero must match too
+        assert np.array_equal(got, want), (jmax, kmax)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (jmax, kmax)
+
+
+def test_margin_table_blocks_hold_at_most_the_block_rows():
+    blocks = list(spectra.margin_table(4.0, 3 * _B + 2))
+    assert len(blocks) == 4
+    for n, (j, k, terms) in enumerate(blocks):
+        assert set(j.tolist()) == set(range(n * _B, min((n + 1) * _B, 3 * _B + 3)))
+        assert terms.shape == (4, len(j)) == (4, len(k))
+
+
+def test_margin_table_validates_like_margin_terms():
+    for alpha in (0.0, -0.5, 5.5, 6.0, math.nan):
+        with pytest.raises(ValueError) as scalar:
+            spectra.margin_terms(3, 1, alpha)
+        # raised by the call itself, before any block is read
+        with pytest.raises(ValueError) as table:
+            spectra.margin_table(alpha, 3)
+        assert str(table.value) == str(scalar.value)
+    for jmax, kmax in ((-1, None), (3, -1)):
+        with pytest.raises(ValueError):
+            spectra.margin_table(4.0, jmax, kmax)
+
+
 # ---------------------------------------------------------------------------
 # intertwining spectrum
 
