@@ -35,8 +35,9 @@ def main():
         for j in range(41):
             for k in range(j + 1):
                 # a cell is zero (or violated) against the rounding of its own terms
-                terms = spectra.margin_terms(j, k, alpha)
-                m, tol = sum(terms), 1e-12 * sum(map(abs, terms))
+                t0, t1, t2, t3 = spectra.margin_terms(j, k, alpha)
+                m = 0.0 + t0 + t1 + t2 + t3
+                tol = 1e-12 * (abs(t0) + abs(t1) + abs(t2) + abs(t3))
                 if m < worst:
                     worst, arg = m, (j, k)
                 zeros += abs(m) <= tol

@@ -40,8 +40,8 @@ def main():
 
     print("\nrecentering an off-center extremizer (zero center-of-mass):")
     p = 2.0 * Q / (2.0 * Q - lam)
-    conf, gn = fn.recenter(h, p)
-    print("   dilation parameter :", conf.delta)
+    delta, gn = fn.recenter(h, p)
+    print("   dilation parameter :", delta)
     print("   |center of mass|   :", np.linalg.norm(fn.center_mass(gn, p)))
     th = np.linspace(0.1, math.pi / 2 - 0.1, 5)
     ph = np.linspace(0.1, math.pi - 0.1, 5)

@@ -29,6 +29,17 @@ def _nonnegative_int(text):
     return int(text)
 
 
+def _tolerance(text):
+    """A check tolerance: a finite number >= 0 (1e400 reads as inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _positive_int(text):
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
@@ -305,7 +316,7 @@ def cmd_verify(args):
 
     # recentering
     p = 2.0 * Q / (2.0 * Q - 16.0)
-    params, gn = functional.recenter(h, p)
+    _, gn = functional.recenter(h, p)
     resid = float(np.linalg.norm(functional.center_mass(gn, p)))
     reports.append(_check("recenter_residual", 16.0, resid, 0.0, tol(1e-8)))
 
@@ -338,7 +349,7 @@ _FLAGS = {
     "--nodes-phi": dict(type=_positive_int, default=256),
     "--mc-samples": dict(type=int, default=100000),
     "--seed": dict(type=_seed, default=0),
-    "--tolerance": dict(type=float, default=None, help="override every check tolerance"),
+    "--tolerance": dict(type=_tolerance, default=None, help="override every check tolerance"),
 }
 
 #: subcommand -> (function, the flags it reads besides --format and --out)

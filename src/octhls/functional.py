@@ -30,7 +30,6 @@ __all__ = [
     "AxisZonalFunction",
     "BisphericalFunction",
     "ExtremizerParams",
-    "ConformalParams",
     "NORTH_AXIS",
     "sample_sphere",
     "extremizer_eval",
@@ -75,11 +74,14 @@ def _axis_angles(points, axis):
     matrix whose rows are signed copies of the axis coefficients.
     """
     w = np.asarray(points, dtype=float) @ hermitian_pairing(np.eye(16), axis)
-    r = np.linalg.norm(w, axis=-1)
+    return _angles(w[..., 0], np.linalg.norm(w, axis=-1))
+
+
+def _angles(re, r):
+    """Zonal angles (theta, phi) of a pairing with real part re and modulus r."""
     theta = np.arccos(np.clip(r, 0.0, 1.0))
-    cphi = np.where(r > 0.0, w[..., 0] / np.where(r > 0.0, r, 1.0), 1.0)
-    phi = np.arccos(np.clip(cphi, -1.0, 1.0))
-    return theta, phi
+    cphi = np.where(r > 0.0, re / np.where(r > 0.0, r, 1.0), 1.0)
+    return theta, np.arccos(np.clip(cphi, -1.0, 1.0))
 
 
 class AxisZonalFunction:
@@ -222,6 +224,14 @@ def _project(F, jmax):
 # extremizers
 
 
+def _check_lambda(lam):
+    """lambda as a float; ValueError unless 0 < lambda < Q."""
+    lam = float(lam)
+    if not (0.0 < lam < Q):
+        raise ValueError(f"lambda = {lam} outside (0, {Q})")
+    return lam
+
+
 @dataclass
 class ExtremizerParams:
     """Extremizer family |1 - xi . conj(zeta)|^(-(2Q - lambda)/2)."""
@@ -235,8 +245,7 @@ class ExtremizerParams:
             raise ValueError("xi must be a 16-vector")
         if np.linalg.norm(self.xi) >= 1.0:
             raise ValueError("extremizer parameter requires |xi| < 1")
-        if not (0.0 < self.lam < Q):
-            raise ValueError(f"lambda = {self.lam} outside (0, {Q})")
+        self.lam = _check_lambda(self.lam)
 
 
 def extremizer_eval(params: ExtremizerParams, points):
@@ -271,9 +280,7 @@ def extremizer_profile(params: ExtremizerParams):
 def hls_spectral(f: BisphericalFunction, lam):
     """Spectral value of the bilinear form with kernel d_S^(-lambda):
     sum over (j, k) of 2^(lambda/2) eig_K1(j, k, lambda/4) |f_{j,k}|^2."""
-    lam = float(lam)
-    if not (0.0 < lam < Q):
-        raise ValueError(f"lambda = {lam} outside (0, {Q})")
+    lam = _check_lambda(lam)
     scale = 2.0 ** (lam / 2.0)
     return scale * sum(
         eig_K1(j, k, lam / 4.0) * n2 for (j, k), n2 in f.norms2.items()
@@ -283,13 +290,13 @@ def hls_spectral(f: BisphericalFunction, lam):
 def hls_tail_bound(f: BisphericalFunction, lam):
     """Bound on the spectral mass beyond the truncation: largest eigenvalue
     outside the table times the Parseval residual."""
-    lam = float(lam)
+    lam = _check_lambda(lam)
     return 2.0 ** (lam / 2.0) * eig_K1(f.jmax + 1, 0, lam / 4.0) * max(f.residual(), 0.0)
 
 
 def hls_quotient(f, lam, jmax=40):
     """The sharp-constant quotient I(f, f) / ||f||_p^2 for a zonal-type f."""
-    lam = float(lam)
+    lam = _check_lambda(lam)
     p = 2.0 * Q / (2.0 * Q - lam)
     F = _grid_values(f)
     return hls_spectral(_project(F, jmax), lam) / _integrate(np.abs(F) ** p) ** (2.0 / p)
@@ -329,7 +336,7 @@ def el_residual(h, lam=None, jmax=40):
         h = extremizer_profile(h)
     if lam is None:
         raise ValueError("lam is required for a plain function input")
-    lam = float(lam)
+    lam = _check_lambda(lam)
     p = 2.0 * Q / (2.0 * Q - lam)
     proj = project_bispherical(h, jmax)
     scale = 2.0 ** (lam / 2.0)
@@ -348,7 +355,7 @@ def second_variation(h, phi_fn, lam, jmax=40):
     Nonpositive at extremizers for admissible phi; requires the
     orthogonality constraint int h^(p-1) phi = 0.
     """
-    lam = float(lam)
+    lam = _check_lambda(lam)
     p = 2.0 * Q / (2.0 * Q - lam)
     H = _grid_values(h)
     P = _grid_values(phi_fn)
@@ -391,119 +398,77 @@ def center_mass_mc(h, p, n, seed):
     return sphere_measure() * (pts * vals[:, None]).mean(axis=0)
 
 
-@dataclass
-class ConformalParams:
-    """Conformal map: rotate xi to the pole, conjugate a group dilation by
-    the boundary transform, i.e. gamma = C . delta . C^-1 . A_xi."""
-
-    delta: float
-    xi: np.ndarray
-
-    def __post_init__(self):
-        self.delta = float(self.delta)
-        if not self.delta > 0:
-            raise ValueError("dilation scale must be positive")
-        self.xi = np.asarray(self.xi, dtype=float)
-        if abs(np.linalg.norm(self.xi) - 1.0) > 1e-10:
-            raise ValueError("rotation target xi must be a unit vector")
+#: recenter's bound on the axis component of the center of mass, and its step limit
+_RECENTER_TOL, _RECENTER_MAX_ITER = 1e-8, 200
 
 
-def _angles_to_radii(theta, phi):
-    """Group-side radii (|z|^2, |t|^2) of the point with north-axis angles."""
-    ct, cp = np.cos(theta), np.cos(phi)
-    st2 = np.sin(theta) ** 2
-    B = 1.0 + 2.0 * ct * cp + ct * ct
-    if np.any(B < 1e-280):
-        raise ZeroDivisionError("conformal map evaluated at its excluded point")
-    R2 = st2 / B
-    s2 = (1.0 - 2.0 * ct * cp + ct * ct) / B - st2 * st2 / (B * B)
-    return R2, np.maximum(s2, 0.0)
-
-
-def _radii_to_angles(R2, s2):
-    """Inverse of _angles_to_radii."""
-    W = (1.0 + R2) ** 2 + s2
-    ct = np.sqrt(np.clip(((1.0 - R2) ** 2 + s2) / W, 0.0, 1.0))
-    re = (1.0 - R2 * R2 - s2) / W
-    safe = np.where(ct > 0.0, ct, 1.0)
-    cp = np.clip(re / safe, -1.0, 1.0)
-    return np.arccos(ct), np.arccos(cp)
-
-
-def conformal_pullback(h, params: ConformalParams, p):
+def conformal_pullback(h, delta, p):
     """Pullback |J_{gamma^-1}|^(1/p) h(gamma^-1 zeta) along the axis of h.
 
-    Supported when the rotation target coincides with the axis of h (or
-    h is axis-free, e.g. constant); the composition then preserves the
-    zonal frame and acts on profiles through the group-side radii.
+    gamma^-1 = C . delta^-1 . C^-1 conjugates a group dilation by the
+    boundary transform.  In the axis frame it keeps the complex line of
+    the pairing w and acts there as the disk automorphism
+    w -> (w + c) / (1 + c w), c = (delta^2 - 1) / (delta^2 + 1), with
+    |J| = (sqrt(1 - c^2) / |1 + c w|)^Q.  A bare profile takes the north axis.
     """
-    if not isinstance(h, AxisZonalFunction):
-        h = AxisZonalFunction(h, axis=params.xi)
-    if abs(float(h.axis @ params.xi) - 1.0) > 1e-10:
-        raise ValueError("pullback supported only along the symmetry axis of h")
-    delta = params.delta
-
-    def profile(theta, phi):
-        R2, s2 = _angles_to_radii(theta, phi)
-        R2v, s2v = R2 / delta ** 2, s2 / delta ** 4
-        th2, ph2 = _radii_to_angles(R2v, s2v)
-        Wu = (1.0 + R2) ** 2 + s2
-        Wv = (1.0 + R2v) ** 2 + s2v
-        jac = delta ** (-Q) * (Wu / Wv) ** (Q / 2)
-        return jac ** (1.0 / p) * h.profile(th2, ph2)
-
-    name = f"pullback(delta={delta}) of {h.name}"
-    return AxisZonalFunction(profile, axis=h.axis, name=name)
-
-
-def recenter(h, p, tol=1e-8, max_iter=200):
-    """Find the conformal pullback of h with zero center of mass.
-
-    ``h`` must be a positive zonal-type function; it is normalized to
-    int h^p = |S| internally (the zero-center condition is invariant
-    under positive scaling).  Returns (ConformalParams, recentered
-    function).  Raises with the final residual on non-convergence.
-    """
+    delta = float(delta)
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"dilation scale must be positive and finite, got {delta}")
     if not isinstance(h, AxisZonalFunction):
         h = AxisZonalFunction(h)
-    axis = h.axis
-    scale = (sphere_measure() / _integrate(np.abs(_grid_values(h)) ** p)) ** (1.0 / p)
-    base = AxisZonalFunction(
-        lambda th, ph, _h=h.profile, _s=scale: _s * _h(th, ph), axis=axis, name=h.name
-    )
+    d2 = delta * delta
+    c = (d2 - 1.0) / (d2 + 1.0)
+    one_c2 = 4.0 * d2 / (d2 + 1.0) ** 2  # 1 - c^2 without the cancellation
+
+    def profile(theta, phi):
+        ct = np.cos(theta)
+        a, b = ct * np.cos(phi), ct * np.sin(phi)  # w = a + i b
+        den = (1.0 + c * a) ** 2 + (c * b) ** 2  # |1 + c w|^2
+        re, im = ((a + c) * (1.0 + c * a) + c * b * b) / den, one_c2 * b / den
+        return (one_c2 / den) ** (Q / (2.0 * p)) * h.profile(*_angles(re, np.hypot(re, im)))
+
+    return AxisZonalFunction(profile, axis=h.axis, name=f"pullback(delta={delta}) of {h.name}")
+
+
+def recenter(h, p):
+    """Find the conformal pullback of h with zero center of mass.
+
+    ``h`` must be a positive zonal-type function.  Each trial pullback is
+    normalized to int g^p = |S| (the zero-center condition is invariant
+    under positive scaling).  Returns (delta, recentered function); raises
+    with the final residual on non-convergence.
+    """
 
     def centered(logd):
-        delta = math.exp(logd)
-        g = conformal_pullback(base, ConformalParams(delta, axis), p)
+        g = conformal_pullback(h, math.exp(logd), p)
         G = _grid_values(g)
         s = (sphere_measure() / _integrate(np.abs(G) ** p)) ** (1.0 / p)
-        gn = AxisZonalFunction(lambda th, ph, _g=g.profile: s * _g(th, ph), axis=axis)
+        gn = AxisZonalFunction(lambda th, ph, _g=g.profile: s * _g(th, ph), axis=g.axis)
         # s * G are the grid values of gn: G is already broadcast to the grid
-        resid = float((_axis_moment(s * G, p) * axis) @ axis)
-        return resid, gn, delta
+        return _axis_moment(s * G, p), gn
 
     x0, x1 = 0.0, 0.25
-    f0, g0, d0 = centered(x0)
-    if abs(f0) < tol:
-        return ConformalParams(1.0, axis), g0
-    f1, g1, d1 = centered(x1)
+    f0, g0 = centered(x0)
+    if abs(f0) < _RECENTER_TOL:
+        return 1.0, g0
+    f1, g1 = centered(x1)
     it = 0
-    while abs(f1) >= tol and it < max_iter:
+    while abs(f1) >= _RECENTER_TOL and it < _RECENTER_MAX_ITER:
         if f1 == f0:
             raise RuntimeError(f"recenter stalled; residual {f1:.3e}")
         step = -f1 * (x1 - x0) / (f1 - f0)
         # damped update with a residual-norm line search
         for _ in range(60):
-            f2, g2, d2 = centered(x1 + step)
+            f2, g2 = centered(x1 + step)
             if abs(f2) < abs(f1):
                 break
             step *= 0.5
         x0, f0 = x1, f1
-        x1, f1, g1, d1 = x1 + step, f2, g2, d2
+        x1, f1, g1 = x1 + step, f2, g2
         it += 1
-    if abs(f1) >= tol:
+    if abs(f1) >= _RECENTER_TOL:
         raise RuntimeError(f"recenter did not converge; residual {f1:.3e}")
-    return ConformalParams(d1, axis), g1
+    return math.exp(x1), g1
 
 
 # ---------------------------------------------------------------------------

@@ -398,7 +398,9 @@ def _margin_block(a, j0, j1, kmax, rows, below):
 
 def bilinear_margin(j, k, alpha):
     """The left-to-right sum of margin_terms; nonnegative on 3 <= alpha < 11/2."""
-    return sum(margin_terms(j, k, alpha))
+    # written out: from Python 3.12 on, sum() of floats is compensated
+    t0, t1, t2, t3 = margin_terms(j, k, alpha)
+    return 0.0 + t0 + t1 + t2 + t3
 
 
 def _signed_log_gamma(x):

@@ -256,7 +256,7 @@ def test_criterion_11_recentering():
         axis /= np.linalg.norm(axis)
         p = 2.0 * Q / (2.0 * Q - lam)
         h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * axis, lam=lam))
-        conf, gn = fn.recenter(h, p)
+        _, gn = fn.recenter(h, p)
         worst_cm = max(worst_cm, float(np.linalg.norm(fn.center_mass(gn, p))))
         th = np.linspace(0.05, math.pi / 2 - 0.05, 8)
         ph = np.linspace(0.05, math.pi - 0.05, 8)

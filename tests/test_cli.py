@@ -126,15 +126,17 @@ def test_margin_zero_set_is_relative(capsys):
 
 def scalar_margin_rows(alphas, jmax, kmax=None):
     """The margin rows by the cell-by-cell loop cmd_margin once ran: one
-    margin_terms call per cell, its sum the margin, the first minimum kept."""
+    margin_terms call per cell, its left-to-right sum the margin, the first
+    minimum kept."""
     rows = []
     for alpha in sorted(alphas):
         worst, arg = math.inf, None
         zeros, violated = 0, False
         for j in range(jmax + 1):
             for k in range(min(j, kmax if kmax is not None else j) + 1):
-                terms = spectra.margin_terms(j, k, alpha)
-                m, tol = sum(terms), 1e-12 * sum(map(abs, terms))
+                t0, t1, t2, t3 = spectra.margin_terms(j, k, alpha)
+                m = 0.0 + t0 + t1 + t2 + t3
+                tol = 1e-12 * (abs(t0) + abs(t1) + abs(t2) + abs(t3))
                 if m < worst:
                     worst, arg = m, (j, k)
                 zeros += abs(m) <= tol
@@ -293,6 +295,19 @@ def test_negative_index_bound_exits_two(capsys, command, flag):
     out = capsys.readouterr()
     assert out.out == ""
     assert f"argument {flag}: must be a non-negative integer" in out.err
+
+
+@pytest.mark.parametrize("command", ["eigs", "verify"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-1", "x"])
+def test_tolerance_not_finite_nonnegative_exits_two(capsys, command, value):
+    # unchecked, inf would pass every check, and nan (printed as invalid
+    # JSON) or a negative value would fail every one
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--tolerance", value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --tolerance: must be a finite number >= 0, got '{value}'" in out.err
 
 
 @pytest.mark.parametrize("command", ["eigs", "verify"])

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from octhls import constants, functional as fn, spectra
-from octhls.cayley import hermitian_pairing
+from octhls.cayley import (
+    SOUTH_POLE,
+    cayley_inv_arrays,
+    cayley_zt,
+    hermitian_pairing,
+    jac_cayley_zt,
+)
 from octhls.nilgroup import Q
 
 SPHERE = constants.sphere_measure()
@@ -76,7 +82,7 @@ def test_project_profile_type_error_propagates():
 
 def test_each_input_evaluated_once(monkeypatch):
     # every routine evaluates each input on the quadrature grid once;
-    # recenter once up front and once per conformal pullback it tries
+    # recenter once per conformal pullback it tries
     lam = 16.0
     p = 2.0 * Q / (2.0 * Q - lam)
     calls = []
@@ -110,7 +116,7 @@ def test_each_input_evaluated_once(monkeypatch):
     calls.clear()
     fn.recenter(fn.AxisZonalFunction(counted(h.profile), axis=h.axis), p)
     assert len(pullbacks) >= 2
-    assert calls == [(200, 200)] * (1 + len(pullbacks))
+    assert calls == [(200, 200)] * len(pullbacks)
 
 
 def test_projection_basis_built_once_per_jmax():
@@ -227,6 +233,29 @@ def test_tail_bound_small_for_smooth_input():
     assert fn.hls_tail_bound(proj, 16.0) < 1e-9
 
 
+def _never_evaluated(th, ph):
+    raise AssertionError("profile evaluated before the lambda check")
+
+
+@pytest.mark.parametrize("lam", [0.0, -2.0, Q, 30.0, 2.0 * Q, math.nan])
+def test_lambda_outside_open_interval_rejected_on_entry(lam):
+    # unchecked, -2 gives a negative tail bound, 2Q a ZeroDivisionError from
+    # p = 2Q / (2Q - lambda), and (Q, 2Q) an evaluation of the grid first
+    f = fn.AxisZonalFunction(_never_evaluated)
+    proj = fn.project_bispherical(const_one(), jmax=3)
+    calls = {
+        "hls_spectral": lambda: fn.hls_spectral(proj, lam),
+        "hls_tail_bound": lambda: fn.hls_tail_bound(proj, lam),
+        "hls_quotient": lambda: fn.hls_quotient(f, lam, jmax=4),
+        "second_variation": lambda: fn.second_variation(f, f, lam, jmax=4),
+        "el_residual": lambda: fn.el_residual(f, lam=lam, jmax=4),
+        "ExtremizerParams": lambda: fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=lam),
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError, match="outside"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Euler-Lagrange and second variation
 
@@ -285,7 +314,7 @@ def test_conformal_pullback_preserves_lp_norm():
     p = 2.0 * Q / (2.0 * Q - lam)
     params = fn.ExtremizerParams(xi=0.2 * fn.NORTH_AXIS, lam=lam)
     h = fn.extremizer_profile(params)
-    g = fn.conformal_pullback(h, fn.ConformalParams(1.7, fn.NORTH_AXIS), p)
+    g = fn.conformal_pullback(h, 1.7, p)
     n_h = fn._integrate(np.abs(fn._grid_values(h)) ** p)
     n_g = fn._integrate(np.abs(fn._grid_values(g)) ** p)
     assert abs(n_h - n_g) / n_h < 1e-10
@@ -295,7 +324,7 @@ def test_pullback_of_constant_is_extremizer():
     lam = 16.0
     p = 2.0 * Q / (2.0 * Q - lam)
     delta = 0.6  # delta < 1 keeps the induced parameter s positive
-    g = fn.conformal_pullback(const_one(), fn.ConformalParams(delta, fn.NORTH_AXIS), p)
+    g = fn.conformal_pullback(const_one(), delta, p)
     s = (1.0 - delta ** 2) / (1.0 + delta ** 2)
     ref = fn.extremizer_profile(fn.ExtremizerParams(xi=s * fn.NORTH_AXIS, lam=lam))
     th = np.linspace(0.05, math.pi / 2 - 0.05, 9)
@@ -305,12 +334,66 @@ def test_pullback_of_constant_is_extremizer():
     assert np.std(ratio) / np.mean(ratio) < 1e-10
 
 
+def _cos_profile(th, ph):
+    # depends on phi through cos(phi) only, as the zonal harmonics do
+    return np.exp(np.cos(th) * np.cos(ph)) * (1.0 + 0.3 * np.cos(th) ** 2 * np.cos(2.0 * ph))
+
+
+@pytest.mark.parametrize("delta", [0.4, 1.7, 5.0])
+def test_pullback_matches_cayley_composition(delta):
+    # the disk automorphism of the pairing against C . delta^-1 . C^-1 in group
+    # coordinates, |J| the ratio of Cayley Jacobians; measured worst 1.1e-14
+    lam = 16.0
+    p = 2.0 * Q / (2.0 * Q - lam)
+    pts = fn.sample_sphere(2000, seed=15)
+    z, t = cayley_inv_arrays(pts)
+    zv, tv = z / delta, t / delta ** 2
+    jac = delta ** (-Q) * jac_cayley_zt(zv, tv) / jac_cayley_zt(z, t)
+    extremizer = fn.extremizer_profile(fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=lam))
+    # a bare profile takes the north axis
+    for h, g in (
+        (extremizer, fn.conformal_pullback(extremizer, delta, p)),
+        (fn.AxisZonalFunction(_cos_profile), fn.conformal_pullback(_cos_profile, delta, p)),
+    ):
+        want = jac ** (1.0 / p) * h(cayley_zt(zv, tv))
+        assert np.max(np.abs(g(pts) / want - 1.0)) < 4e-14
+
+
+@pytest.mark.parametrize("delta", [0.4, 1.7, 5.0])
+def test_pullback_fixes_the_south_pole(delta):
+    # w = -1 is fixed by w -> (w + c) / (1 + c w), and there |J| = delta^Q
+    p = 2.0 * Q / (2.0 * Q - 16.0)
+    g = fn.conformal_pullback(_cos_profile, delta, p)
+    got = g.profile(np.array(0.0), np.array(math.pi))
+    assert np.isfinite(got)
+    assert abs(got / (delta ** (Q / p) * _cos_profile(0.0, math.pi)) - 1.0) < 1e-13
+    assert g(SOUTH_POLE) == got
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_pullback_rejects_bad_dilation(delta):
+    with pytest.raises(ValueError, match="dilation"):
+        fn.conformal_pullback(const_one(), delta, 2.0)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("axis", [fn.NORTH_AXIS, _random_axis(25)], ids=["north", "random"])
+def test_recenter_undoes_extremizer_parameter(rho, axis):
+    # the dilation with delta^2 = (1 + rho) / (1 - rho) maps the family member
+    # at rho to the constant; measured worst 2.3e-10 relative, at rho = 0.5
+    p = 2.0 * Q / (2.0 * Q - 16.0)
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * axis, lam=16.0))
+    delta, gn = fn.recenter(h, p)
+    assert abs(delta / math.sqrt((1.0 + rho) / (1.0 - rho)) - 1.0) < 1e-9
+    assert np.linalg.norm(fn.center_mass(gn, p)) < 1e-8
+
+
 def test_recenter_extremizer():
     lam = 16.0
     p = 2.0 * Q / (2.0 * Q - lam)
     params = fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=lam)
     h = fn.extremizer_profile(params)
-    conf, gn = fn.recenter(h, p)
+    delta, gn = fn.recenter(h, p)
     assert np.linalg.norm(fn.center_mass(gn, p)) < 1e-8
     # the recentered extremizer is pointwise constant
     th = np.linspace(0.1, math.pi / 2 - 0.1, 7)
@@ -319,7 +402,7 @@ def test_recenter_extremizer():
     vals = gn.profile(TH, PH)
     assert np.std(vals) / np.mean(vals) < 1e-4
     # the dilation undoes the extremizer parameter: s = (1 - d^2)/(1 + d^2)
-    s = (1.0 - conf.delta ** 2) / (1.0 + conf.delta ** 2)
+    s = (1.0 - delta ** 2) / (1.0 + delta ** 2)
     assert abs(s - (-0.3)) < 1e-6
 
 
@@ -331,7 +414,7 @@ def test_recenter_random_direction():
     p = 2.0 * Q / (2.0 * Q - lam)
     params = fn.ExtremizerParams(xi=0.5 * axis, lam=lam)
     h = fn.extremizer_profile(params)
-    conf, gn = fn.recenter(h, p)
+    _, gn = fn.recenter(h, p)
     assert np.linalg.norm(fn.center_mass(gn, p)) < 1e-8
 
 

@@ -289,7 +289,8 @@ def test_margin_is_its_defining_combination():
                 assert [math.copysign(1.0, t) for t in got] == [
                     math.copysign(1.0, t) for t in terms
                 ], (j, k, alpha)
-                assert spectra.bilinear_margin(j, k, alpha) == sum(terms), (j, k, alpha)
+                left_to_right = 0.0 + terms[0] + terms[1] + terms[2] + terms[3]
+                assert spectra.bilinear_margin(j, k, alpha) == left_to_right, (j, k, alpha)
 
 
 def test_margin_violation_below_three():
