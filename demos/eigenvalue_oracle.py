@@ -34,14 +34,12 @@ def main():
         zeros, violated = 0, False
         for j in range(41):
             for k in range(j + 1):
-                # a cell is zero (or violated) against the rounding of its own terms
-                t0, t1, t2, t3 = spectra.margin_terms(j, k, alpha)
-                m = 0.0 + t0 + t1 + t2 + t3
-                tol = 1e-12 * (abs(t0) + abs(t1) + abs(t2) + abs(t3))
+                # the margin is a product, exactly 0.0 where it vanishes
+                m = spectra.bilinear_margin(j, k, alpha)
                 if m < worst:
                     worst, arg = m, (j, k)
-                zeros += abs(m) <= tol
-                violated = violated or m < -tol
+                zeros += m == 0.0
+                violated = violated or m < 0.0
         flag = "VIOLATED" if violated else "ok"
         print(
             f"  alpha={alpha:5.2f}: min margin {worst: .5f} at {arg}, "

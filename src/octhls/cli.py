@@ -164,21 +164,19 @@ def cmd_eigs(args):
 def _margin_scan(alpha, jmax, kmax=None):
     """(minimum margin, its (j, k), zero count, violated) over the margin_table grid.
 
-    A cell's margin is bilinear_margin, the left-to-right sum 0.0 + t0 + t1 +
-    t2 + t3 of its terms; it is a zero when its size is at most 1e-12 times
-    the sum of the term sizes, and a violation when it is below minus that.
-    The minimum is the first cell in scan order that reaches it: a block's
-    argmin is its first, and a later block replaces it only when strictly lower.
+    The margin is a product that is exactly 0.0 where it vanishes, so a
+    cell is a zero when its margin is 0.0 and a violation when it is below.
+    The argmin is the first cell in scan order (j, then k) at the minimum:
+    a block's argmin is its first, and a later block replaces it only when
+    strictly lower.
     """
     worst, arg, zeros, violated = math.inf, None, 0, False
-    for j, k, (t0, t1, t2, t3) in spectra.margin_table(alpha, jmax, kmax):
-        m = 0.0 + t0 + t1 + t2 + t3
-        tol = 1e-12 * (np.abs(t0) + np.abs(t1) + np.abs(t2) + np.abs(t3))
+    for j, k, m in spectra.margin_table(alpha, jmax, kmax):
         i = int(np.argmin(m))
         if m[i] < worst:
             worst, arg = float(m[i]), (int(j[i]), int(k[i]))
-        zeros += int(np.count_nonzero(np.abs(m) <= tol))
-        violated = violated or bool((m < -tol).any())
+        zeros += int(np.count_nonzero(m == 0.0))
+        violated = violated or bool((m < 0.0).any())
     return worst, arg, zeros, violated
 
 
@@ -286,17 +284,9 @@ def cmd_verify(args):
     )
     reports.append(_check("eigenvalue_oracle", alpha, worst, 0.0, tol(1e-6)))
 
-    # margin spot checks
+    # margin spot checks: the exact zero at (0, 0), and the violation below alpha = 3
     reports.append(_check("margin_zero_00", 4.0, spectra.bilinear_margin(0, 0, 4.0), 0.0, tol(1e-12)))
-    reports.append(
-        _check(
-            "margin_violation_25",
-            2.5,
-            _margin_scan(2.5, 20)[0],
-            -0.011,
-            tol(0.01),
-        )
-    )
+    reports.append(_check("margin_violation_25", 2.5, _margin_scan(2.5, 20)[0], -0.011, tol(0.01)))
 
     # HLS quotient at f = 1 and at a projected extremizer
     one = functional.AxisZonalFunction(lambda th, ph: np.ones_like(th))

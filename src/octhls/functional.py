@@ -5,7 +5,7 @@ pullbacks, recentering, and the Log-Sobolev pair.
 All heavy lifting happens on zonal-type functions: a function with
 symmetry axis e (a unit vector in O^2) depends on a sphere point zeta
 only through the octonion pairing w = zeta1 conj(e1) + zeta2 conj(e2),
-i.e. through the angles theta = arccos|w|, phi = arccos(Re w / |w|).
+i.e. through the angles theta = arccos|w|, phi = arg w = arctan2(|Im w|, Re w).
 Such functions are stored as a 2-D profile H(theta, phi) plus the axis,
 which turns every integral into a 2-D Gauss-Legendre sum under the
 measure |S^7||S^6| sin^7(theta) cos^7(theta) sin^6(phi) dtheta dphi.
@@ -24,7 +24,7 @@ from .cayley import NORTH_POLE, hermitian_pairing, sdist_arrays
 from .constants import C_logsobolev, sphere_measure
 from .nilgroup import Q
 from .specfun import gegenbauer3, jacobi33
-from .spectra import _FH_CONST, eig_K1, logsob_gap
+from .spectra import _FH_CONST, _eig_K1_arrays, _logsob_gap, eig_K1
 
 __all__ = [
     "AxisZonalFunction",
@@ -74,14 +74,13 @@ def _axis_angles(points, axis):
     matrix whose rows are signed copies of the axis coefficients.
     """
     w = np.asarray(points, dtype=float) @ hermitian_pairing(np.eye(16), axis)
-    return _angles(w[..., 0], np.linalg.norm(w, axis=-1))
+    return _angles(w[..., 0], np.sqrt(np.einsum("...i,...i->...", w[..., 1:], w[..., 1:])))
 
 
-def _angles(re, r):
-    """Zonal angles (theta, phi) of a pairing with real part re and modulus r."""
-    theta = np.arccos(np.clip(r, 0.0, 1.0))
-    cphi = np.where(r > 0.0, re / np.where(r > 0.0, r, 1.0), 1.0)
-    return theta, np.arccos(np.clip(cphi, -1.0, 1.0))
+def _angles(re, im):
+    """Zonal angles (theta, phi) of a pairing with real part re and |Im w| = im; phi =
+    arctan2(im, re) keeps the digits near 0 and pi that arccos(re / |w|) loses."""
+    return np.arccos(np.clip(np.sqrt(re * re + im * im), 0.0, 1.0)), np.arctan2(im, re)
 
 
 class AxisZonalFunction:
@@ -153,13 +152,13 @@ def _integrate(values):
 def _basis(jmax, theta, phi):
     """Separable factors of every zonal harmonic with j <= jmax.
 
-    Returns (pairs, m, T, C): the (j, k) pairs in order j, then k; the
-    index m = j - k of each pair; T[p] = cos^m theta p_k(cos 2 theta) over
+    Returns (pairs, m, T, C): the (j, k) pairs of np.tril_indices(jmax + 1), j, then k;
+    the index m = j - k of each pair; T[p] = cos^m theta p_k(cos 2 theta) over
     theta for pair p; C[m] = c_m(cos phi) over phi.  The harmonic of pair
     p is the outer product of T[p] and C[m[p]].
     """
-    pairs = [(j, k) for j in range(jmax + 1) for k in range(j + 1)]
-    m = np.array([j - k for j, k in pairs])
+    j, k = np.tril_indices(jmax + 1)
+    pairs, m = list(zip(j.tolist(), k.tolist())), j - k
     T = np.empty((len(pairs), len(theta)))
     for mm in range(jmax + 1):
         sel = np.flatnonzero(m == mm)
@@ -172,7 +171,8 @@ class BisphericalFunction:
     """Truncated coefficient table of a zonal-type function.
 
     ``coeffs[(j, k)]`` is the signed coefficient of the normalized zonal
-    harmonic, ``norms2[(j, k)]`` the squared L^2 mass of the component;
+    harmonic, ``norms2[(j, k)]`` the squared L^2 mass of the component, both
+    over every pair j <= jmax in the order of np.tril_indices(jmax + 1);
     ``l2`` the full squared L^2 norm, so ``l2 - sum(norms2)`` is the
     truncation residual (Parseval defect).
     """
@@ -281,10 +281,9 @@ def hls_spectral(f: BisphericalFunction, lam):
     """Spectral value of the bilinear form with kernel d_S^(-lambda):
     sum over (j, k) of 2^(lambda/2) eig_K1(j, k, lambda/4) |f_{j,k}|^2."""
     lam = _check_lambda(lam)
-    scale = 2.0 ** (lam / 2.0)
-    return scale * sum(
-        eig_K1(j, k, lam / 4.0) * n2 for (j, k), n2 in f.norms2.items()
-    )
+    j, k = np.tril_indices(f.jmax + 1)
+    n2 = np.fromiter(f.norms2.values(), float, len(j))
+    return 2.0 ** (lam / 2.0) * float(np.dot(_eig_K1_arrays(j, k, lam / 4.0), n2))
 
 
 def hls_tail_bound(f: BisphericalFunction, lam):
@@ -342,8 +341,9 @@ def el_residual(h, lam=None, jmax=40):
     scale = 2.0 ** (lam / 2.0)
     thetas = np.linspace(0.1, math.pi / 2 - 0.1, 10)
     phis = np.linspace(0.1, math.pi - 0.1, 10)
-    pairs, m, T, C = _basis(jmax, thetas, phis)
-    a = np.array([proj.coeffs[(j, k)] * (scale * eig_K1(j, k, lam / 4.0)) for j, k in pairs])
+    _, m, T, C = _basis(jmax, thetas, phis)
+    j, k = np.tril_indices(jmax + 1)
+    a = np.fromiter(proj.coeffs.values(), float, len(j)) * (scale * _eig_K1_arrays(j, k, lam / 4.0))
     conv = (T.T * a) @ C[m]
     ratio = conv / _profile_values(h, thetas, phis) ** (p - 1.0)
     return float(ratio.std() / abs(ratio.mean()))
@@ -425,7 +425,7 @@ def conformal_pullback(h, delta, p):
         a, b = ct * np.cos(phi), ct * np.sin(phi)  # w = a + i b
         den = (1.0 + c * a) ** 2 + (c * b) ** 2  # |1 + c w|^2
         re, im = ((a + c) * (1.0 + c * a) + c * b * b) / den, one_c2 * b / den
-        return (one_c2 / den) ** (Q / (2.0 * p)) * h.profile(*_angles(re, np.hypot(re, im)))
+        return (one_c2 / den) ** (Q / (2.0 * p)) * h.profile(*_angles(re, im))
 
     return AxisZonalFunction(profile, axis=h.axis, name=f"pullback(delta={delta}) of {h.name}")
 
@@ -488,9 +488,8 @@ def log_sobolev_pair(f, jmax=40):
     proj = _project(F, jmax)
     if abs(proj.l2 - sphere_measure()) > 1e-8 * sphere_measure():
         raise ValueError("input must be normalized to int f^2 = |S|")
-    lhs = 2.0 * sum(
-        logsob_gap(j, k) * n2 for (j, k), n2 in proj.norms2.items() if (j, k) != (0, 0)
-    )
+    j, k = np.tril_indices(jmax + 1)
+    lhs = 2.0 * float(np.dot(_logsob_gap(j, k), np.fromiter(proj.norms2.values(), float, len(j))))
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.where(F > 0.0, F * F * np.log(F * F), 0.0)
     rhs = C_logsobolev() * _integrate(integrand)

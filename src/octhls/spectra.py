@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -37,7 +38,6 @@ __all__ = [
     "eig_K1",
     "eig_K2",
     "eig_K1_ratio",
-    "margin_terms",
     "margin_table",
     "bilinear_margin",
     "intertwining_spectrum",
@@ -205,7 +205,7 @@ def _check_alpha(alpha, lo=-1.0):
     return a
 
 
-# eig_K1, eig_K2 and margin_terms are sums of terms
+# eig_K1 and eig_K2 are sums of terms
 #   2 pi^8 Gamma(t - 2a) (a)_j (a + s)_k / (Gamma(j + t - a) Gamma(k + u - a)),
 # each a j-factor times a k-factor.  With Gamma(n + t - a) = Gamma(t - a) (t - a)_n
 # a factor is a gamma constant times the prefix product of the ratios
@@ -255,36 +255,16 @@ def _size(j):
 
 def _eig_K1(j, k, rows):
     """eig_K1 from the _factor_tables rows of its exponent: the t = 11 j-factor
-    times the (s, u) = (-3, 8) k-factor."""
+    times the (s, u) = (-3, 8) k-factor.  j and k are indices, or broadcasting
+    index arrays with rows as ndarrays."""
     return rows[0][j] * rows[3][k] + 0.0  # an exact zero is +0.0 whatever the other signs
 
 
-def _eig_K2(j, k, a, lam1, rows):
-    """eig_K2 from lam1 = eig_K1 at the same (j, k, a) and the _factor_tables rows at a.
-
-    eig_K2 is eig_K1 plus three gamma-ratio terms.  At j = 0 (so k = 0)
-    two of them carry (a)_{-1} = 1 / (a - 1); their sum is
-    -2 pi^8 (a - 4) Gamma(12 - 2a) / (Gamma(9 - a) Gamma(12 - a)), where
-    that pole has cancelled, and with the first term the whole
-    eigenvalue is eig_K1 (a^2 - 11a + 44) / ((8 - a)(11 - a)), a
-    positive factor evaluated without cancellation.
-    """
-    if j == 0:
-        return lam1 * (a * a - 11.0 * a + 44.0) / ((8.0 - a) * (11.0 - a))
-    return _eig_K2_sum(j, k, a, lam1, rows)
-
-
-def _eig_K2_sum(j, k, a, lam1, rows):
-    """The four-term eig_K2 sum at j >= 1: lam1 minus the t = 12 term and the two
-    (a - 4) terms.  j and k are indices, or broadcasting index arrays with rows
-    as ndarrays; either way each element takes the same operations in the same order."""
-    _, j12, j13, _, k48, k39, k49 = rows
-    return (
-        lam1
-        - j12[j] * k48[k]
-        - (a - 4.0) * j12[j - 1] * k39[k]
-        + (a - 4.0) * j13[j - 1] * k49[k]
-    )
+def _eig_K1_arrays(j, k, alpha):
+    """eig_K1 on index arrays (j >= k >= 0 elementwise): one table read, and per
+    element the operations of eig_K1."""
+    rows = _factor_tables(_check_alpha(alpha), _size(np.max(j)))
+    return _eig_K1(j, k, [np.asarray(row) for row in rows])
 
 
 def eig_K1(j, k, alpha):
@@ -300,14 +280,23 @@ def eig_K1(j, k, alpha):
 def eig_K2(j, k, alpha):
     """Closed-form eigenvalue of K2 = |w|^2 |1 - w|^(-2 alpha) on W_{j,k}.
 
-    Evaluated by a four-term gamma-ratio decomposition valid across the
-    integer limit points; at j = 0 the terms are summed in closed form,
-    which removes the apparent pole at alpha = 1 (see _eig_K2).
+    eig_K1 minus the t = 12 term and plus the two (a - 4) terms of a
+    gamma-ratio decomposition valid across the integer limit points.  At
+    j = 0 (so k = 0) two of them carry (a)_{-1} = 1 / (a - 1); their sum is
+    -2 pi^8 (a - 4) Gamma(12 - 2a) / (Gamma(9 - a) Gamma(12 - a)), where
+    that pole has cancelled, and with the first term the whole
+    eigenvalue is eig_K1 (a^2 - 11a + 44) / ((8 - a)(11 - a)), a
+    positive factor evaluated without cancellation.
     """
     j, k = _check_index(j, k)
     a = _check_alpha(alpha)
     rows = _factor_tables(a, _size(j))
-    return _eig_K2(j, k, a, _eig_K1(j, k, rows), rows)
+    lam1 = _eig_K1(j, k, rows)
+    if j == 0:
+        return lam1 * (a * a - 11.0 * a + 44.0) / ((8.0 - a) * (11.0 - a))
+    _, j12, j13, _, k48, k39, k49 = rows
+    return (lam1 - j12[j] * k48[k] - (a - 4.0) * j12[j - 1] * k39[k]
+            + (a - 4.0) * j13[j - 1] * k49[k])
 
 
 def eig_K1_ratio(j, k, alpha):
@@ -329,78 +318,80 @@ def eig_K1_ratio(j, k, alpha):
     return num / den
 
 
-def margin_terms(j, k, alpha):
-    """lambda(K1), lambda(K2), -lambda(K1^(alpha-1)), -2a/(11-a) lambda(K1) on W_{j,k}.
+# The bilinear margin lambda(K1) + lambda(K2) - lambda(K1^(a-1)) - 2a/(11-a) lambda(K1)
+# is 0 at j = 0, and at j >= 1 it is the product (P = (c2 j + c1) j + c0)
+#   lambda(K1) 2 (2a - 11) P / ((11 - a)(j + 11 - a)(a + j - 1)(k + 8 - a)(a + k - 4)),
+#   c2 = (a - 4)(a - 8) - k (k + 4),  c1 = (8a - 90) a + 232 + k ((15 - a) a - 84 - 10k),
+#   c0 = k (k ((a - 12) a + 11) + (27 - a) a - 176).
+# For k >= 1, lambda(K1) / (a + k - 4) is the t = 11 j-factor times the (s, u) = (-3, 9)
+# k-factor at k - 1; at k = 0, P = j (a - 4)((a - 8) j + 8a - 58) and the (a - 4) cancels.
+# So a margin reads the alpha tables alone, and it is exactly 0 where lambda(K1) is.
 
-    Any alpha in (0, 11/2) is accepted for exploration (so alpha - 1 > -1).
-    At alpha = 3 every term is finite as evaluated by the limit-aware
-    eigenvalue routines, so no rescaling is applied.  A call reads one
-    table set at alpha and one at alpha - 1.
-    """
-    j, k = _check_index(j, k)
+
+@functools.lru_cache(maxsize=32)
+def _margin_coefficients(a):
+    """The alpha-only coefficients of the margin product, in the order _margin reads them."""
+    return (2.0 * (2.0 * a - 11.0) / (11.0 - a), 11.0 - a, 8.0 - a, a - 8.0, 8.0 * a - 58.0,
+            (a - 4.0) * (a - 8.0), (8.0 * a - 90.0) * a + 232.0, (15.0 - a) * a - 84.0,
+            (a - 12.0) * a + 11.0, (27.0 - a) * a - 176.0)
+
+
+def _margin(j, k, a, rows):
+    """The margin product at j >= 1, k >= 1 on indices, or on broadcasting index arrays
+    with rows as ndarrays; either way each element takes the same operations in the same order."""
+    s, t, u, _, _, e2, e1, f1, g2, g1 = _margin_coefficients(a)
+    p = ((e2 - k * (k + 4)) * j + (e1 + k * (f1 - 10 * k))) * j + k * (k * g2 + g1)
+    return rows[0][j] * rows[5][k - 1] * s * p / ((j + t) * ((j - 1.0) + a) * (k + u)) + 0.0
+
+
+def _margin_k0(j, a, rows):
+    """The k = 0 column of _margin."""
+    s, t, u, h1, h0 = _margin_coefficients(a)[:5]
+    return rows[0][j] * rows[3][0] * s * (j * (h1 * j + h0)) / ((j + t) * ((j - 1.0) + a) * u) + 0.0
+
+
+def bilinear_margin(j, k, alpha):
+    """lambda(K1) + lambda(K2) - lambda(K1^(alpha-1)) - 2a/(11-a) lambda(K1) on W_{j,k}, as
+    the product above: nonnegative on 3 <= alpha < 11/2, and exactly 0.0 where it vanishes.
+    Any alpha in (0, 11/2) is accepted for exploration (so alpha - 1 > -1)."""
+    j, k = _check_index(operator.index(j), operator.index(k))
     a = _check_alpha(alpha, lo=0.0)
-    size = _size(j)
-    rows = _factor_tables(a, size)
-    below = _factor_tables(a - 1.0, size)
-    # the two _eig_K1 products written out: a margin scan makes one call per cell
-    lam1 = rows[0][j] * rows[3][k] + 0.0
-    return (
-        lam1,
-        _eig_K2(j, k, a, lam1, rows),
-        -(below[0][j] * below[3][k] + 0.0),
-        -(2.0 * a / (11.0 - a)) * lam1,
-    )
+    if j == 0:
+        return 0.0
+    rows = _factor_tables(a, _size(j))
+    return _margin(j, k, a, rows) if k else _margin_k0(j, a, rows)
 
 
-#: j rows per margin_table block: at --jmax 10^4 a block's (64, 10^4) term arrays are 5 MiB each
+#: j rows per margin_table block: at --jmax 10^4 a block's (64, 10^4) arrays are 5 MiB each
 _MARGIN_ROWS = 64
 
 
 def margin_table(alpha, jmax, kmax=None):
-    """margin_terms on every cell j <= jmax, k <= min(j, kmax), in scan order (j, then k).
+    """bilinear_margin on every cell j <= jmax, k <= min(j, kmax), in scan order (j, then k).
 
-    Returns an iterator over blocks of at most _MARGIN_ROWS j rows, each a triple
-    (j, k, terms): the index arrays of the block's cells and their four terms as a
-    (4, cells) array, equal to margin_terms cell by cell to the last bit.  The
-    K1 terms are the j-row of each table broadcast against its k-row, the K2
-    term is _eig_K2_sum on the (j column, k row) index arrays, and the j = 0
-    cell is _eig_K2's closed form; so memory grows with jmax, not jmax^2.
-    The arguments are checked when this is called, not when the first block is read.
+    An iterator over blocks of at most _MARGIN_ROWS j rows, each a triple (j, k,
+    margin) of the cells' index arrays and margins, equal to bilinear_margin to the
+    last bit; memory grows with jmax, not jmax^2.  The arguments are checked when
+    this is called, not when the first block is read.
     """
     a = _check_alpha(alpha, lo=0.0)
     jmax, kmax = _check_index(jmax, jmax if kmax is None else min(kmax, jmax))
-    size = _size(jmax)
-    rows = [np.asarray(row) for row in _factor_tables(a, size)]
-    below = [np.asarray(row) for row in _factor_tables(a - 1.0, size)]
+    rows = [np.asarray(row) for row in _factor_tables(a, _size(jmax))]
     return (
-        _margin_block(a, j0, min(j0 + _MARGIN_ROWS, jmax + 1), kmax, rows, below)
+        _margin_block(j0, min(j0 + _MARGIN_ROWS, jmax + 1), kmax, a, rows)
         for j0 in range(0, jmax + 1, _MARGIN_ROWS)
     )
 
 
-def _margin_block(a, j0, j1, kmax, rows, below):
-    """The margin_table block of rows j0 <= j < j1 (see margin_table)."""
-    j = np.arange(j0, j1)[:, None]
-    k = np.arange(min(j1 - 1, kmax) + 1)
-    lam1 = rows[0][j] * rows[3][k] + 0.0
-    k2 = np.empty_like(lam1)
-    first = 1 if j0 == 0 else 0  # row j = 0 holds one cell, summed by _eig_K2's closed form
-    k2[first:] = _eig_K2_sum(j[first:], k, a, lam1[first:], rows)
-    if first:
-        k2[0, 0] = _eig_K2(0, 0, a, lam1[0, 0], rows)
+def _margin_block(j0, j1, kmax, a, rows):
+    """The margin_table block of rows j0 <= j < j1: the (j column, k row) rectangle, masked."""
+    j, k = np.arange(j0, j1)[:, None], np.arange(min(j1 - 1, kmax) + 1)
+    m = np.zeros((len(j), len(k)))
+    first = 1 if j0 == 0 else 0  # the one cell of row j = 0 is 0
+    m[first:, 0] = _margin_k0(j[first:, 0], a, rows)
+    m[first:, 1:] = _margin(j[first:], k[1:], a, rows)
     cell = k <= j
-    terms = np.empty((4, np.count_nonzero(cell)))
-    terms[0], terms[1] = lam1[cell], k2[cell]
-    terms[2] = (-(below[0][j] * below[3][k] + 0.0))[cell]
-    terms[3] = -(2.0 * a / (11.0 - a)) * terms[0]
-    return np.broadcast_to(j, cell.shape)[cell], np.broadcast_to(k, cell.shape)[cell], terms
-
-
-def bilinear_margin(j, k, alpha):
-    """The left-to-right sum of margin_terms; nonnegative on 3 <= alpha < 11/2."""
-    # written out: from Python 3.12 on, sum() of floats is compensated
-    t0, t1, t2, t3 = margin_terms(j, k, alpha)
-    return 0.0 + t0 + t1 + t2 + t3
+    return np.broadcast_to(j, cell.shape)[cell], np.broadcast_to(k, cell.shape)[cell], m[cell]
 
 
 def _signed_log_gamma(x):
@@ -461,17 +452,35 @@ def c_d(d):
 _C0_LOGSOB = 2.0 ** (Q // 2 + 1) * math.pi ** 8 / (math.gamma(5.5) * math.gamma(2.5))
 
 
+@functools.lru_cache(maxsize=8)
+def _gap_sums(size):
+    """Read-only prefix sums of 1/(Q/4 + i) (row 0) and 1/(Q/4 - 3 + i) (row 1) over
+    i < n, n < size: np.cumsum plus the cumsum of its rounding errors (Knuth's
+    TwoSum), so within about an ulp of the exact sums rather than n ulps."""
+    x = 1.0 / (np.array([[Q / 4.0], [Q / 4.0 - 3.0]]) + np.arange(size - 1.0))
+    s = np.cumsum(x, axis=1)
+    prev = np.pad(s[:, :-1], ((0, 0), (1, 0)))
+    z = s - prev
+    sums = np.pad(s + np.cumsum((prev - (s - z)) + (x - z), axis=1), ((0, 0), (1, 0)))
+    sums.flags.writeable = False
+    return sums
+
+
+def _logsob_gap(j, k):
+    """logsob_gap on indices or broadcasting index arrays, unchecked."""
+    sums = _gap_sums(_size(np.max(j)))
+    return _C0_LOGSOB * (sums[0, j] + sums[1, k])
+
+
 def logsob_gap(j, k):
     """Spectral gap of the endpoint kernel d_S^(-Q) on W_{j,k}.
 
     C0 [psi(j + Q/4) + psi(k + Q/4 - 3) - psi(Q/4) - psi(Q/4 - 3)], the
-    digamma differences summed as sum_{i<j} 1/(Q/4 + i) + sum_{i<k} 1/(Q/4 - 3 + i);
-    zero at (0,0) and strictly increasing in each index.
+    digamma differences read from the prefix sums of 1/(Q/4 + i) and
+    1/(Q/4 - 3 + i); zero at (0,0) and strictly increasing in each index.
     """
     j, k = _check_index(j, k)
-    return _C0_LOGSOB * math.fsum(
-        [1.0 / (Q / 4.0 + i) for i in range(j)] + [1.0 / (Q / 4.0 - 3.0 + i) for i in range(k)]
-    )
+    return float(_logsob_gap(j, k))
 
 
 def logsob_gap_limit(j, k, eps=1e-4):

@@ -106,17 +106,18 @@ def test_margin_zero_set_alpha_three(capsys):
 
 
 def test_margin_rounding_zero_not_violated(capsys):
-    # the (0, 0) margin is zero in exact arithmetic; near alpha = 11/2 its
-    # rounding (about -6e-11) is judged against the size of its terms
+    # the (0, 0) margin is zero in exact arithmetic; near alpha = 11/2 the
+    # four-term sum left about -6e-11 there, and the product gives 0.0
     code, out, _ = run(["margin", "--alpha", "5.499", "--jmax", "3"], capsys)
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert not row["violated"]
     assert (row["argmin_j"], row["argmin_k"]) == (0, 0)
+    assert row["min_margin"] == 0.0
 
 
 def test_margin_zero_set_is_relative(capsys):
-    # margins near 7.6e-11 at j ~ 200 are genuine, not zeros: only (0, 0) is
+    # margins near 7.6e-11 at j ~ 200 are small but not zero: only (0, 0) is
     code, out, _ = run(["margin", "--alpha", "4", "--jmax", "200"], capsys)
     assert code == 0
     row = json.loads(out)["rows"][0]
@@ -125,22 +126,19 @@ def test_margin_zero_set_is_relative(capsys):
 
 
 def scalar_margin_rows(alphas, jmax, kmax=None):
-    """The margin rows by the cell-by-cell loop cmd_margin once ran: one
-    margin_terms call per cell, its left-to-right sum the margin, the first
-    minimum kept."""
+    """The margin rows by a cell-by-cell loop: one bilinear_margin call per
+    cell, 0.0 a zero and below it a violation, the first minimum kept."""
     rows = []
     for alpha in sorted(alphas):
         worst, arg = math.inf, None
         zeros, violated = 0, False
         for j in range(jmax + 1):
             for k in range(min(j, kmax if kmax is not None else j) + 1):
-                t0, t1, t2, t3 = spectra.margin_terms(j, k, alpha)
-                m = 0.0 + t0 + t1 + t2 + t3
-                tol = 1e-12 * (abs(t0) + abs(t1) + abs(t2) + abs(t3))
+                m = spectra.bilinear_margin(j, k, alpha)
                 if m < worst:
                     worst, arg = m, (j, k)
-                zeros += abs(m) <= tol
-                violated = violated or m < -tol
+                zeros += m == 0.0
+                violated = violated or m < 0.0
         rows.append(
             {
                 "alpha": alpha,
@@ -154,8 +152,7 @@ def scalar_margin_rows(alphas, jmax, kmax=None):
     return rows
 
 
-# at 3, 4.5 and 5.499 the minima are rounding residues of exact zeros, so the order
-# of each cell's sum shows in them
+# at 3, 4.5 and 5.499 the minimum is a tie among exact zeros
 @pytest.mark.parametrize(
     "alphas, jmax, kmax",
     [((2.5, 3.0, 4.0), 200, None), ((3.0,), 8, 3), ((3.0, 4.5, 5.499), 70, None)],
@@ -174,10 +171,23 @@ def test_margin_rows_match_the_scalar_loop(capsys, alphas, jmax, kmax):
     ]
 
 
+def test_margin_argmin_is_the_first_cell_at_the_minimum(capsys):
+    # the minimum 0.0 is reached at (0, 0) and, at alpha = 3, at every k >= 2 cell;
+    # the argmin is the first of them in scan order (j, then k)
+    code, out, _ = run(["margin", "--alpha", "3,4,5.499", "--jmax", "200"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["min_margin"], r["argmin_j"], r["argmin_k"], r["zero_count"]) for r in rows] == [
+        (0.0, 0, 0, 19_901), (0.0, 0, 0, 1), (0.0, 0, 0, 1)
+    ]
+    assert not any(r["violated"] for r in rows)
+    assert all(math.copysign(1.0, r["min_margin"]) == 1.0 for r in rows)
+
+
 def test_margin_memory_is_bounded_by_the_block(capsys):
     # the scan holds a few blocks of _MARGIN_ROWS j rows at a time, not the
     # grid: 20 float arrays of one block's (_MARGIN_ROWS, jmax + 1) rectangle
-    # (29 MiB here) bound it, where the grid's four terms alone take 138 MiB
+    # (29 MiB here) bound it, where four float arrays of the grid take 138 MiB
     jmax = 3000
     bound = 20 * 8 * spectra._MARGIN_ROWS * (jmax + 1)
     assert bound < 4 * 8 * (jmax + 1) * (jmax + 2) // 2 // 4

@@ -3,6 +3,7 @@ recentering, and the endpoint inequality."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -368,6 +369,45 @@ def test_pullback_fixes_the_south_pole(delta):
     assert np.isfinite(got)
     assert abs(got / (delta ** (Q / p) * _cos_profile(0.0, math.pi)) - 1.0) < 1e-13
     assert g(SOUTH_POLE) == got
+
+
+def _sin_profile(th, ph, lib=np):
+    # depends on sin(phi), whose digits arccos(Re w / |w|) loses near phi = 0 and pi
+    return lib.exp(lib.cos(th) * (lib.cos(ph) + 0.5 * lib.sin(ph)))
+
+
+_NEAR_AXIS = (1e-9, 1e-6, 1e-3, math.pi - 1e-3, math.pi - 1e-6, math.pi - 1e-9)
+
+
+def test_angles_keep_sin_phi_near_zero_and_pi():
+    # against 40 digits, with phi = arg w; measured worst 2.2e-16 (points) and
+    # 8.9e-15 (pullbacks), where phi = arccos(Re w / |w|) was off by 5e-10 and 2.4e-9
+    h = fn.AxisZonalFunction(_sin_profile)
+    worst = 0.0
+    for r in (0.3, 0.95, 0.999):
+        for ph in _NEAR_AXIS:
+            pt = np.zeros(16)  # zeta2 = r (cos phi + sin phi e1) about the north axis
+            pt[0], pt[8], pt[9] = math.sqrt(1.0 - r * r), r * math.cos(ph), r * math.sin(ph)
+            with mp.workdps(40):
+                w = mp.mpc(pt[8], pt[9])
+                want = _sin_profile(mp.acos(abs(w)), mp.arg(w), lib=mp)
+            worst = max(worst, abs(float(h(pt)) / float(want) - 1.0))
+    assert worst <= 1e-15
+    p = 2.0 * Q / (2.0 * Q - 16.0)
+    worst = 0.0
+    for delta in (0.4, 1.7, 5.0):
+        g = fn.conformal_pullback(_sin_profile, delta, p)
+        for th in (0.3, 1.2, math.pi / 2 - 1e-3):
+            for ph in _NEAR_AXIS:
+                with mp.workdps(40):
+                    c = (mp.mpf(delta) ** 2 - 1) / (mp.mpf(delta) ** 2 + 1)
+                    w = mp.cos(th) * mp.expj(ph)
+                    moved = (w + c) / (1 + c * w)
+                    jac = ((1 - c * c) / abs(1 + c * w) ** 2) ** (mp.mpf(Q) / (2 * p))
+                    want = jac * _sin_profile(mp.acos(abs(moved)), mp.arg(moved), lib=mp)
+                got = g.profile(np.array(th), np.array(ph))
+                worst = max(worst, abs(float(got) / float(want) - 1.0))
+    assert worst <= 4e-14
 
 
 @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])

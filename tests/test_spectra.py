@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -248,9 +249,32 @@ def test_ratio_identity_alpha4_kpos_zero():
 # bilinear margin
 
 
+def margin_terms(j, k, alpha):
+    """lambda(K1), lambda(K2), -lambda(K1^(alpha-1)), -2a/(11-a) lambda(K1) on W_{j,k}:
+    the four-term sum that defines the margin, the oracle for its product form."""
+    lam1 = spectra.eig_K1(j, k, alpha)
+    return (
+        lam1,
+        spectra.eig_K2(j, k, alpha),
+        -spectra.eig_K1(j, k, alpha - 1.0),
+        -(2.0 * alpha / (11.0 - alpha)) * lam1,
+    )
+
+
+def _four_term_error(j, k, alpha):
+    """|bilinear_margin - the left-to-right sum of margin_terms| over the sum of the term sizes."""
+    terms = margin_terms(j, k, alpha)
+    scale = sum(abs(t) for t in terms)
+    m = spectra.bilinear_margin(j, k, alpha)
+    if scale == 0.0:
+        return 0.0 if m == 0.0 else math.inf
+    return abs(m - (0.0 + terms[0] + terms[1] + terms[2] + terms[3])) / scale
+
+
 def test_margin_zero_at_origin():
     for alpha in (3.0, 3.7, 4.0, 5.2):
         assert abs(spectra.bilinear_margin(0, 0, alpha)) < 1e-12
+        assert spectra.bilinear_margin(0, 0, alpha) == 0.0
 
 
 def test_margin_regression_values():
@@ -263,41 +287,145 @@ def test_margin_zero_set_at_three():
         for k in range(j + 1):
             m = spectra.bilinear_margin(j, k, 3.0)
             if (j, k) == (0, 0) or k >= 2:
-                assert abs(m) < 1e-10, (j, k)
+                assert m == 0.0 and math.copysign(1.0, m) == 1.0, (j, k)
             else:
                 assert m > 1e-6, (j, k)
 
 
+# the oracle's alpha - 1 rounds below 1/2, so the grid starts there; the worst
+# relative error measured on it is 1.1e-15, at j <= 60 and on the table edges
+_ORACLE_ALPHAS = (0.5, 1.0, 2.0, 2.5, 3.0, 3.25, 3.5, 4.0, 4.5, 5.0, 5.25, 5.45, 5.499)
+
+
 def test_margin_is_its_defining_combination():
-    # the log terms shared within one pass must not change a single bit of any
-    # term; a - 1 rounds at 0.1 and 1/3, and at 1/3 (not 0.1) the alpha - 1
-    # arguments then differ from those of alpha
     # j = 63 | 64, 127 | 128 straddle the table sizes; 1000 reads a 1024-entry table
-    for alpha in (0.1, 1.0 / 3.0, 0.5, 1.0, 2.5, 3.0, 3.5, 4.0, 5.2, 5.499):
-        for j in (*range(6), 50, 63, 64, 65, 127, 128, 199, 200, 1000):
+    worst = 0.0
+    for alpha in _ORACLE_ALPHAS:
+        for j in (*range(61), 63, 64, 65, 127, 128, 199, 200, 1000):
             for k in range(j + 1):
-                lam1 = spectra.eig_K1(j, k, alpha)
-                terms = (
-                    lam1,
-                    spectra.eig_K2(j, k, alpha),
-                    -spectra.eig_K1(j, k, alpha - 1.0),
-                    -(2.0 * alpha / (11.0 - alpha)) * lam1,
-                )
-                got = spectra.margin_terms(j, k, alpha)
-                assert got == terms, (j, k, alpha)
-                # == takes -0.0 for 0.0; the signs of zero must match too
-                assert [math.copysign(1.0, t) for t in got] == [
-                    math.copysign(1.0, t) for t in terms
-                ], (j, k, alpha)
-                left_to_right = 0.0 + terms[0] + terms[1] + terms[2] + terms[3]
-                assert spectra.bilinear_margin(j, k, alpha) == left_to_right, (j, k, alpha)
+                worst = max(worst, _four_term_error(j, k, alpha))
+    assert worst <= 4e-15
+
+
+@pytest.mark.parametrize("j, k, alpha", [
+    (1, 0, 5.45), (2, 2, 2.5), (2, 1, 3.0), (7, 3, 4.0), (40, 17, 5.25), (200, 199, 3.5),
+])
+def test_margin_matches_40_digit_reference(j, k, alpha):
+    # the four-term sum itself is 4.1e-14 off at (1, 0, 5.45); the product at most 5.2e-16
+    ref = _mpmath_reference()
+    mp = ref.mp
+    with mp.workdps(ref.DIGITS):
+        a = mp.mpf(alpha)
+        c = 2 * mp.pi ** 8
+        lam1 = ref._eig_K1(j, k, a)
+        lam2 = (
+            lam1
+            - c * mp.gamma(12 - 2 * a) * mp.rf(a, j) * mp.rf(a - 4, k)
+            / (mp.gamma(k + 8 - a) * mp.gamma(j + 12 - a))
+            - c * mp.gamma(12 - 2 * a) * (a - 4) * mp.rf(a, j - 1) * mp.rf(a - 3, k)
+            / (mp.gamma(k + 9 - a) * mp.gamma(j + 11 - a))
+            + c * mp.gamma(13 - 2 * a) * (a - 4) * mp.rf(a, j - 1) * mp.rf(a - 4, k)
+            / (mp.gamma(k + 9 - a) * mp.gamma(j + 12 - a))
+        )
+        exact = lam1 + lam2 - ref._eig_K1(j, k, a - 1) - 2 * a / (11 - a) * lam1
+    got = spectra.bilinear_margin(j, k, alpha)
+    assert abs(got - exact) <= 2e-15 * abs(exact), (got, exact)
+
+
+class _Poly(dict):
+    """A polynomial in (m, n, s) with exact rational coefficients, keyed by exponent triples."""
+
+    @classmethod
+    def of(cls, value):
+        return value if isinstance(value, _Poly) else cls({(0, 0, 0): Fraction(value)})
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for e, c in _Poly.of(other).items():
+            out[e] = out.get(e, 0) + c
+        return _Poly({e: c for e, c in out.items() if c})
+
+    def __mul__(self, other):
+        out = _Poly()
+        for e1, c1 in self.items():
+            for e2, c2 in _Poly.of(other).items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return _Poly({e: c for e, c in out.items() if c})
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -_Poly.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _margin_polynomial(a, j, k):
+    """P of the margin product (see spectra), in the same Horner form."""
+    c2 = (a - 4) * (a - 8) - k * (k + 4)
+    c1 = (8 * a - 90) * a + 232 + k * ((15 - a) * a - 84 - 10 * k)
+    c0 = k * (k * ((a - 12) * a + 11) + (27 - a) * a - 176)
+    return (c2 * j + c1) * j + c0
+
+
+def _max_on_interval(coeffs, lo, hi):
+    """The maximum of sum_d coeffs[d] s^d (degree <= 2) over lo <= s <= hi."""
+    def at(s):
+        return sum(c * s ** d for d, c in coeffs.items())
+    points = [lo, hi]
+    if coeffs.get(2, 0):
+        vertex = -coeffs.get(1, 0) / (2 * coeffs[2])
+        points += [vertex] if lo <= vertex <= hi else []
+    return max(at(s) for s in points)
+
+
+def test_margin_positivity_certificate():
+    # with j = k + m, k = 1 + n and alpha = 3 + s, P is a polynomial in m, n >= 0
+    # whose coefficients are all <= 0 for s in [0, 5/2] and whose constant term is < 0;
+    # every other factor of the product has a fixed sign on 3 <= alpha < 11/2, so
+    # the margin is >= 0 there at every k >= 1
+    m, n, s = (_Poly({e: Fraction(1)}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    P = _margin_polynomial(3 + s, 1 + n + m, 1 + n)
+    by_monomial = {}
+    for (dm, dn, ds), c in P.items():
+        by_monomial.setdefault((dm, dn), {})[ds] = c
+    assert by_monomial == {
+        (2, 2): {0: -1},
+        (2, 1): {0: -6},
+        (2, 0): {2: 1, 1: -6},  # s (s - 6)
+        (1, 3): {0: -2},
+        (1, 2): {0: -24},
+        (1, 1): {2: 1, 1: -3, 0: -80},
+        (1, 0): {2: 9, 1: -45, 0: -24},  # 3 (3 s^2 - 15 s - 8)
+        (0, 4): {0: -1},
+        (0, 3): {0: -18},
+        (0, 2): {2: 1, 1: -3, 0: -107},
+        (0, 1): {2: 9, 1: -27, 0: -234},  # 9 (s^2 - 3 s - 26)
+        (0, 0): {2: 8, 1: -24, 0: -144},  # 8 (s - 6)(s + 3)
+    }
+    for monomial, coeffs in by_monomial.items():
+        assert _max_on_interval(coeffs, Fraction(0), Fraction(5, 2)) <= 0, monomial
+    assert _max_on_interval(by_monomial[(0, 0)], Fraction(0), Fraction(5, 2)) < 0
+    # at k = 0, P = j (a - 4)((a - 8) j + 8a - 58), and (a - 8) j + 8a - 58 < 0 for every
+    # j >= 0 when a < 29/4: its slope a - 8 is negative and its value at j = 0 is 8 (a - 29/4)
+    a, j = (_Poly({e: Fraction(1)}) for e in ((0, 0, 1), (1, 0, 0)))
+    row = (a - 8) * j + 8 * a - 58
+    assert _margin_polynomial(a, j, 0) == j * (a - 4) * row
+    assert row == _Poly({(1, 0, 1): Fraction(1), (1, 0, 0): Fraction(-8), (0, 0, 1): Fraction(8),
+                         (0, 0, 0): Fraction(-58)})
+    assert Fraction(29, 4) - 8 < 0 and 8 * Fraction(29, 4) - 58 == 0
 
 
 def test_margin_violation_below_three():
     assert spectra.bilinear_margin(2, 2, 2.5) < -1e-3
 
 
-@pytest.mark.parametrize("fn", [spectra.margin_terms, spectra.bilinear_margin])
+@pytest.mark.parametrize("fn", [spectra.bilinear_margin])
 def test_margin_validates_its_arguments(fn):
     for j, k in ((2, 3), (3, -1), (0, -1)):
         with pytest.raises(ValueError):
@@ -305,28 +433,26 @@ def test_margin_validates_its_arguments(fn):
     for alpha in (0.0, -0.5, 5.5, 6.0, math.nan):
         with pytest.raises(ValueError):
             fn(3, 1, alpha)
-    for j, k in ((0, 0), (64, 7), (150, 70)):
+    for j, k in ((0, 0), (64, 7), (150, 70), (9, 0)):
         want = fn(j, k, 4.0)
         got = fn(np.int64(j), np.int64(k), 4.0)
-        assert got == want and type(got) is type(want), (j, k)
-        assert all(type(t) is float for t in (got if isinstance(got, tuple) else (got,)))
+        assert got == want and type(got) is type(want) is float, (j, k)
 
 
-def test_margin_scan_builds_two_table_sets_per_size():
-    # a j <= 200 scan reads sizes 64, 128 and 256 at alpha and at alpha - 1, once each
+def test_margin_scan_builds_one_table_set_per_size():
+    # a j <= 200 scan reads sizes 64, 128 and 256 at alpha, once each, and no alpha - 1 table
     spectra._factor_tables.cache_clear()
     for _ in range(2):
         for j in range(201):
             for k in range(j + 1):
                 spectra.bilinear_margin(j, k, 4.0)
-    assert spectra._factor_tables.cache_info().misses == 6
+    assert spectra._factor_tables.cache_info().misses == 3
 
 
 def _margin_table_cells(alpha, jmax, kmax=None):
-    """margin_table's blocks joined: (j, k, terms as (cells, 4))."""
+    """margin_table's blocks joined: (j, k, margin)."""
     blocks = list(spectra.margin_table(alpha, jmax, kmax))
-    j, k, terms = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
-    return j, k, terms.T
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 # jmax at the table sizes (64, 128) and the block edges, each side
@@ -343,24 +469,27 @@ def test_margin_table_is_margin_terms_cell_by_cell(alpha):
         kcap = jmax if kmax is None else kmax
         cells = [(jj, kk) for jj in range(jmax + 1) for kk in range(min(jj, kcap) + 1)]
         assert list(zip(j.tolist(), k.tolist())) == cells, (jmax, kmax)
-        want = np.array([spectra.margin_terms(jj, kk, alpha) for jj, kk in cells])
+        want = np.array([spectra.bilinear_margin(jj, kk, alpha) for jj, kk in cells])
         # == takes -0.0 for 0.0; the signs of zero must match too
         assert np.array_equal(got, want), (jmax, kmax)
         assert np.array_equal(np.signbit(got), np.signbit(want)), (jmax, kmax)
+    # and the four-term sum within its rounding (measured worst 3.0e-15, at alpha = 0.1)
+    j, k, _ = _margin_table_cells(alpha, 2 * _B + 1)
+    assert max(_four_term_error(jj, kk, alpha) for jj, kk in zip(j.tolist(), k.tolist())) <= 4e-15
 
 
 def test_margin_table_blocks_hold_at_most_the_block_rows():
     blocks = list(spectra.margin_table(4.0, 3 * _B + 2))
     assert len(blocks) == 4
-    for n, (j, k, terms) in enumerate(blocks):
+    for n, (j, k, margin) in enumerate(blocks):
         assert set(j.tolist()) == set(range(n * _B, min((n + 1) * _B, 3 * _B + 3)))
-        assert terms.shape == (4, len(j)) == (4, len(k))
+        assert margin.shape == j.shape == k.shape
 
 
-def test_margin_table_validates_like_margin_terms():
+def test_margin_table_validates_like_bilinear_margin():
     for alpha in (0.0, -0.5, 5.5, 6.0, math.nan):
         with pytest.raises(ValueError) as scalar:
-            spectra.margin_terms(3, 1, alpha)
+            spectra.bilinear_margin(3, 1, alpha)
         # raised by the call itself, before any block is read
         with pytest.raises(ValueError) as table:
             spectra.margin_table(alpha, 3)
@@ -441,6 +570,7 @@ def test_logsob_gap_matches_mpmath_digamma():
     # C0 [psi(j + Q/4) + psi(k + Q/4 - 3) - psi(Q/4) - psi(Q/4 - 3)] at 40 digits
     mp = _mpmath_reference().mp
     idx = (1, 10, 200, 10_000)
+    worst = 0.0
     with mp.workdps(40):
         q4 = mp.mpf(Q) / 4
         c0 = mp.mpf(2) ** (Q // 2 + 1) * mp.pi ** 8 / (mp.gamma(q4) * mp.gamma(q4 - 3))
@@ -450,6 +580,9 @@ def test_logsob_gap_matches_mpmath_digamma():
                 exact = c0 * psi
                 gap = spectra.logsob_gap(j, k)
                 assert abs(gap - exact) <= 1e-12 * exact, (j, k, gap, exact)
+                worst = max(worst, float(abs(gap - exact) / exact))
+    # measured 5.7e-16 with the compensated prefix sums; a plain cumsum is 3e-15 off at 10^4
+    assert worst <= 2e-15
 
 
 def test_logsob_gap_monotone():
