@@ -54,34 +54,43 @@ _POLE_EPS = 1e-14
 # array kernels
 
 
-def _one_plus(x, sign=1.0):
-    """1 + sign * x for octonion arrays x of shape (..., 8), as a new array."""
-    out = sign * x
+def _one_plus(x):
+    """1 + x for octonion arrays x of shape (..., 8), as a new array."""
+    out = np.array(x, dtype=float)
     out[..., 0] += 1.0
     return out
 
 
 def cayley_zt(z, t):
-    """Batched transform of group elements to sphere points (..., 16)."""
+    """Batched transform of group elements to sphere points (..., 16).
+
+    With w = 1 + |z|^2 - t, zeta1 = w^-1 (2z) and zeta2 = w^-1 (1 - |z|^2 + t);
+    zeta2 lies in the complex line of t, (1 - |z|^4 - |t|^2, 2t) / |w|^2.
+    """
     z = np.asarray(z, dtype=float)
-    tt = oc.from_im(t)
+    t = np.asarray(t, dtype=float)
     z2 = (z * z).sum(axis=-1)
-    w = -tt  # 1 + |z|^2 - t, real part >= 1
-    w[..., 0] = 1.0 + z2
-    winv = oc.conj(w) / (w * w).sum(axis=-1)[..., None]
-    tt[..., 0] = 1.0 - z2  # 1 - |z|^2 + t
-    return np.concatenate([oc.mul(winv, 2.0 * z), oc.mul(winv, tt)], axis=-1)
+    t2 = (t * t).sum(axis=-1)
+    w2 = (1.0 + z2) ** 2 + t2
+    winv = oc.from_im(t) / w2[..., None]  # conj(w) / |w|^2
+    winv[..., 0] = (1.0 + z2) / w2
+    zeta2 = 2.0 * winv
+    zeta2[..., 0] = (1.0 - z2 * z2 - t2) / w2
+    return np.concatenate([oc.mul(winv, 2.0 * z), zeta2], axis=-1)
 
 
 def cayley_inv_arrays(v):
-    """Batched inverse transform (z, t); raises if any point is the south pole."""
+    """Batched inverse transform (z, t); raises if any point is the south pole.
+
+    z = (1 + zeta2)^-1 zeta1, and t = -Im((1 + zeta2)^-1 (1 - zeta2)) =
+    2 Im(zeta2) / |1 + zeta2|^2 in the complex line of zeta2.
+    """
     v = np.asarray(v, dtype=float)
     op = _one_plus(v[..., 8:])
     n2 = (op * op).sum(axis=-1)
     if (n2 < _POLE_EPS ** 2).any():
         raise ZeroDivisionError("Cayley inverse undefined at the south pole")
-    q = oc.conj(op) / n2[..., None]
-    return oc.mul(q, v[..., :8]), -oc.im(oc.mul(q, _one_plus(v[..., 8:], -1.0)))
+    return oc.mul(oc.conj(op) / n2[..., None], v[..., :8]), 2.0 * v[..., 9:] / n2[..., None]
 
 
 def jac_cayley_zt(z, t):
@@ -114,8 +123,8 @@ def sdist_arrays(zv, ev):
     """Sphere distance 2^(-1/2) |1 - zeta . conj(eta)|^(1/2) for points (..., 16).
 
     The product zeta . conj(eta) keeps each term bracketed with the
-    unit phases a = conj(1+zeta2)/|1+zeta2| and b = (1+eta2)/|1+eta2|
-    of the suppressed quotient denominators:
+    unit phases a = conj(p)/|p| and b = q/|q|, p = 1 + zeta2 and
+    q = 1 + eta2, of the suppressed quotient denominators:
 
         1 - zeta . conj(eta)  :=  a b - (a zeta1)(conj(eta1) b)
                                       - (a zeta2)(conj(eta2) b).
@@ -124,25 +133,36 @@ def sdist_arrays(zv, ev):
     1 - zeta1 conj(eta1) - zeta2 conj(eta2); for octonions only the
     bracketed form satisfies the exact exchange identity with the
     group distance, d_S = d_G(u,v) / (W(u) W(v))^(1/4) with
-    W(u) = (1+|z|^2)^2 + |t|^2.  When either argument is the south
-    pole the continuous limit sqrt(|1 + other2| / 2) is used.  On the
-    zonal slice (eta = north pole) the corrected and plain formulas
-    coincide.
+    W(u) = (1+|z|^2)^2 + |t|^2.  On the zonal slice (eta = north pole)
+    the bracketed and plain formulas coincide.
+
+    The zeta2 term lives in complex lines: a zeta2 = |p| - a and
+    conj(eta2) b = |q| - b, so a b - (a zeta2)(conj(eta2) b) = |p| b + |q| a - |p||q|,
+    and with the phases multiplied out
+
+        1 - zeta . conj(eta) = (|p|^2 q + |q|^2 conj(p) - |p|^2 |q|^2
+                                - (conj(p) zeta1)(conj(eta1) q)) / (|p| |q|),
+
+    three octonion products per pair.  When either argument is the
+    south pole (|p| or |q| below 1e-14) the continuous limit
+    sqrt(|1 + other2| / 2) is used.
     """
     zv = np.asarray(zv, dtype=float)
     ev = np.asarray(ev, dtype=float)
-    oz = _one_plus(zv[..., 8:])
-    oe = _one_plus(ev[..., 8:])
-    nz = oc.norm(oz)[..., None]
-    ne = oc.norm(oe)[..., None]
-    a = oc.conj(oz) / np.where(nz < _POLE_EPS, 1.0, nz)
-    b = oe / np.where(ne < _POLE_EPS, 1.0, ne)
-    pair = oc.mul(oc.mul(a, zv[..., :8]), oc.mul(oc.conj(ev[..., :8]), b)) + oc.mul(
-        oc.mul(a, zv[..., 8:]), oc.mul(oc.conj(ev[..., 8:]), b)
-    )
-    d = np.sqrt(oc.norm(oc.mul(a, b) - pair) / 2.0)
-    lo, hi = np.minimum(nz, ne)[..., 0], np.maximum(nz, ne)[..., 0]
-    return np.where(lo < _POLE_EPS, np.sqrt(hi / 2.0), d)
+    p = _one_plus(zv[..., 8:])
+    q = _one_plus(ev[..., 8:])
+    # squared row norms by einsum, which runs one loop per row where .sum reduces 8-wide rows slowly
+    p2 = np.einsum("...i,...i->...", p, p)
+    q2 = np.einsum("...i,...i->...", q, q)
+    pc = oc.conj(p)
+    pair = oc.mul(oc.mul(pc, zv[..., :8]), oc.mul(oc.conj(ev[..., :8]), q))
+    num = p2[..., None] * q + q2[..., None] * pc - pair
+    num[..., 0] -= p2 * q2
+    lo, hi = np.sqrt(np.minimum(p2, q2)), np.sqrt(np.maximum(p2, q2))
+    pole = lo < _POLE_EPS
+    den = np.where(pole, 1.0, 2.0 * np.sqrt(p2 * q2))
+    size = np.sqrt(np.einsum("...i,...i->...", num, num))
+    return np.where(pole, np.sqrt(hi / 2.0), np.sqrt(size / den))
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,21 @@ def cmd_margin(args):
     return 0
 
 
+def _margin_four_term_error(alpha, jmax):
+    """Largest |bilinear_margin - (lambda(K1) + lambda(K2) - lambda(K1^(alpha-1))
+    - 2a/(11-a) lambda(K1))| over the sum of the four term sizes, on the cells j <= jmax."""
+    worst = 0.0
+    for j in range(jmax + 1):
+        for k in range(j + 1):
+            lam1 = spectra.eig_K1(j, k, alpha)
+            terms = (lam1, spectra.eig_K2(j, k, alpha), -spectra.eig_K1(j, k, alpha - 1.0),
+                     -(2.0 * alpha / (11.0 - alpha)) * lam1)
+            total = 0.0 + terms[0] + terms[1] + terms[2] + terms[3]
+            err = abs(spectra.bilinear_margin(j, k, alpha) - total) / sum(abs(x) for x in terms)
+            worst = max(worst, err)
+    return worst
+
+
 def _check(name, param, value, reference, tol, mode="abs"):
     abs_err = abs(value - reference)
     rel_err = abs_err / abs(reference) if reference != 0.0 else abs_err
@@ -284,8 +299,9 @@ def cmd_verify(args):
     )
     reports.append(_check("eigenvalue_oracle", alpha, worst, 0.0, tol(1e-6)))
 
-    # margin spot checks: the exact zero at (0, 0), and the violation below alpha = 3
-    reports.append(_check("margin_zero_00", 4.0, spectra.bilinear_margin(0, 0, 4.0), 0.0, tol(1e-12)))
+    # margin spot checks: the product form against its four-term definition, and the
+    # violation below alpha = 3
+    reports.append(_check("margin_four_terms", 4.0, _margin_four_term_error(4.0, 20), 0.0, tol(4e-15)))
     reports.append(_check("margin_violation_25", 2.5, _margin_scan(2.5, 20)[0], -0.011, tol(0.01)))
 
     # HLS quotient at f = 1 and at a projected extremizer

@@ -67,13 +67,24 @@ def sample_sphere(n, seed, stream=0):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def _rows_times(points, matrix):
+    """points (..., 16) @ matrix, one row at a time in one summation order.
+
+    einsum runs its own loop, the same for any batch shape, so one point
+    gives exactly its row of a batch; a BLAS product does not (a one-row
+    product goes through a matrix-vector kernel that sums in another order).
+    The matrix is laid out column-major so that each sum runs over contiguous memory.
+    """
+    return np.einsum("...i,ik->...k", np.asarray(points, dtype=float), np.asfortranarray(matrix))
+
+
 def _axis_angles(points, axis):
     """Zonal angles (theta, phi) of sphere points relative to an axis.
 
     With the axis fixed the pairing is linear in the point: one (16, 8)
     matrix whose rows are signed copies of the axis coefficients.
     """
-    w = np.asarray(points, dtype=float) @ hermitian_pairing(np.eye(16), axis)
+    w = _rows_times(points, hermitian_pairing(np.eye(16), axis))
     return _angles(w[..., 0], np.sqrt(np.einsum("...i,...i->...", w[..., 1:], w[..., 1:])))
 
 
@@ -251,9 +262,10 @@ class ExtremizerParams:
 def extremizer_eval(params: ExtremizerParams, points):
     """Pointwise extremizer value at sphere points, a (..., 16) array."""
     # xi . conj(zeta) is linear in zeta: one (16, 8) matrix built from xi
-    pair = np.asarray(points, dtype=float) @ hermitian_pairing(params.xi, np.eye(16))
+    pair = _rows_times(points, hermitian_pairing(params.xi, np.eye(16)))
     pair[..., 0] -= 1.0
-    return np.linalg.norm(pair, axis=-1) ** (-(2.0 * Q - params.lam) / 2.0)
+    # np.power, not **: a numpy scalar's ** calls a scalar pow that can differ from the array loop
+    return np.power(np.linalg.norm(pair, axis=-1), -(2.0 * Q - params.lam) / 2.0)
 
 
 def extremizer_profile(params: ExtremizerParams):

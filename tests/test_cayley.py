@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from octhls import cayley as cy
 from octhls import nilgroup as ng
+from octhls import octonion as oc
 from octhls.nilgroup import GroupElement, Q
 
 
@@ -235,3 +237,156 @@ def test_invalid_exponent():
         cy.lift_function(lambda z, t: 1.0, 1.0)
     with pytest.raises(ValueError):
         cy.lower_function(lambda v: 1.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# reference forms: every octonion product written out, as the kernels read
+# before their complex-line parts were folded into closed forms
+
+
+def _one_plus(x, sign=1.0):
+    out = sign * x
+    out[..., 0] += 1.0
+    return out
+
+
+def ref_sdist(zv, ev):
+    """The bracketed definition with the unit phases a, b: seven products."""
+    oz, oe = _one_plus(zv[..., 8:]), _one_plus(ev[..., 8:])
+    nz, ne = oc.norm(oz)[..., None], oc.norm(oe)[..., None]
+    a = oc.conj(oz) / np.where(nz < cy._POLE_EPS, 1.0, nz)
+    b = oe / np.where(ne < cy._POLE_EPS, 1.0, ne)
+    pair = oc.mul(oc.mul(a, zv[..., :8]), oc.mul(oc.conj(ev[..., :8]), b)) + oc.mul(
+        oc.mul(a, zv[..., 8:]), oc.mul(oc.conj(ev[..., 8:]), b)
+    )
+    d = np.sqrt(oc.norm(oc.mul(a, b) - pair) / 2.0)
+    lo, hi = np.minimum(nz, ne)[..., 0], np.maximum(nz, ne)[..., 0]
+    return np.where(lo < cy._POLE_EPS, np.sqrt(hi / 2.0), d)
+
+
+def ref_cayley_zt(z, t):
+    """(w^-1 (2z), w^-1 (1 - |z|^2 + t)) with w = 1 + |z|^2 - t: two products."""
+    tt = oc.from_im(t)
+    z2 = (z * z).sum(axis=-1)
+    w = -tt
+    w[..., 0] = 1.0 + z2
+    winv = oc.conj(w) / (w * w).sum(axis=-1)[..., None]
+    tt[..., 0] = 1.0 - z2
+    return np.concatenate([oc.mul(winv, 2.0 * z), oc.mul(winv, tt)], axis=-1)
+
+
+def ref_cayley_inv(v):
+    """((1 + zeta2)^-1 zeta1, -Im((1 + zeta2)^-1 (1 - zeta2))): two products."""
+    op = _one_plus(v[..., 8:])
+    q = oc.conj(op) / (op * op).sum(axis=-1)[..., None]
+    return oc.mul(q, v[..., :8]), -oc.im(oc.mul(q, _one_plus(v[..., 8:], -1.0)))
+
+
+def _pair_sets(seed, n):
+    """Random pairs; pairs near the south pole (group points dilated by 10^3); pairs
+    1e-4 apart on the sphere."""
+    rng = np.random.default_rng(seed)
+    u = cy.cayley_zt(*rand_zt(rng, n))
+    v = cy.cayley_zt(*rand_zt(rng, n))
+    z, t = rand_zt(rng, n)
+    south = cy.cayley_zt(1e3 * z, 1e6 * t)
+    near = u + 1e-4 * rng.standard_normal((n, 16)) / 4.0
+    near /= np.linalg.norm(near, axis=-1, keepdims=True)
+    return {"random": (u, v), "south": (south, v), "near": (u, near)}
+
+
+# worst |kernel - reference| / reference over five seeds of 2,000 pairs: random 5.8e-16,
+# south 2.3e-15, near 3.4e-12 (both forms round at about 1e-12 there, see the 40-digit test)
+_SDIST_VS_REF = {"random": 2e-15, "south": 1e-14, "near": 1e-11}
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_sdist_matches_seven_product_form(seed):
+    for name, (u, v) in _pair_sets(seed, 2000).items():
+        ref = ref_sdist(u, v)
+        assert np.max(np.abs(cy.sdist_arrays(u, v) - ref) / ref) < _SDIST_VS_REF[name], name
+
+
+def test_cayley_maps_match_two_product_forms():
+    rng = np.random.default_rng(34)
+    z, t = rand_zt(rng, 2000)
+    scale = np.exp(rng.uniform(-3.0, 3.0, (2000, 1)))
+    z, t = scale * z, scale ** 2 * t
+    v = cy.cayley_zt(z, t)
+    # measured worst over three seeds: 5.6e-16; z is the same product (0.0), t 4.2e-16 of 1 + |t|
+    assert np.max(np.abs(v - ref_cayley_zt(z, t))) < 2e-15
+    zb, tb = cy.cayley_inv_arrays(v)
+    zr, tr = ref_cayley_inv(v)
+    assert np.max(np.abs(zb - zr) / (1.0 + np.abs(zr))) < 2e-15
+    assert np.max(np.abs(tb - tr) / (1.0 + np.abs(tr))) < 2e-15
+
+
+# 40-digit references: the same definitions over mpf, with the product from MULT_TABLE
+
+_TERMS = [(i, j, k, int(oc.MULT_TABLE[i, j, k])) for i, j, k in zip(*np.nonzero(oc.MULT_TABLE))]
+
+
+def _mp_mul(x, y):
+    out = [mp.mpf(0)] * 8
+    for i, j, k, sign in _TERMS:
+        out[k] += sign * x[i] * y[j]
+    return out
+
+
+def _mp_conj(x):
+    return [x[0]] + [-c for c in x[1:]]
+
+
+def _mp_sdist(zeta, eta):
+    zeta, eta = [mp.mpf(float(c)) for c in zeta], [mp.mpf(float(c)) for c in eta]
+    p, q = [1 + zeta[8]] + zeta[9:], [1 + eta[8]] + eta[9:]
+    a = [c / mp.sqrt(mp.fsum(x * x for x in p)) for c in _mp_conj(p)]
+    b = [c / mp.sqrt(mp.fsum(x * x for x in q)) for c in q]
+    ab = _mp_mul(a, b)
+    for lo, hi in ((0, 8), (8, 16)):
+        term = _mp_mul(_mp_mul(a, zeta[lo:hi]), _mp_mul(_mp_conj(eta[lo:hi]), b))
+        ab = [x - y for x, y in zip(ab, term)]
+    return mp.sqrt(mp.sqrt(mp.fsum(x * x for x in ab)) / 2)
+
+
+def _mp_cayley(z, t):
+    z, t = [mp.mpf(float(c)) for c in z], [mp.mpf(float(c)) for c in t]
+    z2 = mp.fsum(c * c for c in z)
+    w2 = (1 + z2) ** 2 + mp.fsum(c * c for c in t)
+    winv = [(1 + z2) / w2] + [c / w2 for c in t]
+    return _mp_mul(winv, [2 * c for c in z]) + _mp_mul(winv, [1 - z2] + t)
+
+
+def test_sdist_40_digit_reference():
+    # worst relative error over 30 pairs each, two seeds (the seven-product form in brackets):
+    # random 2.3e-16 (3.0e-16), 1e-4 apart 8.9e-13 (1.0e-12), near the south pole 2.0e-16 (9.3e-16)
+    with mp.workdps(40):
+        for name, bound in (("random", 1e-15), ("near", 3e-12), ("south", 1e-15)):
+            u, v = _pair_sets(35, 30)[name]
+            ref = [_mp_sdist(a, b) for a, b in zip(u, v)]
+            err = max(abs(g - r) / r for g, r in zip(cy.sdist_arrays(u, v), ref))
+            assert err < bound, name
+
+
+def test_cayley_40_digit_reference():
+    # worst absolute error over 30 points, two seeds: 1.9e-16 (two-product form 2.3e-16)
+    rng = np.random.default_rng(36)
+    z, t = rand_zt(rng, 30)
+    got = cy.cayley_zt(z, t)
+    with mp.workdps(40):
+        err = max(abs(g - r) for row, a, b in zip(got, z, t) for g, r in zip(row, _mp_cayley(a, b)))
+    assert err < 1e-15
+
+
+def test_kernel_product_counts(monkeypatch):
+    # three octonion products per distance, one per Cayley map: the others live in a complex line
+    calls = []
+    mul = oc.mul
+    monkeypatch.setattr(oc, "mul", lambda x, y: calls.append(1) or mul(x, y))
+    rng = np.random.default_rng(37)
+    v = cy.cayley_zt(*rand_zt(rng, 5))
+    assert len(calls) == 1
+    cy.cayley_inv_arrays(v)
+    assert len(calls) == 2
+    cy.sdist_arrays(v, v[::-1])
+    assert len(calls) == 5

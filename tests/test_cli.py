@@ -212,6 +212,20 @@ def test_verify_exit_zero(capsys):
     checks = {r["check"] for r in rows}
     assert "distance_relation" in checks
     assert "log_sobolev_constant" in checks
+    assert "margin_four_terms" in checks and len(rows) == 15
+
+
+def test_verify_margin_row_sees_a_wrong_sign(capsys, monkeypatch):
+    # the margin row compares the product form with its four-term definition, so a
+    # margin with the wrong sign fails it (and only it)
+    margin = spectra.bilinear_margin
+    monkeypatch.setattr(spectra, "bilinear_margin", lambda j, k, alpha: -margin(j, k, alpha))
+    argv = ["verify", "--mc-samples", "50", "--nodes-theta", "64", "--nodes-phi", "64"]
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    failed = [r for r in json.loads(out)["rows"] if not r["pass"]]
+    assert [r["check"] for r in failed] == ["margin_four_terms"]
+    assert failed[0]["value"] > 0.1
 
 
 def test_verify_tolerance_override_failure(capsys):

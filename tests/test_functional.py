@@ -182,13 +182,16 @@ def test_pairing_matrix_matches_hermitian_pairing(axis):
 def test_pairing_matrix_keeps_point_shape():
     axis = _random_axis(23)
     params = fn.ExtremizerParams(xi=0.3 * axis, lam=16.0)
-    pts = fn.sample_sphere(12, seed=24)
+    pts = fn.sample_sphere(200, seed=24)
     rows = (*fn._axis_angles(pts, axis), fn.extremizer_eval(params, pts))
-    for view in (pts[0], pts.reshape(3, 4, 16)):
+    # each single point, then the whole batch as a (10, 20) grid of points
+    for first, view in (*enumerate(pts), (0, pts.reshape(10, 20, 16))):
         got = (*fn._axis_angles(view, axis), fn.extremizer_eval(params, view))
         for g, r in zip(got, rows):
             assert np.shape(g) == view.shape[:-1]
-            np.testing.assert_allclose(np.ravel(g), r[: np.size(g)], rtol=1e-15)
+            want = r[first: first + np.size(g)]
+            np.testing.assert_allclose(np.ravel(g), want, rtol=1e-15)
+            assert np.array_equal(np.ravel(g), want)
 
 
 def test_extremizer_param_validation():
