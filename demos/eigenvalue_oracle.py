@@ -15,9 +15,8 @@ def main():
     alpha = 4.0
     table = spectra.eig_quadrature_table(spectra.kernel_K1(alpha), alpha, 4)
     print(" j  k   closed form       quadrature        rel diff")
-    for j, k in table.indices():
+    for (j, k), qd in sorted(table.values.items()):
         cf = spectra.eig_K1(j, k, alpha)
-        qd = table.get(j, k)
         print(f"{j:2d} {k:2d}   {cf: .9e}  {qd: .9e}  {abs(qd - cf) / cf:.2e}")
     print("\nbase value check: lambda_00 at alpha=4 is pi^8/1080 =", math.pi ** 8 / 1080)
 

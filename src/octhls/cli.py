@@ -132,9 +132,8 @@ def cmd_eigs(args):
             table = spectra.eig_quadrature_table(
                 kern, alpha, args.jmax, args.kmax, args.nodes_theta, args.nodes_phi
             )
-            for j, k in table.indices():
+            for (j, k), qd in sorted(table.values.items()):
                 cf = closed(j, k, alpha)
-                qd = table.get(j, k)
                 rel = abs(qd - cf) / abs(cf) if cf != 0.0 else abs(qd)
                 ok = rel < (rtol if cf != 0.0 else 1e-8)
                 failed = failed or not ok
@@ -294,8 +293,8 @@ def cmd_verify(args):
         spectra.kernel_K1(alpha), alpha, 3, None, args.nodes_theta, args.nodes_phi
     )
     worst = max(
-        abs(table.get(j, k) - spectra.eig_K1(j, k, alpha)) / spectra.eig_K1(j, k, alpha)
-        for j, k in table.indices()
+        abs(qd - spectra.eig_K1(j, k, alpha)) / spectra.eig_K1(j, k, alpha)
+        for (j, k), qd in sorted(table.values.items())
     )
     reports.append(_check("eigenvalue_oracle", alpha, worst, 0.0, tol(1e-6)))
 

@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from .cayley import NORTH_POLE, hermitian_pairing, sdist_arrays
 from .constants import C_logsobolev, sphere_measure
 from .nilgroup import Q
-from .specfun import gegenbauer3, jacobi33
+from .specfun import bispherical_basis, gegenbauer3
 from .spectra import _FH_CONST, _eig_K1_arrays, _logsob_gap, eig_K1
 
 __all__ = [
@@ -160,41 +160,26 @@ def _integrate(values):
     return float(np.dot(wt, (values * wp[None, :]).sum(axis=1)))
 
 
-def _basis(jmax, theta, phi):
-    """Separable factors of every zonal harmonic with j <= jmax.
-
-    Returns (pairs, m, T, C): the (j, k) pairs of np.tril_indices(jmax + 1), j, then k;
-    the index m = j - k of each pair; T[p] = cos^m theta p_k(cos 2 theta) over
-    theta for pair p; C[m] = c_m(cos phi) over phi.  The harmonic of pair
-    p is the outer product of T[p] and C[m[p]].
-    """
-    j, k = np.tril_indices(jmax + 1)
-    pairs, m = list(zip(j.tolist(), k.tolist())), j - k
-    T = np.empty((len(pairs), len(theta)))
-    for mm in range(jmax + 1):
-        sel = np.flatnonzero(m == mm)
-        T[sel] = np.cos(theta) ** mm * jacobi33(jmax - mm, mm, np.cos(2.0 * theta))
-    return pairs, m, T, gegenbauer3(jmax, np.cos(phi))
-
-
-@dataclass
+@dataclass(eq=False)
 class BisphericalFunction:
     """Truncated coefficient table of a zonal-type function.
 
-    ``coeffs[(j, k)]`` is the signed coefficient of the normalized zonal
-    harmonic, ``norms2[(j, k)]`` the squared L^2 mass of the component, both
-    over every pair j <= jmax in the order of np.tril_indices(jmax + 1);
-    ``l2`` the full squared L^2 norm, so ``l2 - sum(norms2)`` is the
-    truncation residual (Parseval defect).
+    Over every pair j <= jmax in the order of specfun.bispherical_basis,
+    ``coeffs[p]`` is the signed coefficient of the normalized zonal harmonic
+    of pair (j[p], k[p]) and ``norms2[p]`` the squared L^2 mass of the
+    component; ``l2`` is the full squared L^2 norm, so ``l2 - sum(norms2)``
+    is the truncation residual (Parseval defect).
     """
 
     jmax: int
-    coeffs: dict
-    norms2: dict
+    j: np.ndarray
+    k: np.ndarray
+    coeffs: np.ndarray
+    norms2: np.ndarray
     l2: float
 
     def residual(self):
-        return self.l2 - sum(self.norms2.values())
+        return self.l2 - float(self.norms2.sum())
 
 
 def project_bispherical(f, jmax=40):
@@ -207,27 +192,27 @@ def project_bispherical(f, jmax=40):
 
 @functools.lru_cache(maxsize=4)
 def _grid_basis(jmax):
-    """_basis on the quadrature grid, built once per jmax and shared read-only."""
+    """bispherical_basis on the quadrature grid and C = gegenbauer3(jmax, cos phi), as
+    (j, k, T, C): built once per jmax and shared read-only."""
     theta, _, phi, _ = _grid()
-    pairs, m, T, C = _basis(jmax, theta, phi)
-    for arr in (m, T, C):
+    j, k, T = bispherical_basis(jmax, theta)
+    C = gegenbauer3(jmax, np.cos(phi))
+    for arr in (j, k, T, C):
         arr.flags.writeable = False
-    return tuple(pairs), m, T, C
+    return j, k, T, C
 
 
 def _project(F, jmax):
     """The projection of grid values F (see _grid_values)."""
     _, wt, _, wp = _grid()
-    pairs, m, T, C = _grid_basis(jmax)
+    j, k, T, C = _grid_basis(jmax)
+    m = j - k
     G = (F * wp[None, :]) @ C.T  # G[i, m] = sum_q wp[q] F[i, q] c_m(phi_q)
     inner = np.einsum("pi,i,ip->p", T, wt, G[:, m])
     zn2 = np.einsum("pi,pi,i->p", T, T, wt) * ((C * C) @ wp)[m]
     c = inner / zn2
     return BisphericalFunction(
-        jmax=jmax,
-        coeffs=dict(zip(pairs, c.tolist())),
-        norms2=dict(zip(pairs, (c * c * zn2).tolist())),
-        l2=_integrate(F * F),
+        jmax=jmax, j=j, k=k, coeffs=c, norms2=c * c * zn2, l2=_integrate(F * F)
     )
 
 
@@ -293,9 +278,7 @@ def hls_spectral(f: BisphericalFunction, lam):
     """Spectral value of the bilinear form with kernel d_S^(-lambda):
     sum over (j, k) of 2^(lambda/2) eig_K1(j, k, lambda/4) |f_{j,k}|^2."""
     lam = _check_lambda(lam)
-    j, k = np.tril_indices(f.jmax + 1)
-    n2 = np.fromiter(f.norms2.values(), float, len(j))
-    return 2.0 ** (lam / 2.0) * float(np.dot(_eig_K1_arrays(j, k, lam / 4.0), n2))
+    return 2.0 ** (lam / 2.0) * float(np.dot(_eig_K1_arrays(f.j, f.k, lam / 4.0), f.norms2))
 
 
 def hls_tail_bound(f: BisphericalFunction, lam):
@@ -316,19 +299,20 @@ def hls_quotient(f, lam, jmax=40):
 def hls_mc(f, g, lam, n, seed):
     """Monte Carlo estimate of the bilinear form int int f(z) g(e) d_S(z, e)^(-lam).
 
-    Returns (estimate, stderr); the standard error comes from batch means
-    because the integrand is heavy-tailed near the diagonal.
+    Returns (estimate, stderr) from n >= 20 samples; the standard error comes
+    from 20 batch means because the integrand is heavy-tailed near the diagonal.
     """
     lam = float(lam)
     if not lam < Q:
         raise ValueError("kernel not integrable for lambda >= Q")
-    n = int(n)
+    n, nb = int(n), 20
+    if n < nb:  # a batch without a sample has no mean
+        raise ValueError(f"need n >= {nb} Monte Carlo samples, got {n}")
     zp = sample_sphere(n, seed, stream=0)
     ep = sample_sphere(n, seed, stream=1)
     kern = sdist_arrays(zp, ep) ** (-lam)
     vals = np.asarray(f(zp), dtype=float) * np.asarray(g(ep), dtype=float) * kern
     vals *= sphere_measure() ** 2
-    nb = 20
     batches = np.array([b.mean() for b in np.array_split(vals, nb)])
     est = float(vals.mean())
     stderr = float(batches.std(ddof=1) / math.sqrt(nb))
@@ -353,10 +337,9 @@ def el_residual(h, lam=None, jmax=40):
     scale = 2.0 ** (lam / 2.0)
     thetas = np.linspace(0.1, math.pi / 2 - 0.1, 10)
     phis = np.linspace(0.1, math.pi - 0.1, 10)
-    _, m, T, C = _basis(jmax, thetas, phis)
-    j, k = np.tril_indices(jmax + 1)
-    a = np.fromiter(proj.coeffs.values(), float, len(j)) * (scale * _eig_K1_arrays(j, k, lam / 4.0))
-    conv = (T.T * a) @ C[m]
+    j, k, T = bispherical_basis(jmax, thetas)
+    a = proj.coeffs * (scale * _eig_K1_arrays(j, k, lam / 4.0))
+    conv = (T.T * a) @ gegenbauer3(jmax, np.cos(phis))[j - k]
     ratio = conv / _profile_values(h, thetas, phis) ** (p - 1.0)
     return float(ratio.std() / abs(ratio.mean()))
 
@@ -404,7 +387,9 @@ def _axis_moment(F, p):
 
 
 def center_mass_mc(h, p, n, seed):
-    """Monte Carlo oracle for the full 16-component center of mass."""
+    """Monte Carlo oracle for the full 16-component center of mass, from n >= 1 samples."""
+    if int(n) < 1:
+        raise ValueError(f"need n >= 1 Monte Carlo samples, got {n}")
     pts = sample_sphere(n, seed, stream=7)
     vals = np.asarray(h(pts), dtype=float) ** p
     return sphere_measure() * (pts * vals[:, None]).mean(axis=0)
@@ -500,8 +485,7 @@ def log_sobolev_pair(f, jmax=40):
     proj = _project(F, jmax)
     if abs(proj.l2 - sphere_measure()) > 1e-8 * sphere_measure():
         raise ValueError("input must be normalized to int f^2 = |S|")
-    j, k = np.tril_indices(jmax + 1)
-    lhs = 2.0 * float(np.dot(_logsob_gap(j, k), np.fromiter(proj.norms2.values(), float, len(j))))
+    lhs = 2.0 * float(np.dot(_logsob_gap(proj.j, proj.k), proj.norms2))
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.where(F > 0.0, F * F * np.log(F * F), 0.0)
     rhs = C_logsobolev() * _integrate(integrand)

@@ -2,7 +2,8 @@
 
 Provides Gegenbauer C_n^(3) and Jacobi P_k^(3, 3+m) polynomials, normalized
 to 1 at x = 1 and returned for every degree 0..n from one pass of the
-three-term recurrence, and the zonal harmonics in polar angles (theta, phi).
+three-term recurrence, the theta factors of the whole bispherical basis,
+and the zonal harmonics in polar angles (theta, phi).
 
 Polar-angle convention: |zeta2| = cos(theta) with theta in [0, pi/2],
 Re zeta2 = cos(theta) cos(phi) with phi in [0, pi].
@@ -10,17 +11,35 @@ Re zeta2 = cos(theta) cos(phi) with phi in [0, pi].
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
+    "bispherical_basis",
     "gegenbauer3",
     "jacobi33",
     "zonal",
 ]
 
 
+def _check_degree(name, n):
+    """n as a Python int, checked to be an integer >= 0; the errors name it."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+    return n
+
+
 def _check_index(j, k):
-    """(j, k), checked to index a bispherical harmonic subspace: j >= k >= 0."""
+    """(j, k) as Python ints, checked to index a bispherical harmonic subspace: j >= k >= 0."""
+    try:
+        j, k = operator.index(j), operator.index(k)
+    except TypeError:
+        raise TypeError(f"indices (j, k) must be integers, got ({j!r}, {k!r})") from None
     if not (j >= k >= 0):
         raise ValueError(f"need j >= k >= 0, got ({j}, {k})")
     return j, k
@@ -97,7 +116,25 @@ def jacobi33(k, m, x):
 
 
 # ---------------------------------------------------------------------------
-# zonal harmonics
+# the bispherical basis and the zonal harmonics
+
+
+def bispherical_basis(jmax, theta):
+    """The theta factors of every bispherical harmonic with j <= jmax.
+
+    Returns (j, k, T): the index arrays of np.tril_indices(jmax + 1), j, then k,
+    and T[p] = cos^m theta p_k(cos 2 theta), m = j[p] - k[p], over theta, of shape
+    (pairs, *theta.shape).  The harmonic of pair p is T[p] times row m of
+    gegenbauer3(jmax, cos phi).  One jacobi33 call per m builds all of T.
+    """
+    jmax = _check_degree("jmax", jmax)
+    theta = np.asarray(theta, dtype=float)
+    j, k = np.tril_indices(jmax + 1)
+    m = j - k
+    T = np.empty((len(j), *theta.shape))
+    for mm in range(jmax + 1):
+        T[m == mm] = np.cos(theta) ** mm * jacobi33(jmax - mm, mm, np.cos(2.0 * theta))
+    return j, k, T
 
 
 def zonal(j, k, theta, phi):

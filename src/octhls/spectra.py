@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .nilgroup import Q
-from .specfun import _check_index, gegenbauer3, jacobi33
+from .specfun import _check_degree, _check_index, bispherical_basis, gegenbauer3
 
 __all__ = [
     "ZonalKernel",
@@ -124,16 +123,17 @@ def _phi_grid(theta, rule):
     return phi.ravel(), w.ravel()
 
 
-def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
-    """Shared-grid evaluation of the Funk-Hecke integral for many (j, k).
+def _quadrature_core(kern, jmax, nodes_theta, nodes_phi):
+    """Shared-grid evaluation of the Funk-Hecke integral for every j <= jmax.
 
-    Dyadic theta level l is the panel [pi 2^(-l-2), pi 2^(-l-1)]; the
-    kernel is evaluated once per level on its (theta nodes x phi nodes)
-    array, with the phi grid of the level's smallest theta node.  Level L
-    adds c_L to the pairs and ref_L to the (0, 0) reference; once rho =
-    ref_L / ref_(L-1) < 1 with ref_L |rho - rho_(L-1)| / (1 - rho)^2 within
-    1e-15 of the reference total, c_L / (1 - rho) adds level L and its tail.
-    A node count n gives max(16, n // 16) Gauss-Legendre nodes per panel.
+    Returns (j, k, values) in bispherical_basis order.  Dyadic theta level l is
+    the panel [pi 2^(-l-2), pi 2^(-l-1)]; the basis is built once on all levels'
+    nodes, the kernel once per level on its (theta nodes x phi nodes) array, with
+    the phi grid of the level's smallest theta node.  Level L adds c_L to the
+    pairs and ref_L to the (0, 0) reference; once rho = ref_L / ref_(L-1) < 1 with
+    ref_L |rho - rho_(L-1)| / (1 - rho)^2 within 1e-15 of the reference total,
+    c_L / (1 - rho) adds level L and its tail.  A node count n gives
+    max(16, n // 16) Gauss-Legendre nodes per panel.
     """
     if nodes_theta < 1 or nodes_phi < 1:
         raise ValueError(f"node counts must be at least 1, got {nodes_theta} and {nodes_phi}")
@@ -141,24 +141,18 @@ def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
     rule_phi = leggauss(max(16, int(nodes_phi) // 16))
     hi = math.pi * 2.0 ** -np.arange(1, 65)  # a budget of 64 levels
     thetas, wthetas = _panels(hi / 2.0, hi, rule_theta)
-    ks = np.array([k for _, k in pairs])
-    ms = np.array([j - k for j, k in pairs])
-    mmax = int(ms.max())
-    by_m = [(m, np.flatnonzero(ms == m)) for m in sorted(set(ms.tolist()))]
-    totals = np.zeros(len(pairs))
+    j, k, T = bispherical_basis(jmax, thetas)
+    m = j - k
+    w7 = wthetas * np.sin(thetas) ** 7 * np.cos(thetas) ** 7
+    totals = np.zeros(len(j))
     ref_total, prev, rho_prev = 0.0, 0.0, math.inf
-    for level, (th, wth) in enumerate(zip(thetas, wthetas)):
+    for level, (th, w) in enumerate(zip(thetas, w7)):
         phi, wphi = _phi_grid(th[0], rule_phi)
-        # jac[p, i] = p_k(cos 2 theta_i) for pair p = (k + m, k)
-        jac = np.empty((len(pairs), len(th)))
-        for m, sel in by_m:
-            jac[sel] = jacobi33(ks[sel].max(), m, np.cos(2.0 * th))[ks[sel]]
-        w7 = wth * np.sin(th) ** 7 * np.cos(th) ** 7
         with np.errstate(over="ignore", invalid="ignore"):
             base = kern.angles(th[:, None], phi) * (np.sin(phi) ** 6 * wphi)
-            inner = base @ gegenbauer3(mmax, np.cos(phi)).T  # inner[i, m]
-            c = (w7 * np.cos(th) ** ms[:, None] * jac * inner.T[ms]).sum(axis=1)
-            ref = float(np.dot(w7, np.abs(inner[:, 0])))
+            inner = base @ gegenbauer3(jmax, np.cos(phi)).T  # inner[i, m]
+            c = np.einsum("pi,i,ip->p", T[:, level], w, inner[:, m])
+            ref = float(np.dot(w, np.abs(inner[:, 0])))
         ref_total += ref
         if not (np.isfinite(c).all() and math.isfinite(ref_total)):
             raise ValueError(
@@ -167,11 +161,11 @@ def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
             )
         rho = ref / prev if prev else math.inf  # no ratio after an empty level
         if rho < 1.0 and ref * abs(rho - rho_prev) <= 1e-15 * (1.0 - rho) ** 2 * ref_total:
-            return {p: _FH_CONST * float(v) for p, v in zip(pairs, totals + c / (1.0 - rho))}
+            return j, k, _FH_CONST * (totals + c / (1.0 - rho))
         totals += c
         prev, rho_prev = ref, rho
     if not ref_total:  # the kernel vanishes on every level
-        return dict.fromkeys(pairs, 0.0)
+        return j, k, np.zeros(len(j))
     raise ValueError(
         f"Funk-Hecke quadrature of {kern.name} did not settle within {len(hi)} dyadic theta levels"
     )
@@ -179,8 +173,16 @@ def _quadrature_core(kern, pairs, nodes_theta, nodes_phi):
 
 def eig_quadrature(kern, j, k, nodes_theta=256, nodes_phi=256):
     """Funk-Hecke eigenvalue of a zonal kernel on the (j, k) subspace."""
-    pair = _check_index(j, k)
-    return _quadrature_core(kern, [pair], nodes_theta, nodes_phi)[pair]
+    j, k = _check_index(j, k)
+    return float(_quadrature_core(kern, j, nodes_theta, nodes_phi)[2][j * (j + 1) // 2 + k])
+
+
+@dataclass
+class EigenTable:
+    """Eigenvalues for one kernel exponent: ``values`` maps (j, k) to the eigenvalue."""
+
+    alpha: float
+    values: dict
 
 
 def eig_quadrature_table(kern, alpha, jmax, kmax=None, nodes_theta=256, nodes_phi=256):
@@ -188,10 +190,10 @@ def eig_quadrature_table(kern, alpha, jmax, kmax=None, nodes_theta=256, nodes_ph
 
     The kernel grid is evaluated once and shared across all indices.
     """
-    kmax = jmax if kmax is None else kmax
-    pairs = [(j, k) for j in range(jmax + 1) for k in range(min(j, kmax) + 1)]
-    vals = _quadrature_core(kern, pairs, nodes_theta, nodes_phi)
-    return EigenTable(alpha=float(alpha), provenance="quadrature", values=vals)
+    kmax = jmax if kmax is None else _check_degree("kmax", kmax)
+    j, k, vals = _quadrature_core(kern, jmax, nodes_theta, nodes_phi)
+    cells = zip(j.tolist(), k.tolist(), vals.tolist())
+    return EigenTable(float(alpha), {(jj, kk): v for jj, kk, v in cells if kk <= kmax})
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +356,7 @@ def bilinear_margin(j, k, alpha):
     """lambda(K1) + lambda(K2) - lambda(K1^(alpha-1)) - 2a/(11-a) lambda(K1) on W_{j,k}, as
     the product above: nonnegative on 3 <= alpha < 11/2, and exactly 0.0 where it vanishes.
     Any alpha in (0, 11/2) is accepted for exploration (so alpha - 1 > -1)."""
-    j, k = _check_index(operator.index(j), operator.index(k))
+    j, k = _check_index(j, k)
     a = _check_alpha(alpha, lo=0.0)
     if j == 0:
         return 0.0
@@ -493,26 +495,3 @@ def logsob_gap_limit(j, k, eps=1e-4):
 
     f1, f2 = at(eps), at(eps / 2.0)
     return 2.0 * f2 - f1
-
-
-# ---------------------------------------------------------------------------
-# eigenvalue tables
-
-
-@dataclass
-class EigenTable:
-    """Eigenvalues over an index grid for one kernel exponent.
-
-    ``values`` maps (j, k) to the eigenvalue; ``provenance`` records how
-    the numbers were produced.
-    """
-
-    alpha: float
-    provenance: str
-    values: dict = field(default_factory=dict)
-
-    def get(self, j, k):
-        return self.values[(j, k)]
-
-    def indices(self):
-        return sorted(self.values)

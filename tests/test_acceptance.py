@@ -121,9 +121,8 @@ def test_criterion_04_eigenvalue_oracle_equivalence():
             ("K2", spectra.kernel_K2(alpha), spectra.eig_K2),
         ):
             table = spectra.eig_quadrature_table(kern, alpha, 6)
-            for j, k in table.indices():
+            for (j, k), qd in sorted(table.values.items()):
                 cf = closed(j, k, alpha)
-                qd = table.get(j, k)
                 if cf != 0.0:
                     worst = max(worst, abs(qd - cf) / abs(cf))
                 else:

@@ -44,10 +44,9 @@ def test_sample_sphere_unit_and_deterministic():
 
 def test_project_constant():
     proj = fn.project_bispherical(const_one(), jmax=4)
-    assert abs(proj.coeffs[(0, 0)] - 1.0) < 1e-12
-    for (j, k), c in proj.coeffs.items():
-        if (j, k) != (0, 0):
-            assert abs(c) < 1e-10
+    assert (proj.j[0], proj.k[0]) == (0, 0)
+    assert abs(proj.coeffs[0] - 1.0) < 1e-12
+    assert np.all(np.abs(proj.coeffs[1:]) < 1e-10)
     assert proj.residual() < 1e-10
 
 
@@ -56,8 +55,9 @@ def test_project_single_zonal_mode():
 
     f = fn.AxisZonalFunction(lambda th, ph: zonal(2, 1, th, ph))
     proj = fn.project_bispherical(f, jmax=6)
-    assert abs(proj.coeffs[(2, 1)] - 1.0) < 1e-10
-    leak = sum(n2 for (j, k), n2 in proj.norms2.items() if (j, k) != (2, 1))
+    mode = (proj.j == 2) & (proj.k == 1)
+    assert abs(proj.coeffs[mode][0] - 1.0) < 1e-10
+    leak = proj.norms2[~mode].sum()
     assert leak < 1e-12 * proj.l2
     assert proj.residual() < 1e-10
 
@@ -69,8 +69,8 @@ def test_project_single_zonal_mode():
     )
     proj = fn.project_bispherical(f, jmax=6)
     expected = dict(zip(modes, amps))
-    for mode, c in proj.coeffs.items():
-        assert abs(c - expected.get(mode, 0.0)) < 1e-10, mode
+    for j, k, c in zip(proj.j.tolist(), proj.k.tolist(), proj.coeffs):
+        assert abs(c - expected.get((j, k), 0.0)) < 1e-10, (j, k)
 
 
 def test_project_profile_type_error_propagates():
@@ -129,19 +129,22 @@ def test_projection_basis_built_once_per_jmax():
     # another jmax in between leaves the jmax = 40 projection unchanged
     F = fn._grid_values(h)
     first, small, again = (fn._project(F, jmax) for jmax in (40, 4, 40))
-    assert again == first
-    assert small.coeffs.keys() == {(j, k) for j in range(5) for k in range(j + 1)}
-    _, _, T, C = fn._grid_basis(40)
-    for arr in (T, C):
-        with pytest.raises(ValueError):
-            arr[0, 0] = 1.0
+    for name in ("j", "k", "coeffs", "norms2"):
+        assert np.array_equal(getattr(again, name), getattr(first, name)), name
+    assert again.l2 == first.l2
+    cells = [(j, k) for j in range(5) for k in range(j + 1)]
+    assert list(zip(small.j.tolist(), small.k.tolist())) == cells
+    assert small.coeffs.shape == small.norms2.shape == (len(cells),)
+    for arr in fn._grid_basis(40):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 def test_parseval():
     params = fn.ExtremizerParams(xi=0.2 * fn.NORTH_AXIS, lam=16.0)
     h = fn.extremizer_profile(params)
     proj = fn.project_bispherical(h, jmax=30)
-    total = sum(proj.norms2.values())
+    total = proj.norms2.sum()
     assert abs(total - proj.l2) / proj.l2 < 1e-10
 
 
@@ -232,6 +235,38 @@ def test_hls_mc_agrees_with_spectral():
     assert abs(est - spectral) < 5.0 * err
 
 
+@pytest.mark.parametrize("n", [0, 5, 19])
+def test_hls_mc_needs_a_sample_per_batch(n):
+    # below its 20 batches a batch mean is empty: an error naming the minimum, not NaN
+    one = lambda p: np.ones(len(p))  # noqa: E731
+    with pytest.raises(ValueError, match=f"need n >= 20 Monte Carlo samples, got {n}"):
+        fn.hls_mc(one, one, 12.0, n, seed=1)
+
+
+def test_hls_mc_at_its_minimum_sample_count():
+    one = lambda p: np.ones(len(p))  # noqa: E731
+    est, err = fn.hls_mc(one, one, 12.0, 20, seed=1)
+    assert math.isfinite(est) and math.isfinite(err) and err > 0.0
+
+
+@pytest.mark.parametrize("jmax, error, match", [
+    (-1, ValueError, "jmax must be >= 0, got -1"),
+    (2.5, TypeError, "jmax must be an integer, got 2.5"),
+])
+def test_projection_routines_name_a_bad_jmax(jmax, error, match):
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=16.0))
+    wave = fn.AxisZonalFunction(lambda th, ph: np.cos(th) * np.cos(ph))
+    for run in (
+        lambda: fn.project_bispherical(const_one(), jmax),
+        lambda: fn.hls_quotient(const_one(), 12.0, jmax),
+        lambda: fn.el_residual(h, 16.0, jmax),
+        lambda: fn.second_variation(const_one(), wave, 16.0, jmax),
+        lambda: fn.log_sobolev_pair(const_one(), jmax),
+    ):
+        with pytest.raises(error, match=match):
+            run()
+
+
 def test_tail_bound_small_for_smooth_input():
     proj = fn.project_bispherical(const_one(), jmax=3)
     assert fn.hls_tail_bound(proj, 16.0) < 1e-9
@@ -311,6 +346,13 @@ def test_center_mass_mc_consistency():
     # the sampler is deterministic, which keeps this check reproducible
     mc = fn.center_mass_mc(h, p, 10 ** 6, seed=2)
     assert np.linalg.norm(quad - mc) < 0.08 * np.linalg.norm(quad)
+
+
+def test_center_mass_mc_needs_a_sample():
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.4 * fn.NORTH_AXIS, lam=16.0))
+    with pytest.raises(ValueError, match="need n >= 1 Monte Carlo samples, got 0"):
+        fn.center_mass_mc(h, 2.0, 0, seed=2)
+    assert np.isfinite(fn.center_mass_mc(h, 2.0, 1, seed=2)).all()
 
 
 def test_conformal_pullback_preserves_lp_norm():

@@ -73,10 +73,47 @@ def zonal_sine_form(j, k, theta, phi):
 
 def test_bispherical_index_validation():
     assert sf._check_index(3, 1) == (3, 1)
+    assert sf._check_index(np.int64(3), np.int32(1)) == (3, 1)
+    assert all(type(i) is int for i in sf._check_index(np.int64(3), np.int32(1)))
     with pytest.raises(ValueError):
         sf._check_index(1, 3)
     with pytest.raises(ValueError):
         sf._check_index(-1, 0)
+    with pytest.raises(TypeError, match=r"indices \(j, k\) must be integers, got \(2\.5, 1\)"):
+        sf._check_index(2.5, 1)
+    with pytest.raises(TypeError, match="must be integers"):
+        sf._check_index(3, np.float64(1.0))
+
+
+def test_bispherical_basis_layout_and_zonal_product():
+    # T[p] times row m of gegenbauer3 is the zonal harmonic of pair p
+    theta = np.linspace(0.0, math.pi / 2, 9)
+    phi = np.linspace(0.0, math.pi, 11)
+    jmax = 12
+    j, k, T = sf.bispherical_basis(jmax, theta)
+    tj, tk = np.tril_indices(jmax + 1)
+    assert np.array_equal(j, tj) and np.array_equal(k, tk)
+    assert T.shape == (len(j), theta.size)
+    C = sf.gegenbauer3(jmax, np.cos(phi))
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    for p, (jj, kk) in enumerate(zip(j.tolist(), k.tolist())):
+        harmonic = np.multiply.outer(T[p], C[jj - kk])
+        assert np.max(np.abs(harmonic - sf.zonal(jj, kk, th, ph))) <= 1e-15, (jj, kk)
+    # any theta shape: T[:, ...] follows it
+    _, _, T2 = sf.bispherical_basis(3, theta.reshape(3, 3))
+    assert T2.shape == (10, 3, 3)
+    assert np.array_equal(T2.reshape(10, 9), sf.bispherical_basis(3, theta)[2])
+
+
+@pytest.mark.parametrize("jmax, error, match", [
+    (-1, ValueError, "jmax must be >= 0, got -1"),
+    (2.5, TypeError, "jmax must be an integer, got 2.5"),
+    (np.float64(3.0), TypeError, "jmax must be an integer"),
+    ("3", TypeError, "jmax must be an integer"),
+])
+def test_bispherical_basis_checks_jmax(jmax, error, match):
+    with pytest.raises(error, match=match):
+        sf.bispherical_basis(jmax, np.linspace(0.0, 1.0, 4))
 
 
 def test_gegenbauer3_against_scipy():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from octhls import spectra
+from octhls import specfun, spectra
 from octhls.nilgroup import Q
 
 SPHERE = 2.0 * math.pi ** 8 / math.factorial(7)
@@ -218,9 +218,9 @@ def test_quadrature_near_domain_edge():
         (spectra.kernel_K2(alpha), spectra.eig_K2),
     ):
         table = spectra.eig_quadrature_table(kern, alpha, 6)
-        for j, k in table.indices():
+        for (j, k), qd in sorted(table.values.items()):
             cf = closed(j, k, alpha)
-            assert abs(table.get(j, k) - cf) / abs(cf) < 1e-12, (kern.name, j, k)
+            assert abs(qd - cf) / abs(cf) < 1e-12, (kern.name, j, k)
 
 
 def test_ratio_identity_matches_direct_quotient():
@@ -597,11 +597,78 @@ def test_logsob_gap_monotone():
 # tables
 
 
-def test_quadrature_table_provenance():
-    table = spectra.eig_quadrature_table(spectra.kernel_K1(4.0), 4.0, 1)
-    assert table.provenance == "quadrature"
-    for j, k in table.indices():
-        assert j >= k
+def test_quadrature_table_kmax_filter():
+    # kmax drops the cells k > kmax and leaves the others as the full table has them
+    kern = spectra.kernel_K1(4.0)
+    full = spectra.eig_quadrature_table(kern, 4.0, 3)
+    assert full.alpha == 4.0
+    assert list(full.values) == [(j, k) for j in range(4) for k in range(j + 1)]
+    for kmax in (0, 1, 5):
+        table = spectra.eig_quadrature_table(kern, 4.0, 3, kmax)
+        assert table.values == {jk: v for jk, v in full.values.items() if jk[1] <= kmax}
+
+
+@pytest.mark.parametrize("args, error, match", [
+    ((-1,), ValueError, "jmax must be >= 0, got -1"),
+    ((2.5,), TypeError, "jmax must be an integer, got 2.5"),
+    ((3, -1), ValueError, "kmax must be >= 0, got -1"),
+    ((3, 2.5), TypeError, "kmax must be an integer, got 2.5"),
+])
+def test_quadrature_table_names_a_bad_index(args, error, match):
+    with pytest.raises(error, match=match):
+        spectra.eig_quadrature_table(spectra.kernel_K1(4.0), 4.0, *args)
+
+
+def test_quadrature_table_builds_theta_factors_once(monkeypatch):
+    # one jacobi33 call per m for the whole table, however many dyadic levels it
+    # visits; each level makes one gegenbauer3 call
+    jac, geg = [], []
+    jacobi33, gegenbauer3 = specfun.jacobi33, spectra.gegenbauer3
+    monkeypatch.setattr(specfun, "jacobi33", lambda k, m, x: jac.append(m) or jacobi33(k, m, x))
+    monkeypatch.setattr(spectra, "gegenbauer3", lambda n, x: geg.append(n) or gegenbauer3(n, x))
+    levels = set()
+    for alpha in (1.5, 4.0, 5.499):
+        for kern in (spectra.kernel_K1(alpha), spectra.kernel_K2(alpha)):
+            jac.clear()
+            geg.clear()
+            spectra.eig_quadrature_table(kern, alpha, 6)
+            assert jac == list(range(7)), kern.name
+            assert geg == [6] * len(geg), kern.name
+            levels.add(len(geg))
+    assert len(levels) == 3
+
+
+def test_quadrature_cell_is_its_table_entry():
+    for alpha in (1.0, 3.5, 5.2):
+        for kern in (spectra.kernel_K1(alpha), spectra.kernel_K2(alpha)):
+            table = spectra.eig_quadrature_table(kern, alpha, 4)
+            for (j, k), v in table.values.items():
+                cell = spectra.eig_quadrature(kern, j, k)
+                assert type(cell) is float
+                assert abs(cell - v) <= 1e-14 * abs(v), (kern.name, j, k)
+
+
+_INDEXED = {
+    "zonal": lambda j, k: specfun.zonal(j, k, 0.1, 0.2),
+    "eig_K1": lambda j, k: spectra.eig_K1(j, k, 4.0),
+    "eig_K2": lambda j, k: spectra.eig_K2(j, k, 4.0),
+    "eig_K1_ratio": lambda j, k: spectra.eig_K1_ratio(j, k, 4.5),
+    "bilinear_margin": lambda j, k: spectra.bilinear_margin(j, k, 4.5),
+    "intertwining_spectrum": lambda j, k: spectra.intertwining_spectrum(4.0, j, k),
+    "logsob_gap": spectra.logsob_gap,
+    "logsob_gap_limit": spectra.logsob_gap_limit,
+    "eig_quadrature": lambda j, k: spectra.eig_quadrature(spectra.kernel_K1(4.0), j, k),
+}
+
+
+@pytest.mark.parametrize("call", list(_INDEXED.values()), ids=list(_INDEXED))
+def test_indices_are_integers(call):
+    # an index that names no subspace is an error, not a value; numpy integers are indices
+    want = call(4, 1)
+    assert call(np.int64(4), np.int32(1)) == want
+    for j, k in ((2.5, 1), (4, 1.0), (np.float64(4.0), 1)):
+        with pytest.raises(TypeError, match=r"indices \(j, k\) must be integers"):
+            call(j, k)
 
 
 @pytest.mark.parametrize("nodes", [{"nodes_theta": 0}, {"nodes_phi": -7}])
