@@ -40,12 +40,6 @@ def _tolerance(text):
     return value
 
 
-def _positive_int(text):
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
-
-
 def _seed(text):
     """A Philox key word: an integer in [0, 2^63)."""
     if not text.isdecimal() or int(text) >= 2 ** 63:
@@ -129,9 +123,7 @@ def cmd_eigs(args):
     for alpha in alphas:
         for kind, kern in (("K1", spectra.kernel_K1(alpha)), ("K2", spectra.kernel_K2(alpha))):
             closed = {"K1": spectra.eig_K1, "K2": spectra.eig_K2}[kind]
-            table = spectra.eig_quadrature_table(
-                kern, alpha, args.jmax, args.kmax, args.nodes_theta, args.nodes_phi
-            )
+            table = spectra.eig_quadrature_table(kern, alpha, args.jmax, args.kmax)
             for (j, k), qd in sorted(table.values.items()):
                 cf = closed(j, k, alpha)
                 rel = abs(qd - cf) / abs(cf) if cf != 0.0 else abs(qd)
@@ -289,9 +281,7 @@ def cmd_verify(args):
 
     # eigenvalue oracle, small grid
     alpha = 4.0
-    table = spectra.eig_quadrature_table(
-        spectra.kernel_K1(alpha), alpha, 3, None, args.nodes_theta, args.nodes_phi
-    )
+    table = spectra.eig_quadrature_table(spectra.kernel_K1(alpha), alpha, 3)
     worst = max(
         abs(qd - spectra.eig_K1(j, k, alpha)) / spectra.eig_K1(j, k, alpha)
         for (j, k), qd in sorted(table.values.items())
@@ -350,8 +340,6 @@ _FLAGS = {
     "--d": dict(default="", help="comma-separated degree grid"),
     "--jmax": dict(type=_nonnegative_int, default=6),
     "--kmax": dict(type=_nonnegative_int, default=None),
-    "--nodes-theta": dict(type=_positive_int, default=256),
-    "--nodes-phi": dict(type=_positive_int, default=256),
     "--mc-samples": dict(type=int, default=100000),
     "--seed": dict(type=_seed, default=0),
     "--tolerance": dict(type=_tolerance, default=None, help="override every check tolerance"),
@@ -360,9 +348,9 @@ _FLAGS = {
 #: subcommand -> (function, the flags it reads besides --format and --out)
 _COMMANDS = {
     "constants": (cmd_constants, ("--lambda", "--d")),
-    "eigs": (cmd_eigs, ("--alpha", "--jmax", "--kmax", "--nodes-theta", "--nodes-phi", "--tolerance")),
+    "eigs": (cmd_eigs, ("--alpha", "--jmax", "--kmax", "--tolerance")),
     "margin": (cmd_margin, ("--alpha", "--jmax", "--kmax")),
-    "verify": (cmd_verify, ("--nodes-theta", "--nodes-phi", "--mc-samples", "--seed", "--tolerance")),
+    "verify": (cmd_verify, ("--mc-samples", "--seed", "--tolerance")),
 }
 
 

@@ -103,7 +103,7 @@ class AxisZonalFunction:
         self.profile = profile
         a = NORTH_AXIS if axis is None else np.asarray(axis, dtype=float)
         n = np.linalg.norm(a)
-        if abs(n - 1.0) > 1e-10:
+        if not abs(n - 1.0) <= 1e-10:
             raise ValueError("axis must be a unit vector in R^16")
         self.axis = a / n
         self.name = name
@@ -239,7 +239,7 @@ class ExtremizerParams:
         self.xi = np.asarray(self.xi, dtype=float)
         if self.xi.shape != (16,):
             raise ValueError("xi must be a 16-vector")
-        if np.linalg.norm(self.xi) >= 1.0:
+        if not np.linalg.norm(self.xi) < 1.0:
             raise ValueError("extremizer parameter requires |xi| < 1")
         self.lam = _check_lambda(self.lam)
 

@@ -202,10 +202,7 @@ def test_margin_memory_is_bounded_by_the_block(capsys):
 
 
 def test_verify_exit_zero(capsys):
-    code, out, _ = run(
-        ["verify", "--mc-samples", "200", "--nodes-theta", "128", "--nodes-phi", "128"],
-        capsys,
-    )
+    code, out, _ = run(["verify", "--mc-samples", "200"], capsys)
     assert code == 0
     rows = json.loads(out)["rows"]
     assert all(r["pass"] for r in rows)
@@ -220,8 +217,7 @@ def test_verify_margin_row_sees_a_wrong_sign(capsys, monkeypatch):
     # margin with the wrong sign fails it (and only it)
     margin = spectra.bilinear_margin
     monkeypatch.setattr(spectra, "bilinear_margin", lambda j, k, alpha: -margin(j, k, alpha))
-    argv = ["verify", "--mc-samples", "50", "--nodes-theta", "64", "--nodes-phi", "64"]
-    code, out, _ = run(argv, capsys)
+    code, out, _ = run(["verify", "--mc-samples", "50"], capsys)
     assert code == 1
     failed = [r for r in json.loads(out)["rows"] if not r["pass"]]
     assert [r["check"] for r in failed] == ["margin_four_terms"]
@@ -334,18 +330,6 @@ def test_tolerance_not_finite_nonnegative_exits_two(capsys, command, value):
     assert f"argument --tolerance: must be a finite number >= 0, got '{value}'" in out.err
 
 
-@pytest.mark.parametrize("command", ["eigs", "verify"])
-@pytest.mark.parametrize("flag", ["--nodes-theta", "--nodes-phi"])
-@pytest.mark.parametrize("value", ["0", "-7"])
-def test_node_count_below_one_exits_two(capsys, command, flag, value):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, flag, value])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert f"argument {flag}: must be a positive integer, got '{value}'" in out.err
-
-
 @pytest.mark.parametrize("line", _readme_command_lines())
 def test_readme_command_line(capsys, line):
     code, out, _ = run(shlex.split(line)[1:], capsys)
@@ -354,7 +338,7 @@ def test_readme_command_line(capsys, line):
 
 
 def test_determinism(capsys):
-    argv = ["verify", "--mc-samples", "50", "--nodes-theta", "64", "--nodes-phi", "64"]
+    argv = ["verify", "--mc-samples", "50"]
     a = run([*argv, "--seed", "1"], capsys)[1]
     b = run([*argv, "--seed", "1"], capsys)[1]
     c = run([*argv, "--seed", "2"], capsys)[1]
@@ -362,7 +346,8 @@ def test_determinism(capsys):
     assert a != c  # the seed draws verify's sample points
 
 
-#: every flag with a valid value, and the flags each subcommand reads
+#: every flag with a valid value, and the flags each subcommand reads; --nodes-theta and
+#: --nodes-phi are read by none (the oracle's rule follows jmax), so they exit 2
 FLAG_VALUES = {
     "--lambda": "12", "--alpha": "4", "--d": "2", "--jmax": "1", "--kmax": "1",
     "--nodes-theta": "64", "--nodes-phi": "64", "--mc-samples": "50", "--seed": "3",
@@ -371,9 +356,9 @@ FLAG_VALUES = {
 OUTPUT = {"--format", "--out"}
 READS = {
     "constants": OUTPUT | {"--lambda", "--d"},
-    "eigs": OUTPUT | {"--alpha", "--jmax", "--kmax", "--nodes-theta", "--nodes-phi", "--tolerance"},
+    "eigs": OUTPUT | {"--alpha", "--jmax", "--kmax", "--tolerance"},
     "margin": OUTPUT | {"--alpha", "--jmax", "--kmax"},
-    "verify": OUTPUT | {"--nodes-theta", "--nodes-phi", "--mc-samples", "--seed", "--tolerance"},
+    "verify": OUTPUT | {"--mc-samples", "--seed", "--tolerance"},
 }
 
 

@@ -204,6 +204,18 @@ def test_extremizer_param_validation():
         fn.ExtremizerParams(xi=0.1 * fn.NORTH_AXIS, lam=25.0)
 
 
+def test_extremizer_param_rejects_nan():
+    # NaN is not a radius below 1, so it is refused rather than carried into NaN values
+    with pytest.raises(ValueError, match=r"requires \|xi\| < 1"):
+        fn.ExtremizerParams(xi=np.full(16, np.nan), lam=16.0)
+
+
+def test_axis_rejects_nan():
+    # NaN is not a unit vector
+    with pytest.raises(ValueError, match="axis must be a unit vector"):
+        fn.AxisZonalFunction(lambda th, ph: np.ones_like(th), axis=np.full(16, np.nan))
+
+
 def test_quotient_at_constant_equals_sharp_constant():
     for lam in (12.0, 16.0):
         q = fn.hls_quotient(const_one(), lam, jmax=2)

@@ -671,10 +671,31 @@ def test_indices_are_integers(call):
             call(j, k)
 
 
-@pytest.mark.parametrize("nodes", [{"nodes_theta": 0}, {"nodes_phi": -7}])
-def test_quadrature_rejects_node_count_below_one(nodes):
-    kern = spectra.kernel_K1(4.0)
-    with pytest.raises(ValueError, match="node counts must be at least 1"):
-        spectra.eig_quadrature(kern, 0, 0, **nodes)
-    with pytest.raises(ValueError, match="node counts must be at least 1"):
-        spectra.eig_quadrature_table(kern, 4.0, 1, **nodes)
+@pytest.mark.parametrize("jmax", [20, 40])
+@pytest.mark.parametrize("alpha", [3.5, 4.0, 5.0, 5.2])
+def test_quadrature_high_degree(jmax, alpha):
+    # criterion 04's bounds far above its jmax 6: a fixed 16-node rule fails here
+    # from (15, 15) up, and the rule that follows jmax does not
+    for kern, closed in (
+        (spectra.kernel_K1(alpha), spectra.eig_K1),
+        (spectra.kernel_K2(alpha), spectra.eig_K2),
+    ):
+        table = spectra.eig_quadrature_table(kern, alpha, jmax)
+        assert len(table.values) == (jmax + 1) * (jmax + 2) // 2
+        for (j, k), qd in table.values.items():
+            cf = closed(j, k, alpha)
+            if cf != 0.0:
+                assert abs(qd - cf) / abs(cf) < 1e-6, (kern.name, j, k)
+            else:
+                assert abs(qd) < 1e-8, (kern.name, j, k)
+
+
+def test_quadrature_rule_follows_jmax(monkeypatch):
+    # one Gauss-Legendre rule per table, of max(16, jmax + 8) nodes, for theta and phi alike
+    sizes = []
+    leggauss = spectra.leggauss
+    monkeypatch.setattr(spectra, "leggauss", lambda n: sizes.append(n) or leggauss(n))
+    for jmax in (0, 6, 8, 9, 20):
+        sizes.clear()
+        spectra.eig_quadrature_table(spectra.kernel_K1(4.0), 4.0, jmax)
+        assert sizes == [max(16, jmax + 8)], jmax
