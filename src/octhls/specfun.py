@@ -45,50 +45,38 @@ def _check_index(j, k):
     return j, k
 
 
-def _recurrence_rows(n, x, p1, step):
+def _recurrence(n, x, p1, step, scale):
     """Rows 0..n of the three-term recurrence p_i = (a_i x + b_i) p_{i-1} + c_i p_{i-2},
-    started from p_0 = 1 and the given p_1 and yielded in turn; x is a float ndarray.
-    Only the last two rows are kept."""
-    prev, row = None, np.ones(x.shape)
-    yield row
+    started from p_0 = 1 and the given p_1, with row i multiplied by scale(i); one
+    (n + 1, *x.shape) array, x a float ndarray.  A scale divides by an exact Python-int
+    product: (i+1)...(i+5) in float64 would round from i of about 1,600."""
+    out = np.empty((n + 1, *x.shape))
+    out[0] = 1.0
     if n >= 1:
-        prev, row = row, p1
-        yield row
-    for i in range(2, int(n) + 1):
+        out[1] = p1
+    for i in range(2, n + 1):
         a, b, c = step(i)
-        prev, row = row, (a * x + b) * row + c * prev
-        yield row
-
-
-def _stacked(n, x, rows, scale):
-    """Rows 0..n, row i multiplied by scale(i), as one (n + 1, *x.shape) array."""
-    out = np.empty((int(n) + 1, *np.shape(x)))
-    for i, row in enumerate(rows):
-        out[i] = row
-    out *= np.array([scale(i) for i in range(len(out))]).reshape((len(out),) + (1,) * np.ndim(x))
+        out[i] = (a * x + b) * out[i - 1] + c * out[i - 2]
+    out *= np.array([scale(i) for i in range(n + 1)]).reshape((n + 1,) + (1,) * x.ndim)
     return out
 
 
-def _top_row(rows, scale):
-    """The last row n, multiplied by scale(n); the rows below are dropped as they go."""
-    for n, row in enumerate(rows):
-        pass
-    return row * scale(n)
-
-
-def _gegenbauer3_rows(n, x):
-    """Rows 0..n of C_i^(3)(x), yielded in turn, and the scale 5! i! / (i+5)! taking
-    row i to 1 at x = 1."""
+def gegenbauer3(n, x):
+    """Rows 0..n of (5! i! / (i+5)!) C_i^(3)(x), each equal to 1 at x = 1;
+    shape (n + 1, *x.shape)."""
+    n = _check_degree("n", n)
     x = np.asarray(x, dtype=float)
-    rows = _recurrence_rows(n, x, 6.0 * x, lambda i: (2.0 * (i + 2.0) / i, 0.0, -(i + 4.0) / i))
-    return rows, lambda i: 120.0 / ((i + 1) * (i + 2) * (i + 3) * (i + 4) * (i + 5))
+    return _recurrence(
+        n, x, 6.0 * x,
+        lambda i: (2.0 * (i + 2.0) / i, 0.0, -(i + 4.0) / i),
+        lambda i: 120.0 / ((i + 1) * (i + 2) * (i + 3) * (i + 4) * (i + 5)),
+    )
 
 
-def _jacobi33_rows(k, m, x):
-    """Rows 0..k of P_i^(3, 3+m)(x), yielded in turn, and the scale 3! i! / (i+3)! taking
-    row i to 1 at x = 1."""
-    if m < 0:
-        raise ValueError("weight offset m must be nonnegative")
+def jacobi33(k, m, x):
+    """Rows 0..k of (3! i! / (i+3)!) P_i^(3, 3+m)(x), each equal to 1 at x = 1;
+    shape (k + 1, *x.shape)."""
+    k, m = _check_degree("k", k), _check_degree("m", m)
     a, b = 3.0, 3.0 + m
     x = np.asarray(x, dtype=float)
 
@@ -99,20 +87,10 @@ def _jacobi33_rows(k, m, x):
         c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
         return c3 / c1, c2 / c1, -c4 / c1
 
-    rows = _recurrence_rows(k, x, (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0, step)
-    return rows, lambda i: 6.0 / ((i + 1) * (i + 2) * (i + 3))
-
-
-def gegenbauer3(n, x):
-    """Rows 0..n of (5! i! / (i+5)!) C_i^(3)(x), each equal to 1 at x = 1;
-    shape (n + 1, *x.shape)."""
-    return _stacked(n, x, *_gegenbauer3_rows(n, x))
-
-
-def jacobi33(k, m, x):
-    """Rows 0..k of (3! i! / (i+3)!) P_i^(3, 3+m)(x), each equal to 1 at x = 1;
-    shape (k + 1, *x.shape)."""
-    return _stacked(k, x, *_jacobi33_rows(k, m, x))
+    return _recurrence(
+        k, x, (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0, step,
+        lambda i: 6.0 / ((i + 1) * (i + 2) * (i + 3)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +123,5 @@ def zonal(j, k, theta, phi):
     """
     j, k = _check_index(j, k)
     m = j - k
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    val = (
-        _top_row(*_gegenbauer3_rows(m, np.cos(phi)))
-        * np.cos(theta) ** m
-        * _top_row(*_jacobi33_rows(k, m, np.cos(2.0 * theta)))
-    )
+    val = gegenbauer3(m, np.cos(phi))[m] * np.cos(theta) ** m * jacobi33(k, m, np.cos(2.0 * theta))[k]
     return val if np.ndim(val) else float(val)

@@ -32,7 +32,6 @@ __all__ = [
     "EigenTable",
     "kernel_K1",
     "kernel_K2",
-    "eig_quadrature",
     "eig_quadrature_table",
     "eig_K1",
     "eig_K2",
@@ -169,13 +168,6 @@ def _quadrature_core(kern, jmax):
     raise ValueError(
         f"Funk-Hecke quadrature of {kern.name} did not settle within {len(hi)} dyadic theta levels"
     )
-
-
-def eig_quadrature(kern, j, k):
-    """Funk-Hecke eigenvalue of a zonal kernel on the (j, k) subspace, from the
-    table of every degree up to j (so with that table's rule)."""
-    j, k = _check_index(j, k)
-    return float(_quadrature_core(kern, j)[2][j * (j + 1) // 2 + k])
 
 
 @dataclass

@@ -409,3 +409,19 @@ def test_commands_load_no_numpy_ma():
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     assert _python_with_src(code) == "[]"
+
+
+def test_runs_on_numpy_alone():
+    # pyproject.toml declares numpy as the only run-time dependency: with scipy, mpmath
+    # and sympy unimportable, every module imports and `verify` passes
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "for name in ('scipy', 'mpmath', 'sympy'):\n"
+        "    sys.modules[name] = None\n"
+        "import octhls\n"
+        "for mod in pkgutil.iter_modules(octhls.__path__):\n"
+        "    importlib.import_module(f'octhls.{mod.name}')\n"
+        "from octhls import cli\n"
+        "print(cli.main(['verify', '--mc-samples', '200']))\n"
+    )
+    assert _python_with_src(code).splitlines()[-1] == "0"

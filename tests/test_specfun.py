@@ -116,6 +116,21 @@ def test_bispherical_basis_checks_jmax(jmax, error, match):
         sf.bispherical_basis(jmax, np.linspace(0.0, 1.0, 4))
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda x: sf.gegenbauer3(-1, x), ValueError, "n must be >= 0, got -1"),
+    (lambda x: sf.gegenbauer3(2.0, x), TypeError, "n must be an integer, got 2.0"),
+    (lambda x: sf.gegenbauer3(np.float64(3.0), x), TypeError, "n must be an integer"),
+    (lambda x: sf.jacobi33(2.9, 0, x), TypeError, "k must be an integer, got 2.9"),
+    (lambda x: sf.jacobi33(-3, 0, x), ValueError, "k must be >= 0, got -3"),
+    (lambda x: sf.jacobi33(2, 1.5, x), TypeError, "m must be an integer, got 1.5"),
+    (lambda x: sf.jacobi33(2, -1, x), ValueError, "m must be >= 0, got -1"),
+], ids=["n<0", "n=2.0", "n=float64", "k=2.9", "k<0", "m=1.5", "m<0"])
+def test_degrees_are_checked(call, error, match):
+    # a degree that is not an integer >= 0 is an error that names it, not a truncated table
+    with pytest.raises(error, match=match):
+        call(np.linspace(-1.0, 1.0, 5))
+
+
 def test_gegenbauer3_against_scipy():
     # every row i is C_i^(3) times its normalization 5! i! / (i+5)!
     xs = np.linspace(-1.0, 1.0, 11)
@@ -158,7 +173,7 @@ def test_zonal_normalization_and_product_form():
     for j, k in ((0, 0), (1, 0), (2, 1), (4, 2), (5, 5)):
         assert abs(sf.zonal(j, k, 0.0, 0.0) - 1.0) < 1e-12
         m = j - k
-        # zonal normalizes only the rows it uses; they equal the full basis rows bit for bit
+        # zonal is the product of the rows of gegenbauer3 and jacobi33, bit for bit
         basis = (
             sf.gegenbauer3(m, np.cos(grid_ph))[m]
             * np.cos(grid_th) ** m
@@ -176,6 +191,24 @@ def test_zonal_normalization_and_product_form():
                     / sp.eval_jacobi(k, 3.0, 3.0 + m, 1.0)
                 )
                 assert abs(val - ref) < 1e-10
+
+
+@pytest.mark.parametrize("j, k", [(12, 5), (40, 0), (40, 17), (40, 40), (100, 0), (100, 50), (100, 100)])
+def test_zonal_high_degree_against_scipy(j, k):
+    # the degrees of the projection (jmax 40) and the oracle (jmax 100), under the bound
+    # of the low-degree check above
+    rng = np.random.default_rng(12)
+    th = rng.uniform(0.0, math.pi / 2, 200)
+    ph = rng.uniform(0.0, math.pi, 200)
+    m = j - k
+    ref = (
+        sp.eval_gegenbauer(m, 3.0, np.cos(ph))
+        / sp.eval_gegenbauer(m, 3.0, 1.0)
+        * np.cos(th) ** m
+        * sp.eval_jacobi(k, 3.0, 3.0 + m, np.cos(2.0 * th))
+        / sp.eval_jacobi(k, 3.0, 3.0 + m, 1.0)
+    )
+    assert np.max(np.abs(sf.zonal(j, k, th, ph) - ref)) < 1e-10
 
 
 def test_zonal_sine_form_matches_product_form():

@@ -142,33 +142,35 @@ def test_alpha_domain_errors():
 
 
 def test_quadrature_constant_kernel_gives_sphere_measure():
+    # a kernel other than K1 or K2 has no alpha: its tables here carry nan as their alpha
     kern = spectra.ZonalKernel(lambda theta, phi: np.ones_like(theta * phi), name="one")
-    val = spectra.eig_quadrature(kern, 0, 0)
+    val = spectra.eig_quadrature_table(kern, math.nan, 0).values[(0, 0)]
     assert abs(val - SPHERE) / SPHERE < 1e-13
 
 
 def test_quadrature_orthogonality():
     # a constant kernel is orthogonal to every non-trivial zonal subspace
     kern = spectra.ZonalKernel(lambda theta, phi: np.ones_like(theta * phi), name="one")
+    values = spectra.eig_quadrature_table(kern, math.nan, 3).values
     for j, k in ((1, 0), (2, 1), (3, 3)):
-        assert abs(spectra.eig_quadrature(kern, j, k)) < 1e-10
+        assert abs(values[(j, k)]) < 1e-10
 
 
 def test_quadrature_matches_closed_form_spot():
     for alpha in (3.5, 4.75):
-        kern = spectra.kernel_K1(alpha)
+        values = spectra.eig_quadrature_table(spectra.kernel_K1(alpha), alpha, 3).values
         for j, k in ((0, 0), (2, 1), (3, 3)):
             cf = spectra.eig_K1(j, k, alpha)
-            qd = spectra.eig_quadrature(kern, j, k)
+            qd = values[(j, k)]
             assert abs(qd - cf) / abs(cf) < 1e-6
 
 
 def test_quadrature_K2_matches_closed_form_spot():
     alpha = 4.75
-    kern = spectra.kernel_K2(alpha)
+    values = spectra.eig_quadrature_table(spectra.kernel_K2(alpha), alpha, 2).values
     for j, k in ((0, 0), (2, 0), (2, 2)):
         cf = spectra.eig_K2(j, k, alpha)
-        qd = spectra.eig_quadrature(kern, j, k)
+        qd = values[(j, k)]
         assert abs(qd - cf) / abs(cf) < 1e-6
 
 
@@ -178,7 +180,7 @@ def test_quadrature_non_convergence_raises():
     # returning inf (and, under the suite's error::RuntimeWarning filter,
     # without a numpy warning)
     with pytest.raises(ValueError, match=r"K1 at alpha = 5\.5 .* dyadic theta level \d+"):
-        spectra.eig_quadrature(spectra.kernel_K1(5.5), 0, 0)
+        spectra.eig_quadrature_table(spectra.kernel_K1(5.5), 5.5, 0)
 
 
 def test_quadrature_level_budget_raises():
@@ -186,13 +188,14 @@ def test_quadrature_level_budget_raises():
     # the same amount and nothing overflows, so the levels never settle
     kern = spectra.ZonalKernel(lambda th, ph: np.sin(th) ** -8 + 0 * ph)
     with pytest.raises(ValueError, match=r"zonal did not settle within 64 dyadic theta levels"):
-        spectra.eig_quadrature(kern, 0, 0)
+        spectra.eig_quadrature_table(kern, math.nan, 0)
 
 
 def test_quadrature_zero_kernel_gives_zero():
     kern = spectra.ZonalKernel(lambda th, ph: np.zeros_like(th * ph), name="zero")
-    assert spectra.eig_quadrature(kern, 0, 0) == 0.0
-    assert spectra.eig_quadrature(kern, 3, 1) == 0.0
+    values = spectra.eig_quadrature_table(kern, math.nan, 3).values
+    assert values[(0, 0)] == 0.0
+    assert values[(3, 1)] == 0.0
 
 
 def test_quadrature_kernel_vanishing_on_top_levels():
@@ -206,7 +209,8 @@ def test_quadrature_kernel_vanishing_on_top_levels():
 
     # the weight is sin^7(2 theta) up to constants, and pi/8 -> pi/4 in 2 theta
     exact = SPHERE * (antiderivative(np.pi / 4) - antiderivative(0.0)) / (32.0 / 35.0)
-    assert abs(spectra.eig_quadrature(kern, 0, 0) - exact) / exact < 1e-13
+    val = spectra.eig_quadrature_table(kern, math.nan, 0).values[(0, 0)]
+    assert abs(val - exact) / exact < 1e-13
 
 
 def test_quadrature_near_domain_edge():
@@ -638,16 +642,6 @@ def test_quadrature_table_builds_theta_factors_once(monkeypatch):
     assert len(levels) == 3
 
 
-def test_quadrature_cell_is_its_table_entry():
-    for alpha in (1.0, 3.5, 5.2):
-        for kern in (spectra.kernel_K1(alpha), spectra.kernel_K2(alpha)):
-            table = spectra.eig_quadrature_table(kern, alpha, 4)
-            for (j, k), v in table.values.items():
-                cell = spectra.eig_quadrature(kern, j, k)
-                assert type(cell) is float
-                assert abs(cell - v) <= 1e-14 * abs(v), (kern.name, j, k)
-
-
 _INDEXED = {
     "zonal": lambda j, k: specfun.zonal(j, k, 0.1, 0.2),
     "eig_K1": lambda j, k: spectra.eig_K1(j, k, 4.0),
@@ -657,7 +651,6 @@ _INDEXED = {
     "intertwining_spectrum": lambda j, k: spectra.intertwining_spectrum(4.0, j, k),
     "logsob_gap": spectra.logsob_gap,
     "logsob_gap_limit": spectra.logsob_gap_limit,
-    "eig_quadrature": lambda j, k: spectra.eig_quadrature(spectra.kernel_K1(4.0), j, k),
 }
 
 
