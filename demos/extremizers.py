@@ -1,5 +1,6 @@
 """Extremizers of the sharp inequality: the conformal family, the
-Euler-Lagrange equation, recentering, and the endpoint inequality.
+Euler-Lagrange equation, recentering (out to |xi| = 0.99), and the
+endpoint inequality.
 
 Run:  python3 demos/extremizers.py
 """
@@ -48,6 +49,18 @@ def main():
     TH, PH = np.meshgrid(th, ph)
     vals = gn.profile(TH, PH)
     print("   constancy (std/mean):", np.std(vals) / np.mean(vals))
+
+    print("\nthe concentrated end of the family (|xi| = 0.99):")
+    rho = 0.99
+    far = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
+    try:
+        fn.hls_quotient(far, lam, jmax=40)
+    except ValueError as err:  # a jmax 40 projection cannot hold it
+        print("   quotient refused   :", err)
+    delta, gfar = fn.recenter(far, p)
+    print(f"   dilation parameter : {delta:.10f}   sqrt((1+rho)/(1-rho)) = "
+          f"{math.sqrt((1.0 + rho) / (1.0 - rho)):.10f}")
+    print(f"   recentered quotient: {fn.hls_quotient(gfar, lam, jmax=40):.14e}   C = {ref:.14e}")
 
     print("\nendpoint inequality (energy vs entropy):")
     s = 0.2

@@ -283,17 +283,30 @@ def hls_spectral(f: BisphericalFunction, lam):
 
 def hls_tail_bound(f: BisphericalFunction, lam):
     """Bound on the spectral mass beyond the truncation: largest eigenvalue
-    outside the table times the Parseval residual."""
+    outside the table times the Parseval residual.  ``hls_quotient`` refuses
+    a value whose bound exceeds 1e-10 of it."""
     lam = _check_lambda(lam)
     return 2.0 ** (lam / 2.0) * eig_K1(f.jmax + 1, 0, lam / 4.0) * max(f.residual(), 0.0)
 
 
 def hls_quotient(f, lam, jmax=40):
-    """The sharp-constant quotient I(f, f) / ||f||_p^2 for a zonal-type f."""
+    """The sharp-constant quotient I(f, f) / ||f||_p^2 for a zonal-type f.
+
+    Raises ValueError when ``hls_tail_bound`` exceeds 1e-10 of the spectral
+    value: f is too concentrated for jmax.  The quotient is conformally
+    invariant, so the quotient of ``recenter(f, p)[1]`` is the same value.
+    """
     lam = _check_lambda(lam)
     p = 2.0 * Q / (2.0 * Q - lam)
     F = _grid_values(f)
-    return hls_spectral(_project(F, jmax), lam) / _integrate(np.abs(F) ** p) ** (2.0 / p)
+    proj = _project(F, jmax)
+    value, tail = hls_spectral(proj, lam), hls_tail_bound(proj, lam)
+    if tail > 1e-10 * value:
+        raise ValueError(
+            f"hls_quotient: tail bound {tail:.3e} exceeds 1e-10 of the spectral value "
+            f"{value:.3e} at jmax {jmax}; recenter f first"
+        )
+    return value / _integrate(np.abs(F) ** p) ** (2.0 / p)
 
 
 def hls_mc(f, g, lam, n, seed):
@@ -375,15 +388,13 @@ def center_mass(h, p):
     so the integral reduces to the scalar int cos(theta) cos(phi) h^p.
     """
     axis = h.axis if isinstance(h, AxisZonalFunction) else NORTH_AXIS
-    return _axis_moment(_grid_values(h), p) * axis
+    return _axis_moment(_grid_values(h) ** p) * axis
 
 
-def _axis_moment(F, p):
-    """The axis component int cos(theta) cos(phi) F^p of grid values F."""
+def _axis_moment(Fp):
+    """The axis component int cos(theta) cos(phi) F^p, from the powered grid values Fp."""
     theta, wt, phi, wp = _grid()
-    return float(
-        np.dot(wt * np.cos(theta), ((F ** p) * (wp * np.cos(phi))[None, :]).sum(axis=1))
-    )
+    return float(np.dot(wt * np.cos(theta), (Fp * (wp * np.cos(phi))[None, :]).sum(axis=1)))
 
 
 def center_mass_mc(h, p, n, seed):
@@ -430,42 +441,49 @@ def conformal_pullback(h, delta, p):
 def recenter(h, p):
     """Find the conformal pullback of h with zero center of mass.
 
-    ``h`` must be a positive zonal-type function.  Each trial pullback is
-    normalized to int g^p = |S| (the zero-center condition is invariant
-    under positive scaling).  Returns (delta, recentered function); raises
-    with the final residual on non-convergence.
+    ``h`` is a zonal-type function, finite and >= 0 with nonzero mass (else
+    ValueError names the defect).  On the pullback's disk parameter
+    c = (delta^2 - 1) / (delta^2 + 1), the normalized axis moment
+    |S| int cos(theta) cos(phi) g^p / int g^p runs from +|S| at c -> -1 to
+    -|S| at c -> 1 (all of the mass at one pole); an Illinois regula falsi
+    finds its zero strictly inside.  Returns (delta, g) with int g^p = |S|;
+    raises RuntimeError with the final residual on non-convergence.
     """
+    measure = sphere_measure()
 
-    def centered(logd):
-        g = conformal_pullback(h, math.exp(logd), p)
+    def trial(delta):
+        # the pullback, its mass int g^p and its normalized axis moment
+        g = conformal_pullback(h, delta, p)
         G = _grid_values(g)
-        s = (sphere_measure() / _integrate(np.abs(G) ** p)) ** (1.0 / p)
-        gn = AxisZonalFunction(lambda th, ph, _g=g.profile: s * _g(th, ph), axis=g.axis)
-        # s * G are the grid values of gn: G is already broadcast to the grid
-        return _axis_moment(s * G, p), gn
+        Gp = np.abs(G) ** p
+        mass = _integrate(Gp)
+        if delta == 1.0:  # the first trial, c = 0, holds h's own grid values
+            if not np.isfinite(G).all():
+                raise ValueError("recenter needs finite values of h")
+            if G.min() < 0.0:
+                raise ValueError(f"recenter needs h >= 0; h takes {G.min():.3e}")
+            if mass == 0.0:
+                raise ValueError("recenter needs h with nonzero mass; int h^p is 0")
+        return g, mass, measure * _axis_moment(Gp) / mass
 
-    x0, x1 = 0.0, 0.25
-    f0, g0 = centered(x0)
-    if abs(f0) < _RECENTER_TOL:
-        return 1.0, g0
-    f1, g1 = centered(x1)
-    it = 0
-    while abs(f1) >= _RECENTER_TOL and it < _RECENTER_MAX_ITER:
-        if f1 == f0:
-            raise RuntimeError(f"recenter stalled; residual {f1:.3e}")
-        step = -f1 * (x1 - x0) / (f1 - f0)
-        # damped update with a residual-norm line search
-        for _ in range(60):
-            f2, g2 = centered(x1 + step)
-            if abs(f2) < abs(f1):
-                break
-            step *= 0.5
-        x0, f0 = x1, f1
-        x1, f1, g1 = x1 + step, f2, g2
-        it += 1
-    if abs(f1) >= _RECENTER_TOL:
-        raise RuntimeError(f"recenter did not converge; residual {f1:.3e}")
-    return math.exp(x1), g1
+    a, fa, b, fb = -1.0, measure, 1.0, -measure
+    c, last = 0.0, 0.0
+    for _ in range(_RECENTER_MAX_ITER):
+        delta = math.sqrt((1.0 + c) / (1.0 - c))
+        g, mass, m = trial(delta)
+        if abs(m) < _RECENTER_TOL:
+            s = (measure / mass) ** (1.0 / p)
+            return delta, AxisZonalFunction(lambda th, ph: s * g.profile(th, ph), axis=g.axis)
+        # the trial replaces the end of its sign; Illinois halves the moment of an end
+        # that two trials in a row leave in place
+        if m > 0.0:
+            a, fa, fb = c, m, fb * 0.5 if last > 0.0 else fb
+        else:
+            b, fb, fa = c, m, fa * 0.5 if last < 0.0 else fa
+        c, last = a + (b - a) * fa / (fa - fb), m
+        if not a < c < b:  # the bracket is down to rounding
+            break
+    raise RuntimeError(f"recenter did not converge; residual {m:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_project_profile_type_error_propagates():
 
 def test_each_input_evaluated_once(monkeypatch):
     # every routine evaluates each input on the quadrature grid once;
-    # recenter once per conformal pullback it tries
+    # recenter once per conformal pullback it tries: 7 at rho = 0.3, 14 at rho = 0.999
     lam = 16.0
     p = 2.0 * Q / (2.0 * Q - lam)
     calls = []
@@ -95,7 +95,6 @@ def test_each_input_evaluated_once(monkeypatch):
 
         return wrapped
 
-    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=lam))
     one = counted(lambda th, ph: np.ones_like(th))
     wave = counted(lambda th, ph: np.cos(th) * np.cos(ph))  # orthogonal to the constant
     runs = {
@@ -114,10 +113,13 @@ def test_each_input_evaluated_once(monkeypatch):
     monkeypatch.setattr(
         fn, "conformal_pullback", lambda *a: pullbacks.append(a) or pullback(*a)
     )
-    calls.clear()
-    fn.recenter(fn.AxisZonalFunction(counted(h.profile), axis=h.axis), p)
-    assert len(pullbacks) >= 2
-    assert calls == [(200, 200)] * len(pullbacks)
+    for rho, most in ((0.3, 7), (0.999, 14)):
+        h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
+        calls.clear()
+        pullbacks.clear()
+        fn.recenter(fn.AxisZonalFunction(counted(h.profile), axis=h.axis), p)
+        assert 2 <= len(pullbacks) <= most, rho
+        assert calls == [(200, 200)] * len(pullbacks), rho
 
 
 def test_projection_basis_built_once_per_jmax():
@@ -236,6 +238,30 @@ def test_quotient_below_constant_for_perturbation():
     ref = constants.C_hls_sphere(16.0)
     f = fn.AxisZonalFunction(lambda th, ph: 1.0 + 0.3 * zonal(2, 0, th, ph))
     assert fn.hls_quotient(f, 16.0, jmax=10) < ref
+
+
+@pytest.mark.parametrize("lam", [12.0, 16.0, 20.0])
+@pytest.mark.parametrize("rho", [0.8, 0.9])
+def test_quotient_refuses_beyond_its_tail_bound(rho, lam):
+    # at jmax 40 the tail bound passes 1e-10 of the value from rho = 0.7; unrefused,
+    # the quotient at rho = 0.9, lam = 16 read 15 % below the sharp constant
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
+    with pytest.raises(ValueError, match=r"tail bound .* exceeds 1e-10 of the spectral value .* recenter"):
+        fn.hls_quotient(h, lam, jmax=40)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.6])
+def test_quotient_within_its_tail_bound_is_unchanged(rho):
+    # the refusal only reads the tail bound: the value is the spectral sum over the L^p
+    # norm, bit for bit; measured bound at most 2.8e-13 of the value here
+    for lam in (12.0, 16.0, 20.0):
+        p = 2.0 * Q / (2.0 * Q - lam)
+        h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
+        F = fn._grid_values(h)
+        proj = fn._project(F, 40)
+        value = fn.hls_spectral(proj, lam)
+        assert fn.hls_tail_bound(proj, lam) < 1e-12 * value
+        assert fn.hls_quotient(h, lam, jmax=40) == value / fn._integrate(np.abs(F) ** p) ** (2.0 / p)
 
 
 def test_hls_mc_agrees_with_spectral():
@@ -513,6 +539,43 @@ def test_recenter_random_direction():
     h = fn.extremizer_profile(params)
     _, gn = fn.recenter(h, p)
     assert np.linalg.norm(fn.center_mass(gn, p)) < 1e-8
+
+
+@pytest.mark.parametrize("lam", [12.0, 16.0, 20.0])
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.6, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_recenter_whole_extremizer_family(rho, lam):
+    # the extremizer at rho is the pullback of the constant by delta^2 = (1 + rho) / (1 - rho);
+    # measured worst: delta 1.5e-9 (rho = 0.99), center 7.5e-9, quotient 6.2e-15, EL 4.6e-9
+    p = 2.0 * Q / (2.0 * Q - lam)
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
+    delta, gn = fn.recenter(h, p)
+    assert abs(delta / math.sqrt((1.0 + rho) / (1.0 - rho)) - 1.0) < 1e-8
+    assert np.linalg.norm(fn.center_mass(gn, p)) < 1e-8
+    ref = constants.C_hls_sphere(lam)
+    assert abs(fn.hls_quotient(gn, lam, jmax=40) / ref - 1.0) < 1e-12
+    assert fn.el_residual(gn, lam=lam) < 2e-8
+
+
+@pytest.mark.parametrize("profile, match", [
+    (lambda th, ph: np.full_like(th, np.nan), "finite values"),
+    (lambda th, ph: np.where(th < 0.5, np.inf, 1.0), "finite values"),
+    (lambda th, ph: np.zeros_like(th), "nonzero mass"),
+    (lambda th, ph: np.cos(th) * np.cos(ph), r"h >= 0; h takes -"),
+], ids=["nan", "inf", "zero", "signed"])
+def test_recenter_names_a_bad_input(profile, match):
+    # unchecked, NaN and inf returned delta = 1.284 as if converged, zero divided by
+    # zero, and the signed wave raised a RuntimeWarning from its power
+    p = 2.0 * Q / (2.0 * Q - 16.0)
+    with pytest.raises(ValueError, match=match):
+        fn.recenter(fn.AxisZonalFunction(profile), p)
+
+
+def test_recenter_reports_non_convergence(monkeypatch):
+    p = 2.0 * Q / (2.0 * Q - 16.0)
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.9 * fn.NORTH_AXIS, lam=16.0))
+    monkeypatch.setattr(fn, "_RECENTER_MAX_ITER", 3)
+    with pytest.raises(RuntimeError, match=r"recenter did not converge; residual -?\d"):
+        fn.recenter(h, p)
 
 
 # ---------------------------------------------------------------------------
