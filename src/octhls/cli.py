@@ -29,17 +29,6 @@ def _nonnegative_int(text):
     return int(text)
 
 
-def _tolerance(text):
-    """A check tolerance: a finite number >= 0 (1e400 reads as inf)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
-
-
 def _seed(text):
     """A Philox key word: an integer in [0, 2^63)."""
     if not text.isdecimal() or int(text) >= 2 ** 63:
@@ -48,9 +37,7 @@ def _seed(text):
 
 
 def _float_list(text):
-    if text is None or text.strip() == "":
-        return []
-    return [float(v) for v in text.split(",")]
+    return [float(v) for v in text.split(",")] if text.strip() else []
 
 
 def _alpha_grid(text):
@@ -61,16 +48,17 @@ def _alpha_grid(text):
     return alphas
 
 
-def _emit(command, rows, columns, fmt, out):
+def _emit(command, rows, fmt, out):
+    """Write rows as JSON, or as CSV under a header of the first row's keys: every
+    row of a command is built with the same keys in column order."""
     if fmt == "json":
         payload = {"schema_version": SCHEMA_VERSION, "command": command, "rows": rows}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(columns)
-        for r in rows:
-            w.writerow([r.get(c, "") for c in columns])
+        w.writerow(rows[0])
+        w.writerows(r.values() for r in rows)
         text = buf.getvalue()
     if out:
         try:
@@ -111,23 +99,22 @@ def cmd_constants(args):
     rows.append(
         {"name": "C_logsobolev", "parameter": "", "value": constants.C_logsobolev(), "residual": ""}
     )
-    _emit("constants", rows, ["name", "parameter", "value", "residual"], args.format, args.out)
+    _emit("constants", rows, args.format, args.out)
     return 0
 
 
 def cmd_eigs(args):
     alphas = _alpha_grid(args.alpha)
-    rtol = 1e-6 if args.tolerance is None else args.tolerance
     rows = []
     failed = False
     for alpha in alphas:
         for kind, kern in (("K1", spectra.kernel_K1(alpha)), ("K2", spectra.kernel_K2(alpha))):
             closed = {"K1": spectra.eig_K1, "K2": spectra.eig_K2}[kind]
-            table = spectra.eig_quadrature_table(kern, alpha, args.jmax, args.kmax)
+            table = spectra.eig_quadrature_table(kern, alpha, args.jmax)
             for (j, k), qd in sorted(table.values.items()):
                 cf = closed(j, k, alpha)
                 rel = abs(qd - cf) / abs(cf) if cf != 0.0 else abs(qd)
-                ok = rel < (rtol if cf != 0.0 else 1e-8)
+                ok = rel < (1e-6 if cf != 0.0 else 1e-8)
                 failed = failed or not ok
                 rows.append(
                     {
@@ -142,17 +129,11 @@ def cmd_eigs(args):
                     }
                 )
     rows.sort(key=lambda r: (r["alpha"], r["kernel"], r["j"], r["k"]))
-    _emit(
-        "eigs",
-        rows,
-        ["j", "k", "alpha", "kernel", "closed_form", "quadrature", "rel_diff", "pass"],
-        args.format,
-        args.out,
-    )
+    _emit("eigs", rows, args.format, args.out)
     return 1 if failed else 0
 
 
-def _margin_scan(alpha, jmax, kmax=None):
+def _margin_scan(alpha, jmax):
     """(minimum margin, its (j, k), zero count, violated) over the margin_table grid.
 
     The margin is a product that is exactly 0.0 where it vanishes, so a
@@ -162,7 +143,7 @@ def _margin_scan(alpha, jmax, kmax=None):
     strictly lower.
     """
     worst, arg, zeros, violated = math.inf, None, 0, False
-    for j, k, m in spectra.margin_table(alpha, jmax, kmax):
+    for j, k, m in spectra.margin_table(alpha, jmax):
         i = int(np.argmin(m))
         if m[i] < worst:
             worst, arg = float(m[i]), (int(j[i]), int(k[i]))
@@ -175,7 +156,7 @@ def cmd_margin(args):
     alphas = _alpha_grid(args.alpha)
     rows = []
     for alpha in alphas:
-        worst, arg, zeros, violated = _margin_scan(alpha, args.jmax, args.kmax)
+        worst, arg, zeros, violated = _margin_scan(alpha, args.jmax)
         rows.append(
             {
                 "alpha": alpha,
@@ -186,13 +167,7 @@ def cmd_margin(args):
                 "zero_count": zeros,
             }
         )
-    _emit(
-        "margin",
-        rows,
-        ["alpha", "min_margin", "argmin_j", "argmin_k", "violated", "zero_count"],
-        args.format,
-        args.out,
-    )
+    _emit("margin", rows, args.format, args.out)
     return 0
 
 
@@ -231,9 +206,6 @@ def cmd_verify(args):
     if args.mc_samples < 2:
         raise ValueError(f"--mc-samples must be at least 2, got {args.mc_samples}")
 
-    def tol(default):
-        return default if args.tolerance is None else args.tolerance
-
     rng = np.random.Generator(np.random.Philox(key=[args.seed, 99]))
     n = args.mc_samples
     reports = []
@@ -254,15 +226,15 @@ def cmd_verify(args):
         * nilgroup.hnorm_zt(*nilgroup.gmul_zt(-zs[odd], -ts[odd], zs[even], ts[even]))
     )
     worst_dr = float(np.max(np.abs(lhs - rhs)))
-    reports.append(_check("cayley_round_trip", "", worst_rt, 0.0, tol(1e-11)))
-    reports.append(_check("jacobian_duality", "", worst_jac, 0.0, tol(1e-10)))
-    reports.append(_check("distance_relation", "", worst_dr, 0.0, tol(1e-10)))
+    reports.append(_check("cayley_round_trip", "", worst_rt, 0.0, 1e-11))
+    reports.append(_check("jacobian_duality", "", worst_jac, 0.0, 1e-10))
+    reports.append(_check("distance_relation", "", worst_dr, 0.0, 1e-10))
 
     # spectral identity for the sharp constant
     for lam in (12.0, 16.0, 20.0):
         reports.append(
             _check("sharp_constant_spectral", lam, _spectral_constant(lam),
-                   constants.C_hls_sphere(lam), tol(1e-12), "rel")
+                   constants.C_hls_sphere(lam), 1e-12, "rel")
         )
 
     # intertwining consistency
@@ -277,7 +249,7 @@ def cmd_verify(args):
                     * spectra.intertwining_spectrum(d, j, k)
                 )
                 worst = max(worst, abs(v - 1.0))
-    reports.append(_check("intertwining_identity", "", worst, 0.0, tol(1e-10)))
+    reports.append(_check("intertwining_identity", "", worst, 0.0, 1e-10))
 
     # eigenvalue oracle, small grid
     alpha = 4.0
@@ -286,47 +258,41 @@ def cmd_verify(args):
         abs(qd - spectra.eig_K1(j, k, alpha)) / spectra.eig_K1(j, k, alpha)
         for (j, k), qd in sorted(table.values.items())
     )
-    reports.append(_check("eigenvalue_oracle", alpha, worst, 0.0, tol(1e-6)))
+    reports.append(_check("eigenvalue_oracle", alpha, worst, 0.0, 1e-6))
 
     # margin spot checks: the product form against its four-term definition, and the
     # violation below alpha = 3
-    reports.append(_check("margin_four_terms", 4.0, _margin_four_term_error(4.0, 20), 0.0, tol(4e-15)))
-    reports.append(_check("margin_violation_25", 2.5, _margin_scan(2.5, 20)[0], -0.011, tol(0.01)))
+    reports.append(_check("margin_four_terms", 4.0, _margin_four_term_error(4.0, 20), 0.0, 4e-15))
+    reports.append(_check("margin_violation_25", 2.5, _margin_scan(2.5, 20)[0], -0.011, 0.01))
 
     # HLS quotient at f = 1 and at a projected extremizer
     one = functional.AxisZonalFunction(lambda th, ph: np.ones_like(th))
     reports.append(
         _check("hls_quotient_constant", 12.0, functional.hls_quotient(one, 12.0, jmax=2),
-               constants.C_hls_sphere(12.0), tol(1e-10), "rel")
+               constants.C_hls_sphere(12.0), 1e-10, "rel")
     )
     ex = functional.ExtremizerParams(xi=0.3 * functional.NORTH_AXIS, lam=16.0)
     h = functional.extremizer_profile(ex)
     reports.append(
         _check("hls_quotient_extremizer", 16.0, functional.hls_quotient(h, 16.0, jmax=40),
-               constants.C_hls_sphere(16.0), tol(1e-4), "rel")
+               constants.C_hls_sphere(16.0), 1e-4, "rel")
     )
 
     # Euler-Lagrange residuals
-    reports.append(_check("el_residual_extremizer", 16.0, functional.el_residual(ex), 0.0, tol(1e-4)))
+    reports.append(_check("el_residual_extremizer", 16.0, functional.el_residual(ex), 0.0, 1e-4))
 
     # recentering
     p = 2.0 * Q / (2.0 * Q - 16.0)
     _, gn = functional.recenter(h, p)
     resid = float(np.linalg.norm(functional.center_mass(gn, p)))
-    reports.append(_check("recenter_residual", 16.0, resid, 0.0, tol(1e-8)))
+    reports.append(_check("recenter_residual", 16.0, resid, 0.0, 1e-8))
 
     # Log-Sobolev pair at the constant
     lhs, rhs = functional.log_sobolev_pair(one, jmax=4)
-    reports.append(_check("log_sobolev_constant", "", abs(lhs) + abs(rhs), 0.0, tol(1e-10)))
+    reports.append(_check("log_sobolev_constant", "", abs(lhs) + abs(rhs), 0.0, 1e-10))
 
     failed = any(not r["pass"] for r in reports)
-    _emit(
-        "verify",
-        reports,
-        ["check", "lambda_or_alpha", "value", "reference", "abs_err", "rel_err", "tolerance", "pass"],
-        args.format,
-        args.out,
-    )
+    _emit("verify", reports, args.format, args.out)
     return 1 if failed else 0
 
 
@@ -339,18 +305,16 @@ _FLAGS = {
     "--alpha": dict(default="", help="comma-separated alpha grid"),
     "--d": dict(default="", help="comma-separated degree grid"),
     "--jmax": dict(type=_nonnegative_int, default=6),
-    "--kmax": dict(type=_nonnegative_int, default=None),
     "--mc-samples": dict(type=int, default=100000),
     "--seed": dict(type=_seed, default=0),
-    "--tolerance": dict(type=_tolerance, default=None, help="override every check tolerance"),
 }
 
 #: subcommand -> (function, the flags it reads besides --format and --out)
 _COMMANDS = {
     "constants": (cmd_constants, ("--lambda", "--d")),
-    "eigs": (cmd_eigs, ("--alpha", "--jmax", "--kmax", "--tolerance")),
-    "margin": (cmd_margin, ("--alpha", "--jmax", "--kmax")),
-    "verify": (cmd_verify, ("--mc-samples", "--seed", "--tolerance")),
+    "eigs": (cmd_eigs, ("--alpha", "--jmax")),
+    "margin": (cmd_margin, ("--alpha", "--jmax")),
+    "verify": (cmd_verify, ("--mc-samples", "--seed")),
 }
 
 

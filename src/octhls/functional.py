@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from .cayley import NORTH_POLE, hermitian_pairing, sdist_arrays
 from .constants import C_logsobolev, sphere_measure
 from .nilgroup import Q
-from .specfun import bispherical_basis, gegenbauer3
+from .specfun import _check_degree, bispherical_basis, gegenbauer3
 from .spectra import _FH_CONST, _eig_K1_arrays, _logsob_gap, eig_K1
 
 __all__ = [
@@ -228,6 +228,14 @@ def _check_lambda(lam):
     return lam
 
 
+def _check_exponent(p):
+    """p as a float; ValueError unless p is finite and > 1."""
+    p = float(p)
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"exponent p = {p} must be finite and > 1")
+    return p
+
+
 @dataclass
 class ExtremizerParams:
     """Extremizer family |1 - xi . conj(zeta)|^(-(2Q - lambda)/2)."""
@@ -315,10 +323,7 @@ def hls_mc(f, g, lam, n, seed):
     Returns (estimate, stderr) from n >= 20 samples; the standard error comes
     from 20 batch means because the integrand is heavy-tailed near the diagonal.
     """
-    lam = float(lam)
-    if not lam < Q:
-        raise ValueError("kernel not integrable for lambda >= Q")
-    n, nb = int(n), 20
+    lam, n, nb = _check_lambda(lam), _check_degree("n", n), 20
     if n < nb:  # a batch without a sample has no mean
         raise ValueError(f"need n >= {nb} Monte Carlo samples, got {n}")
     zp = sample_sphere(n, seed, stream=0)
@@ -387,6 +392,7 @@ def center_mass(h, p):
     stabilizer of the axis averages the transverse components to zero),
     so the integral reduces to the scalar int cos(theta) cos(phi) h^p.
     """
+    p = _check_exponent(p)
     axis = h.axis if isinstance(h, AxisZonalFunction) else NORTH_AXIS
     return _axis_moment(_grid_values(h) ** p) * axis
 
@@ -399,7 +405,8 @@ def _axis_moment(Fp):
 
 def center_mass_mc(h, p, n, seed):
     """Monte Carlo oracle for the full 16-component center of mass, from n >= 1 samples."""
-    if int(n) < 1:
+    p, n = _check_exponent(p), _check_degree("n", n)
+    if n < 1:
         raise ValueError(f"need n >= 1 Monte Carlo samples, got {n}")
     pts = sample_sphere(n, seed, stream=7)
     vals = np.asarray(h(pts), dtype=float) ** p
@@ -422,6 +429,7 @@ def conformal_pullback(h, delta, p):
     delta = float(delta)
     if not 0.0 < delta < math.inf:
         raise ValueError(f"dilation scale must be positive and finite, got {delta}")
+    p = _check_exponent(p)
     if not isinstance(h, AxisZonalFunction):
         h = AxisZonalFunction(h)
     d2 = delta * delta
@@ -449,7 +457,7 @@ def recenter(h, p):
     finds its zero strictly inside.  Returns (delta, g) with int g^p = |S|;
     raises RuntimeError with the final residual on non-convergence.
     """
-    measure = sphere_measure()
+    p, measure = _check_exponent(p), sphere_measure()
 
     def trial(delta):
         # the pullback, its mass int g^p and its normalized axis moment

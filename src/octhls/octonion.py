@@ -37,6 +37,13 @@ __all__ = [
 ]
 
 
+def conj(x):
+    x = np.asarray(x, dtype=float)
+    out = -x
+    out[..., 0] = x[..., 0]
+    return out
+
+
 def _cd_mul(x, y):
     """Cayley-Dickson products of stacks of coefficient vectors of length 2^m
     (the last axis); the leading axes broadcast."""
@@ -48,17 +55,11 @@ def _cd_mul(x, y):
     c, d = y[..., :h], y[..., h:]
     return np.concatenate(
         [
-            _cd_mul(a, c) - _cd_mul(_cd_conj(d), b),
-            _cd_mul(d, a) + _cd_mul(b, _cd_conj(c)),
+            _cd_mul(a, c) - _cd_mul(conj(d), b),
+            _cd_mul(d, a) + _cd_mul(b, conj(c)),
         ],
         axis=-1,
     )
-
-
-def _cd_conj(x):
-    out = -x
-    out[..., 0] = x[..., 0]
-    return out
 
 
 def _build_table():
@@ -124,13 +125,6 @@ def mul(x, y):
     for start in range(0, shape[0], step):
         rows = slice(start, start + step)
         _mul_rows(x if len(x) == 1 else x[rows], y if len(y) == 1 else y[rows], out[rows])
-    return out
-
-
-def conj(x):
-    x = np.asarray(x, dtype=float)
-    out = -x
-    out[..., 0] = x[..., 0]
     return out
 
 

@@ -178,16 +178,14 @@ class EigenTable:
     values: dict
 
 
-def eig_quadrature_table(kern, alpha, jmax, kmax=None):
-    """Quadrature eigenvalues for all j <= jmax, k <= min(j, kmax), as an EigenTable.
+def eig_quadrature_table(kern, alpha, jmax):
+    """Quadrature eigenvalues for all j <= jmax, k <= j, as an EigenTable.
 
     The kernel grid is evaluated once and shared across all indices; its
     Gauss-Legendre rule of max(16, jmax + 8) nodes per panel follows jmax.
     """
-    kmax = jmax if kmax is None else _check_degree("kmax", kmax)
     j, k, vals = _quadrature_core(kern, jmax)
-    cells = zip(j.tolist(), k.tolist(), vals.tolist())
-    return EigenTable(float(alpha), {(jj, kk): v for jj, kk, v in cells if kk <= kmax})
+    return EigenTable(float(alpha), dict(zip(zip(j.tolist(), k.tolist()), vals.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +360,8 @@ def bilinear_margin(j, k, alpha):
 _MARGIN_ROWS = 64
 
 
-def margin_table(alpha, jmax, kmax=None):
-    """bilinear_margin on every cell j <= jmax, k <= min(j, kmax), in scan order (j, then k).
+def margin_table(alpha, jmax):
+    """bilinear_margin on every cell k <= j <= jmax, in scan order (j, then k).
 
     An iterator over blocks of at most _MARGIN_ROWS j rows, each a triple (j, k,
     margin) of the cells' index arrays and margins, equal to bilinear_margin to the
@@ -371,17 +369,17 @@ def margin_table(alpha, jmax, kmax=None):
     this is called, not when the first block is read.
     """
     a = _check_alpha(alpha, lo=0.0)
-    jmax, kmax = _check_index(jmax, jmax if kmax is None else min(kmax, jmax))
+    jmax = _check_degree("jmax", jmax)
     rows = [np.asarray(row) for row in _factor_tables(a, _size(jmax))]
     return (
-        _margin_block(j0, min(j0 + _MARGIN_ROWS, jmax + 1), kmax, a, rows)
+        _margin_block(j0, min(j0 + _MARGIN_ROWS, jmax + 1), a, rows)
         for j0 in range(0, jmax + 1, _MARGIN_ROWS)
     )
 
 
-def _margin_block(j0, j1, kmax, a, rows):
+def _margin_block(j0, j1, a, rows):
     """The margin_table block of rows j0 <= j < j1: the (j column, k row) rectangle, masked."""
-    j, k = np.arange(j0, j1)[:, None], np.arange(min(j1 - 1, kmax) + 1)
+    j, k = np.arange(j0, j1)[:, None], np.arange(j1)
     m = np.zeros((len(j), len(k)))
     first = 1 if j0 == 0 else 0  # the one cell of row j = 0 is 0
     m[first:, 0] = _margin_k0(j[first:, 0], a, rows)

@@ -285,6 +285,16 @@ def test_hls_mc_at_its_minimum_sample_count():
     one = lambda p: np.ones(len(p))  # noqa: E731
     est, err = fn.hls_mc(one, one, 12.0, 20, seed=1)
     assert math.isfinite(est) and math.isfinite(err) and err > 0.0
+    assert fn.hls_mc(one, one, 12.0, np.int64(20), seed=1) == (est, err)
+
+
+def test_monte_carlo_sample_count_must_be_an_integer():
+    # unchecked, hls_mc truncated 25.5 to 25 and center_mass_mc raised numpy's bare TypeError
+    h = fn.AxisZonalFunction(_never_evaluated)
+    with pytest.raises(TypeError, match=r"n must be an integer, got 25\.5"):
+        fn.hls_mc(h, h, 12.0, 25.5, seed=1)
+    with pytest.raises(TypeError, match=r"n must be an integer, got 1\.5"):
+        fn.center_mass_mc(h, 2.0, 1.5, seed=1)
 
 
 @pytest.mark.parametrize("jmax, error, match", [
@@ -327,6 +337,7 @@ def test_lambda_outside_open_interval_rejected_on_entry(lam):
         "second_variation": lambda: fn.second_variation(f, f, lam, jmax=4),
         "el_residual": lambda: fn.el_residual(f, lam=lam, jmax=4),
         "ExtremizerParams": lambda: fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=lam),
+        "hls_mc": lambda: fn.hls_mc(f, f, lam, 100, seed=1),
     }
     for call in calls.values():
         with pytest.raises(ValueError, match="outside"):
@@ -384,6 +395,23 @@ def test_center_mass_mc_consistency():
     # the sampler is deterministic, which keeps this check reproducible
     mc = fn.center_mass_mc(h, p, 10 ** 6, seed=2)
     assert np.linalg.norm(quad - mc) < 0.08 * np.linalg.norm(quad)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("routine", ["conformal_pullback", "recenter", "center_mass", "center_mass_mc"])
+def test_exponent_must_be_finite_and_above_one(routine, p):
+    # unchecked, p = 0 raised a bare ZeroDivisionError in recenter and conformal_pullback,
+    # p = -1 "recentered" the rho = 0.3 extremizer to delta = 0.850, and NaN gave NaN centres;
+    # the check comes before any evaluation
+    h = fn.AxisZonalFunction(_never_evaluated)
+    calls = {
+        "conformal_pullback": lambda: fn.conformal_pullback(h, 2.0, p),
+        "recenter": lambda: fn.recenter(h, p),
+        "center_mass": lambda: fn.center_mass(h, p),
+        "center_mass_mc": lambda: fn.center_mass_mc(h, p, 10, seed=1),
+    }
+    with pytest.raises(ValueError, match=f"exponent p = {p} must be finite and > 1"):
+        calls[routine]()
 
 
 def test_center_mass_mc_needs_a_sample():

@@ -453,9 +453,9 @@ def test_margin_scan_builds_one_table_set_per_size():
     assert spectra._factor_tables.cache_info().misses == 3
 
 
-def _margin_table_cells(alpha, jmax, kmax=None):
+def _margin_table_cells(alpha, jmax):
     """margin_table's blocks joined: (j, k, margin)."""
-    blocks = list(spectra.margin_table(alpha, jmax, kmax))
+    blocks = list(spectra.margin_table(alpha, jmax))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
@@ -466,17 +466,14 @@ _TABLE_JMAX = sorted({0, 1, 63, 64, 65, 127, 128, _B - 1, _B, _B + 1, 2 * _B - 1
 
 @pytest.mark.parametrize("alpha", [0.1, 1.0 - 1e-9, 1.0, 3.0, 4.0, 5.499])
 def test_margin_table_is_margin_terms_cell_by_cell(alpha):
-    grids = [(jmax, None) for jmax in _TABLE_JMAX]
-    grids += [(jmax, kmax) for jmax in (_B, 2 * _B + 1) for kmax in (0, 7, jmax - 1, jmax, jmax + 5)]
-    for jmax, kmax in grids:
-        j, k, got = _margin_table_cells(alpha, jmax, kmax)
-        kcap = jmax if kmax is None else kmax
-        cells = [(jj, kk) for jj in range(jmax + 1) for kk in range(min(jj, kcap) + 1)]
-        assert list(zip(j.tolist(), k.tolist())) == cells, (jmax, kmax)
+    for jmax in _TABLE_JMAX:
+        j, k, got = _margin_table_cells(alpha, jmax)
+        cells = [(jj, kk) for jj in range(jmax + 1) for kk in range(jj + 1)]
+        assert list(zip(j.tolist(), k.tolist())) == cells, jmax
         want = np.array([spectra.bilinear_margin(jj, kk, alpha) for jj, kk in cells])
         # == takes -0.0 for 0.0; the signs of zero must match too
-        assert np.array_equal(got, want), (jmax, kmax)
-        assert np.array_equal(np.signbit(got), np.signbit(want)), (jmax, kmax)
+        assert np.array_equal(got, want), jmax
+        assert np.array_equal(np.signbit(got), np.signbit(want)), jmax
     # and the four-term sum within its rounding (measured worst 3.0e-15, at alpha = 0.1)
     j, k, _ = _margin_table_cells(alpha, 2 * _B + 1)
     assert max(_four_term_error(jj, kk, alpha) for jj, kk in zip(j.tolist(), k.tolist())) <= 4e-15
@@ -498,9 +495,10 @@ def test_margin_table_validates_like_bilinear_margin():
         with pytest.raises(ValueError) as table:
             spectra.margin_table(alpha, 3)
         assert str(table.value) == str(scalar.value)
-    for jmax, kmax in ((-1, None), (3, -1)):
-        with pytest.raises(ValueError):
-            spectra.margin_table(4.0, jmax, kmax)
+    with pytest.raises(ValueError, match="jmax must be >= 0, got -1"):
+        spectra.margin_table(4.0, -1)
+    with pytest.raises(TypeError, match="jmax must be an integer, got 2.5"):
+        spectra.margin_table(4.0, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -601,22 +599,16 @@ def test_logsob_gap_monotone():
 # tables
 
 
-def test_quadrature_table_kmax_filter():
-    # kmax drops the cells k > kmax and leaves the others as the full table has them
-    kern = spectra.kernel_K1(4.0)
-    full = spectra.eig_quadrature_table(kern, 4.0, 3)
-    assert full.alpha == 4.0
-    assert list(full.values) == [(j, k) for j in range(4) for k in range(j + 1)]
-    for kmax in (0, 1, 5):
-        table = spectra.eig_quadrature_table(kern, 4.0, 3, kmax)
-        assert table.values == {jk: v for jk, v in full.values.items() if jk[1] <= kmax}
+def test_quadrature_table_holds_every_cell():
+    # every cell k <= j <= jmax, in scan order (j, then k)
+    table = spectra.eig_quadrature_table(spectra.kernel_K1(4.0), 4.0, 3)
+    assert table.alpha == 4.0
+    assert list(table.values) == [(j, k) for j in range(4) for k in range(j + 1)]
 
 
 @pytest.mark.parametrize("args, error, match", [
     ((-1,), ValueError, "jmax must be >= 0, got -1"),
     ((2.5,), TypeError, "jmax must be an integer, got 2.5"),
-    ((3, -1), ValueError, "kmax must be >= 0, got -1"),
-    ((3, 2.5), TypeError, "kmax must be an integer, got 2.5"),
 ])
 def test_quadrature_table_names_a_bad_index(args, error, match):
     with pytest.raises(error, match=match):
