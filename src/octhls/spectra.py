@@ -59,6 +59,9 @@ class ZonalKernel:
     ``angles(theta, phi)`` returns K at |w| = cos theta, Re w / |w| = cos phi
     for arrays of any broadcastable shapes, with the broadcast shape; the
     angles keep the digits that 1 - cos loses near the singular corner.
+    ``angles`` must not write into its arguments: the quadrature oracle passes
+    read-only views of a grid that every table at the same jmax shares, and a
+    write raises ValueError.
     """
 
     angles: Callable
@@ -103,54 +106,119 @@ def kernel_K2(alpha):
 
 
 def _panels(lo, hi, rule):
-    """Nodes and weights of the rule (x, w) on every panel [lo_i, hi_i], shape (panels, n)."""
+    """Nodes and weights of the rule (x, w) on the panels [lo, hi], shape (*np.shape(lo), n)."""
     x, w = rule
-    mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
+    mid, half = np.asarray(0.5 * (lo + hi))[..., None], np.asarray(0.5 * (hi - lo))[..., None]
     return mid + half * x, half * w
 
 
-def _phi_grid(theta, rule):
-    """Nodes/weights on [0, pi], refined dyadically down to the kernel width at theta.
+def _freeze(arr):
+    arr.flags.writeable = False
+    return arr
 
-    The kernel feature scale in phi at r = cos theta is ~ (1 - r); below
-    it the integrand is smooth, so refinement stops there.
+
+#: the dyadic theta levels a table may visit
+_LEVELS = 64
+#: theta levels per bispherical_basis call: a grid builds the theta factors of the levels
+#: tables reach, a block at a time
+_BLOCK = 8
+
+
+class _Grid:
+    """Everything of the oracle at one jmax that does not depend on the kernel.
+
+    The Gauss-Legendre rule of n = max(16, jmax + 8) nodes, the theta nodes of
+    every level and their sin^7 cos^7 weights are built with the grid.  The
+    rest is built as tables reach deeper levels: the theta factors in blocks
+    of _BLOCK levels, and each phi panel once, as its nodes, sin^6 phi times
+    its weights and its gegenbauer3 rows.  A level's phi grid is the dyadic
+    panels [pi 2^(-i-1), pi 2^-i], i < L, then the end panel [0, pi 2^-L], so
+    the panels a grid keeps grow with the levels, not their square.  Every
+    array a grid hands out is read-only.
     """
-    width = 2.0 * math.sin(theta / 2.0) ** 2
-    levels = math.ceil(math.log2(math.pi / width))
-    hi = math.pi * 2.0 ** -np.arange(levels + 1)
-    phi, w = _panels(np.append(hi[1:], 0.0), hi, rule)
-    return phi.ravel(), w.ravel()
+
+    def __init__(self, jmax):
+        self.jmax = jmax
+        self.rule = leggauss(max(16, jmax + 8))
+        hi = math.pi * 2.0 ** -np.arange(1, _LEVELS + 1)
+        theta, w = _panels(hi / 2.0, hi, self.rule)
+        self.theta = _freeze(theta)
+        self.w7 = _freeze(w * np.sin(theta) ** 7 * np.cos(theta) ** 7)
+        j, k, T = bispherical_basis(jmax, theta[:_BLOCK])  # every table visits level 0
+        self.j, self.k, self.m = _freeze(j), _freeze(k), _freeze(j - k)
+        self._T = [_freeze(T)]
+        self._dyadic = []  # panel i: (nodes, sin^6 phi w, gegenbauer3 rows)
+        self._ends = {}  # the end panel [0, pi 2^-L] by L
+
+    def theta_factors(self, level):
+        """The theta factors of bispherical_basis at the nodes of the level, shape (pairs, n)."""
+        while len(self._T) * _BLOCK <= level:
+            b = len(self._T) * _BLOCK
+            self._T.append(_freeze(bispherical_basis(self.jmax, self.theta[b:b + _BLOCK])[2]))
+        return self._T[level // _BLOCK][:, level % _BLOCK]
+
+    def phi(self, theta):
+        """(nodes, sin^6 phi w, gegenbauer3 rows) of the phi grid on [0, pi] for the
+        level whose smallest theta node is theta, refined dyadically down to the
+        kernel width there.
+
+        The kernel feature scale in phi at r = cos theta is ~ (1 - r); below
+        it the integrand is smooth, so refinement stops there.
+        """
+        width = 2.0 * math.sin(theta / 2.0) ** 2
+        levels = math.ceil(math.log2(math.pi / width))
+        while len(self._dyadic) < levels:
+            i = len(self._dyadic)
+            self._dyadic.append(self._panel(math.pi * 2.0 ** -(i + 1), math.pi * 2.0 ** -i))
+        if levels not in self._ends:
+            self._ends[levels] = self._panel(0.0, math.pi * 2.0 ** -levels)
+        panels = self._dyadic[:levels] + [self._ends[levels]]
+        return tuple(_freeze(np.concatenate(parts, axis=-1)) for parts in zip(*panels))
+
+    def _panel(self, lo, hi):
+        phi, w = _panels(lo, hi, self.rule)
+        return (_freeze(phi), _freeze(np.sin(phi) ** 6 * w),
+                _freeze(gegenbauer3(self.jmax, np.cos(phi))))
+
+
+#: the most recently used jmax values whose grid is kept: a CLI command runs at one
+#: jmax, and a grid that reached 32 levels at jmax 100 holds about 140 MB
+_GRIDS = 2
+
+
+@functools.lru_cache(maxsize=_GRIDS)
+def _grid(jmax):
+    """The _Grid of a checked jmax, shared by every table at that jmax."""
+    return _Grid(jmax)
 
 
 def _quadrature_core(kern, jmax):
-    """Shared-grid evaluation of the Funk-Hecke integral for every j <= jmax.
+    """Evaluation of the Funk-Hecke integral for every j <= jmax on the shared grid.
 
     Returns (j, k, values) in bispherical_basis order.  Every theta and phi
     panel takes the one Gauss-Legendre rule of n = max(16, jmax + 8) nodes, exact
     to polynomial degree 2n - 1: the harmonic factors times the measure are
     trigonometric polynomials of degree up to 2 jmax + 14 in theta (jmax + 6 in
     phi), so the rule follows jmax (16 nodes miss 1e-6 from jmax 9 at alpha = 2.5).
-    Dyadic theta level l is the panel [pi 2^(-l-2), pi 2^(-l-1)]; the basis is
-    built once on all levels' nodes, the kernel once per level on its (theta
-    nodes x phi nodes) array, with the phi grid of the level's smallest theta
-    node.  Level L adds c_L to the pairs and ref_L to the (0, 0) reference; once
-    rho = ref_L / ref_(L-1) < 1 with ref_L |rho - rho_(L-1)| / (1 - rho)^2 within
-    1e-15 of the reference total, c_L / (1 - rho) adds level L and its tail.
+    Dyadic theta level l is the panel [pi 2^(-l-2), pi 2^(-l-1)].  Everything
+    but the kernel comes from the _Grid of jmax; a table evaluates the kernel
+    once per level on its (theta nodes x phi nodes) array, with the phi grid of
+    the level's smallest theta node.  Level L adds c_L to the pairs and ref_L to
+    the (0, 0) reference; once rho = ref_L / ref_(L-1) < 1 with
+    ref_L |rho - rho_(L-1)| / (1 - rho)^2 within 1e-15 of the reference total,
+    c_L / (1 - rho) adds level L and its tail.
     """
-    rule = leggauss(max(16, _check_degree("jmax", jmax) + 8))
-    hi = math.pi * 2.0 ** -np.arange(1, 65)  # a budget of 64 levels
-    thetas, wthetas = _panels(hi / 2.0, hi, rule)
-    j, k, T = bispherical_basis(jmax, thetas)
-    m = j - k
-    w7 = wthetas * np.sin(thetas) ** 7 * np.cos(thetas) ** 7
+    grid = _grid(_check_degree("jmax", jmax))
+    j, k, m = grid.j, grid.k, grid.m
     totals = np.zeros(len(j))
     ref_total, prev, rho_prev = 0.0, 0.0, math.inf
-    for level, (th, w) in enumerate(zip(thetas, w7)):
-        phi, wphi = _phi_grid(th[0], rule)
+    for level, (th, w) in enumerate(zip(grid.theta, grid.w7)):
+        T = grid.theta_factors(level)
+        phi, sw, G = grid.phi(th[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            base = kern.angles(th[:, None], phi) * (np.sin(phi) ** 6 * wphi)
-            inner = base @ gegenbauer3(jmax, np.cos(phi)).T  # inner[i, m]
-            c = np.einsum("pi,i,ip->p", T[:, level], w, inner[:, m])
+            base = kern.angles(th[:, None], phi) * sw
+            inner = base @ G.T  # inner[i, m]
+            c = np.einsum("pi,i,ip->p", T, w, inner[:, m])
             ref = float(np.dot(w, np.abs(inner[:, 0])))
         ref_total += ref
         if not (np.isfinite(c).all() and math.isfinite(ref_total)):
@@ -166,7 +234,7 @@ def _quadrature_core(kern, jmax):
     if not ref_total:  # the kernel vanishes on every level
         return j, k, np.zeros(len(j))
     raise ValueError(
-        f"Funk-Hecke quadrature of {kern.name} did not settle within {len(hi)} dyadic theta levels"
+        f"Funk-Hecke quadrature of {kern.name} did not settle within {_LEVELS} dyadic theta levels"
     )
 
 
@@ -181,8 +249,11 @@ class EigenTable:
 def eig_quadrature_table(kern, alpha, jmax):
     """Quadrature eigenvalues for all j <= jmax, k <= j, as an EigenTable.
 
-    The kernel grid is evaluated once and shared across all indices; its
-    Gauss-Legendre rule of max(16, jmax + 8) nodes per panel follows jmax.
+    The kernel is evaluated once per dyadic level and shared across all
+    indices.  The rest of the grid (the Gauss-Legendre rule of
+    max(16, jmax + 8) nodes per panel, the theta factors, the phi panels and
+    their Gegenbauer rows) is built once per jmax, as tables reach deeper
+    levels, and kept for the _GRIDS most recently used values of jmax.
     """
     j, k, vals = _quadrature_core(kern, jmax)
     return EigenTable(float(alpha), dict(zip(zip(j.tolist(), k.tolist()), vals.tolist())))

@@ -616,22 +616,73 @@ def test_quadrature_table_names_a_bad_index(args, error, match):
 
 
 def test_quadrature_table_builds_theta_factors_once(monkeypatch):
-    # one jacobi33 call per m for the whole table, however many dyadic levels it
-    # visits; each level makes one gegenbauer3 call
+    # the grid of a jmax builds each part once, as its tables reach it: jmax + 1
+    # jacobi33 calls per block of _BLOCK theta levels, and one gegenbauer3 call per
+    # phi panel, the dyadic panels i < L and the end panel [0, pi 2^-L] of each L a
+    # level uses; a table that reaches no new level builds nothing
     jac, geg = [], []
     jacobi33, gegenbauer3 = specfun.jacobi33, spectra.gegenbauer3
     monkeypatch.setattr(specfun, "jacobi33", lambda k, m, x: jac.append(m) or jacobi33(k, m, x))
     monkeypatch.setattr(spectra, "gegenbauer3", lambda n, x: geg.append(n) or gegenbauer3(n, x))
-    levels = set()
-    for alpha in (1.5, 4.0, 5.499):
-        for kern in (spectra.kernel_K1(alpha), spectra.kernel_K2(alpha)):
-            jac.clear()
-            geg.clear()
-            spectra.eig_quadrature_table(kern, alpha, 6)
-            assert jac == list(range(7)), kern.name
-            assert geg == [6] * len(geg), kern.name
-            levels.add(len(geg))
-    assert len(levels) == 3
+    spectra._grid.cache_clear()
+    levels, ends, depths = 0, set(), set()
+    for alpha in (4.0, 1.5, 4.0, 5.499, 1.5):  # a first table, then shallower, same, deeper
+        for kind in (spectra.kernel_K1, spectra.kernel_K2):
+            kern, Ls = kind(alpha), []
+
+            def angles(th, phi, kern=kern, Ls=Ls):
+                Ls.append(phi.size // 16 - 1)  # 16 nodes per panel at jmax 6
+                return kern.angles(th, phi)
+
+            built = len(jac), len(geg)
+            spectra.eig_quadrature_table(spectra.ZonalKernel(angles, kern.name), alpha, 6)
+            deeper = len(Ls) > levels
+            levels = max(levels, len(Ls))
+            ends.update(Ls)
+            depths.add(len(Ls))
+            assert jac == list(range(7)) * -(-levels // spectra._BLOCK), kern.name
+            assert geg == [6] * (max(ends) + len(ends)), kern.name
+            assert deeper or (len(jac), len(geg)) == built, kern.name
+    assert len(depths) == 3
+    assert levels < spectra._LEVELS - spectra._BLOCK  # blocks no table reached stay unbuilt
+
+
+@pytest.mark.parametrize("jmax", [2, 6])
+def test_quadrature_warm_table_equals_cold(jmax):
+    # a table does not depend on what the shared grid held before it: computed right
+    # after cache_clear, after a deeper and a shallower table, and after all the other
+    # tables, it is the same to the last bit
+    kernels = [(make(alpha), alpha) for alpha in (1.5, 4.0, 5.499)
+               for make in (spectra.kernel_K1, spectra.kernel_K2)]
+
+    def table(kern, alpha):
+        return [v.hex() for v in spectra.eig_quadrature_table(kern, alpha, jmax).values.values()]
+
+    for kern, alpha in kernels:
+        spectra._grid.cache_clear()
+        cold = table(kern, alpha)
+        for first in (kernels[-1:] + kernels[:1], [ka for ka in kernels if ka[0] is not kern]):
+            spectra._grid.cache_clear()
+            for other in first:
+                table(*other)
+            assert table(kern, alpha) == cold, (kern.name, [k.name for k, _ in first])
+
+
+@pytest.mark.parametrize("arg", ["theta", "phi"])
+def test_quadrature_kernel_cannot_write_the_grid(arg):
+    # a kernel reads read-only views of the grid every table at its jmax shares:
+    # writing into theta or phi raises, and the next table is unchanged
+    kern = spectra.kernel_K1(4.0)
+    want = spectra.eig_quadrature_table(kern, 4.0, 3).values
+
+    def angles(theta, phi):
+        {"theta": theta, "phi": phi}[arg][...] = 1.0
+        return kern.angles(theta, phi)
+
+    with pytest.raises(ValueError, match="read-only"):
+        spectra.eig_quadrature_table(spectra.ZonalKernel(angles), math.nan, 3)
+    got = spectra.eig_quadrature_table(kern, 4.0, 3).values
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
 
 
 _INDEXED = {
@@ -676,11 +727,22 @@ def test_quadrature_high_degree(jmax, alpha):
 
 
 def test_quadrature_rule_follows_jmax(monkeypatch):
-    # one Gauss-Legendre rule per table, of max(16, jmax + 8) nodes, for theta and phi alike
-    sizes = []
+    # one Gauss-Legendre rule per jmax, of max(16, jmax + 8) nodes, for theta and phi
+    # alike: the first table at a jmax builds it, and later tables there share it
+    sizes, shapes = [], set()
     leggauss = spectra.leggauss
     monkeypatch.setattr(spectra, "leggauss", lambda n: sizes.append(n) or leggauss(n))
+    spectra._grid.cache_clear()
     for jmax in (0, 6, 8, 9, 20):
         sizes.clear()
-        spectra.eig_quadrature_table(spectra.kernel_K1(4.0), 4.0, jmax)
+        shapes.clear()
+        for alpha in (4.0, 5.0):
+            kern = spectra.kernel_K1(alpha)
+
+            def angles(th, phi, kern=kern):
+                shapes.add((th.shape[0], phi.size % th.shape[0]))
+                return kern.angles(th, phi)
+
+            spectra.eig_quadrature_table(spectra.ZonalKernel(angles), alpha, jmax)
         assert sizes == [max(16, jmax + 8)], jmax
+        assert shapes == {(max(16, jmax + 8), 0)}, jmax
