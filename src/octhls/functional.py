@@ -95,7 +95,13 @@ def _angles(re, im):
 
 
 class AxisZonalFunction:
-    """A sphere function with a symmetry axis, stored as profile H(theta, phi)."""
+    """A sphere function with a symmetry axis, stored as profile H(theta, phi).
+
+    The profile is a broadcasting function of the angles, like ZonalKernel.angles:
+    on the quadrature grid it receives a (n_theta, 1) theta column and a (1, n_phi)
+    phi row, at sphere points two arrays of the points' shape.  Its values are
+    broadcast to the shape of theta and phi together, so a constant may be a scalar.
+    """
 
     __slots__ = ("profile", "axis", "name")
 
@@ -136,16 +142,26 @@ def _grid():
     return theta, wt, phi, wp
 
 
+def _broadcast_values(values, shape):
+    """Profile values as a read-only float view of the given shape: a profile may return
+    any shape that broadcasts to it, a scalar included."""
+    return np.broadcast_to(np.asarray(values, dtype=float), shape)
+
+
 def _profile_values(f, theta, phi):
     """Values of f on the tensor grid theta x phi, a (len(theta), len(phi)) array.
 
-    ``f`` is an AxisZonalFunction or a profile H(theta, phi).
+    ``f`` is an AxisZonalFunction or a profile H(theta, phi).  The profile is called
+    once, on the sparse grid: a (len(theta), 1) theta column and a (1, len(phi)) phi
+    row, so a factor of one angle alone is computed on that angle's nodes only.  Its
+    values are broadcast to the full grid, read-only; per element they are those of a
+    call on the full meshgrid.
     """
     profile = f.profile if isinstance(f, AxisZonalFunction) else f
     if not callable(profile):
         raise TypeError("expected an AxisZonalFunction or a profile H(theta, phi)")
-    TH, PH = np.meshgrid(theta, phi, indexing="ij")
-    return np.asarray(profile(TH, PH), dtype=float) * np.ones_like(TH)
+    TH, PH = np.meshgrid(theta, phi, indexing="ij", sparse=True)
+    return _broadcast_values(profile(TH, PH), (len(theta), len(phi)))
 
 
 def _grid_values(f):
@@ -192,24 +208,24 @@ def project_bispherical(f, jmax=40):
 
 @functools.lru_cache(maxsize=4)
 def _grid_basis(jmax):
-    """bispherical_basis on the quadrature grid and C = gegenbauer3(jmax, cos phi), as
-    (j, k, T, C): built once per jmax and shared read-only."""
-    theta, _, phi, _ = _grid()
+    """bispherical_basis on the quadrature grid, C = gegenbauer3(jmax, cos phi) and the
+    squared norms zn2 of the zonal harmonics on the grid, as (j, k, T, C, zn2): built
+    once per jmax and shared read-only."""
+    theta, wt, phi, wp = _grid()
     j, k, T = bispherical_basis(jmax, theta)
     C = gegenbauer3(jmax, np.cos(phi))
-    for arr in (j, k, T, C):
+    zn2 = np.einsum("pi,pi,i->p", T, T, wt) * ((C * C) @ wp)[j - k]
+    for arr in (j, k, T, C, zn2):
         arr.flags.writeable = False
-    return j, k, T, C
+    return j, k, T, C, zn2
 
 
 def _project(F, jmax):
     """The projection of grid values F (see _grid_values)."""
     _, wt, _, wp = _grid()
-    j, k, T, C = _grid_basis(jmax)
-    m = j - k
+    j, k, T, C, zn2 = _grid_basis(jmax)
     G = (F * wp[None, :]) @ C.T  # G[i, m] = sum_q wp[q] F[i, q] c_m(phi_q)
-    inner = np.einsum("pi,i,ip->p", T, wt, G[:, m])
-    zn2 = np.einsum("pi,pi,i->p", T, T, wt) * ((C * C) @ wp)[m]
+    inner = np.einsum("pi,i,ip->p", T, wt, G[:, j - k])
     c = inner / zn2
     return BisphericalFunction(
         jmax=jmax, j=j, k=k, coeffs=c, norms2=c * c * zn2, l2=_integrate(F * F)
@@ -409,7 +425,7 @@ def center_mass_mc(h, p, n, seed):
     if n < 1:
         raise ValueError(f"need n >= 1 Monte Carlo samples, got {n}")
     pts = sample_sphere(n, seed, stream=7)
-    vals = np.asarray(h(pts), dtype=float) ** p
+    vals = _broadcast_values(h(pts), (n,)) ** p
     return sphere_measure() * (pts * vals[:, None]).mean(axis=0)
 
 

@@ -402,8 +402,8 @@ def _margin_coefficients(a):
 
 
 def _margin(j, k, a, rows):
-    """The margin product at j >= 1, k >= 1 on indices, or on broadcasting index arrays
-    with rows as ndarrays; either way each element takes the same operations in the same order."""
+    """The margin product at j >= 1, k >= 1 on broadcasting index arrays (rows as ndarrays);
+    each element takes the same operations in the same order, whatever the shapes."""
     s, t, u, _, _, e2, e1, f1, g2, g1 = _margin_coefficients(a)
     p = ((e2 - k * (k + 4)) * j + (e1 + k * (f1 - 10 * k))) * j + k * (k * g2 + g1)
     return rows[0][j] * rows[5][k - 1] * s * p / ((j + t) * ((j - 1.0) + a) * (k + u)) + 0.0
@@ -415,16 +415,33 @@ def _margin_k0(j, a, rows):
     return rows[0][j] * rows[3][0] * s * (j * (h1 * j + h0)) / ((j + t) * ((j - 1.0) + a) * u) + 0.0
 
 
+@functools.lru_cache(maxsize=8)
+def _margin_row(a, j):
+    """Row j of margin_table at alpha = a, every k <= j, as a read-only float view:
+    the cells of margin_table's block, by the same arithmetic, so equal to the last bit.
+    An index is a Python float."""
+    row = np.zeros(j + 1)
+    if j:
+        rows = [np.asarray(r) for r in _factor_tables(a, _size(j))]
+        row[0] = _margin_k0(j, a, rows)
+        row[1:] = _margin(j, np.arange(1, j + 1), a, rows)
+    row.flags.writeable = False
+    return memoryview(row)
+
+
 def bilinear_margin(j, k, alpha):
     """lambda(K1) + lambda(K2) - lambda(K1^(alpha-1)) - 2a/(11-a) lambda(K1) on W_{j,k}, as
     the product above: nonnegative on 3 <= alpha < 11/2, and exactly 0.0 where it vanishes.
-    Any alpha in (0, 11/2) is accepted for exploration (so alpha - 1 > -1)."""
+    Any alpha in (0, 11/2) is accepted for exploration (so alpha - 1 > -1).
+
+    A call reads cell k of row j of the array form, equal to margin_table there to the
+    last bit; the 8 most recently used (alpha, j) rows are kept.  A cell whose row is
+    not kept costs a whole row (tens of microseconds, about 0.2 ms at j = 10^4), so a scan
+    down a column or the diagonal should read margin_table instead.
+    """
     j, k = _check_index(j, k)
     a = _check_alpha(alpha, lo=0.0)
-    if j == 0:
-        return 0.0
-    rows = _factor_tables(a, _size(j))
-    return _margin(j, k, a, rows) if k else _margin_k0(j, a, rows)
+    return _margin_row(a, j)[k]
 
 
 #: j rows per margin_table block: at --jmax 10^4 a block's (64, 10^4) arrays are 5 MiB each

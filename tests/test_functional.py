@@ -16,6 +16,7 @@ from octhls.cayley import (
     jac_cayley_zt,
 )
 from octhls.nilgroup import Q
+from octhls.specfun import zonal
 
 SPHERE = constants.sphere_measure()
 
@@ -51,8 +52,6 @@ def test_project_constant():
 
 
 def test_project_single_zonal_mode():
-    from octhls.specfun import zonal
-
     f = fn.AxisZonalFunction(lambda th, ph: zonal(2, 1, th, ph))
     proj = fn.project_bispherical(f, jmax=6)
     mode = (proj.j == 2) & (proj.k == 1)
@@ -82,15 +81,17 @@ def test_project_profile_type_error_propagates():
 
 
 def test_each_input_evaluated_once(monkeypatch):
-    # every routine evaluates each input on the quadrature grid once;
-    # recenter once per conformal pullback it tries: 7 at rho = 0.3, 14 at rho = 0.999
+    # every routine evaluates each input on the quadrature grid once, on a theta column
+    # and a phi row; recenter once per conformal pullback it tries: 7 at rho = 0.3,
+    # 14 at rho = 0.999
     lam = 16.0
     p = 2.0 * Q / (2.0 * Q - lam)
     calls = []
+    sparse = ((200, 1), (1, 200))
 
     def counted(profile):
         def wrapped(th, ph):
-            calls.append(np.shape(th))
+            calls.append((np.shape(th), np.shape(ph)))
             return profile(th, ph)
 
         return wrapped
@@ -107,19 +108,75 @@ def test_each_input_evaluated_once(monkeypatch):
     for name, (run, n) in runs.items():
         calls.clear()
         run()
-        assert calls == [(200, 200)] * n, name
-    pullbacks = []
+        assert calls == [sparse] * n, name
+    pullbacks, outer = [], []
     pullback = fn.conformal_pullback
-    monkeypatch.setattr(
-        fn, "conformal_pullback", lambda *a: pullbacks.append(a) or pullback(*a)
-    )
+
+    def counted_pullback(*args):
+        pullbacks.append(args)
+        g = pullback(*args)
+        seen = lambda th, ph: outer.append((np.shape(th), np.shape(ph))) or g.profile(th, ph)  # noqa: E731
+        return fn.AxisZonalFunction(seen, axis=g.axis)
+
+    monkeypatch.setattr(fn, "conformal_pullback", counted_pullback)
     for rho, most in ((0.3, 7), (0.999, 14)):
         h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
         calls.clear()
         pullbacks.clear()
+        outer.clear()
         fn.recenter(fn.AxisZonalFunction(counted(h.profile), axis=h.axis), p)
         assert 2 <= len(pullbacks) <= most, rho
-        assert calls == [(200, 200)] * len(pullbacks), rho
+        assert outer == [sparse] * len(pullbacks), rho
+        # a pullback moves each grid point to angles that depend on both theta and phi,
+        # so h itself sees the full grid
+        assert calls == [((200, 200), (200, 200))] * len(pullbacks), rho
+
+
+def _full_grid_values(f):
+    """The grid values of f from one call on the full (200, 200) meshgrid."""
+    theta, _, phi, _ = fn._grid()
+    TH, PH = np.meshgrid(theta, phi, indexing="ij")
+    return np.asarray(f.profile(TH, PH), dtype=float) * np.ones_like(TH)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_EXTREMIZER = fn.extremizer_profile(fn.ExtremizerParams(xi=0.6 * fn.NORTH_AXIS, lam=16.0))
+_GRID_PROFILES = {
+    "extremizer": _EXTREMIZER,
+    **{f"pullback {delta}": fn.conformal_pullback(_EXTREMIZER, delta, 1.5) for delta in (0.4, 1.7, 5.0)},
+    "zonal sum": fn.AxisZonalFunction(
+        lambda th, ph: 1.0 + 0.3 * zonal(2, 0, th, ph) - 0.2 * zonal(5, 3, th, ph)),
+    "ones_like": const_one(),
+    "scalar": fn.AxisZonalFunction(lambda th, ph: 2.0),
+    "where": fn.AxisZonalFunction(lambda th, ph: np.where(th < 0.5, np.cos(ph), -0.0)),
+}
+
+
+@pytest.mark.parametrize("f", list(_GRID_PROFILES.values()), ids=list(_GRID_PROFILES))
+def test_grid_values_equal_a_full_grid_call(f):
+    # the profile sees a theta column and a phi row; per element its values are those
+    # of a call on the full meshgrid, to the last bit and the sign of zero
+    got = fn._grid_values(f)
+    assert got.shape == (200, 200) and got.dtype == float and not got.flags.writeable
+    assert _same_bits(got, _full_grid_values(f))
+
+
+@pytest.mark.parametrize("lam", [12.0, 20.0])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.999])
+def test_recenter_equals_its_full_grid_run(monkeypatch, rho, lam):
+    # recenter on the sparse grid takes the same steps as on the full meshgrid
+    p = 2.0 * Q / (2.0 * Q - lam)
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
+    delta, g = fn.recenter(h, p)
+    values = fn._grid_values(g)
+    with monkeypatch.context() as m:
+        m.setattr(fn, "_grid_values", _full_grid_values)
+        full_delta, full_g = fn.recenter(h, p)
+    assert delta.hex() == full_delta.hex()
+    assert _same_bits(values, _full_grid_values(full_g))
 
 
 def test_projection_basis_built_once_per_jmax():
@@ -412,6 +469,14 @@ def test_exponent_must_be_finite_and_above_one(routine, p):
     }
     with pytest.raises(ValueError, match=f"exponent p = {p} must be finite and > 1"):
         calls[routine]()
+
+
+def test_center_mass_mc_of_a_scalar_profile():
+    # a profile that returns a scalar is broadcast to the samples, as on the grid;
+    # unbroadcast, vals[:, None] raised IndexError
+    scalar = fn.center_mass_mc(fn.AxisZonalFunction(lambda th, ph: 2.0), 1.5, 1000, 1)
+    full = fn.center_mass_mc(fn.AxisZonalFunction(lambda th, ph: 2.0 * np.ones_like(th)), 1.5, 1000, 1)
+    assert scalar.shape == (16,) and scalar.tobytes() == full.tobytes()
 
 
 def test_center_mass_mc_needs_a_sample():

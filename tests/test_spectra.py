@@ -265,6 +265,22 @@ def margin_terms(j, k, alpha):
     )
 
 
+def scalar_margin(j, k, alpha):
+    """The margin product of spectra cell by cell, on Python ints and floats: the
+    _factor_tables views and _margin_coefficients, no array arithmetic.  The reference
+    that the array form (margin_table, and bilinear_margin, which reads its rows) must
+    equal to the last bit."""
+    a = float(alpha)
+    if j == 0:
+        return 0.0
+    rows = spectra._factor_tables(a, spectra._size(j))
+    s, t, u, h1, h0, e2, e1, f1, g2, g1 = spectra._margin_coefficients(a)
+    if k == 0:
+        return rows[0][j] * rows[3][0] * s * (j * (h1 * j + h0)) / ((j + t) * ((j - 1.0) + a) * u) + 0.0
+    p = ((e2 - k * (k + 4)) * j + (e1 + k * (f1 - 10 * k))) * j + k * (k * g2 + g1)
+    return rows[0][j] * rows[5][k - 1] * s * p / ((j + t) * ((j - 1.0) + a) * (k + u)) + 0.0
+
+
 def _four_term_error(j, k, alpha):
     """|bilinear_margin - the left-to-right sum of margin_terms| over the sum of the term sizes."""
     terms = margin_terms(j, k, alpha)
@@ -437,20 +453,24 @@ def test_margin_validates_its_arguments(fn):
     for alpha in (0.0, -0.5, 5.5, 6.0, math.nan):
         with pytest.raises(ValueError):
             fn(3, 1, alpha)
-    for j, k in ((0, 0), (64, 7), (150, 70), (9, 0)):
+    for j, k in ((0, 0), (64, 7), (150, 70), (9, 0), (10 ** 4, 0), (10 ** 4, 5000), (10 ** 4, 10 ** 4)):
         want = fn(j, k, 4.0)
         got = fn(np.int64(j), np.int64(k), 4.0)
-        assert got == want and type(got) is type(want) is float, (j, k)
+        assert got == want == scalar_margin(j, k, 4.0) and type(got) is type(want) is float, (j, k)
 
 
 def test_margin_scan_builds_one_table_set_per_size():
-    # a j <= 200 scan reads sizes 64, 128 and 256 at alpha, once each, and no alpha - 1 table
+    # a j <= 200 scan reads sizes 64, 128 and 256 at alpha, once each, and no alpha - 1
+    # table; it builds each row once per scan, and its other cells read the kept row
     spectra._factor_tables.cache_clear()
+    spectra._margin_row.cache_clear()
     for _ in range(2):
         for j in range(201):
             for k in range(j + 1):
                 spectra.bilinear_margin(j, k, 4.0)
     assert spectra._factor_tables.cache_info().misses == 3
+    assert spectra._margin_row.cache_info().misses == 2 * 201
+    assert spectra._margin_row.cache_info().maxsize == 8
 
 
 def _margin_table_cells(alpha, jmax):
@@ -464,19 +484,57 @@ _B = spectra._MARGIN_ROWS
 _TABLE_JMAX = sorted({0, 1, 63, 64, 65, 127, 128, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1})
 
 
+def _same_bits(got, want):
+    """Float arrays equal to the last bit: == takes -0.0 for 0.0, so the signs of zero too."""
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("alpha", [0.1, 1.0 - 1e-9, 1.0, 3.0, 4.0, 5.499])
 def test_margin_table_is_margin_terms_cell_by_cell(alpha):
     for jmax in _TABLE_JMAX:
         j, k, got = _margin_table_cells(alpha, jmax)
         cells = [(jj, kk) for jj in range(jmax + 1) for kk in range(jj + 1)]
         assert list(zip(j.tolist(), k.tolist())) == cells, jmax
-        want = np.array([spectra.bilinear_margin(jj, kk, alpha) for jj, kk in cells])
-        # == takes -0.0 for 0.0; the signs of zero must match too
-        assert np.array_equal(got, want), jmax
-        assert np.array_equal(np.signbit(got), np.signbit(want)), jmax
+        want = np.array([scalar_margin(jj, kk, alpha) for jj, kk in cells])
+        assert _same_bits(got, want), jmax
+        calls = np.array([spectra.bilinear_margin(jj, kk, alpha) for jj, kk in cells])
+        assert _same_bits(calls, want), jmax
     # and the four-term sum within its rounding (measured worst 3.0e-15, at alpha = 0.1)
     j, k, _ = _margin_table_cells(alpha, 2 * _B + 1)
     assert max(_four_term_error(jj, kk, alpha) for jj, kk in zip(j.tolist(), k.tolist())) <= 4e-15
+
+
+_ORDERS = {  # sort keys of a cell (j, k); scan order is (j, k)
+    "column": lambda j, k: (k, j),
+    "diagonal": lambda j, k: (j - k, k),
+    "reversed rows": lambda j, k: (-j, k),
+}
+
+
+@pytest.mark.parametrize("order", list(_ORDERS), ids=list(_ORDERS))
+def test_margin_any_access_order_equals_the_table(order):
+    # column and diagonal scans miss the kept rows at almost every cell, and each miss
+    # builds a row; every order reads the same numbers
+    jmax = 2 * _B + 1
+    cells = [(j, k) for j in range(jmax + 1) for k in range(j + 1)]
+    got = {cell: spectra.bilinear_margin(*cell, 4.0)
+           for cell in sorted(cells, key=lambda cell: _ORDERS[order](*cell))}
+    assert _same_bits(np.array([got[cell] for cell in cells]), _margin_table_cells(4.0, jmax)[2])
+
+
+def test_margin_alternating_alpha_equals_the_table():
+    # alpha alternates between 4.0 and 4.5 from cell to cell; the rows of both stay kept
+    jmax = 2 * _B + 1
+    cells = [(j, k) for j in range(jmax + 1) for k in range(j + 1)]
+    want = {alpha: _margin_table_cells(alpha, jmax)[2] for alpha in (4.0, 4.5)}
+    for first in (0, 1):
+        got = {4.0: np.full(len(cells), np.nan), 4.5: np.full(len(cells), np.nan)}
+        for i, cell in enumerate(cells):
+            alpha = (4.0, 4.5)[(i + first) % 2]
+            got[alpha][i] = spectra.bilinear_margin(*cell, alpha)
+        for alpha, values in got.items():
+            read = ~np.isnan(values)
+            assert _same_bits(values[read], want[alpha][read]), (first, alpha)
 
 
 def test_margin_table_blocks_hold_at_most_the_block_rows():
