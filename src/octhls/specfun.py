@@ -103,15 +103,18 @@ def bispherical_basis(jmax, theta):
     Returns (j, k, T): the index arrays of np.tril_indices(jmax + 1), j, then k,
     and T[p] = cos^m theta p_k(cos 2 theta), m = j[p] - k[p], over theta, of shape
     (pairs, *theta.shape).  The harmonic of pair p is T[p] times row m of
-    gegenbauer3(jmax, cos phi).  One jacobi33 call per m builds all of T.
+    gegenbauer3(jmax, cos phi).  One jacobi33 call per m builds the rows k <= jmax - m
+    of block m, stored at once through the pairs of that m.
     """
     jmax = _check_degree("jmax", jmax)
     theta = np.asarray(theta, dtype=float)
     j, k = np.tril_indices(jmax + 1)
-    m = j - k
+    c, x = np.cos(theta), np.cos(2.0 * theta)
     T = np.empty((len(j), *theta.shape))
+    rows = np.argsort(j - k, kind="stable")  # the pairs m by m, k ascending within each m
     for mm in range(jmax + 1):
-        T[m == mm] = np.cos(theta) ** mm * jacobi33(jmax - mm, mm, np.cos(2.0 * theta))
+        block, rows = rows[:jmax + 1 - mm], rows[jmax + 1 - mm:]
+        T[block] = c ** mm * jacobi33(jmax - mm, mm, x)
     return j, k, T
 
 

@@ -100,9 +100,11 @@ def kernel_K2(alpha):
 # with m = j - k, p_k and c_m the normalized Jacobi/Gegenbauer factors.
 # The kernel blows up at (theta, phi) = (0, 0); both integrals use
 # composite Gauss-Legendre panels refined dyadically toward 0.  Near the
-# corner each theta level contributes a fixed ratio of the one before
-# (2^(4 alpha - Q) for K1 above alpha = 7/2, 2^-8 below), so the levels
-# left over close as one geometric tail at the ratio the levels measure.
+# corner the integrand is theta^s times an even series in theta, and each
+# level halves theta, so level l contributes A rho^l + B (rho/4)^l, with
+# rho = 2^(4 alpha - Q) for K1 above alpha = 7/2 and 2^-8 below.  The levels
+# left over close as the two geometric tails of that model, at the ratio
+# the levels measure, extrapolated once over its 1/4 subleading factor.
 
 
 def _panels(lo, hi, rule):
@@ -182,7 +184,8 @@ class _Grid:
 
 
 #: the most recently used jmax values whose grid is kept: a CLI command runs at one
-#: jmax, and a grid that reached 32 levels at jmax 100 holds about 140 MB
+#: jmax, and at jmax 100 a grid holds about 35 MiB per block of levels reached: 70 MiB
+#: after a K1 table at alpha = 4 (9 levels), 107 MiB at 5.45 (21), 180 MiB at 5.49 (38)
 _GRIDS = 2
 
 
@@ -190,6 +193,20 @@ _GRIDS = 2
 def _grid(jmax):
     """The _Grid of a checked jmax, shared by every table at that jmax."""
     return _Grid(jmax)
+
+
+def _level(grid, kern, level):
+    """(c, ref) of dyadic theta level `level`: the level's share of every pair's
+    Funk-Hecke integral, without _FH_CONST, and of the (0, 0) reference integral
+    of |K| over phi."""
+    th, w = grid.theta[level], grid.w7[level]
+    T = grid.theta_factors(level)
+    phi, sw, G = grid.phi(th[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = (kern.angles(th[:, None], phi) * sw) @ G.T  # inner[i, m]
+        c = np.einsum("pi,i,ip->p", T, w, inner[:, grid.m])
+        ref = float(np.dot(w, np.abs(inner[:, 0])))
+    return c, ref
 
 
 def _quadrature_core(kern, jmax):
@@ -203,23 +220,27 @@ def _quadrature_core(kern, jmax):
     Dyadic theta level l is the panel [pi 2^(-l-2), pi 2^(-l-1)].  Everything
     but the kernel comes from the _Grid of jmax; a table evaluates the kernel
     once per level on its (theta nodes x phi nodes) array, with the phi grid of
-    the level's smallest theta node.  Level L adds c_L to the pairs and ref_L to
-    the (0, 0) reference; once rho = ref_L / ref_(L-1) < 1 with
-    ref_L |rho - rho_(L-1)| / (1 - rho)^2 within 1e-15 of the reference total,
-    c_L / (1 - rho) adds level L and its tail.
+    the level's smallest theta node.
+
+    Level L adds c_L to the pairs and ref_L to the (0, 0) reference, whose
+    ratios rho_L = ref_L / ref_(L-1) approach rho with an error that shrinks by
+    1/4 per level, so rho^ = rho_L + (rho_L - rho_(L-1)) / 3 estimates rho.  A
+    level is settled when rho_L < 1 and ref_L |rho_L - rho_(L-1)| / (1 - rho_L)^2 is
+    within 1e-15 of the reference total.  Once rho^ < 1, and the level is settled
+    or the same test passes on rho^, the model A rho^l + B (rho/4)^l through the
+    last two levels of each pair gives the table, sum_(l<L) c_l + (c_L - b) / (1 -
+    rho^) + b / (1 - rho^/4) with b = B (rho^/4)^L.  It is returned at a settled
+    level, or once it moved by at most 1e-15 of its largest entry since the level
+    before.  A level the reference does not see (rho_L = 0 after a nonzero level)
+    closes with an empty tail.
     """
     grid = _grid(_check_degree("jmax", jmax))
-    j, k, m = grid.j, grid.k, grid.m
+    j, k = grid.j, grid.k
     totals = np.zeros(len(j))
-    ref_total, prev, rho_prev = 0.0, 0.0, math.inf
-    for level, (th, w) in enumerate(zip(grid.theta, grid.w7)):
-        T = grid.theta_factors(level)
-        phi, sw, G = grid.phi(th[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            base = kern.angles(th[:, None], phi) * sw
-            inner = base @ G.T  # inner[i, m]
-            c = np.einsum("pi,i,ip->p", T, w, inner[:, m])
-            ref = float(np.dot(w, np.abs(inner[:, 0])))
+    ref_total, prev, rho_prev, hat_prev = 0.0, 0.0, math.inf, math.inf
+    c_prev = est = None
+    for level in range(_LEVELS):
+        c, ref = _level(grid, kern, level)
         ref_total += ref
         if not (np.isfinite(c).all() and math.isfinite(ref_total)):
             raise ValueError(
@@ -227,10 +248,19 @@ def _quadrature_core(kern, jmax):
                 f" {level}: the oracle cannot converge there"
             )
         rho = ref / prev if prev else math.inf  # no ratio after an empty level
-        if rho < 1.0 and ref * abs(rho - rho_prev) <= 1e-15 * (1.0 - rho) ** 2 * ref_total:
-            return j, k, _FH_CONST * (totals + c / (1.0 - rho))
+        rho_hat = max(rho + (rho - rho_prev) / 3.0, 0.0) if rho_prev < math.inf else math.inf
+        settled = rho < 1.0 and ref * abs(rho - rho_prev) <= 1e-15 * (1.0 - rho) ** 2 * ref_total
+        if rho_hat < 1.0 and (settled or ref * abs(rho_hat - hat_prev)
+                              <= 1e-15 * (1.0 - rho_hat) ** 2 * ref_total):
+            b = (rho_hat * c_prev - c) / 3.0  # (c_L - rho c_(L-1)) q / (q - rho), q = rho/4
+            last, est = est, totals + (c - b) / (1.0 - rho_hat) + b / (1.0 - rho_hat / 4.0)
+            if settled or (last is not None
+                           and np.abs(est - last).max() <= 1e-15 * np.abs(est).max()):
+                return j, k, _FH_CONST * est
+        else:
+            est = None
         totals += c
-        prev, rho_prev = ref, rho
+        c_prev, prev, rho_prev, hat_prev = c, ref, rho, rho_hat
     if not ref_total:  # the kernel vanishes on every level
         return j, k, np.zeros(len(j))
     raise ValueError(

@@ -220,6 +220,35 @@ def test_verify_margin_row_sees_a_wrong_sign(capsys, monkeypatch):
     assert failed[0]["value"] > 0.1
 
 
+def test_verify_oracle_row_sees_a_small_error(capsys, monkeypatch):
+    # the oracle row measures about 1e-15 against its 1e-12 bound, so one cell off by
+    # 1e-10 fails it (and only it), where the 1e-6 bound of eigs would not see it
+    table = spectra.eig_quadrature_table
+
+    def off(kern, alpha, jmax):
+        out = table(kern, alpha, jmax)
+        out.values[(3, 1)] *= 1.0 + 1e-10
+        return out
+
+    monkeypatch.setattr(spectra, "eig_quadrature_table", off)
+    code, out, _ = run(["verify", "--mc-samples", "50"], capsys)
+    assert code == 1
+    failed = [r for r in json.loads(out)["rows"] if not r["pass"]]
+    assert [r["check"] for r in failed] == ["eigenvalue_oracle"]
+    assert 9e-11 < failed[0]["value"] < 1.1e-10
+
+
+def test_eigs_high_degree_exits_zero(capsys):
+    # every K1 and K2 cell at jmax 100 meets the 1e-6 bound; here the tail's 1/4
+    # subleading term decides cells near 1e-6
+    code, out, _ = run(["eigs", "--alpha", "4", "--jmax", "100"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 2 * 101 * 102 // 2
+    assert all(r["pass"] for r in rows)
+    assert max(r["rel_diff"] for r in rows) < 1e-6
+
+
 @pytest.mark.parametrize("n", ["0", "1", "-5"])
 def test_verify_rejects_too_few_samples(capsys, n):
     code, out, err = run(["verify", "--mc-samples", n], capsys)

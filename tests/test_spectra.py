@@ -198,17 +198,32 @@ def test_quadrature_zero_kernel_gives_zero():
     assert values[(3, 1)] == 0.0
 
 
+def _sin7_antiderivative(u):
+    c = np.cos(u)
+    return -c + c ** 3 - 3.0 * c ** 5 / 5.0 + c ** 7 / 7.0
+
+
+def _band_measure(lo, hi):
+    """The measure of the band lo < theta < hi of S^15: the weight is sin^7(2 theta) up
+    to constants, and the integral of sin^7 over [0, pi] is 32/35."""
+    return SPHERE * (_sin7_antiderivative(2 * hi) - _sin7_antiderivative(2 * lo)) / (32.0 / 35.0)
+
+
 def test_quadrature_kernel_vanishing_on_top_levels():
     # the indicator of theta < pi/8 is zero on dyadic levels 0 and 1: an
     # empty level gives no ratio, so the oracle must not stop there
     kern = spectra.ZonalKernel(lambda th, ph: (th < np.pi / 8) + 0.0 * ph, name="cap")
+    exact = _band_measure(0.0, np.pi / 8)
+    val = spectra.eig_quadrature_table(kern, math.nan, 0).values[(0, 0)]
+    assert abs(val - exact) / exact < 1e-13
 
-    def antiderivative(u):  # of sin^7 u
-        c = np.cos(u)
-        return -c + c ** 3 - 3.0 * c ** 5 / 5.0 + c ** 7 / 7.0
 
-    # the weight is sin^7(2 theta) up to constants, and pi/8 -> pi/4 in 2 theta
-    exact = SPHERE * (antiderivative(np.pi / 4) - antiderivative(0.0)) / (32.0 / 35.0)
+@pytest.mark.parametrize("cut", [np.pi / 8, np.pi / 16], ids=["pi/8", "pi/16"])
+def test_quadrature_kernel_vanishing_near_the_corner(cut):
+    # the indicator of theta > cut is zero from dyadic level 2 (pi/8) or 3 (pi/16) on:
+    # the level ratio drops to 0 there, and the table closes with an empty tail
+    kern = spectra.ZonalKernel(lambda th, ph: (th > cut) + 0.0 * ph, name="band")
+    exact = _band_measure(cut, np.pi / 2)
     val = spectra.eig_quadrature_table(kern, math.nan, 0).values[(0, 0)]
     assert abs(val - exact) / exact < 1e-13
 
@@ -225,6 +240,55 @@ def test_quadrature_near_domain_edge():
         for (j, k), qd in sorted(table.values.items()):
             cf = closed(j, k, alpha)
             assert abs(qd - cf) / abs(cf) < 1e-12, (kern.name, j, k)
+
+
+@pytest.mark.parametrize("alpha", [4.0, 5.0, 5.45])
+def test_quadrature_level_ratios_settle_by_a_quarter(alpha):
+    # the tail's model: level l adds A rho^l + B (rho/4)^l, so the ratios rho_l of the
+    # (0, 0) reference approach rho with an error that shrinks by 1/4 per level, and so
+    # do their successive differences, over levels 4 to 19 (the tables close at 7 to 18)
+    grid = spectra._grid(6)
+    for kern in (spectra.kernel_K1(alpha), spectra.kernel_K2(alpha)):
+        ref = np.array([spectra._level(grid, kern, level)[1] for level in range(20)])
+        d = np.diff(ref[1:] / ref[:-1])
+        assert np.all(np.abs(d[5:] / d[4:-1] - 0.25) <= 0.005), kern.name
+
+
+# criterion 04's alpha grid, and the dyadic levels each table there visited when the
+# levels left over closed as the one geometric tail c_L / (1 - rho); at jmax 40 the
+# alpha = 5.49 tables overflow at level 47 with either tail
+_CRITERION_04_ALPHAS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.25, 3.5, 4.0, 4.75, 5.0, 5.2, 5.25, 5.3,
+                        5.45, 5.49)
+_ONE_RATIO_LEVELS = {
+    6: {"K1": (7, 7, 7, 7, 7, 8, 8, 9, 13, 16, 19, 20, 22, 28, 39),
+        "K2": (7, 7, 7, 7, 7, 8, 8, 9, 13, 16, 19, 21, 22, 28, 39)},
+    40: {"K1": (7, 7, 7, 7, 7, 8, 8, 9, 13, 16, 19, 20, 22, 28, 47),
+         "K2": (7, 7, 7, 7, 7, 8, 8, 9, 13, 16, 19, 21, 22, 28, 47)},
+}
+
+
+@pytest.mark.parametrize("jmax", [6, 40])
+def test_quadrature_visits_no_more_levels(jmax):
+    # the two-term tail settles sooner near 11/2 and later nowhere; levels are counted
+    # as kernel calls, one per level, as in test_quadrature_table_builds_theta_factors_once
+    levels = {}
+    for kind, make in (("K1", spectra.kernel_K1), ("K2", spectra.kernel_K2)):
+        for alpha, before in zip(_CRITERION_04_ALPHAS, _ONE_RATIO_LEVELS[jmax][kind]):
+            kern, calls = make(alpha), []
+
+            def angles(th, phi, kern=kern, calls=calls):
+                calls.append(th.shape)
+                return kern.angles(th, phi)
+
+            try:
+                spectra.eig_quadrature_table(spectra.ZonalKernel(angles, kern.name), alpha, jmax)
+            except ValueError:
+                assert (jmax, alpha) == (40, 5.49), kern.name  # the overflow near the corner
+            assert len(calls) <= before, (kern.name, len(calls))
+            levels[kind, alpha] = len(calls)
+    if jmax == 6:
+        assert max(levels["K1", 5.45], levels["K2", 5.45]) <= 18
+        assert max(levels["K1", 5.0], levels["K2", 5.0]) <= 13
 
 
 def test_ratio_identity_matches_direct_quotient():
@@ -766,22 +830,25 @@ def test_indices_are_integers(call):
 
 
 @pytest.mark.parametrize("jmax", [20, 40])
-@pytest.mark.parametrize("alpha", [3.5, 4.0, 5.0, 5.2])
+@pytest.mark.parametrize("alpha", [3.0, 3.25, 3.5, 4.0, 4.75, 5.0, 5.2, 5.25, 5.3, 5.45])
 def test_quadrature_high_degree(jmax, alpha):
     # criterion 04's bounds far above its jmax 6: a fixed 16-node rule fails here
-    # from (15, 15) up, and the rule that follows jmax does not
+    # from (15, 15) up, and the rule that follows jmax does not; and every table
+    # within 1e-14 of its largest entry (measured: at most 6.3e-15, at alpha = 5.45)
     for kern, closed in (
         (spectra.kernel_K1(alpha), spectra.eig_K1),
         (spectra.kernel_K2(alpha), spectra.eig_K2),
     ):
         table = spectra.eig_quadrature_table(kern, alpha, jmax)
         assert len(table.values) == (jmax + 1) * (jmax + 2) // 2
+        top = max(abs(closed(j, k, alpha)) for j, k in table.values)
         for (j, k), qd in table.values.items():
             cf = closed(j, k, alpha)
             if cf != 0.0:
                 assert abs(qd - cf) / abs(cf) < 1e-6, (kern.name, j, k)
             else:
                 assert abs(qd) < 1e-8, (kern.name, j, k)
+            assert abs(qd - cf) < 1e-14 * top, (kern.name, j, k)
 
 
 def test_quadrature_rule_follows_jmax(monkeypatch):
