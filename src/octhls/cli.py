@@ -249,7 +249,7 @@ def cmd_verify(args):
                     * spectra.intertwining_spectrum(d, j, k)
                 )
                 worst = max(worst, abs(v - 1.0))
-    reports.append(_check("intertwining_identity", "", worst, 0.0, 1e-10))
+    reports.append(_check("intertwining_identity", "", worst, 0.0, 1e-13))
 
     # eigenvalue oracle, small grid: it measures about 1e-15, so the bound is 1e-12
     alpha = 4.0
@@ -265,21 +265,17 @@ def cmd_verify(args):
     reports.append(_check("margin_four_terms", 4.0, _margin_four_term_error(4.0, 20), 0.0, 4e-15))
     reports.append(_check("margin_violation_25", 2.5, _margin_scan(2.5, 20)[0], -0.011, 0.01))
 
-    # HLS quotient at f = 1 and at a projected extremizer
+    # HLS quotient at f = 1 and at a projected extremizer, and the Euler-Lagrange residual:
+    # none depends on the seed or the sample count; they measure 5.6e-15, 2.8e-15, 1.6e-14
     one = functional.AxisZonalFunction(lambda th, ph: np.ones_like(th))
-    reports.append(
-        _check("hls_quotient_constant", 12.0, functional.hls_quotient(one, 12.0, jmax=2),
-               constants.C_hls_sphere(12.0), 1e-10, "rel")
-    )
+    reports.append(_check("hls_quotient_constant", 12.0, functional.hls_quotient(one, 12.0, jmax=2),
+                          constants.C_hls_sphere(12.0), 1e-13, "rel"))
     ex = functional.ExtremizerParams(xi=0.3 * functional.NORTH_AXIS, lam=16.0)
     h = functional.extremizer_profile(ex)
-    reports.append(
-        _check("hls_quotient_extremizer", 16.0, functional.hls_quotient(h, 16.0, jmax=40),
-               constants.C_hls_sphere(16.0), 1e-4, "rel")
-    )
-
-    # Euler-Lagrange residuals
-    reports.append(_check("el_residual_extremizer", 16.0, functional.el_residual(ex), 0.0, 1e-4))
+    reports.append(_check("hls_quotient_extremizer", 16.0,
+                          functional.hls_quotient(h, 16.0, jmax=40),
+                          constants.C_hls_sphere(16.0), 1e-12, "rel"))
+    reports.append(_check("el_residual_extremizer", 16.0, functional.el_residual(ex), 0.0, 1e-11))
 
     # recentering
     p = 2.0 * Q / (2.0 * Q - 16.0)

@@ -24,7 +24,7 @@ from .cayley import NORTH_POLE, hermitian_pairing, sdist_arrays
 from .constants import C_logsobolev, sphere_measure
 from .nilgroup import Q
 from .specfun import _check_degree, bispherical_basis, gegenbauer3
-from .spectra import _FH_CONST, _eig_K1_arrays, _logsob_gap, eig_K1
+from .spectra import _FH_CONST, _eig_K1_arrays, _freeze, _logsob_gap, eig_K1
 
 __all__ = [
     "AxisZonalFunction",
@@ -215,9 +215,7 @@ def _grid_basis(jmax):
     j, k, T = bispherical_basis(jmax, theta)
     C = gegenbauer3(jmax, np.cos(phi))
     zn2 = np.einsum("pi,pi,i->p", T, T, wt) * ((C * C) @ wp)[j - k]
-    for arr in (j, k, T, C, zn2):
-        arr.flags.writeable = False
-    return j, k, T, C, zn2
+    return tuple(map(_freeze, (j, k, T, C, zn2)))
 
 
 def _project(F, jmax):
@@ -353,6 +351,15 @@ def hls_mc(f, g, lam, n, seed):
     return est, stderr
 
 
+@functools.lru_cache(maxsize=4)
+def _check_basis(jmax):
+    """el_residual's 10 x 10 check grid at jmax, read-only: (thetas, phis, j, k, T, C) with
+    T of bispherical_basis(jmax, thetas) and C = gegenbauer3(jmax, cos phis)[j - k]."""
+    thetas, phis = np.linspace(0.1, math.pi / 2 - 0.1, 10), np.linspace(0.1, math.pi - 0.1, 10)
+    j, k, T = bispherical_basis(jmax, thetas)
+    return tuple(map(_freeze, (thetas, phis, j, k, T, gegenbauer3(jmax, np.cos(phis))[j - k])))
+
+
 def el_residual(h, lam=None, jmax=40):
     """Coefficient of variation of (K * h)(zeta) / h(zeta)^(p-1) over a 10 x 10 angle grid.
 
@@ -369,11 +376,9 @@ def el_residual(h, lam=None, jmax=40):
     p = 2.0 * Q / (2.0 * Q - lam)
     proj = project_bispherical(h, jmax)
     scale = 2.0 ** (lam / 2.0)
-    thetas = np.linspace(0.1, math.pi / 2 - 0.1, 10)
-    phis = np.linspace(0.1, math.pi - 0.1, 10)
-    j, k, T = bispherical_basis(jmax, thetas)
+    thetas, phis, j, k, T, C = _check_basis(jmax)
     a = proj.coeffs * (scale * _eig_K1_arrays(j, k, lam / 4.0))
-    conv = (T.T * a) @ gegenbauer3(jmax, np.cos(phis))[j - k]
+    conv = (T.T * a) @ C
     ratio = conv / _profile_values(h, thetas, phis) ** (p - 1.0)
     return float(ratio.std() / abs(ratio.mean()))
 

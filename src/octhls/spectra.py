@@ -439,24 +439,23 @@ def _margin(j, k, a, rows):
     return rows[0][j] * rows[5][k - 1] * s * p / ((j + t) * ((j - 1.0) + a) * (k + u)) + 0.0
 
 
-def _margin_k0(j, a, rows):
-    """The k = 0 column of _margin."""
-    s, t, u, h1, h0 = _margin_coefficients(a)[:5]
-    return rows[0][j] * rows[3][0] * s * (j * (h1 * j + h0)) / ((j + t) * ((j - 1.0) + a) * u) + 0.0
+#: log2 of the scan-order cells per margin block: block b holds the rows j whose first cell
+#: j (j + 1) / 2 falls in [b 2^_MARGIN_BITS, (b + 1) 2^_MARGIN_BITS), so at most
+#: 2^_MARGIN_BITS + j + 1 cells; 15 was measured against 13..17 (see CHANGES.md)
+_MARGIN_BITS = 15
+
+
+def _block_start(b):
+    """The first row of margin block b: the least j with j (j + 1) / 2 >= b 2^_MARGIN_BITS."""
+    return (math.isqrt(max(8 * (b << _MARGIN_BITS) - 7, 0)) + 1) // 2
 
 
 @functools.lru_cache(maxsize=8)
-def _margin_row(a, j):
-    """Row j of margin_table at alpha = a, every k <= j, as a read-only float view:
-    the cells of margin_table's block, by the same arithmetic, so equal to the last bit.
-    An index is a Python float."""
-    row = np.zeros(j + 1)
-    if j:
-        rows = [np.asarray(r) for r in _factor_tables(a, _size(j))]
-        row[0] = _margin_k0(j, a, rows)
-        row[1:] = _margin(j, np.arange(1, j + 1), a, rows)
-    row.flags.writeable = False
-    return memoryview(row)
+def _margin_cells(a, b):
+    """(first, cells) of margin block b at alpha = a: the scan index j (j + 1) / 2 + k of its
+    first cell, and its margins in scan order, read-only; an index is a Python float."""
+    j0 = _block_start(b)
+    return j0 * (j0 + 1) // 2, memoryview(_freeze(_margin_block(j0, _block_start(b + 1), a)[2]))
 
 
 def bilinear_margin(j, k, alpha):
@@ -464,43 +463,43 @@ def bilinear_margin(j, k, alpha):
     the product above: nonnegative on 3 <= alpha < 11/2, and exactly 0.0 where it vanishes.
     Any alpha in (0, 11/2) is accepted for exploration (so alpha - 1 > -1).
 
-    A call reads cell k of row j of the array form, equal to margin_table there to the
-    last bit; the 8 most recently used (alpha, j) rows are kept.  A cell whose row is
-    not kept costs a whole row (tens of microseconds, about 0.2 ms at j = 10^4), so a scan
-    down a column or the diagonal should read margin_table instead.
+    A call reads cell (j, k) of its margin block, so equals margin_table to the last bit;
+    the 8 most recently used (alpha, block) pairs are kept, and a cold block costs a whole
+    block (every j <= 255 is in block 0; about 0.7 ms at j = 10^4).
     """
     j, k = _check_index(j, k)
     a = _check_alpha(alpha, lo=0.0)
-    return _margin_row(a, j)[k]
-
-
-#: j rows per margin_table block: at --jmax 10^4 a block's (64, 10^4) arrays are 5 MiB each
-_MARGIN_ROWS = 64
+    start = j * (j + 1) // 2
+    first, cells = _margin_cells(a, start >> _MARGIN_BITS)
+    return cells[start - first + k]
 
 
 def margin_table(alpha, jmax):
     """bilinear_margin on every cell k <= j <= jmax, in scan order (j, then k).
 
-    An iterator over blocks of at most _MARGIN_ROWS j rows, each a triple (j, k,
-    margin) of the cells' index arrays and margins, equal to bilinear_margin to the
-    last bit; memory grows with jmax, not jmax^2.  The arguments are checked when
+    An iterator over the margin blocks (see _MARGIN_BITS), the last cut at jmax, each a
+    triple (j, k, margin) of the cells' index arrays and margins, equal to bilinear_margin
+    to the last bit; memory grows with jmax, not jmax^2.  The arguments are checked when
     this is called, not when the first block is read.
     """
     a = _check_alpha(alpha, lo=0.0)
     jmax = _check_degree("jmax", jmax)
-    rows = [np.asarray(row) for row in _factor_tables(a, _size(jmax))]
-    return (
-        _margin_block(j0, min(j0 + _MARGIN_ROWS, jmax + 1), a, rows)
-        for j0 in range(0, jmax + 1, _MARGIN_ROWS)
-    )
+    last = jmax * (jmax + 1) // 2 >> _MARGIN_BITS  # the block of row jmax
+    starts = [min(_block_start(b), jmax + 1) for b in range(last + 2)]
+    return (_margin_block(j0, j1, a) for j0, j1 in zip(starts, starts[1:]) if j0 < j1)
 
 
-def _margin_block(j0, j1, a, rows):
-    """The margin_table block of rows j0 <= j < j1: the (j column, k row) rectangle, masked."""
+def _margin_block(j0, j1, a):
+    """(j, k, margin) of the cells of rows j0 <= j < j1 at alpha = a, in scan order: the
+    (j column, k row) rectangle, masked."""
+    rows = [np.asarray(row) for row in _factor_tables(a, _size(j1 - 1))]
     j, k = np.arange(j0, j1)[:, None], np.arange(j1)
     m = np.zeros((len(j), len(k)))
     first = 1 if j0 == 0 else 0  # the one cell of row j = 0 is 0
-    m[first:, 0] = _margin_k0(j[first:, 0], a, rows)
+    s, t, u, h1, h0 = _margin_coefficients(a)[:5]
+    i = j[first:, 0]  # the k = 0 column, where P / (a + k - 4) = j ((a - 8) j + 8a - 58)
+    den = (i + t) * ((i - 1.0) + a) * u
+    m[first:, 0] = rows[0][i] * rows[3][0] * s * (i * (h1 * i + h0)) / den + 0.0
     m[first:, 1:] = _margin(j[first:], k[1:], a, rows)
     cell = k <= j
     return np.broadcast_to(j, cell.shape)[cell], np.broadcast_to(k, cell.shape)[cell], m[cell]

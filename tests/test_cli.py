@@ -13,7 +13,7 @@ import tracemalloc
 
 import pytest
 
-from octhls import cli, constants, spectra
+from octhls import cli, constants, functional, spectra
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -181,11 +181,12 @@ def test_margin_argmin_is_the_first_cell_at_the_minimum(capsys):
 
 
 def test_margin_memory_is_bounded_by_the_block(capsys):
-    # the scan holds a few blocks of _MARGIN_ROWS j rows at a time, not the
-    # grid: 20 float arrays of one block's (_MARGIN_ROWS, jmax + 1) rectangle
-    # (29 MiB here) bound it, where four float arrays of the grid take 138 MiB
+    # the scan holds one margin block at a time, not the grid.  A block holds at most
+    # 2^B + jmax + 1 cells, and its rows' (j column, k row) rectangle at most twice
+    # that, so 20 float arrays of the rectangle (21 MiB here) bound it, where four float
+    # arrays of the grid take 138 MiB
     jmax = 3000
-    bound = 20 * 8 * spectra._MARGIN_ROWS * (jmax + 1)
+    bound = 20 * 8 * 2 * ((1 << spectra._MARGIN_BITS) + jmax + 1)
     assert bound < 4 * 8 * (jmax + 1) * (jmax + 2) // 2 // 4
     tracemalloc.start()
     try:
@@ -236,6 +237,24 @@ def test_verify_oracle_row_sees_a_small_error(capsys, monkeypatch):
     failed = [r for r in json.loads(out)["rows"] if not r["pass"]]
     assert [r["check"] for r in failed] == ["eigenvalue_oracle"]
     assert 9e-11 < failed[0]["value"] < 1.1e-10
+
+
+@pytest.mark.parametrize("lam, check", [(12.0, "hls_quotient_constant"),
+                                         (16.0, "hls_quotient_extremizer")])
+def test_verify_quotient_row_sees_a_small_error(capsys, monkeypatch, lam, check):
+    # the quotient rows measure below 6e-15 against bounds of 1e-13 and 1e-12, so a
+    # relative error of 1e-10 in hls_quotient at one lambda fails that row (and only it)
+    quotient = functional.hls_quotient
+
+    def off(f, at, jmax=40):
+        return quotient(f, at, jmax) * (1.0 + (1e-10 if at == lam else 0.0))
+
+    monkeypatch.setattr(functional, "hls_quotient", off)
+    code, out, _ = run(["verify", "--mc-samples", "50"], capsys)
+    assert code == 1
+    failed = [r for r in json.loads(out)["rows"] if not r["pass"]]
+    assert [r["check"] for r in failed] == [check]
+    assert 9e-11 < failed[0]["rel_err"] < 1.1e-10
 
 
 def test_eigs_high_degree_exits_zero(capsys):

@@ -417,6 +417,45 @@ def test_el_residual_control_large():
     assert fn.el_residual(f, lam=16.0, jmax=40) > 1e-2
 
 
+def _el_residual_uncached(h, lam, jmax):
+    """el_residual with its check grid and basis built in the call, not read from a cache."""
+    from octhls.specfun import bispherical_basis, gegenbauer3
+
+    p = 2.0 * Q / (2.0 * Q - lam)
+    proj = fn.project_bispherical(h, jmax)
+    thetas = np.linspace(0.1, math.pi / 2 - 0.1, 10)
+    phis = np.linspace(0.1, math.pi - 0.1, 10)
+    j, k, T = bispherical_basis(jmax, thetas)
+    a = proj.coeffs * (2.0 ** (lam / 2.0) * spectra._eig_K1_arrays(j, k, lam / 4.0))
+    conv = (T.T * a) @ gegenbauer3(jmax, np.cos(phis))[j - k]
+    ratio = conv / fn._profile_values(h, thetas, phis) ** (p - 1.0)
+    return float(ratio.std() / abs(ratio.mean()))
+
+
+def _random_axis(seed):
+    v = np.random.default_rng([seed, 2]).standard_normal(16)
+    return v / np.linalg.norm(v)
+
+
+def test_el_residual_check_grid_built_once_per_jmax():
+    # the off-centre extremizer (rho 0.3, lambda 16) on the axes of seeds 71-73, and the
+    # family rho in {0, 0.3, 0.6} x lambda in {12, 16, 20} on the north axis: the cached
+    # check grid gives the uncached value to the last bit
+    fn._check_basis.cache_clear()
+    cases = [(0.3 * _random_axis(seed), 16.0) for seed in (71, 72, 73)]
+    cases += [(rho * fn.NORTH_AXIS, lam) for rho in (0.0, 0.3, 0.6) for lam in (12.0, 16.0, 20.0)]
+    for jmax in (40, 20, 40):
+        for xi, lam in cases:
+            params = fn.ExtremizerParams(xi=xi, lam=lam)
+            got = fn.el_residual(params, jmax=jmax)
+            want = _el_residual_uncached(fn.extremizer_profile(params), lam, jmax)
+            assert got.hex() == want.hex(), (xi[:2], lam, jmax)
+    assert fn._check_basis.cache_info().misses == 2
+    for arr in fn._check_basis(40):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
 def test_second_variation_nonpositive_at_extremizer():
     from octhls.specfun import zonal
 

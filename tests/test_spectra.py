@@ -524,17 +524,32 @@ def test_margin_validates_its_arguments(fn):
 
 
 def test_margin_scan_builds_one_table_set_per_size():
-    # a j <= 200 scan reads sizes 64, 128 and 256 at alpha, once each, and no alpha - 1
-    # table; it builds each row once per scan, and its other cells read the kept row
+    # every row j <= 200 is in block 0, so a j <= 200 scan builds one block per alpha,
+    # from one table set (for the block's last row), and repeats read it
     spectra._factor_tables.cache_clear()
-    spectra._margin_row.cache_clear()
+    spectra._margin_cells.cache_clear()
     for _ in range(2):
         for j in range(201):
             for k in range(j + 1):
                 spectra.bilinear_margin(j, k, 4.0)
-    assert spectra._factor_tables.cache_info().misses == 3
-    assert spectra._margin_row.cache_info().misses == 2 * 201
-    assert spectra._margin_row.cache_info().maxsize == 8
+    assert spectra._factor_tables.cache_info().misses == 1
+    assert spectra._margin_cells.cache_info().misses == 1
+    # a diagonal scan to j = 2000 builds each block it crosses once, and a table set
+    # per size its blocks reach
+    spectra._factor_tables.cache_clear()
+    spectra._margin_cells.cache_clear()
+    for j in range(2001):
+        spectra.bilinear_margin(j, j, 4.0)
+    blocks = range(_block_of(2000) + 1)
+    assert spectra._margin_cells.cache_info().misses == len(blocks) == len(_EDGES) + 1
+    sizes = {spectra._size(spectra._block_start(b + 1) - 1) for b in blocks}
+    assert spectra._factor_tables.cache_info().misses == len(sizes) <= 4
+    assert spectra._margin_cells.cache_info().currsize <= spectra._margin_cells.cache_info().maxsize == 8
+
+
+def _block_of(j):
+    """The margin block that holds row j."""
+    return j * (j + 1) // 2 >> spectra._MARGIN_BITS
 
 
 def _margin_table_cells(alpha, jmax):
@@ -543,14 +558,30 @@ def _margin_table_cells(alpha, jmax):
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-# jmax at the table sizes (64, 128) and the block edges, each side
-_B = spectra._MARGIN_ROWS
-_TABLE_JMAX = sorted({0, 1, 63, 64, 65, 127, 128, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1})
+def _margin_table_values(alpha, jmax):
+    """margin_table's margins joined, without the index arrays."""
+    return np.concatenate([margin for _, _, margin in spectra.margin_table(alpha, jmax)])
+
+
+#: the first row of every margin block up to j = 2000
+_EDGES = [spectra._block_start(b) for b in range(1, _block_of(2000) + 1)]
+# jmax at the table sizes (64, 128), each side; the block edges have their own test
+_TABLE_JMAX = [0, 1, 63, 64, 65, 127, 128]
 
 
 def _same_bits(got, want):
     """Float arrays equal to the last bit: == takes -0.0 for 0.0, so the signs of zero too."""
     return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_block_starts_partition_the_scan():
+    # block b holds the rows whose first cell j (j + 1) / 2 is in [b 2^B, (b + 1) 2^B)
+    assert _EDGES == [j for j in range(1, 2001) if _block_of(j) != _block_of(j - 1)]
+    assert _block_of(200) == 0 < _block_of(2000) and len(_EDGES) > 8
+    for b in range(3000):
+        j0, size = spectra._block_start(b), 1 << spectra._MARGIN_BITS
+        assert j0 * (j0 + 1) // 2 >= b * size and (j0 == 0 or (j0 - 1) * j0 // 2 < b * size), b
+        assert _block_of(j0) == b or spectra._block_start(b + 1) == j0, b
 
 
 @pytest.mark.parametrize("alpha", [0.1, 1.0 - 1e-9, 1.0, 3.0, 4.0, 5.499])
@@ -564,8 +595,33 @@ def test_margin_table_is_margin_terms_cell_by_cell(alpha):
         calls = np.array([spectra.bilinear_margin(jj, kk, alpha) for jj, kk in cells])
         assert _same_bits(calls, want), jmax
     # and the four-term sum within its rounding (measured worst 3.0e-15, at alpha = 0.1)
-    j, k, _ = _margin_table_cells(alpha, 2 * _B + 1)
+    j, k, _ = _margin_table_cells(alpha, 129)
     assert max(_four_term_error(jj, kk, alpha) for jj, kk in zip(j.tolist(), k.tolist())) <= 4e-15
+
+
+@pytest.mark.parametrize("alpha", [0.3, 2.5, 3.0, 4.0, 5.45])
+def test_margin_cells_equal_the_table_at_every_block_edge(alpha):
+    # every cell of the rows on both sides of each block edge up to j = 2000, read by
+    # bilinear_margin and by margin_table cut there, and at the first and last two
+    # edges cell by cell in Python floats
+    table = _margin_table_values(alpha, 2000)
+    assert len(table) == 2001 * 2002 // 2
+    for edge in _EDGES:
+        rows = slice((edge - 1) * edge // 2, (edge + 1) * (edge + 2) // 2)
+        cells = [(jj, kk) for jj in (edge - 1, edge) for kk in range(jj + 1)]
+        calls = np.array([spectra.bilinear_margin(jj, kk, alpha) for jj, kk in cells])
+        assert _same_bits(calls, table[rows]), edge
+        if edge in _EDGES[:2] + _EDGES[-2:]:
+            want = np.array([scalar_margin(jj, kk, alpha) for jj, kk in cells])
+            assert _same_bits(want, table[rows]), edge
+    for jmax in (_EDGES[0] - 1, _EDGES[0], _EDGES[0] + 1, _EDGES[1] - 1, _EDGES[1]):
+        cut = _margin_table_values(alpha, jmax)
+        assert _same_bits(cut, table[:len(cut)]), jmax
+    # spot cells at j = 10^4, where a block holds a few rows
+    for kk in (0, 1, 2, 3, 4, 5, 4999, 5000, 9998, 9999, 10 ** 4):
+        got = spectra.bilinear_margin(10 ** 4, kk, alpha)
+        want = scalar_margin(10 ** 4, kk, alpha)
+        assert _same_bits(np.array([got]), np.array([want])), kk
 
 
 _ORDERS = {  # sort keys of a cell (j, k); scan order is (j, k)
@@ -577,18 +633,26 @@ _ORDERS = {  # sort keys of a cell (j, k); scan order is (j, k)
 
 @pytest.mark.parametrize("order", list(_ORDERS), ids=list(_ORDERS))
 def test_margin_any_access_order_equals_the_table(order):
-    # column and diagonal scans miss the kept rows at almost every cell, and each miss
-    # builds a row; every order reads the same numbers
-    jmax = 2 * _B + 1
+    # on blocks 0-2, all kept, every order reads the same numbers as the table; down
+    # the column k = 0 and the diagonal to j = 2000 each step may leave its block, and
+    # with more blocks there than the 8 kept the cache evicts on the way
+    jmax = _EDGES[1] + 1
     cells = [(j, k) for j in range(jmax + 1) for k in range(j + 1)]
     got = {cell: spectra.bilinear_margin(*cell, 4.0)
            for cell in sorted(cells, key=lambda cell: _ORDERS[order](*cell))}
     assert _same_bits(np.array([got[cell] for cell in cells]), _margin_table_cells(4.0, jmax)[2])
+    table = _margin_table_values(4.0, 2000)
+    far = sorted({(j, k) for j in range(2001) for k in (0, j)}, key=lambda cell: _ORDERS[order](*cell))
+    for _ in range(2):
+        calls = np.array([spectra.bilinear_margin(j, k, 4.0) for j, k in far])
+        assert _same_bits(calls, table[[j * (j + 1) // 2 + k for j, k in far]])
+    assert spectra._margin_cells.cache_info().currsize <= 8
 
 
 def test_margin_alternating_alpha_equals_the_table():
-    # alpha alternates between 4.0 and 4.5 from cell to cell; the rows of both stay kept
-    jmax = 2 * _B + 1
+    # alpha alternates between 4.0 and 4.5 from cell to cell across the first two block
+    # edges; the blocks of both stay kept
+    jmax = _EDGES[1] + 1
     cells = [(j, k) for j in range(jmax + 1) for k in range(j + 1)]
     want = {alpha: _margin_table_cells(alpha, jmax)[2] for alpha in (4.0, 4.5)}
     for first in (0, 1):
@@ -602,11 +666,27 @@ def test_margin_alternating_alpha_equals_the_table():
 
 
 def test_margin_table_blocks_hold_at_most_the_block_rows():
-    blocks = list(spectra.margin_table(4.0, 3 * _B + 2))
-    assert len(blocks) == 4
-    for n, (j, k, margin) in enumerate(blocks):
-        assert set(j.tolist()) == set(range(n * _B, min((n + 1) * _B, 3 * _B + 3)))
-        assert margin.shape == j.shape == k.shape
+    # a block holds the rows of one block index, at most 2^B + j + 1 cells, and the
+    # last block is cut at jmax
+    jmax, first_blocks = 3000, []
+    for b, (j, k, margin) in enumerate(spectra.margin_table(4.0, jmax)):
+        rows = range(spectra._block_start(b), min(spectra._block_start(b + 1), jmax + 1))
+        assert j[0] == rows[0] and j[-1] == k[-1] == rows[-1], b
+        assert {_block_of(row) for row in rows} == {b}
+        assert margin.shape == j.shape == k.shape == (sum(rows) + len(rows),)
+        assert len(margin) <= (1 << spectra._MARGIN_BITS) + j[-1] + 1
+        first_blocks += [(j, k, margin)] if b < 12 else []
+    assert b == _block_of(jmax)
+    # a cached block is its margin_table block, read-only, and the cache keeps at most 8
+    spectra._margin_cells.cache_clear()
+    for b, (j, k, margin) in enumerate(first_blocks):
+        first, cells = spectra._margin_cells(4.0, b)
+        assert first == j[0] * (j[0] + 1) // 2 and _same_bits(np.asarray(cells), margin)
+        with pytest.raises(TypeError):
+            cells[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(cells)[0] = 1.0
+    assert spectra._margin_cells.cache_info().currsize == 8
 
 
 def test_margin_table_validates_like_bilinear_margin():
