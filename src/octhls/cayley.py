@@ -15,8 +15,6 @@ batched kernel over arrays (z (..., 8), t (..., 7), sphere points
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import octonion as oc
@@ -33,8 +31,6 @@ __all__ = [
     "cayley_inv",
     "jac_cayley",
     "jac_cayley_sphere",
-    "lift_function",
-    "lower_function",
     "NORTH_POLE",
     "SOUTH_POLE",
 ]
@@ -191,36 +187,3 @@ def jac_cayley_sphere(v) -> float:
     """The same Jacobian at one sphere point, a (16,) row."""
     return float(jac_cayley_sphere_arrays(np.asarray(v, dtype=float)[None])[0])
 
-
-def lift_function(f, p):
-    """Lift a group function to the sphere: f~(v) = f(C^-1 v) |J_C^-1|^(1/p).
-
-    ``f(z, t)`` takes group arrays (..., 8), (..., 7); the lift takes
-    sphere points (..., 16).  ``p`` may be ``math.inf`` for the
-    plain-composition limit.  The lift preserves the L^p norm.
-    Evaluation at the south pole raises.
-    """
-    if not (p > 1):
-        raise ValueError("exponent p must exceed 1")
-
-    def ftilde(v):
-        z, t = cayley_inv_arrays(v)
-        if math.isinf(p):
-            return f(z, t)
-        return f(z, t) * (1.0 / jac_cayley_zt(z, t)) ** (1.0 / p)
-
-    return ftilde
-
-
-def lower_function(ftilde, p):
-    """Inverse of :func:`lift_function`: f(z, t) = f~(C(z, t)) |J_C(z, t)|^(1/p)."""
-    if not (p > 1):
-        raise ValueError("exponent p must exceed 1")
-
-    def f(z, t):
-        values = ftilde(cayley_zt(z, t))
-        if math.isinf(p):
-            return values
-        return values * jac_cayley_zt(z, t) ** (1.0 / p)
-
-    return f

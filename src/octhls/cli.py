@@ -172,17 +172,17 @@ def cmd_margin(args):
 
 
 def _margin_four_term_error(alpha, jmax):
-    """Largest |bilinear_margin - (lambda(K1) + lambda(K2) - lambda(K1^(alpha-1))
-    - 2a/(11-a) lambda(K1))| over the sum of the four term sizes, on the cells j <= jmax."""
+    """Largest |margin - (lambda(K1) + lambda(K2) - lambda(K1^(alpha-1))
+    - 2a/(11-a) lambda(K1))| over the sum of the four term sizes, on the margin_table cells
+    j <= jmax (which builds those cells only, where bilinear_margin builds a whole block)."""
     worst = 0.0
-    for j in range(jmax + 1):
-        for k in range(j + 1):
+    for block in spectra.margin_table(alpha, jmax):
+        for j, k, margin in zip(*(a.tolist() for a in block)):
             lam1 = spectra.eig_K1(j, k, alpha)
             terms = (lam1, spectra.eig_K2(j, k, alpha), -spectra.eig_K1(j, k, alpha - 1.0),
                      -(2.0 * alpha / (11.0 - alpha)) * lam1)
             total = 0.0 + terms[0] + terms[1] + terms[2] + terms[3]
-            err = abs(spectra.bilinear_margin(j, k, alpha) - total) / sum(abs(x) for x in terms)
-            worst = max(worst, err)
+            worst = max(worst, abs(margin - total) / sum(abs(x) for x in terms))
     return worst
 
 

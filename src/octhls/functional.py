@@ -360,12 +360,23 @@ def _check_basis(jmax):
     return tuple(map(_freeze, (thetas, phis, j, k, T, gegenbauer3(jmax, np.cos(phis))[j - k])))
 
 
+#: el_residual refuses where the shells j >= jmax - 1 exceed this fraction of K h at a check
+#: point: on the extremizer family at jmax 20-80 every residual it lets through is <= 2e-8
+_EL_TAIL = 2e-7
+
+
 def el_residual(h, lam=None, jmax=40):
     """Coefficient of variation of (K * h)(zeta) / h(zeta)^(p-1) over a 10 x 10 angle grid.
 
     A small value certifies the Euler-Lagrange equation up to its free
     constant.  ``h`` may be ExtremizerParams (lambda taken from it) or a
     zonal-type function with ``lam`` supplied.
+
+    Raises ValueError when the last two shells, j >= jmax - 1, reach more than _EL_TAIL
+    of K h at a check point, where jmax truncates h.  A function whose expansion ends at
+    degree d is refused at jmax = d and d + 1 (unless its degree-d part is below _EL_TAIL
+    of K h) and below d wherever degree jmax - 1 or jmax is present; from jmax = d + 2 on
+    its last shells hold rounding only.
     """
     if isinstance(h, ExtremizerParams):
         lam = h.lam
@@ -379,6 +390,13 @@ def el_residual(h, lam=None, jmax=40):
     thetas, phis, j, k, T, C = _check_basis(jmax)
     a = proj.coeffs * (scale * _eig_K1_arrays(j, k, lam / 4.0))
     conv = (T.T * a) @ C
+    top = slice(-(2 * jmax + 1), None)  # the shells j >= jmax - 1, last in tril order
+    tail = float(np.max(np.abs((T[top].T * a[top]) @ C[top]) / np.abs(conv)))
+    if not tail <= _EL_TAIL:
+        raise ValueError(
+            f"el_residual: the shells j >= {jmax - 1} reach {tail:.3e} of K h at a check point, "
+            f"above {_EL_TAIL:.0e}, at jmax {jmax}; recenter h first"
+        )
     ratio = conv / _profile_values(h, thetas, phis) ** (p - 1.0)
     return float(ratio.std() / abs(ratio.mean()))
 

@@ -31,8 +31,6 @@ __all__ = [
     "mul",
     "conj",
     "im",
-    "norm",
-    "inv",
     "basis_table_text",
 ]
 
@@ -131,19 +129,6 @@ def mul(x, y):
 def im(x):
     """Imaginary coefficients c1..c7, shape (..., 7)."""
     return np.asarray(x, dtype=float)[..., 1:]
-
-
-def norm(x):
-    return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-
-
-def inv(x):
-    """Multiplicative inverse conj(x) / |x|^2; raises on zero."""
-    x = np.asarray(x, dtype=float)
-    n2 = np.sum(x * x, axis=-1)
-    if np.any(n2 == 0.0):
-        raise ZeroDivisionError("octonion inverse of a zero element")
-    return conj(x) / n2[..., None]
 
 
 def from_im(t):

@@ -594,13 +594,17 @@ def logsob_gap(j, k):
     return float(_logsob_gap(j, k))
 
 
-def logsob_gap_limit(j, k, eps=1e-4):
+#: logsob_gap_limit's step below the endpoint alpha = Q/4
+_LOGSOB_EPS = 1e-4
+
+
+def logsob_gap_limit(j, k):
     """Numerical oracle for the gap: 2^(Q/2) (lambda_00 - lambda_jk) at alpha = Q/4 - eps,
-    Richardson-extrapolated over eps and eps/2."""
+    Richardson-extrapolated over eps and eps/2, with eps = _LOGSOB_EPS."""
 
     def at(e):
         a = Q / 4.0 - e
         return 2.0 ** (Q / 2) * (eig_K1(0, 0, a) - eig_K1(j, k, a))
 
-    f1, f2 = at(eps), at(eps / 2.0)
+    f1, f2 = at(_LOGSOB_EPS), at(_LOGSOB_EPS / 2.0)
     return 2.0 * f2 - f1

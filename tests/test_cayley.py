@@ -1,4 +1,4 @@
-"""Cayley transform, Jacobians, sphere distance, function correspondence."""
+"""Cayley transform, Jacobians, sphere distance, the extremizer correspondence."""
 
 import math
 
@@ -183,60 +183,18 @@ def test_triangle_ratio_recorded_not_asserted():
     assert np.all(np.isfinite(ratios))
 
 
-def test_lift_preserves_lp_norm_mc():
-    lam = 16.0
-    p = 2.0 * Q / (2.0 * Q - lam)
-
-    def f(z, t):
-        return W(z, t) ** (-(2 * Q - lam) / 4.0)
-
-    ftilde = cy.lift_function(f, p)
-    # group-side L^p norm by MC against a gaussian envelope would be noisy;
-    # instead use change of variables: int |f|^p du = int |ftilde|^p dzeta,
-    # checked by evaluating ftilde at lifted points and comparing pointwise
-    # with the quotient rule f(u) = ftilde(C u) jac^{1/p}
-    rng = np.random.default_rng(10)
-    z, t = rand_zt(rng, 20)
-    lowered = ftilde(cy.cayley_zt(z, t)) * cy.jac_cayley_zt(z, t) ** (1.0 / p)
-    assert np.max(np.abs(f(z, t) - lowered)) < 1e-12
-
-
-def test_lift_lower_are_inverse():
-    p = 2.2
-    rng = np.random.default_rng(11)
-
-    def f(z, t):
-        return 1.0 / (1.0 + ng.hnorm_zt(z, t) ** 4)
-
-    g = cy.lower_function(cy.lift_function(f, p), p)
-    z, t = rand_zt(rng, 10)
-    assert np.max(np.abs(g(z, t) - f(z, t))) < 1e-12
-
-
-def test_lift_infinite_p_is_composition():
-    ftilde = cy.lift_function(ng.hnorm_zt, math.inf)
-    rng = np.random.default_rng(12)
-    z, t = rand_zt(rng, 10)
-    assert np.max(np.abs(ftilde(cy.cayley_zt(z, t)) - ng.hnorm_zt(z, t))) < 1e-11
-
-
 def test_extremizer_correspondence():
-    # lifting the constant 1 on the sphere gives the group profile
-    # W(u)^{-(2Q - lam)/4} up to the constant 2^{(Q-7)/p}
+    # the constant 1 on the sphere, lowered to the group as f(u) = 1(C u) |J_C(u)|^(1/p),
+    # is the group extremizer W(u)^(-(2Q - lam)/4) up to the constant 2^((Q-7)/p)
     lam = 16.0
     p = 2.0 * Q / (2.0 * Q - lam)
-    one = cy.lower_function(lambda v: np.ones(v.shape[:-1]), p)
     rng = np.random.default_rng(13)
     z, t = rand_zt(rng, 10)
-    vals = one(z, t) / W(z, t) ** (-(2 * Q - lam) / 4.0)
+    on_sphere = np.ones(cy.cayley_zt(z, t).shape[:-1])
+    lowered = on_sphere * cy.jac_cayley_zt(z, t) ** (1.0 / p)
+    vals = lowered / W(z, t) ** (-(2 * Q - lam) / 4.0)
     assert np.std(vals) / np.mean(vals) < 1e-12
-
-
-def test_invalid_exponent():
-    with pytest.raises(ValueError):
-        cy.lift_function(lambda z, t: 1.0, 1.0)
-    with pytest.raises(ValueError):
-        cy.lower_function(lambda v: 1.0, 0.5)
+    assert abs(np.mean(vals) / 2.0 ** ((Q - 7) / p) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +211,13 @@ def _one_plus(x, sign=1.0):
 def ref_sdist(zv, ev):
     """The bracketed definition with the unit phases a, b: seven products."""
     oz, oe = _one_plus(zv[..., 8:]), _one_plus(ev[..., 8:])
-    nz, ne = oc.norm(oz)[..., None], oc.norm(oe)[..., None]
+    nz, ne = np.linalg.norm(oz, axis=-1)[..., None], np.linalg.norm(oe, axis=-1)[..., None]
     a = oc.conj(oz) / np.where(nz < cy._POLE_EPS, 1.0, nz)
     b = oe / np.where(ne < cy._POLE_EPS, 1.0, ne)
     pair = oc.mul(oc.mul(a, zv[..., :8]), oc.mul(oc.conj(ev[..., :8]), b)) + oc.mul(
         oc.mul(a, zv[..., 8:]), oc.mul(oc.conj(ev[..., 8:]), b)
     )
-    d = np.sqrt(oc.norm(oc.mul(a, b) - pair) / 2.0)
+    d = np.sqrt(np.linalg.norm(oc.mul(a, b) - pair, axis=-1) / 2.0)
     lo, hi = np.minimum(nz, ne)[..., 0], np.maximum(nz, ne)[..., 0]
     return np.where(lo < cy._POLE_EPS, np.sqrt(hi / 2.0), d)
 

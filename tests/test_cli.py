@@ -211,14 +211,28 @@ def test_verify_exit_zero(capsys):
 
 def test_verify_margin_row_sees_a_wrong_sign(capsys, monkeypatch):
     # the margin row compares the product form with its four-term definition, so a
-    # margin with the wrong sign fails it (and only it)
-    margin = spectra.bilinear_margin
-    monkeypatch.setattr(spectra, "bilinear_margin", lambda j, k, alpha: -margin(j, k, alpha))
+    # margin table with the wrong sign at its alpha = 4 fails it (and only it)
+    table = spectra.margin_table
+
+    def flipped(alpha, jmax):
+        sign = -1.0 if alpha == 4.0 else 1.0
+        return ((j, k, sign * m) for j, k, m in table(alpha, jmax))
+
+    monkeypatch.setattr(spectra, "margin_table", flipped)
     code, out, _ = run(["verify", "--mc-samples", "50"], capsys)
     assert code == 1
     failed = [r for r in json.loads(out)["rows"] if not r["pass"]]
     assert [r["check"] for r in failed] == ["margin_four_terms"]
     assert failed[0]["value"] > 0.1
+
+
+def test_verify_builds_no_margin_block(capsys):
+    # the margin rows read margin_table, which keeps no block, so verify builds none
+    # of bilinear_margin's blocks (block 0 alone holds rows 0-255, 32,896 cells)
+    spectra._margin_cells.cache_clear()
+    code, _, _ = run(["verify", "--mc-samples", "50"], capsys)
+    assert code == 0
+    assert spectra._margin_cells.cache_info().currsize == 0
 
 
 def test_verify_oracle_row_sees_a_small_error(capsys, monkeypatch):

@@ -418,7 +418,9 @@ def test_el_residual_control_large():
 
 
 def _el_residual_uncached(h, lam, jmax):
-    """el_residual with its check grid and basis built in the call, not read from a cache."""
+    """(tail, value) of el_residual with its check grid and basis built in the call, not read
+    from a cache: the largest share of K h in the shells j >= jmax - 1 at a check point, and
+    the residual that el_residual returns when it does not refuse."""
     from octhls.specfun import bispherical_basis, gegenbauer3
 
     p = 2.0 * Q / (2.0 * Q - lam)
@@ -426,10 +428,13 @@ def _el_residual_uncached(h, lam, jmax):
     thetas = np.linspace(0.1, math.pi / 2 - 0.1, 10)
     phis = np.linspace(0.1, math.pi - 0.1, 10)
     j, k, T = bispherical_basis(jmax, thetas)
+    C = gegenbauer3(jmax, np.cos(phis))[j - k]
     a = proj.coeffs * (2.0 ** (lam / 2.0) * spectra._eig_K1_arrays(j, k, lam / 4.0))
-    conv = (T.T * a) @ gegenbauer3(jmax, np.cos(phis))[j - k]
+    conv = (T.T * a) @ C
+    top = j >= jmax - 1
+    tail = float(np.max(np.abs((T[top].T * a[top]) @ C[top]) / np.abs(conv)))
     ratio = conv / fn._profile_values(h, thetas, phis) ** (p - 1.0)
-    return float(ratio.std() / abs(ratio.mean()))
+    return tail, float(ratio.std() / abs(ratio.mean()))
 
 
 def _random_axis(seed):
@@ -439,21 +444,72 @@ def _random_axis(seed):
 
 def test_el_residual_check_grid_built_once_per_jmax():
     # the off-centre extremizer (rho 0.3, lambda 16) on the axes of seeds 71-73, and the
-    # family rho in {0, 0.3, 0.6} x lambda in {12, 16, 20} on the north axis: the cached
-    # check grid gives the uncached value to the last bit
+    # family rho in {0, 0.3, 0.6} x lambda in {12, 16, 20} on the north axis: where the
+    # last two shells stay within _EL_TAIL of K h the cached check grid gives the uncached
+    # value to the last bit, and elsewhere el_residual refuses
     fn._check_basis.cache_clear()
     cases = [(0.3 * _random_axis(seed), 16.0) for seed in (71, 72, 73)]
     cases += [(rho * fn.NORTH_AXIS, lam) for rho in (0.0, 0.3, 0.6) for lam in (12.0, 16.0, 20.0)]
+    read = set()
     for jmax in (40, 20, 40):
         for xi, lam in cases:
             params = fn.ExtremizerParams(xi=xi, lam=lam)
+            tail, want = _el_residual_uncached(fn.extremizer_profile(params), lam, jmax)
+            if tail > fn._EL_TAIL:
+                with pytest.raises(ValueError, match=rf"above 2e-07, at jmax {jmax}; recenter"):
+                    fn.el_residual(params, jmax=jmax)
+                continue
             got = fn.el_residual(params, jmax=jmax)
-            want = _el_residual_uncached(fn.extremizer_profile(params), lam, jmax)
             assert got.hex() == want.hex(), (xi[:2], lam, jmax)
+            read.add((round(float(np.linalg.norm(xi)), 2), jmax))
+    # jmax 40 reads rho 0 and 0.3 (all four axes), jmax 20 rho 0 only
+    assert read == {(0.0, 20), (0.0, 40), (0.3, 40)}
     assert fn._check_basis.cache_info().misses == 2
     for arr in fn._check_basis(40):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
+
+
+#: the (lambda, rho) that el_residual reads at each jmax on the family grid below; it
+#: refuses the rest (at jmax 40 the largest share it reads is 1.75e-7, at (14, 0.45))
+_EL_READS = {
+    20: {(lam, rho) for lam in (12.0, 14.0, 16.0, 20.0) for rho in (0.0, 0.15)},
+    40: {(lam, rho) for lam in (12.0, 14.0, 16.0, 20.0) for rho in (0.0, 0.15, 0.3)}
+    | {(12.0, 0.45), (14.0, 0.45)},
+    60: {(lam, rho) for lam in (12.0, 14.0, 16.0, 20.0) for rho in (0.0, 0.15, 0.3, 0.45, 0.5)}
+    | {(12.0, 0.55), (12.0, 0.6), (14.0, 0.55), (16.0, 0.55)},
+}
+
+
+@pytest.mark.parametrize("jmax", [20, 40, 60])
+def test_el_residual_reads_or_refuses_on_the_family_grid(jmax):
+    # exact, unrecentered extremizers: every call refuses or reads under criterion 10's
+    # 2e-8 (before the refusal, jmax 40 read 1.7e-4, 9.0e-3 and 0.35 at rho 0.6)
+    read = set()
+    for lam in (12.0, 14.0, 16.0, 20.0):
+        for rho in (0.0, 0.15, 0.3, 0.45, 0.5, 0.55, 0.6, 0.7, 0.8, 0.9, 0.999):
+            params = fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam)
+            try:
+                value = fn.el_residual(params, jmax=jmax)
+            except ValueError as err:
+                assert f"at jmax {jmax}; recenter h first" in str(err)
+                continue
+            assert value <= 2e-8, (lam, rho, value)
+            read.add((lam, rho))
+    assert read == _EL_READS[jmax]
+
+
+def test_el_residual_refuses_where_jmax_cuts_the_expansion():
+    # 1 + Z_20/2 ends at degree 2: its last two shells hold degree 2 at jmax 2 and 3
+    # (and degree 0 at jmax 0 and 1), and rounding only from jmax 4 on
+    from octhls.specfun import zonal
+
+    f = fn.AxisZonalFunction(lambda th, ph: 1.0 + 0.5 * zonal(2, 0, th, ph))
+    for jmax in range(4):
+        with pytest.raises(ValueError, match=r"the shells j >= -?\d+ reach [\d.e+-]+ of K h"):
+            fn.el_residual(f, lam=16.0, jmax=jmax)
+    value = fn.el_residual(f, lam=16.0, jmax=4)
+    assert value > 1e-2 and abs(fn.el_residual(f, lam=16.0, jmax=5) / value - 1.0) < 1e-12
 
 
 def test_second_variation_nonpositive_at_extremizer():
