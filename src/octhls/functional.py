@@ -360,9 +360,10 @@ def _check_basis(jmax):
     return tuple(map(_freeze, (thetas, phis, j, k, T, gegenbauer3(jmax, np.cos(phis))[j - k])))
 
 
-#: el_residual refuses where the shells j >= jmax - 1 exceed this fraction of K h at a check
-#: point: on the extremizer family at jmax 20-80 every residual it lets through is <= 2e-8
-_EL_TAIL = 2e-7
+#: el_residual refuses where the shells j >= jmax - 1 exceed _EL_TAIL of K h at a check point
+#: (on the extremizer family at jmax 20-80 every value it reads is <= 2e-8), or where the
+#: projection misses more than _EL_CUT of int h^2 (rounding: <= 1.9e-15 on what it reads)
+_EL_TAIL, _EL_CUT = 2e-7, 1e-12
 
 
 def el_residual(h, lam=None, jmax=40):
@@ -372,11 +373,11 @@ def el_residual(h, lam=None, jmax=40):
     constant.  ``h`` may be ExtremizerParams (lambda taken from it) or a
     zonal-type function with ``lam`` supplied.
 
-    Raises ValueError when the last two shells, j >= jmax - 1, reach more than _EL_TAIL
-    of K h at a check point, where jmax truncates h.  A function whose expansion ends at
-    degree d is refused at jmax = d and d + 1 (unless its degree-d part is below _EL_TAIL
-    of K h) and below d wherever degree jmax - 1 or jmax is present; from jmax = d + 2 on
-    its last shells hold rounding only.
+    Raises ValueError where jmax truncates h: where the shells j >= jmax - 1 reach more than
+    _EL_TAIL of K h at a check point, or the projection misses more than _EL_CUT of int h^2.
+    A function whose expansion ends at degree d is refused at jmax = d and d + 1 (unless its
+    degree-d part is below _EL_TAIL of K h) and below d (unless the degrees above jmax hold
+    at most _EL_CUT of int h^2); from jmax = d + 2 on its last shells hold rounding only.
     """
     if isinstance(h, ExtremizerParams):
         lam = h.lam
@@ -393,10 +394,11 @@ def el_residual(h, lam=None, jmax=40):
     top = slice(-(2 * jmax + 1), None)  # the shells j >= jmax - 1, last in tril order
     tail = float(np.max(np.abs((T[top].T * a[top]) @ C[top]) / np.abs(conv)))
     if not tail <= _EL_TAIL:
-        raise ValueError(
-            f"el_residual: the shells j >= {jmax - 1} reach {tail:.3e} of K h at a check point, "
-            f"above {_EL_TAIL:.0e}, at jmax {jmax}; recenter h first"
-        )
+        raise ValueError(f"el_residual: the shells j >= {jmax - 1} reach {tail:.3e} of K h at a "
+                         f"check point, above {_EL_TAIL:.0e}, at jmax {jmax}; recenter h first")
+    if not abs(proj.residual()) <= _EL_CUT * proj.l2:
+        raise ValueError(f"el_residual: jmax {jmax} misses {abs(proj.residual()) / proj.l2:.3e} of "
+                         f"int h^2, above {_EL_CUT:.0e}; raise jmax")
     ratio = conv / _profile_values(h, thetas, phis) ** (p - 1.0)
     return float(ratio.std() / abs(ratio.mean()))
 
@@ -492,7 +494,7 @@ def recenter(h, p):
     ValueError names the defect).  On the pullback's disk parameter
     c = (delta^2 - 1) / (delta^2 + 1), the normalized axis moment
     |S| int cos(theta) cos(phi) g^p / int g^p runs from +|S| at c -> -1 to
-    -|S| at c -> 1 (all of the mass at one pole); an Illinois regula falsi
+    -|S| at c -> 1 (all of the mass at one pole); an Anderson-Bjorck regula falsi
     finds its zero strictly inside.  Returns (delta, g) with int g^p = |S|;
     raises RuntimeError with the final residual on non-convergence.
     """
@@ -521,12 +523,13 @@ def recenter(h, p):
         if abs(m) < _RECENTER_TOL:
             s = (measure / mass) ** (1.0 / p)
             return delta, AxisZonalFunction(lambda th, ph: s * g.profile(th, ph), axis=g.axis)
-        # the trial replaces the end of its sign; Illinois halves the moment of an end
-        # that two trials in a row leave in place
+        # the trial replaces the end of its sign; an end that two trials in a row leave
+        # in place has its moment scaled by Anderson-Bjorck's 1 - m / last (1/2 where <= 0)
+        w = (max(1.0 - m / last, 0.0) or 0.5) if m * last > 0.0 else 1.0
         if m > 0.0:
-            a, fa, fb = c, m, fb * 0.5 if last > 0.0 else fb
+            a, fa, fb = c, m, fb * w
         else:
-            b, fb, fa = c, m, fa * 0.5 if last < 0.0 else fa
+            b, fb, fa = c, m, fa * w
         c, last = a + (b - a) * fa / (fa - fb), m
         if not a < c < b:  # the bracket is down to rounding
             break

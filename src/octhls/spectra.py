@@ -318,7 +318,8 @@ _K_FACTORS = ((-3, 8), (-4, 8), (-3, 9), (-4, 9))
 @functools.lru_cache(maxsize=32)
 def _factor_tables(a, size):
     """The j- and k-factors at alpha = a for n < size: seven read-only float views,
-    the j-factors in _J_FACTORS order, then the k-factors in _K_FACTORS order.
+    the j-factors in _J_FACTORS order, then the k-factors in _K_FACTORS order.  a is
+    checked here, once per table (callers key it by float(alpha); a call that raises is not kept).
 
     Each numerator a + (s + i) is formed from a itself, so a shift that
     would round a (a - 3 for a just below 1) loses no digits, and a factor
@@ -326,6 +327,7 @@ def _factor_tables(a, size):
     and denominator is positive for alpha in (-1, 11/2).  All seven tables
     are one in-place cumprod.
     """
+    a = _check_alpha(a)
     starts = [_2PI8 * math.gamma(t - 2.0 * a) / math.gamma(t - a) for t in _J_FACTORS]
     starts += [1.0 / math.gamma(u - a) for _, u in _K_FACTORS]
     # one (7, size) array holds the starts, then the ratios row by row, then the products
@@ -358,7 +360,7 @@ def _eig_K1(j, k, rows):
 def _eig_K1_arrays(j, k, alpha):
     """eig_K1 on index arrays (j >= k >= 0 elementwise): one table read, and per
     element the operations of eig_K1."""
-    rows = _factor_tables(_check_alpha(alpha), _size(np.max(j)))
+    rows = _factor_tables(float(alpha), _size(np.max(j)))
     return _eig_K1(j, k, [np.asarray(row) for row in rows])
 
 
@@ -369,7 +371,7 @@ def eig_K1(j, k, alpha):
     the rising factorials supplying the vanishing limits at a in {0, 1, 2, 3}.
     """
     j, k = _check_index(j, k)
-    return _eig_K1(j, k, _factor_tables(_check_alpha(alpha), _size(j)))
+    return _eig_K1(j, k, _factor_tables(float(alpha), _size(j)))
 
 
 def eig_K2(j, k, alpha):
@@ -384,7 +386,7 @@ def eig_K2(j, k, alpha):
     positive factor evaluated without cancellation.
     """
     j, k = _check_index(j, k)
-    a = _check_alpha(alpha)
+    a = float(alpha)
     rows = _factor_tables(a, _size(j))
     lam1 = _eig_K1(j, k, rows)
     if j == 0:
@@ -454,7 +456,7 @@ def _block_start(b):
 def _margin_cells(a, b):
     """(first, cells) of margin block b at alpha = a: the scan index j (j + 1) / 2 + k of its
     first cell, and its margins in scan order, read-only; an index is a Python float."""
-    j0 = _block_start(b)
+    a, j0 = _check_alpha(a, lo=0.0), _block_start(b)
     return j0 * (j0 + 1) // 2, memoryview(_freeze(_margin_block(j0, _block_start(b + 1), a)[2]))
 
 
@@ -467,10 +469,10 @@ def bilinear_margin(j, k, alpha):
     the 8 most recently used (alpha, block) pairs are kept, and a cold block costs a whole
     block (every j <= 255 is in block 0; about 0.7 ms at j = 10^4).
     """
-    j, k = _check_index(j, k)
-    a = _check_alpha(alpha, lo=0.0)
+    if not (type(j) is int and type(k) is int and j >= k >= 0):  # else _check_index decides
+        j, k = _check_index(j, k)
     start = j * (j + 1) // 2
-    first, cells = _margin_cells(a, start >> _MARGIN_BITS)
+    first, cells = _margin_cells(float(alpha), start >> _MARGIN_BITS)
     return cells[start - first + k]
 
 

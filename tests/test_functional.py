@@ -82,8 +82,8 @@ def test_project_profile_type_error_propagates():
 
 def test_each_input_evaluated_once(monkeypatch):
     # every routine evaluates each input on the quadrature grid once, on a theta column
-    # and a phi row; recenter once per conformal pullback it tries: 7 at rho = 0.3,
-    # 14 at rho = 0.999
+    # and a phi row; recenter once per conformal pullback it tries: 6 at rho = 0.3,
+    # 13 at rho = 0.999
     lam = 16.0
     p = 2.0 * Q / (2.0 * Q - lam)
     calls = []
@@ -119,7 +119,7 @@ def test_each_input_evaluated_once(monkeypatch):
         return fn.AxisZonalFunction(seen, axis=g.axis)
 
     monkeypatch.setattr(fn, "conformal_pullback", counted_pullback)
-    for rho, most in ((0.3, 7), (0.999, 14)):
+    for rho, most in ((0.3, 6), (0.999, 13)):
         h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
         calls.clear()
         pullbacks.clear()
@@ -512,6 +512,22 @@ def test_el_residual_refuses_where_jmax_cuts_the_expansion():
     assert value > 1e-2 and abs(fn.el_residual(f, lam=16.0, jmax=5) / value - 1.0) < 1e-12
 
 
+def test_el_residual_refuses_a_cut_its_last_shells_miss():
+    # 1 + 0.3 Z_31 ends at degree 3: at jmax 2 its last two shells, degrees 1 and 2, are
+    # empty, and only the Parseval defect, 9.7e-5 of int h^2, shows the cut degree 3 (the
+    # value read there before was 3.98e-2, against 3.55e-2 from jmax 5 on)
+    from octhls.specfun import zonal
+
+    f = fn.AxisZonalFunction(lambda th, ph: 1.0 + 0.3 * zonal(3, 1, th, ph))
+    with pytest.raises(ValueError, match=r"jmax 2 misses 9\.7\d\de-05 of int h\^2, above 1e-12; raise jmax"):
+        fn.el_residual(f, lam=16.0, jmax=2)
+    for jmax in (0, 1, 3, 4):
+        with pytest.raises(ValueError, match=rf"at jmax {jmax}; recenter h first"):
+            fn.el_residual(f, lam=16.0, jmax=jmax)
+    value = fn.el_residual(f, lam=16.0, jmax=5)
+    assert value > 1e-2 and abs(fn.el_residual(f, lam=16.0, jmax=6) / value - 1.0) < 1e-12
+
+
 def test_second_variation_nonpositive_at_extremizer():
     from octhls.specfun import zonal
 
@@ -742,6 +758,29 @@ def test_recenter_whole_extremizer_family(rho, lam):
     ref = constants.C_hls_sphere(lam)
     assert abs(fn.hls_quotient(gn, lam, jmax=40) / ref - 1.0) < 1e-12
     assert fn.el_residual(gn, lam=lam) < 2e-8
+
+
+# the pullbacks recenter tried with Illinois' 1/2 in place of Anderson-Bjorck's weight, by
+# rho, on random axes; the same at each lambda of the grid below, 552 in all
+_ILLINOIS_TRIALS = {0.0: 1, 0.05: 6, 0.1: 6, 0.2: 6, 0.3: 7, 0.4: 7, 0.5: 8, 0.6: 8, 0.7: 8,
+                    0.8: 9, 0.9: 11, 0.95: 11, 0.98: 12, 0.99: 12, 0.995: 12, 0.999: 14}
+
+
+def test_recenter_takes_no_more_trials_than_illinois(monkeypatch):
+    # measured: 496 trials in all, and 6 at rho = 0.3, the sphere workload's input
+    trials, pullback = [], fn.conformal_pullback
+    monkeypatch.setattr(fn, "conformal_pullback", lambda *args: trials.append(args) or pullback(*args))
+    total = 0
+    for i, lam in enumerate((8.0, 12.0, 16.0, 20.0)):
+        p = 2.0 * Q / (2.0 * Q - lam)
+        for n, (rho, most) in enumerate(_ILLINOIS_TRIALS.items()):
+            h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * _random_axis(100 * i + n), lam=lam))
+            trials.clear()
+            delta, _ = fn.recenter(h, p)
+            assert abs(delta / math.sqrt((1.0 + rho) / (1.0 - rho)) - 1.0) < 1e-8
+            assert len(trials) <= most, (lam, rho)
+            total += len(trials)
+    assert total < sum(_ILLINOIS_TRIALS.values()) * 4
 
 
 @pytest.mark.parametrize("profile, match", [

@@ -703,6 +703,87 @@ def test_margin_table_validates_like_bilinear_margin():
         spectra.margin_table(4.0, 2.5)
 
 
+def _cold_caches():
+    spectra._factor_tables.cache_clear()
+    spectra._margin_cells.cache_clear()
+
+
+def test_alpha_is_checked_once_per_cached_build(monkeypatch):
+    # a warm closed-form call makes no _check_alpha call: each cold margin block or
+    # table set makes exactly one, in the builder that keys it by alpha
+    calls, check = [], spectra._check_alpha
+    monkeypatch.setattr(spectra, "_check_alpha", lambda *a, **kw: calls.append(a) or check(*a, **kw))
+    _cold_caches()
+    j, k = np.arange(100), np.zeros(100, dtype=int)
+    reads = [
+        lambda: spectra.bilinear_margin(150, 70, 4.0),  # a cold block and its cold table set
+        lambda: spectra.eig_K1(150, 70, 4.0),  # the same table set
+        lambda: spectra.eig_K2(150, 70, 4.0),
+        lambda: spectra._eig_K1_arrays(j, k, 4.0),  # a cold smaller table set
+        lambda: spectra.bilinear_margin(300, 0, 4.0),  # block 1, with a cold table set
+        lambda: spectra.bilinear_margin(400, 0, 4.0),  # block 2, on block 1's table set
+        lambda: spectra.bilinear_margin(150, 70, 4.5),
+        lambda: spectra.eig_K2(0, 0, 4.5),
+    ]
+    cold = [2, 0, 0, 1, 2, 1, 2, 1]
+
+    def builds():
+        return spectra._margin_cells.cache_info().misses + spectra._factor_tables.cache_info().misses
+
+    for read, want in zip(reads, cold):
+        before = len(calls), builds()
+        read()
+        assert len(calls) - before[0] == builds() - before[1] == want
+    calls.clear()
+    for read in reads * 2:
+        read()
+    assert calls == []
+
+
+def test_refused_alpha_is_refused_on_every_call_and_never_kept():
+    # a builder that raises is not kept, so a refused alpha raises the message of
+    # margin_table (eig_K1_ratio for the eigenvalues, on (-1, 11/2)) on every call
+    _cold_caches()
+    spectra.bilinear_margin(3, 1, 4.0)
+    sizes = spectra._margin_cells.cache_info().currsize, spectra._factor_tables.cache_info().currsize
+    margin = {"bilinear_margin": lambda alpha: spectra.bilinear_margin(3, 1, alpha)}
+    eigen = {
+        "eig_K1": lambda alpha: spectra.eig_K1(3, 1, alpha),
+        "eig_K2": lambda alpha: spectra.eig_K2(3, 1, alpha),
+        "eig_K2 at j = 0": lambda alpha: spectra.eig_K2(0, 0, alpha),
+        "_eig_K1_arrays": lambda alpha: spectra._eig_K1_arrays(np.arange(4), np.zeros(4, int), alpha),
+    }
+    for calls, refused, reference in (
+        (margin, (0.0, -0.5, 5.5, 6.0, math.nan), lambda alpha: list(spectra.margin_table(alpha, 3))),
+        (eigen, (-1.0, -1.5, 5.5, 6.0, math.nan), lambda alpha: spectra.eig_K1_ratio(3, 1, alpha)),
+    ):
+        for alpha in refused:
+            with pytest.raises(ValueError) as want:
+                reference(alpha)
+            assert "outside" in str(want.value)
+            for name, call in calls.items():
+                for _ in range(2):
+                    with pytest.raises(ValueError) as got:
+                        call(alpha)
+                    assert str(got.value) == str(want.value), (name, alpha)
+    assert (spectra._margin_cells.cache_info().currsize,
+            spectra._factor_tables.cache_info().currsize) == sizes
+
+
+def test_alpha_of_any_float_type_shares_one_block():
+    # 4, 4.0, np.float64(4.0) and a 0-d array, which is not hashable, key the same block
+    # and table sets, bit for bit
+    _cold_caches()
+    cells = [(j, k) for j in range(201) for k in range(j + 1)]
+    alphas = (4, 4.0, np.float64(4.0), np.array(4.0))
+    for fn in (spectra.bilinear_margin, spectra.eig_K1, spectra.eig_K2):
+        got = [np.array([fn(j, k, alpha) for j, k in cells]) for alpha in alphas]
+        assert all(_same_bits(got[0], other) for other in got[1:]), fn.__name__
+        assert all(type(fn(*cells[-1], alpha)) is float for alpha in alphas)
+    assert spectra._margin_cells.cache_info().currsize == 1
+    assert spectra._factor_tables.cache_info().currsize == len({spectra._size(j) for j in range(201)})
+
+
 # ---------------------------------------------------------------------------
 # intertwining spectrum
 
