@@ -51,8 +51,10 @@ def gmul_zt(z1, t1, z2, t2):
     |v^-1 u| is ``hnorm_zt(*gmul_zt(-zv, -tv, zu, tu))``.
     """
     z = np.asarray(z1) + np.asarray(z2)
-    cross = oc.im(oc.mul(z1, oc.conj(z2)))
-    t = np.asarray(t1) + np.asarray(t2) + 2.0 * cross
+    cross = oc.im_mul_conj(z1, z2)
+    cross *= 2.0
+    t = np.add(t1, t2, out=np.empty(np.broadcast_shapes(np.shape(t1), np.shape(t2), cross.shape)))
+    t += cross
     return z, t
 
 

@@ -132,11 +132,16 @@ class _Grid:
     The Gauss-Legendre rule of n = max(16, jmax + 8) nodes, the theta nodes of
     every level and their sin^7 cos^7 weights are built with the grid.  The
     rest is built as tables reach deeper levels: the theta factors in blocks
-    of _BLOCK levels, and each phi panel once, as its nodes, sin^6 phi times
-    its weights and its gegenbauer3 rows.  A level's phi grid is the dyadic
-    panels [pi 2^(-i-1), pi 2^-i], i < L, then the end panel [0, pi 2^-L], so
-    the panels a grid keeps grow with the levels, not their square.  Every
-    array a grid hands out is read-only.
+    of _BLOCK levels, and the phi panels.  A level L's phi grid is the dyadic
+    panels [pi 2^(-i-1), pi 2^-i], i < L, then the end panel [0, pi 2^-L].
+    The dyadic panels are kept once, as one prefix of three arrays (their
+    nodes, sin^6 phi times their weights, and their gegenbauer3 rows) that a
+    deeper level extends by one concatenation; level L reads the first L n
+    columns of it in place.  The end panel of each L is kept with the level's
+    whole 1-D nodes and weights, so the gegenbauer3 rows a grid keeps grow with
+    the levels reached, not their square; only those 1-D arrays do (7.5 MB after
+    all 64 levels at jmax 100, against 285 MB of theta factors).  Every array a
+    grid hands out is read-only.
     """
 
     def __init__(self, jmax):
@@ -149,8 +154,9 @@ class _Grid:
         j, k, T = bispherical_basis(jmax, theta[:_BLOCK])  # every table visits level 0
         self.j, self.k, self.m = _freeze(j), _freeze(k), _freeze(j - k)
         self._T = [_freeze(T)]
-        self._dyadic = []  # panel i: (nodes, sin^6 phi w, gegenbauer3 rows)
-        self._ends = {}  # the end panel [0, pi 2^-L] by L
+        # the dyadic panels i < L reached, end to end: (nodes, sin^6 phi w, gegenbauer3 rows)
+        self._prefix = tuple(_freeze(np.empty(shape)) for shape in (0, 0, (jmax + 1, 0)))
+        self._ends = {}  # by L: the level's nodes and sin^6 phi w, and the end panel's rows
 
     def theta_factors(self, level):
         """The theta factors of bispherical_basis at the nodes of the level, shape (pairs, n)."""
@@ -160,22 +166,30 @@ class _Grid:
         return self._T[level // _BLOCK][:, level % _BLOCK]
 
     def phi(self, theta):
-        """(nodes, sin^6 phi w, gegenbauer3 rows) of the phi grid on [0, pi] for the
-        level whose smallest theta node is theta, refined dyadically down to the
-        kernel width there.
+        """(nodes, sin^6 phi w, dyadic rows, end rows) of the phi grid on [0, pi] for the
+        level whose smallest theta node is theta, refined dyadically down to the kernel
+        width there: the nodes and weights of the whole grid, the gegenbauer3 rows of
+        its dyadic panels as a view of the prefix, and those of its end panel.
 
         The kernel feature scale in phi at r = cos theta is ~ (1 - r); below
         it the integrand is smooth, so refinement stops there.
         """
         width = 2.0 * math.sin(theta / 2.0) ** 2
         levels = math.ceil(math.log2(math.pi / width))
-        while len(self._dyadic) < levels:
-            i = len(self._dyadic)
-            self._dyadic.append(self._panel(math.pi * 2.0 ** -(i + 1), math.pi * 2.0 ** -i))
+        n = len(self.rule[0])
+        cut, reached = levels * n, self._prefix[0].size // n
+        if reached < levels:
+            new = [self._panel(math.pi * 2.0 ** -(i + 1), math.pi * 2.0 ** -i)
+                   for i in range(reached, levels)]
+            self._prefix = tuple(_freeze(np.concatenate(parts, axis=-1))
+                                 for parts in zip(self._prefix, *new))
         if levels not in self._ends:
-            self._ends[levels] = self._panel(0.0, math.pi * 2.0 ** -levels)
-        panels = self._dyadic[:levels] + [self._ends[levels]]
-        return tuple(_freeze(np.concatenate(parts, axis=-1)) for parts in zip(*panels))
+            phi, sw, G_end = self._panel(0.0, math.pi * 2.0 ** -levels)
+            nodes, weights = self._prefix[0][:cut], self._prefix[1][:cut]
+            self._ends[levels] = (_freeze(np.concatenate([nodes, phi])),
+                                  _freeze(np.concatenate([weights, sw])), G_end)
+        phi, sw, G_end = self._ends[levels]
+        return phi, sw, self._prefix[2][:, :cut], G_end
 
     def _panel(self, lo, hi):
         phi, w = _panels(lo, hi, self.rule)
@@ -184,8 +198,8 @@ class _Grid:
 
 
 #: the most recently used jmax values whose grid is kept: a CLI command runs at one
-#: jmax, and at jmax 100 a grid holds about 35 MiB per block of levels reached: 70 MiB
-#: after a K1 table at alpha = 4 (9 levels), 107 MiB at 5.45 (21), 180 MiB at 5.49 (38)
+#: jmax, and at jmax 100 a grid holds about 35 MiB per block of levels reached: 71 MiB
+#: after a K1 table at alpha = 4 (9 levels), 109 MiB at 5.45 (21), 182 MiB at 5.49 (38)
 _GRIDS = 2
 
 
@@ -201,9 +215,12 @@ def _level(grid, kern, level):
     of |K| over phi."""
     th, w = grid.theta[level], grid.w7[level]
     T = grid.theta_factors(level)
-    phi, sw, G = grid.phi(th[0])
+    phi, sw, G, G_end = grid.phi(th[0])
+    cut = G.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        inner = (kern.angles(th[:, None], phi) * sw) @ G.T  # inner[i, m]
+        kw = kern.angles(th[:, None], phi) * sw
+        inner = kw[:, :cut] @ G.T  # inner[i, m]: the dyadic panels, then the end panel
+        inner += kw[:, cut:] @ G_end.T
         c = np.einsum("pi,i,ip->p", T, w, inner[:, grid.m])
         ref = float(np.dot(w, np.abs(inner[:, 0])))
     return c, ref

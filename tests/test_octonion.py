@@ -120,23 +120,20 @@ def test_quaternion_subalgebra_associative():
     assert np.allclose(oc.mul(oc.mul(x, y), z), oc.mul(x, oc.mul(y, z)), atol=1e-13)
 
 
-def test_mul_matches_table_contraction():
-    # the full contraction sum_ij x_i y_j MULT_TABLE[i, j, k], on a batch and
-    # on every broadcast shape: equal to the last bit
+def _product_layouts():
+    """Factor pairs across mul's blocks and layouts.
+
+    Block boundaries: 2 blocks and one row, a length-1 leading axis against
+    many blocks, blocks of broadcast pairs and of triples, and one row.
+    Layouts across 2 blocks and one row: the strided column views of an
+    (n, 16) array that the Cayley kernels pass, a Fortran-ordered batch, an
+    integer batch (with zeros); and an empty batch.
+    """
     x, y = rand(100_000, 15), rand(100_000, 16)
-
-    def contraction(a, b):
-        return np.einsum("...i,...j,ijk->...k", a, b, oc.MULT_TABLE)
-
-    # block boundaries: 2 blocks and one row, a length-1 leading axis against
-    # many blocks, blocks of broadcast pairs and of triples, and one row
     n = 2 * oc._BLOCK + 1
-    # layouts across 2 blocks and one row: the strided column views of an
-    # (n, 16) array that the Cayley kernels pass, a Fortran-ordered batch,
-    # an integer batch; and an empty batch, whose product has shape (0, 8)
     v = np.hstack([x[:n], y[:n]])
     ints = np.random.default_rng(17).integers(-9, 10, (2, n, 8))
-    cases = (
+    return (
         (x, y), (x[0], y), (x, y[0]), (x[0], y[0]), (x[:5, None], y[None, :7]),
         (x[:n], y[:n]), (x[:1], y),
         (x[:n, None], y[None, :3]), (x[:3 * n].reshape(n, 3, 8), y[:3]),
@@ -145,8 +142,26 @@ def test_mul_matches_table_contraction():
         (np.asfortranarray(x[:n]), y[:n]), (x[:n], np.asfortranarray(y[:n])),
         (ints[0], ints[1]), (ints[0], y[:n]), (x[:0], y[:0]),
     )
-    for a, b in cases:
+
+
+def test_mul_matches_table_contraction():
+    # the full contraction sum_ij x_i y_j MULT_TABLE[i, j, k], on a batch and
+    # on every broadcast shape: equal to the last bit; the empty batch's
+    # product has shape (0, 8)
+    def contraction(a, b):
+        return np.einsum("...i,...j,ijk->...k", a, b, oc.MULT_TABLE)
+
+    for a, b in _product_layouts():
         assert np.array_equal(oc.mul(a, b), contraction(a, b))
+
+
+def test_im_mul_conj_matches_mul():
+    # the folded expansion gives Im(x conj(y)) of mul and conj bit for bit, the
+    # sign of every zero included, on each layout mul is checked on
+    for a, b in _product_layouts():
+        got, want = oc.im_mul_conj(a, b), oc.im(oc.mul(a, oc.conj(b)))
+        assert got.shape == want.shape == np.broadcast_shapes(np.shape(a), np.shape(b))[:-1] + (7,)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_from_im():

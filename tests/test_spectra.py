@@ -951,6 +951,32 @@ def test_quadrature_warm_table_equals_cold(jmax):
             assert table(kern, alpha) == cold, (kern.name, [k.name for k, _ in first])
 
 
+@pytest.mark.parametrize("jmax", [2, 6])
+def test_quadrature_grid_keeps_each_dyadic_panel_once(jmax, monkeypatch):
+    # the dyadic phi panels of a grid are one prefix of n columns per panel: a level
+    # with L dyadic panels reads the first L n columns of its gegenbauer3 rows in place,
+    # and after tables at several depths the prefix holds the deepest L's panels once
+    spectra._grid.cache_clear()
+    grid, n = spectra._grid(jmax), max(16, jmax + 8)
+    phi, depths = grid.phi, set()
+
+    def spy(theta):
+        nodes, sw, G, G_end = phi(theta)
+        L = nodes.size // n - 1
+        assert sw.shape == nodes.shape and G_end.shape == (jmax + 1, n)
+        assert G.shape == (jmax + 1, L * n) and np.shares_memory(G, grid._prefix[2])
+        assert not (G.flags.writeable or G_end.flags.writeable)
+        depths.add(L)
+        return nodes, sw, G, G_end
+
+    monkeypatch.setattr(grid, "phi", spy)
+    for alpha in (4.0, 5.499, 1.5):  # a first table, a deeper one, then a shallower one
+        for make in (spectra.kernel_K1, spectra.kernel_K2):
+            spectra.eig_quadrature_table(make(alpha), alpha, jmax)
+    assert len(depths) > 2
+    assert [a.shape[-1] for a in grid._prefix] == [max(depths) * n] * 3
+
+
 @pytest.mark.parametrize("arg", ["theta", "phi"])
 def test_quadrature_kernel_cannot_write_the_grid(arg):
     # a kernel reads read-only views of the grid every table at its jmax shares:
