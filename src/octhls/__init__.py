@@ -2,7 +2,8 @@
 sharp constants of the HLS / Sobolev / Log-Sobolev family, with
 independent quadrature and Monte Carlo cross-checks."""
 
-from .nilgroup import Q
+#: homogeneous dimension of the group under the dilation (dz, d^2 t): dim O + 2 dim Im O
+Q = 8 + 2 * 7
 
 __all__ = ["Q"]
 __version__ = "0.1.0"

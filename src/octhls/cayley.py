@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import octonion as oc
-from .nilgroup import Q, GroupElement
+from . import Q, octonion as oc
+from .nilgroup import GroupElement
 
 __all__ = [
     "cayley_zt",

@@ -4,6 +4,8 @@ Subcommands: constants, eigs, margin, verify.  Exit codes: 0 all checks
 pass, 1 a check failed, 2 configuration or domain error.  Output is
 deterministic for a fixed (config, seed): rows are sorted by grid key
 and JSON carries a schema_version tag.
+Each subcommand imports only the layers it runs, so --help and a usage
+error exit before numpy loads.
 """
 
 from __future__ import annotations
@@ -15,10 +17,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import cayley, constants, functional, nilgroup, spectra
-from .nilgroup import Q
+from . import Q
 
 SCHEMA_VERSION = 1
 
@@ -37,15 +36,17 @@ def _seed(text):
 
 
 def _float_list(text):
-    return [float(v) for v in text.split(",")] if text.strip() else []
+    try:
+        return [float(v) for v in text.split(",")] if text.strip() else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}") from None
 
 
-def _alpha_grid(text):
+def _alpha_grid(alphas):
     """The sorted --alpha grid of eigs and margin, which check nothing without one."""
-    alphas = sorted(_float_list(text))
     if not alphas:
         raise ValueError("--alpha needs at least one value")
-    return alphas
+    return sorted(alphas)
 
 
 def _emit(command, rows, fmt, out):
@@ -73,6 +74,7 @@ def _emit(command, rows, fmt, out):
 
 def _spectral_constant(lam):
     """The sharp sphere constant from the spectrum: 2^(lam/2) lambda_00(lam/4) |S|^((lam-Q)/Q)."""
+    from . import constants, spectra
     return (
         2.0 ** (lam / 2.0)
         * spectra.eig_K1(0, 0, lam / 4.0)
@@ -85,14 +87,15 @@ def _spectral_constant(lam):
 
 
 def cmd_constants(args):
+    from . import constants
     rows = []
-    for lam in sorted(_float_list(args.lam)):
+    for lam in sorted(args.lam):
         cg = constants.C_hls_group(lam)
         cs = constants.C_hls_sphere(lam)
         resid = abs(cs - _spectral_constant(lam)) / cs
         rows.append({"name": "C_hls_group", "parameter": lam, "value": cg, "residual": ""})
         rows.append({"name": "C_hls_sphere", "parameter": lam, "value": cs, "residual": resid})
-    for d in sorted(_float_list(args.d)):
+    for d in sorted(args.d):
         rows.append(
             {"name": "C_sobolev", "parameter": d, "value": constants.C_sobolev(d), "residual": ""}
         )
@@ -104,6 +107,7 @@ def cmd_constants(args):
 
 
 def cmd_eigs(args):
+    from . import spectra
     alphas = _alpha_grid(args.alpha)
     rows = []
     failed = False
@@ -116,18 +120,9 @@ def cmd_eigs(args):
                 rel = abs(qd - cf) / abs(cf) if cf != 0.0 else abs(qd)
                 ok = rel < (1e-6 if cf != 0.0 else 1e-8)
                 failed = failed or not ok
-                rows.append(
-                    {
-                        "j": j,
-                        "k": k,
-                        "alpha": alpha,
-                        "kernel": kind,
-                        "closed_form": float(cf),
-                        "quadrature": float(qd),
-                        "rel_diff": float(rel),
-                        "pass": bool(ok),
-                    }
-                )
+                rows.append({"j": j, "k": k, "alpha": alpha, "kernel": kind,
+                             "closed_form": float(cf), "quadrature": float(qd),
+                             "rel_diff": float(rel), "pass": bool(ok)})
     rows.sort(key=lambda r: (r["alpha"], r["kernel"], r["j"], r["k"]))
     _emit("eigs", rows, args.format, args.out)
     return 1 if failed else 0
@@ -142,12 +137,13 @@ def _margin_scan(alpha, jmax):
     a block's argmin is its first, and a later block replaces it only when
     strictly lower.
     """
+    from . import spectra
     worst, arg, zeros, violated = math.inf, None, 0, False
     for j, k, m in spectra.margin_table(alpha, jmax):
-        i = int(np.argmin(m))
+        i = int(m.argmin())
         if m[i] < worst:
             worst, arg = float(m[i]), (int(j[i]), int(k[i]))
-        zeros += int(np.count_nonzero(m == 0.0))
+        zeros += int((m == 0.0).sum())
         violated = violated or bool((m < 0.0).any())
     return worst, arg, zeros, violated
 
@@ -157,16 +153,8 @@ def cmd_margin(args):
     rows = []
     for alpha in alphas:
         worst, arg, zeros, violated = _margin_scan(alpha, args.jmax)
-        rows.append(
-            {
-                "alpha": alpha,
-                "min_margin": worst,
-                "argmin_j": arg[0],
-                "argmin_k": arg[1],
-                "violated": violated,
-                "zero_count": zeros,
-            }
-        )
+        rows.append({"alpha": alpha, "min_margin": worst, "argmin_j": arg[0], "argmin_k": arg[1],
+                     "violated": violated, "zero_count": zeros})
     _emit("margin", rows, args.format, args.out)
     return 0
 
@@ -175,6 +163,7 @@ def _margin_four_term_error(alpha, jmax):
     """Largest |margin - (lambda(K1) + lambda(K2) - lambda(K1^(alpha-1))
     - 2a/(11-a) lambda(K1))| over the sum of the four term sizes, on the margin_table cells
     j <= jmax (which builds those cells only, where bilinear_margin builds a whole block)."""
+    from . import spectra
     worst = 0.0
     for block in spectra.margin_table(alpha, jmax):
         for j, k, margin in zip(*(a.tolist() for a in block)):
@@ -205,6 +194,10 @@ def _check(name, param, value, reference, tol, mode="abs"):
 def cmd_verify(args):
     if args.mc_samples < 2:
         raise ValueError(f"--mc-samples must be at least 2, got {args.mc_samples}")
+
+    import numpy as np
+
+    from . import cayley, constants, functional, nilgroup, spectra
 
     rng = np.random.Generator(np.random.Philox(key=[args.seed, 99]))
     n = args.mc_samples
@@ -297,9 +290,9 @@ def cmd_verify(args):
 
 #: every flag: name -> add_argument keywords
 _FLAGS = {
-    "--lambda": dict(dest="lam", default="", help="comma-separated lambda grid"),
-    "--alpha": dict(default="", help="comma-separated alpha grid"),
-    "--d": dict(default="", help="comma-separated degree grid"),
+    "--lambda": dict(dest="lam", type=_float_list, default="", help="comma-separated lambda grid"),
+    "--alpha": dict(type=_float_list, default="", help="comma-separated alpha grid"),
+    "--d": dict(type=_float_list, default="", help="comma-separated degree grid"),
     "--jmax": dict(type=_nonnegative_int, default=6),
     "--mc-samples": dict(type=int, default=100000),
     "--seed": dict(type=_seed, default=0),

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .nilgroup import Q
+from . import Q
 from .spectra import c_d
 
 __all__ = [

@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .cayley import NORTH_POLE, hermitian_pairing, sdist_arrays
 from .constants import C_logsobolev, sphere_measure
-from .nilgroup import Q
+from . import Q
 from .specfun import _check_degree, bispherical_basis, gegenbauer3
 from .spectra import _FH_CONST, _eig_K1_arrays, _freeze, _logsob_gap, eig_K1
 

@@ -2,7 +2,8 @@
 
 Elements are pairs (z, t) with z an octonion and t purely imaginary,
 with product (z, t)(z', t') = (z + z', t + t' + 2 Im(z conj(z'))).
-The homogeneous dimension is Q = 8 + 2 * 7 = 22.
+The homogeneous dimension is Q = 8 + 2 * 7 = 22; it is defined in the
+octhls package, so that reading it loads no numpy, and re-exported here.
 
 Every map is a batched kernel on z with shape (..., 8) and t with
 shape (..., 7); a dilation by delta is (delta z, delta^2 t).
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import octonion as oc
+from . import Q, octonion as oc
 from .octonion import ImOctonion, Octonion
 
 __all__ = [
@@ -22,9 +23,6 @@ __all__ = [
     "hnorm_zt",
     "inversion_zt",
 ]
-
-#: homogeneous dimension of the group under the dilation (dz, d^2 t)
-Q = 22
 
 
 class GroupElement:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .nilgroup import Q
+from . import Q
 from .specfun import _check_degree, _check_index, bispherical_basis, gegenbauer3
 
 __all__ = [

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import ast
 import csv
 import io
 import json
@@ -13,6 +14,7 @@ import tracemalloc
 
 import pytest
 
+import octhls
 from octhls import cli, constants, functional, spectra
 
 
@@ -358,6 +360,20 @@ def test_empty_alpha_grid_exits_two(capsys, command, alpha):
     assert "--alpha needs at least one value" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [("constants", "--lambda", ",12"), ("constants", "--d", "2;6"), ("eigs", "--alpha", "4,x"),
+     ("margin", "--alpha", "4,,3")],
+)
+def test_bad_grid_names_its_flag(capsys, command, flag, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, text])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}: must be comma-separated numbers, got {text!r}" in out.err
+
+
 @pytest.mark.parametrize("command", ["eigs", "margin"])
 def test_negative_index_bound_exits_two(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -435,6 +451,68 @@ def test_import_loads_no_scipy():
     # scipy is a test dependency only; importing it would add about 0.3 s to every octhls command
     code = "import octhls.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert _python_with_src(code) == "[]"
+
+
+def test_import_loads_no_numpy():
+    # numpy is about 180 ms of a bare import; the package and cli import only the standard library
+    code = (
+        "import sys, octhls\n"
+        "print('numpy' in sys.modules)\n"
+        "import octhls.cli\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _python_with_src(code).splitlines() == ["False", "False"]
+
+
+def test_q_is_defined_in_the_package():
+    # reading Q loads no submodule, and every module that uses Q binds the package's value
+    assert octhls.Q == 8 + 2 * 7
+    code = (
+        "import importlib, pkgutil, sys, octhls\n"
+        "print(octhls.Q, sorted(m for m in sys.modules if m.startswith('octhls.')))\n"
+        "mods = [importlib.import_module(f'octhls.{m.name}') for m in pkgutil.iter_modules(octhls.__path__)]\n"
+        "print(dict(sorted((m.__name__, m.Q) for m in mods if 'Q' in vars(m))))\n"
+    )
+    alone, users = _python_with_src(code).splitlines()
+    assert alone == f"{octhls.Q} []"
+    users = ast.literal_eval(users)
+    assert {"octhls.nilgroup", "octhls.spectra", "octhls.cli"} <= set(users)
+    assert set(users.values()) == {octhls.Q}
+
+
+def test_commands_load_only_their_layers():
+    # constants, eigs and margin run on spectra (and constants) alone
+    code = (
+        "import contextlib, io, sys\n"
+        "from octhls import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['constants', '--lambda', '12', '--d', '2'])\n"
+        "    cli.main(['eigs', '--alpha', '4', '--jmax', '1'])\n"
+        "    cli.main(['margin', '--alpha', '4', '--jmax', '2'])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('octhls.')))\n"
+    )
+    assert _python_with_src(code) == "['octhls.cli', 'octhls.constants', 'octhls.specfun', 'octhls.spectra']"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["verify", "--help"], 0), (["eigs", "--lambda", "12"], 2), ([], 2),
+     (["constants", "--lambda", ",12"], 2)],
+    ids=["help", "verify-help", "stray-flag", "no-command", "bad-grid"],
+)
+def test_usage_exits_load_no_numpy(argv, code):
+    # --help and argparse errors exit before any layer, and with it numpy, is imported
+    script = (
+        "import contextlib, io, sys\n"
+        "from octhls import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    assert _python_with_src(script) == f"{code} False"
 
 
 def test_commands_load_no_numpy_ma():
