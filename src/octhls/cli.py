@@ -82,6 +82,16 @@ def _spectral_constant(lam):
     )
 
 
+def _oracle_cells(kind, alpha, jmax):
+    """(j, k, closed form, quadrature, error) per cell of the kind's ("K1" or "K2") oracle
+    table at alpha, in scan order; the error is relative, or absolute where the closed form is 0."""
+    from . import spectra
+    kernel, closed = getattr(spectra, f"kernel_{kind}"), getattr(spectra, f"eig_{kind}")
+    for (j, k), qd in sorted(spectra.eig_quadrature_table(kernel(alpha), alpha, jmax).values.items()):
+        cf = closed(j, k, alpha)
+        yield j, k, cf, qd, abs(qd - cf) / abs(cf) if cf != 0.0 else abs(qd)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -107,17 +117,12 @@ def cmd_constants(args):
 
 
 def cmd_eigs(args):
-    from . import spectra
     alphas = _alpha_grid(args.alpha)
     rows = []
     failed = False
     for alpha in alphas:
-        for kind, kern in (("K1", spectra.kernel_K1(alpha)), ("K2", spectra.kernel_K2(alpha))):
-            closed = {"K1": spectra.eig_K1, "K2": spectra.eig_K2}[kind]
-            table = spectra.eig_quadrature_table(kern, alpha, args.jmax)
-            for (j, k), qd in sorted(table.values.items()):
-                cf = closed(j, k, alpha)
-                rel = abs(qd - cf) / abs(cf) if cf != 0.0 else abs(qd)
+        for kind in ("K1", "K2"):
+            for j, k, cf, qd, rel in _oracle_cells(kind, alpha, args.jmax):
                 ok = rel < (1e-6 if cf != 0.0 else 1e-8)
                 failed = failed or not ok
                 rows.append({"j": j, "k": k, "alpha": alpha, "kernel": kind,
@@ -159,22 +164,6 @@ def cmd_margin(args):
     return 0
 
 
-def _margin_four_term_error(alpha, jmax):
-    """Largest |margin - (lambda(K1) + lambda(K2) - lambda(K1^(alpha-1))
-    - 2a/(11-a) lambda(K1))| over the sum of the four term sizes, on the margin_table cells
-    j <= jmax (which builds those cells only, where bilinear_margin builds a whole block)."""
-    from . import spectra
-    worst = 0.0
-    for block in spectra.margin_table(alpha, jmax):
-        for j, k, margin in zip(*(a.tolist() for a in block)):
-            lam1 = spectra.eig_K1(j, k, alpha)
-            terms = (lam1, spectra.eig_K2(j, k, alpha), -spectra.eig_K1(j, k, alpha - 1.0),
-                     -(2.0 * alpha / (11.0 - alpha)) * lam1)
-            total = 0.0 + terms[0] + terms[1] + terms[2] + terms[3]
-            worst = max(worst, abs(margin - total) / sum(abs(x) for x in terms))
-    return worst
-
-
 def _check(name, param, value, reference, tol, mode="abs"):
     abs_err = abs(value - reference)
     rel_err = abs_err / abs(reference) if reference != 0.0 else abs_err
@@ -197,89 +186,40 @@ def cmd_verify(args):
 
     import numpy as np
 
-    from . import cayley, constants, functional, nilgroup, spectra
+    from . import _checks, constants, functional
 
     rng = np.random.Generator(np.random.Philox(key=[args.seed, 99]))
     n = args.mc_samples
-    reports = []
-
-    # Cayley round trip, Jacobian duality, distance relation on pairs (2i, 2i+1)
-    zs = rng.standard_normal((n, 8))
-    ts = rng.standard_normal((n, 7))
-    zeta = cayley.cayley_zt(zs, ts)
-    zb, tb = cayley.cayley_inv_arrays(zeta)
-    worst_rt = float(max(np.abs(zb - zs).max(), np.abs(tb - ts).max()))
-    jg = cayley.jac_cayley_zt(zs, ts)
-    worst_jac = float(np.max(np.abs(jg - cayley.jac_cayley_sphere_arrays(zeta)) / jg))
-    even, odd = slice(0, n - 1, 2), slice(1, n, 2)
-    lhs = cayley.sdist_arrays(zeta[even], zeta[odd])
-    rhs = (
-        2.0 ** (7.0 / Q - 1.0)
-        * (jg[even] * jg[odd]) ** (1.0 / (2.0 * Q))
-        * nilgroup.hnorm_zt(*nilgroup.gmul_zt(-zs[odd], -ts[odd], zs[even], ts[even]))
-    )
-    worst_dr = float(np.max(np.abs(lhs - rhs)))
-    reports.append(_check("cayley_round_trip", "", worst_rt, 0.0, 1e-11))
-    reports.append(_check("jacobian_duality", "", worst_jac, 0.0, 1e-10))
-    reports.append(_check("distance_relation", "", worst_dr, 0.0, 1e-10))
-
-    # spectral identity for the sharp constant
-    for lam in (12.0, 16.0, 20.0):
-        reports.append(
-            _check("sharp_constant_spectral", lam, _spectral_constant(lam),
-                   constants.C_hls_sphere(lam), 1e-12, "rel")
-        )
-
-    # intertwining consistency
-    worst = 0.0
-    for d in (2.0, 4.0, 8.0):
-        for j in range(4):
-            for k in range(j + 1):
-                v = (
-                    spectra.c_d(d)
-                    * 2.0 ** ((Q - d) / 2.0)
-                    * spectra.eig_K1(j, k, (Q - d) / 4.0)
-                    * spectra.intertwining_spectrum(d, j, k)
-                )
-                worst = max(worst, abs(v - 1.0))
-    reports.append(_check("intertwining_identity", "", worst, 0.0, 1e-13))
-
-    # eigenvalue oracle, small grid: it measures about 1e-15, so the bound is 1e-12
-    alpha = 4.0
-    table = spectra.eig_quadrature_table(spectra.kernel_K1(alpha), alpha, 3)
-    worst = max(
-        abs(qd - spectra.eig_K1(j, k, alpha)) / spectra.eig_K1(j, k, alpha)
-        for (j, k), qd in sorted(table.values.items())
-    )
-    reports.append(_check("eigenvalue_oracle", alpha, worst, 0.0, 1e-12))
-
-    # margin spot checks: the product form against its four-term definition, and the
-    # violation below alpha = 3
-    reports.append(_check("margin_four_terms", 4.0, _margin_four_term_error(4.0, 20), 0.0, 4e-15))
-    reports.append(_check("margin_violation_25", 2.5, _margin_scan(2.5, 20)[0], -0.011, 0.01))
-
-    # HLS quotient at f = 1 and at a projected extremizer, and the Euler-Lagrange residual:
-    # none depends on the seed or the sample count; they measure 5.6e-15, 2.8e-15, 1.6e-14
-    one = functional.AxisZonalFunction(lambda th, ph: np.ones_like(th))
-    reports.append(_check("hls_quotient_constant", 12.0, functional.hls_quotient(one, 12.0, jmax=2),
-                          constants.C_hls_sphere(12.0), 1e-13, "rel"))
+    zs, ts = rng.standard_normal((n, 8)), rng.standard_normal((n, 7))
+    # the distance relation on the pairs (2i, 2i+1)
+    rt, jac, dr = _checks.cayley_identities(zs, ts, slice(0, n - 1, 2), slice(1, n, 2))
+    sphere = constants.C_hls_sphere
     ex = functional.ExtremizerParams(xi=0.3 * functional.NORTH_AXIS, lam=16.0)
     h = functional.extremizer_profile(ex)
-    reports.append(_check("hls_quotient_extremizer", 16.0,
-                          functional.hls_quotient(h, 16.0, jmax=40),
-                          constants.C_hls_sphere(16.0), 1e-12, "rel"))
-    reports.append(_check("el_residual_extremizer", 16.0, functional.el_residual(ex), 0.0, 1e-11))
-
-    # recentering
-    p = 2.0 * Q / (2.0 * Q - 16.0)
-    _, gn = functional.recenter(h, p)
-    resid = float(np.linalg.norm(functional.center_mass(gn, p)))
-    reports.append(_check("recenter_residual", 16.0, resid, 0.0, 1e-8))
-
-    # Log-Sobolev pair at the constant
-    lhs, rhs = functional.log_sobolev_pair(one, jmax=4)
-    reports.append(_check("log_sobolev_constant", "", abs(lhs) + abs(rhs), 0.0, 1e-10))
-
+    reports = [
+        _check("cayley_round_trip", "", rt, 0.0, 1e-11),
+        _check("jacobian_duality", "", jac, 0.0, 1e-10),
+        _check("distance_relation", "", dr, 0.0, 1e-10),
+        *(_check("sharp_constant_spectral", lam, _spectral_constant(lam), sphere(lam), 1e-12, "rel")
+          for lam in (12.0, 16.0, 20.0)),
+        _check("intertwining_identity", "", _checks.intertwining_error(3), 0.0, 1e-13),
+        # the oracle on a small grid measures about 1e-15, so the bound is 1e-12
+        _check("eigenvalue_oracle", 4.0, _checks.oracle_error("K1", 4.0, 3), 0.0, 1e-12),
+        # the margin's product form against its four terms, and its violation below alpha = 3
+        _check("margin_four_terms", 4.0, _checks.margin_four_term_error(4.0, 20), 0.0, 4e-15),
+        _check("margin_violation_25", 2.5, _margin_scan(2.5, 20)[0], -0.011, 0.01),
+        # seed-free rows: the HLS quotient at f = 1 and at a projected extremizer, and the
+        # Euler-Lagrange residual measure 5.6e-15, 2.8e-15, 1.6e-14
+        _check("hls_quotient_constant", 12.0, functional.hls_quotient(_checks.ONE, 12.0, jmax=2),
+               sphere(12.0), 1e-13, "rel"),
+        _check("hls_quotient_extremizer", 16.0, functional.hls_quotient(h, 16.0, jmax=40),
+               sphere(16.0), 1e-12, "rel"),
+        _check("el_residual_extremizer", 16.0, functional.el_residual(ex), 0.0, 1e-11),
+        _check("recenter_residual", 16.0, _checks.recenter_residual(h, 2.0 * Q / (2.0 * Q - 16.0))[1],
+               0.0, 1e-8),
+        _check("log_sobolev_constant", "",
+               sum(map(abs, functional.log_sobolev_pair(_checks.ONE, jmax=4))), 0.0, 1e-10),
+    ]
     failed = any(not r["pass"] for r in reports)
     _emit("verify", reports, args.format, args.out)
     return 1 if failed else 0

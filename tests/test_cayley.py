@@ -91,18 +91,6 @@ def test_sdist_basic():
     assert abs(cy.sdist_arrays(z, e) - cy.sdist_arrays(e, z)) < 1e-14
 
 
-def test_distance_relation():
-    rng = np.random.default_rng(5)
-    (zu, tu), (zv, tv) = rand_zt(rng, 100), rand_zt(rng, 100)
-    lhs = cy.sdist_arrays(cy.cayley_zt(zu, tu), cy.cayley_zt(zv, tv))
-    rhs = (
-        2.0 ** (7.0 / Q - 1.0)
-        * (cy.jac_cayley_zt(zu, tu) * cy.jac_cayley_zt(zv, tv)) ** (1.0 / (2.0 * Q))
-        * gdist(zu, tu, zv, tv)
-    )
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
 def test_distance_relation_explicit_weights():
     rng = np.random.default_rng(6)
     (zu, tu), (zv, tv) = rand_zt(rng, 50), rand_zt(rng, 50)

@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 import octhls
-from octhls import cli, constants, functional, spectra
+from octhls import cayley, cli, constants, functional, spectra
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -211,21 +211,70 @@ def test_verify_exit_zero(capsys):
     assert "margin_four_terms" in checks and len(rows) == 15
 
 
-def test_verify_margin_row_sees_a_wrong_sign(capsys, monkeypatch):
-    # the margin row compares the product form with its four-term definition, so a
-    # margin table with the wrong sign at its alpha = 4 fails it (and only it)
-    table = spectra.margin_table
+def _scaled(factor):
+    """A fault: the layer function's result (each array of a tuple) times factor."""
+    def fault(f):
+        def scaled(*args, **kwargs):
+            out = f(*args, **kwargs)
+            return tuple(x * factor for x in out) if isinstance(out, tuple) else out * factor
+        return scaled
+    return fault
 
-    def flipped(alpha, jmax):
-        sign = -1.0 if alpha == 4.0 else 1.0
-        return ((j, k, sign * m) for j, k, m in table(alpha, jmax))
 
-    monkeypatch.setattr(spectra, "margin_table", flipped)
+def _margin_flipped_at_4(table):
+    """A fault: margin_table with the wrong sign at alpha = 4."""
+    return lambda alpha, jmax: ((j, k, (-1.0 if alpha == 4.0 else 1.0) * m)
+                                for j, k, m in table(alpha, jmax))
+
+
+def _oracle_cell_off(table):
+    """A fault: cell (3, 1) of every quadrature table off by 1e-10, relative."""
+    def off(kern, alpha, jmax):
+        out = table(kern, alpha, jmax)
+        out.values[(3, 1)] *= 1.0 + 1e-10
+        return out
+    return off
+
+
+def _quotient_off_at(lam):
+    """A fault: hls_quotient off by 1e-10, relative, at lambda = lam alone."""
+    return lambda quotient: lambda f, at, jmax=40: quotient(f, at, jmax) * (1.0 + 1e-10 * (at == lam))
+
+
+#: (the verify row, the layer and the function a fault replaces, the fault, the field
+#: of the row it moves and the range the field then falls in)
+VERIFY_FAULTS = [
+    # the margin row compares the product form with its four-term definition
+    ("margin_four_terms", spectra, "margin_table", _margin_flipped_at_4, "value", 0.1, math.inf),
+    # the oracle row measures about 1e-15 against its 1e-12 bound, where the 1e-6 bound
+    # of eigs would not see this cell
+    ("eigenvalue_oracle", spectra, "eig_quadrature_table", _oracle_cell_off, "value", 9e-11, 1.1e-10),
+    # the quotient rows measure below 6e-15 against bounds of 1e-13 and 1e-12
+    ("hls_quotient_constant", functional, "hls_quotient", _quotient_off_at(12.0), "rel_err",
+     9e-11, 1.1e-10),
+    ("hls_quotient_extremizer", functional, "hls_quotient", _quotient_off_at(16.0), "rel_err",
+     9e-11, 1.1e-10),
+    # the Cayley rows measure below 1e-13 against bounds of 1e-11, 1e-10 and 1e-10
+    ("cayley_round_trip", cayley, "cayley_inv_arrays", _scaled(1.0 + 1e-9), "value", 3e-9, 4e-9),
+    ("jacobian_duality", cayley, "jac_cayley_sphere_arrays", _scaled(1.0 + 1e-8), "value",
+     9e-9, 1.1e-8),
+    ("distance_relation", cayley, "sdist_arrays", _scaled(1.0 + 1e-8), "value", 6e-9, 7e-9),
+    # the intertwining row measures about 4e-15 against its 1e-13 bound
+    ("intertwining_identity", spectra, "intertwining_spectrum", _scaled(1.0 + 1e-11), "value",
+     9e-12, 1.1e-11),
+]
+
+
+@pytest.mark.parametrize("check, layer, name, fault, field, low, high", VERIFY_FAULTS,
+                         ids=[case[0] for case in VERIFY_FAULTS])
+def test_verify_row_fails_alone(capsys, monkeypatch, check, layer, name, fault, field, low, high):
+    # a fault in one layer function fails one verify row, and only it
+    monkeypatch.setattr(layer, name, fault(getattr(layer, name)))
     code, out, _ = run(["verify", "--mc-samples", "50"], capsys)
     assert code == 1
     failed = [r for r in json.loads(out)["rows"] if not r["pass"]]
-    assert [r["check"] for r in failed] == ["margin_four_terms"]
-    assert failed[0]["value"] > 0.1
+    assert [r["check"] for r in failed] == [check]
+    assert low < failed[0][field] < high
 
 
 def test_verify_builds_no_margin_block(capsys):
@@ -235,42 +284,6 @@ def test_verify_builds_no_margin_block(capsys):
     code, _, _ = run(["verify", "--mc-samples", "50"], capsys)
     assert code == 0
     assert spectra._margin_cells.cache_info().currsize == 0
-
-
-def test_verify_oracle_row_sees_a_small_error(capsys, monkeypatch):
-    # the oracle row measures about 1e-15 against its 1e-12 bound, so one cell off by
-    # 1e-10 fails it (and only it), where the 1e-6 bound of eigs would not see it
-    table = spectra.eig_quadrature_table
-
-    def off(kern, alpha, jmax):
-        out = table(kern, alpha, jmax)
-        out.values[(3, 1)] *= 1.0 + 1e-10
-        return out
-
-    monkeypatch.setattr(spectra, "eig_quadrature_table", off)
-    code, out, _ = run(["verify", "--mc-samples", "50"], capsys)
-    assert code == 1
-    failed = [r for r in json.loads(out)["rows"] if not r["pass"]]
-    assert [r["check"] for r in failed] == ["eigenvalue_oracle"]
-    assert 9e-11 < failed[0]["value"] < 1.1e-10
-
-
-@pytest.mark.parametrize("lam, check", [(12.0, "hls_quotient_constant"),
-                                         (16.0, "hls_quotient_extremizer")])
-def test_verify_quotient_row_sees_a_small_error(capsys, monkeypatch, lam, check):
-    # the quotient rows measure below 6e-15 against bounds of 1e-13 and 1e-12, so a
-    # relative error of 1e-10 in hls_quotient at one lambda fails that row (and only it)
-    quotient = functional.hls_quotient
-
-    def off(f, at, jmax=40):
-        return quotient(f, at, jmax) * (1.0 + (1e-10 if at == lam else 0.0))
-
-    monkeypatch.setattr(functional, "hls_quotient", off)
-    code, out, _ = run(["verify", "--mc-samples", "50"], capsys)
-    assert code == 1
-    failed = [r for r in json.loads(out)["rows"] if not r["pass"]]
-    assert [r["check"] for r in failed] == [check]
-    assert 9e-11 < failed[0]["rel_err"] < 1.1e-10
 
 
 def test_eigs_high_degree_exits_zero(capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from octhls import specfun, spectra
+from octhls import _checks, cli, specfun, spectra
 from octhls.nilgroup import Q
 
 SPHERE = 2.0 * math.pi ** 8 / math.factorial(7)
@@ -156,22 +156,22 @@ def test_quadrature_orthogonality():
         assert abs(values[(j, k)]) < 1e-10
 
 
+def _cell_errors(kind, alpha, jmax):
+    """{(j, k): the oracle's error against the closed form} over the kind's table."""
+    return {(j, k): err for j, k, *_, err in cli._oracle_cells(kind, alpha, jmax)}
+
+
 def test_quadrature_matches_closed_form_spot():
     for alpha in (3.5, 4.75):
-        values = spectra.eig_quadrature_table(spectra.kernel_K1(alpha), alpha, 3).values
-        for j, k in ((0, 0), (2, 1), (3, 3)):
-            cf = spectra.eig_K1(j, k, alpha)
-            qd = values[(j, k)]
-            assert abs(qd - cf) / abs(cf) < 1e-6
+        errors = _cell_errors("K1", alpha, 3)
+        for jk in ((0, 0), (2, 1), (3, 3)):
+            assert errors[jk] < 1e-6
 
 
 def test_quadrature_K2_matches_closed_form_spot():
-    alpha = 4.75
-    values = spectra.eig_quadrature_table(spectra.kernel_K2(alpha), alpha, 2).values
-    for j, k in ((0, 0), (2, 0), (2, 2)):
-        cf = spectra.eig_K2(j, k, alpha)
-        qd = values[(j, k)]
-        assert abs(qd - cf) / abs(cf) < 1e-6
+    errors = _cell_errors("K2", 4.75, 2)
+    for jk in ((0, 0), (2, 0), (2, 2)):
+        assert errors[jk] < 1e-6
 
 
 def test_quadrature_non_convergence_raises():
@@ -231,15 +231,9 @@ def test_quadrature_kernel_vanishing_near_the_corner(cut):
 def test_quadrature_near_domain_edge():
     # the measured geometric tail carries the oracle up to alpha < 11/2,
     # where 92% of the (0, 0) integral lies beyond the last level
-    alpha = 5.499
-    for kern, closed in (
-        (spectra.kernel_K1(alpha), spectra.eig_K1),
-        (spectra.kernel_K2(alpha), spectra.eig_K2),
-    ):
-        table = spectra.eig_quadrature_table(kern, alpha, 6)
-        for (j, k), qd in sorted(table.values.items()):
-            cf = closed(j, k, alpha)
-            assert abs(qd - cf) / abs(cf) < 1e-12, (kern.name, j, k)
+    for kind in ("K1", "K2"):
+        for j, k, cf, _, err in cli._oracle_cells(kind, 5.499, 6):
+            assert cf != 0.0 and err < 1e-12, (kind, j, k)
 
 
 @pytest.mark.parametrize("alpha", [4.0, 5.0, 5.45])
@@ -595,8 +589,7 @@ def test_margin_table_is_margin_terms_cell_by_cell(alpha):
         calls = np.array([spectra.bilinear_margin(jj, kk, alpha) for jj, kk in cells])
         assert _same_bits(calls, want), jmax
     # and the four-term sum within its rounding (measured worst 3.0e-15, at alpha = 0.1)
-    j, k, _ = _margin_table_cells(alpha, 129)
-    assert max(_four_term_error(jj, kk, alpha) for jj, kk in zip(j.tolist(), k.tolist())) <= 4e-15
+    assert _checks.margin_four_term_error(alpha, 129) <= 4e-15
 
 
 @pytest.mark.parametrize("alpha", [0.3, 2.5, 3.0, 4.0, 5.45])
@@ -790,20 +783,6 @@ def test_alpha_of_any_float_type_shares_one_block():
 
 def test_intertwining_base_value():
     assert abs(spectra.intertwining_spectrum(2.0, 0, 0) - 10.0) < 1e-12
-
-
-def test_intertwining_identity():
-    for d in (2.0, 4.0, 8.0):
-        cd = spectra.c_d(d)
-        for j in range(5):
-            for k in range(j + 1):
-                v = (
-                    cd
-                    * 2.0 ** ((Q - d) / 2.0)
-                    * spectra.eig_K1(j, k, (Q - d) / 4.0)
-                    * spectra.intertwining_spectrum(d, j, k)
-                )
-                assert abs(v - 1.0) < 1e-12
 
 
 def test_intertwining_zero_at_denominator_poles():
@@ -1022,20 +1001,13 @@ def test_quadrature_high_degree(jmax, alpha):
     # criterion 04's bounds far above its jmax 6: a fixed 16-node rule fails here
     # from (15, 15) up, and the rule that follows jmax does not; and every table
     # within 1e-14 of its largest entry (measured: at most 6.3e-15, at alpha = 5.45)
-    for kern, closed in (
-        (spectra.kernel_K1(alpha), spectra.eig_K1),
-        (spectra.kernel_K2(alpha), spectra.eig_K2),
-    ):
-        table = spectra.eig_quadrature_table(kern, alpha, jmax)
-        assert len(table.values) == (jmax + 1) * (jmax + 2) // 2
-        top = max(abs(closed(j, k, alpha)) for j, k in table.values)
-        for (j, k), qd in table.values.items():
-            cf = closed(j, k, alpha)
-            if cf != 0.0:
-                assert abs(qd - cf) / abs(cf) < 1e-6, (kern.name, j, k)
-            else:
-                assert abs(qd) < 1e-8, (kern.name, j, k)
-            assert abs(qd - cf) < 1e-14 * top, (kern.name, j, k)
+    for kind in ("K1", "K2"):
+        cells = list(cli._oracle_cells(kind, alpha, jmax))
+        assert len(cells) == (jmax + 1) * (jmax + 2) // 2
+        top = max(abs(cf) for _, _, cf, _, _ in cells)
+        for j, k, cf, qd, err in cells:
+            assert err < (1e-6 if cf != 0.0 else 1e-8), (kind, j, k)
+            assert abs(qd - cf) < 1e-14 * top, (kind, j, k)
 
 
 def test_quadrature_rule_follows_jmax(monkeypatch):
