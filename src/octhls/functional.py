@@ -97,9 +97,9 @@ def _angles(re, im):
 class AxisZonalFunction:
     """A sphere function with a symmetry axis, stored as profile H(theta, phi).
 
-    The profile is a broadcasting function of the angles, like ZonalKernel.angles:
-    on the quadrature grid it receives a (n_theta, 1) theta column and a (1, n_phi)
-    phi row, at sphere points two arrays of the points' shape.  Its values are
+    The profile is a broadcasting function of the angles: on the quadrature grid
+    it receives a (n_theta, 1) theta column and a (1, n_phi) phi row, at sphere
+    points two arrays of the points' shape.  Its values are
     broadcast to the shape of theta and phi together, so a constant may be a scalar.
     """
 

@@ -20,6 +20,7 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -56,39 +57,31 @@ _FH_CONST = 16.0 * math.pi ** 7 / 45.0
 class ZonalKernel:
     """A kernel K(w) that depends on w only through |w| and Re w.
 
-    ``angles(theta, phi)`` returns K at |w| = cos theta, Re w / |w| = cos phi
-    for arrays of any broadcastable shapes, with the broadcast shape; the
-    angles keep the digits that 1 - cos loses near the singular corner.
-    ``angles`` must not write into its arguments: the quadrature oracle passes
-    read-only views of a grid that every table at the same jmax shares, and a
-    write raises ValueError.
+    ``at(d2, theta)`` returns K at |1 - w|^2 = d2, |w| = cos theta for arrays
+    of any broadcastable shapes, with the broadcast shape.  The quadrature
+    oracle passes a level's (theta nodes x phi nodes) array of d2 and its
+    theta column, d2 formed as 4 sin^4(theta/2) + 4 cos theta sin^2(phi/2)
+    = (1 - r)^2 + 2 r (1 - cos phi) at r = cos theta, which keeps the digits
+    that 1 - cos loses near the singular corner.  Both are read-only: the
+    theta column is a view of the grid every table at the same jmax shares,
+    and a write raises ValueError.
     """
 
-    angles: Callable
+    at: Callable
     name: str = "zonal"
-
-
-def _dist2_angles(theta, phi):
-    """|1 - w|^2 = (1 - r)^2 + 2 r (1 - cos phi) at r = cos theta, cancellation-free."""
-    return 4.0 * np.sin(theta / 2.0) ** 4 + 4.0 * np.cos(theta) * np.sin(phi / 2.0) ** 2
 
 
 def kernel_K1(alpha):
     """K1 = |1 - w|^(-2 alpha) = (1 - 2 r x + r^2)^(-alpha)."""
     a = float(alpha)
-    return ZonalKernel(
-        lambda theta, phi: _dist2_angles(theta, phi) ** (-a),
-        name=f"K1 at alpha = {a}",
-    )
+    return ZonalKernel(lambda d2, theta: d2 ** (-a), name=f"K1 at alpha = {a}")
 
 
 def kernel_K2(alpha):
     """K2 = |w|^2 |1 - w|^(-2 alpha)."""
     a = float(alpha)
-    return ZonalKernel(
-        lambda theta, phi: np.cos(theta) ** 2 * _dist2_angles(theta, phi) ** (-a),
-        name=f"K2 at alpha = {a}",
-    )
+    return ZonalKernel(lambda d2, theta: np.cos(theta) ** 2 * d2 ** (-a),
+                       name=f"K2 at alpha = {a}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,22 +119,40 @@ _LEVELS = 64
 _BLOCK = 8
 
 
+class _Level(NamedTuple):
+    """What a dyadic theta level reads of its grid.  Its arrays are read-only, and none
+    is a view of the dyadic prefix: a deeper level replaces the prefix, and a kept view
+    would keep the old one alive."""
+
+    theta: np.ndarray  # the level's theta nodes, a column (n, 1)
+    w: np.ndarray  # their sin^7 cos^7 weights
+    T: np.ndarray  # the theta factors of bispherical_basis at them, (pairs, n)
+    A: np.ndarray  # 4 sin^4(theta/2), a column
+    B: np.ndarray  # 4 cos theta, a column
+    phi: np.ndarray  # the nodes of the level's phi grid on [0, pi]
+    sw: np.ndarray  # sin^6 phi times their weights
+    S: np.ndarray  # sin^2(phi/2) at them
+    cut: int  # the dyadic panels' columns: the first cut, then the end panel's n
+    G_end: np.ndarray  # the end panel's gegenbauer3 rows
+
+
 class _Grid:
     """Everything of the oracle at one jmax that does not depend on the kernel.
 
     The Gauss-Legendre rule of n = max(16, jmax + 8) nodes, the theta nodes of
-    every level and their sin^7 cos^7 weights are built with the grid.  The
-    rest is built as tables reach deeper levels: the theta factors in blocks
-    of _BLOCK levels, and the phi panels.  A level L's phi grid is the dyadic
-    panels [pi 2^(-i-1), pi 2^-i], i < L, then the end panel [0, pi 2^-L].
-    The dyadic panels are kept once, as one prefix of three arrays (their
-    nodes, sin^6 phi times their weights, and their gegenbauer3 rows) that a
-    deeper level extends by one concatenation; level L reads the first L n
-    columns of it in place.  The end panel of each L is kept with the level's
-    whole 1-D nodes and weights, so the gegenbauer3 rows a grid keeps grow with
-    the levels reached, not their square; only those 1-D arrays do (7.5 MB after
-    all 64 levels at jmax 100, against 285 MB of theta factors).  Every array a
-    grid hands out is read-only.
+    every level, their sin^7 cos^7 weights and the theta parts A = 4 sin^4(theta/2)
+    and B = 4 cos theta of |1 - w|^2 = A + B sin^2(phi/2) are built with the grid.
+    The rest is built as tables reach deeper levels: the theta factors in blocks
+    of _BLOCK levels, the phi panels, and one _Level record per level reached.
+    A level L's phi grid is the dyadic panels [pi 2^(-i-1), pi 2^-i], i < L,
+    then the end panel [0, pi 2^-L].  The dyadic panels are kept once, as one
+    prefix of three arrays (their nodes, sin^6 phi times their weights, and their
+    gegenbauer3 rows) that a deeper level extends by one concatenation; a level
+    reads the first L n columns of its rows in place.  The end panel's rows of
+    each L are kept with the level's whole 1-D nodes, weights and sin^2(phi/2),
+    so the gegenbauer3 rows a grid keeps grow with the levels reached, not their
+    square; only those 1-D arrays do (11.3 MB after all 64 levels at jmax 100,
+    against 285 MB of theta factors).  Every array a grid hands out is read-only.
     """
 
     def __init__(self, jmax):
@@ -151,12 +162,15 @@ class _Grid:
         theta, w = _panels(hi / 2.0, hi, self.rule)
         self.theta = _freeze(theta)
         self.w7 = _freeze(w * np.sin(theta) ** 7 * np.cos(theta) ** 7)
+        self.A = _freeze(4.0 * np.sin(theta / 2.0) ** 4)
+        self.B = _freeze(4.0 * np.cos(theta))
         j, k, T = bispherical_basis(jmax, theta[:_BLOCK])  # every table visits level 0
         self.j, self.k, self.m = _freeze(j), _freeze(k), _freeze(j - k)
         self._T = [_freeze(T)]
         # the dyadic panels i < L reached, end to end: (nodes, sin^6 phi w, gegenbauer3 rows)
         self._prefix = tuple(_freeze(np.empty(shape)) for shape in (0, 0, (jmax + 1, 0)))
-        self._ends = {}  # by L: the level's nodes and sin^6 phi w, and the end panel's rows
+        self._ends = {}  # by L: the level's nodes, sin^6 phi w and S, and the end panel's rows
+        self._levels = {}  # by level reached: its _Level
 
     def theta_factors(self, level):
         """The theta factors of bispherical_basis at the nodes of the level, shape (pairs, n)."""
@@ -165,31 +179,37 @@ class _Grid:
             self._T.append(_freeze(bispherical_basis(self.jmax, self.theta[b:b + _BLOCK])[2]))
         return self._T[level // _BLOCK][:, level % _BLOCK]
 
-    def phi(self, theta):
-        """(nodes, sin^6 phi w, dyadic rows, end rows) of the phi grid on [0, pi] for the
-        level whose smallest theta node is theta, refined dyadically down to the kernel
-        width there: the nodes and weights of the whole grid, the gegenbauer3 rows of
-        its dyadic panels as a view of the prefix, and those of its end panel.
+    def level(self, level):
+        """The _Level of dyadic theta level `level`, built when a table first reaches it,
+        with its phi grid refined dyadically down to the kernel width at its smallest
+        theta node.
 
         The kernel feature scale in phi at r = cos theta is ~ (1 - r); below
         it the integrand is smooth, so refinement stops there.
         """
-        width = 2.0 * math.sin(theta / 2.0) ** 2
-        levels = math.ceil(math.log2(math.pi / width))
+        rec = self._levels.get(level)
+        if rec is not None:
+            return rec
+        th = self.theta[level]
+        width = 2.0 * math.sin(th[0] / 2.0) ** 2
+        depth = math.ceil(math.log2(math.pi / width))
         n = len(self.rule[0])
-        cut, reached = levels * n, self._prefix[0].size // n
-        if reached < levels:
+        cut, reached = depth * n, self._prefix[0].size // n
+        if reached < depth:
             new = [self._panel(math.pi * 2.0 ** -(i + 1), math.pi * 2.0 ** -i)
-                   for i in range(reached, levels)]
+                   for i in range(reached, depth)]
             self._prefix = tuple(_freeze(np.concatenate(parts, axis=-1))
                                  for parts in zip(self._prefix, *new))
-        if levels not in self._ends:
-            phi, sw, G_end = self._panel(0.0, math.pi * 2.0 ** -levels)
-            nodes, weights = self._prefix[0][:cut], self._prefix[1][:cut]
-            self._ends[levels] = (_freeze(np.concatenate([nodes, phi])),
-                                  _freeze(np.concatenate([weights, sw])), G_end)
-        phi, sw, G_end = self._ends[levels]
-        return phi, sw, self._prefix[2][:, :cut], G_end
+        if depth not in self._ends:
+            phi, sw, G_end = self._panel(0.0, math.pi * 2.0 ** -depth)
+            nodes = _freeze(np.concatenate([self._prefix[0][:cut], phi]))
+            self._ends[depth] = (nodes, _freeze(np.concatenate([self._prefix[1][:cut], sw])),
+                                 _freeze(np.sin(nodes / 2.0) ** 2), G_end)
+        phi, sw, S, G_end = self._ends[depth]
+        rec = _Level(th[:, None], self.w7[level], self.theta_factors(level), self.A[level][:, None],
+                     self.B[level][:, None], phi, sw, S, cut, G_end)
+        self._levels[level] = rec
+        return rec
 
     def _panel(self, lo, hi):
         phi, w = _panels(lo, hi, self.rule)
@@ -199,7 +219,7 @@ class _Grid:
 
 #: the most recently used jmax values whose grid is kept: a CLI command runs at one
 #: jmax, and at jmax 100 a grid holds about 35 MiB per block of levels reached: 71 MiB
-#: after a K1 table at alpha = 4 (9 levels), 109 MiB at 5.45 (21), 182 MiB at 5.49 (38)
+#: after a K1 table at alpha = 4 (9 levels), 109 MiB at 5.45 (21), 184 MiB at 5.49 (38)
 _GRIDS = 2
 
 
@@ -212,18 +232,20 @@ def _grid(jmax):
 def _level(grid, kern, level):
     """(c, ref) of dyadic theta level `level`: the level's share of every pair's
     Funk-Hecke integral, without _FH_CONST, and of the (0, 0) reference integral
-    of |K| over phi."""
-    th, w = grid.theta[level], grid.w7[level]
-    T = grid.theta_factors(level)
-    phi, sw, G, G_end = grid.phi(th[0])
-    cut = G.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        kw = kern.angles(th[:, None], phi) * sw
-        inner = kw[:, :cut] @ G.T  # inner[i, m]: the dyadic panels, then the end panel
-        inner += kw[:, cut:] @ G_end.T
-        c = np.einsum("pi,i,ip->p", T, w, inner[:, grid.m])
-        ref = float(np.dot(w, np.abs(inner[:, 0])))
+    of |K| over phi.  The kernel takes d2 = A + B S, the operations of
+    4 sin^4(theta/2) + 4 cos theta sin^2(phi/2) in their order, read-only."""
+    theta, w, T, A, B, _, sw, S, cut, G_end = grid.level(level)
+    kw = kern.at(_freeze(A + B * S), theta) * sw
+    inner = kw[:, :cut] @ grid._prefix[2][:, :cut].T  # inner[i, m]: the dyadic panels,
+    inner += kw[:, cut:] @ G_end.T  # then the end panel
+    c = np.einsum("pi,i,ip->p", T, w, inner[:, grid.m])
+    ref = float(np.dot(w, np.abs(inner[:, 0])))
     return c, ref
+
+
+def _not_finite(kern, level):
+    return ValueError(f"Funk-Hecke quadrature of {kern.name} is not finite at dyadic theta"
+                      f" level {level}: the oracle cannot converge there")
 
 
 def _quadrature_core(kern, jmax):
@@ -237,7 +259,9 @@ def _quadrature_core(kern, jmax):
     Dyadic theta level l is the panel [pi 2^(-l-2), pi 2^(-l-1)].  Everything
     but the kernel comes from the _Grid of jmax; a table evaluates the kernel
     once per level on its (theta nodes x phi nodes) array, with the phi grid of
-    the level's smallest theta node.
+    the level's smallest theta node.  A table runs under one np.errstate that
+    ignores overflow: a level whose sums are not finite, or a table that is not,
+    raises instead.
 
     Level L adds c_L to the pairs and ref_L to the (0, 0) reference, whose
     ratios rho_L = ref_L / ref_(L-1) approach rho with an error that shrinks by
@@ -256,28 +280,30 @@ def _quadrature_core(kern, jmax):
     totals = np.zeros(len(j))
     ref_total, prev, rho_prev, hat_prev = 0.0, 0.0, math.inf, math.inf
     c_prev = est = None
-    for level in range(_LEVELS):
-        c, ref = _level(grid, kern, level)
-        ref_total += ref
-        if not (np.isfinite(c).all() and math.isfinite(ref_total)):
-            raise ValueError(
-                f"Funk-Hecke quadrature of {kern.name} is not finite at dyadic theta level"
-                f" {level}: the oracle cannot converge there"
-            )
-        rho = ref / prev if prev else math.inf  # no ratio after an empty level
-        rho_hat = max(rho + (rho - rho_prev) / 3.0, 0.0) if rho_prev < math.inf else math.inf
-        settled = rho < 1.0 and ref * abs(rho - rho_prev) <= 1e-15 * (1.0 - rho) ** 2 * ref_total
-        if rho_hat < 1.0 and (settled or ref * abs(rho_hat - hat_prev)
-                              <= 1e-15 * (1.0 - rho_hat) ** 2 * ref_total):
-            b = (rho_hat * c_prev - c) / 3.0  # (c_L - rho c_(L-1)) q / (q - rho), q = rho/4
-            last, est = est, totals + (c - b) / (1.0 - rho_hat) + b / (1.0 - rho_hat / 4.0)
-            if settled or (last is not None
-                           and np.abs(est - last).max() <= 1e-15 * np.abs(est).max()):
-                return j, k, _FH_CONST * est
-        else:
-            est = None
-        totals += c
-        c_prev, prev, rho_prev, hat_prev = c, ref, rho, rho_hat
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(_LEVELS):
+            c, ref = _level(grid, kern, level)
+            ref_total += ref
+            if not (np.isfinite(c).all() and math.isfinite(ref_total)):
+                raise _not_finite(kern, level)
+            rho = ref / prev if prev else math.inf  # no ratio after an empty level
+            rho_hat = max(rho + (rho - rho_prev) / 3.0, 0.0) if rho_prev < math.inf else math.inf
+            settled = (rho < 1.0
+                       and ref * abs(rho - rho_prev) <= 1e-15 * (1.0 - rho) ** 2 * ref_total)
+            if rho_hat < 1.0 and (settled or ref * abs(rho_hat - hat_prev)
+                                  <= 1e-15 * (1.0 - rho_hat) ** 2 * ref_total):
+                b = (rho_hat * c_prev - c) / 3.0  # (c_L - rho c_(L-1)) q / (q - rho), q = rho/4
+                last, est = est, totals + (c - b) / (1.0 - rho_hat) + b / (1.0 - rho_hat / 4.0)
+                if settled or (last is not None
+                               and np.abs(est - last).max() <= 1e-15 * np.abs(est).max()):
+                    values = _FH_CONST * est
+                    if not np.isfinite(values).all():
+                        raise _not_finite(kern, level)
+                    return j, k, values
+            else:
+                est = None
+            totals += c
+            c_prev, prev, rho_prev, hat_prev = c, ref, rho, rho_hat
     if not ref_total:  # the kernel vanishes on every level
         return j, k, np.zeros(len(j))
     raise ValueError(

@@ -143,14 +143,14 @@ def test_alpha_domain_errors():
 
 def test_quadrature_constant_kernel_gives_sphere_measure():
     # a kernel other than K1 or K2 has no alpha: its tables here carry nan as their alpha
-    kern = spectra.ZonalKernel(lambda theta, phi: np.ones_like(theta * phi), name="one")
+    kern = spectra.ZonalKernel(lambda d2, theta: np.ones_like(d2), name="one")
     val = spectra.eig_quadrature_table(kern, math.nan, 0).values[(0, 0)]
     assert abs(val - SPHERE) / SPHERE < 1e-13
 
 
 def test_quadrature_orthogonality():
     # a constant kernel is orthogonal to every non-trivial zonal subspace
-    kern = spectra.ZonalKernel(lambda theta, phi: np.ones_like(theta * phi), name="one")
+    kern = spectra.ZonalKernel(lambda d2, theta: np.ones_like(d2), name="one")
     values = spectra.eig_quadrature_table(kern, math.nan, 3).values
     for j, k in ((1, 0), (2, 1), (3, 3)):
         assert abs(values[(j, k)]) < 1e-10
@@ -186,13 +186,13 @@ def test_quadrature_non_convergence_raises():
 def test_quadrature_level_budget_raises():
     # sin^-8 theta against the sin^7 theta weight: every level contributes
     # the same amount and nothing overflows, so the levels never settle
-    kern = spectra.ZonalKernel(lambda th, ph: np.sin(th) ** -8 + 0 * ph)
+    kern = spectra.ZonalKernel(lambda d2, th: np.sin(th) ** -8 + 0 * d2)
     with pytest.raises(ValueError, match=r"zonal did not settle within 64 dyadic theta levels"):
         spectra.eig_quadrature_table(kern, math.nan, 0)
 
 
 def test_quadrature_zero_kernel_gives_zero():
-    kern = spectra.ZonalKernel(lambda th, ph: np.zeros_like(th * ph), name="zero")
+    kern = spectra.ZonalKernel(lambda d2, th: np.zeros_like(d2), name="zero")
     values = spectra.eig_quadrature_table(kern, math.nan, 3).values
     assert values[(0, 0)] == 0.0
     assert values[(3, 1)] == 0.0
@@ -212,7 +212,7 @@ def _band_measure(lo, hi):
 def test_quadrature_kernel_vanishing_on_top_levels():
     # the indicator of theta < pi/8 is zero on dyadic levels 0 and 1: an
     # empty level gives no ratio, so the oracle must not stop there
-    kern = spectra.ZonalKernel(lambda th, ph: (th < np.pi / 8) + 0.0 * ph, name="cap")
+    kern = spectra.ZonalKernel(lambda d2, th: (th < np.pi / 8) + 0.0 * d2, name="cap")
     exact = _band_measure(0.0, np.pi / 8)
     val = spectra.eig_quadrature_table(kern, math.nan, 0).values[(0, 0)]
     assert abs(val - exact) / exact < 1e-13
@@ -222,7 +222,7 @@ def test_quadrature_kernel_vanishing_on_top_levels():
 def test_quadrature_kernel_vanishing_near_the_corner(cut):
     # the indicator of theta > cut is zero from dyadic level 2 (pi/8) or 3 (pi/16) on:
     # the level ratio drops to 0 there, and the table closes with an empty tail
-    kern = spectra.ZonalKernel(lambda th, ph: (th > cut) + 0.0 * ph, name="band")
+    kern = spectra.ZonalKernel(lambda d2, th: (th > cut) + 0.0 * d2, name="band")
     exact = _band_measure(cut, np.pi / 2)
     val = spectra.eig_quadrature_table(kern, math.nan, 0).values[(0, 0)]
     assert abs(val - exact) / exact < 1e-13
@@ -270,12 +270,12 @@ def test_quadrature_visits_no_more_levels(jmax):
         for alpha, before in zip(_CRITERION_04_ALPHAS, _ONE_RATIO_LEVELS[jmax][kind]):
             kern, calls = make(alpha), []
 
-            def angles(th, phi, kern=kern, calls=calls):
-                calls.append(th.shape)
-                return kern.angles(th, phi)
+            def at(d2, th, kern=kern, calls=calls):
+                calls.append(d2.shape)
+                return kern.at(d2, th)
 
             try:
-                spectra.eig_quadrature_table(spectra.ZonalKernel(angles, kern.name), alpha, jmax)
+                spectra.eig_quadrature_table(spectra.ZonalKernel(at, kern.name), alpha, jmax)
             except ValueError:
                 assert (jmax, alpha) == (40, 5.49), kern.name  # the overflow near the corner
             assert len(calls) <= before, (kern.name, len(calls))
@@ -892,12 +892,12 @@ def test_quadrature_table_builds_theta_factors_once(monkeypatch):
         for kind in (spectra.kernel_K1, spectra.kernel_K2):
             kern, Ls = kind(alpha), []
 
-            def angles(th, phi, kern=kern, Ls=Ls):
-                Ls.append(phi.size // 16 - 1)  # 16 nodes per panel at jmax 6
-                return kern.angles(th, phi)
+            def at(d2, th, kern=kern, Ls=Ls):
+                Ls.append(d2.shape[1] // 16 - 1)  # 16 phi nodes per panel at jmax 6
+                return kern.at(d2, th)
 
             built = len(jac), len(geg)
-            spectra.eig_quadrature_table(spectra.ZonalKernel(angles, kern.name), alpha, 6)
+            spectra.eig_quadrature_table(spectra.ZonalKernel(at, kern.name), alpha, 6)
             deeper = len(Ls) > levels
             levels = max(levels, len(Ls))
             ends.update(Ls)
@@ -932,45 +932,77 @@ def test_quadrature_warm_table_equals_cold(jmax):
 
 @pytest.mark.parametrize("jmax", [2, 6])
 def test_quadrature_grid_keeps_each_dyadic_panel_once(jmax, monkeypatch):
-    # the dyadic phi panels of a grid are one prefix of n columns per panel: a level
-    # with L dyadic panels reads the first L n columns of its gegenbauer3 rows in place,
-    # and after tables at several depths the prefix holds the deepest L's panels once
+    # the dyadic phi panels of a grid are one prefix of n columns per panel, each built
+    # once, in order: after tables at several depths the prefix holds the deepest L's
+    # panels, every depth has built its one end panel, and no level's record holds a
+    # view of the prefix, which a deeper level replaces
     spectra._grid.cache_clear()
     grid, n = spectra._grid(jmax), max(16, jmax + 8)
-    phi, depths = grid.phi, set()
-
-    def spy(theta):
-        nodes, sw, G, G_end = phi(theta)
-        L = nodes.size // n - 1
-        assert sw.shape == nodes.shape and G_end.shape == (jmax + 1, n)
-        assert G.shape == (jmax + 1, L * n) and np.shares_memory(G, grid._prefix[2])
-        assert not (G.flags.writeable or G_end.flags.writeable)
-        depths.add(L)
-        return nodes, sw, G, G_end
-
-    monkeypatch.setattr(grid, "phi", spy)
+    panel, built = grid._panel, []
+    monkeypatch.setattr(grid, "_panel", lambda lo, hi: built.append((lo, hi)) or panel(lo, hi))
     for alpha in (4.0, 5.499, 1.5):  # a first table, a deeper one, then a shallower one
         for make in (spectra.kernel_K1, spectra.kernel_K2):
             spectra.eig_quadrature_table(make(alpha), alpha, jmax)
+    depths = {rec.cut // n for rec in grid._levels.values()}
     assert len(depths) > 2
+    assert [p for p in built if p[0]] == [(np.pi * 2.0 ** -(i + 1), np.pi * 2.0 ** -i)
+                                          for i in range(max(depths))]
+    assert sorted(hi for lo, hi in built if not lo) == sorted(np.pi * 2.0 ** -L for L in depths)
     assert [a.shape[-1] for a in grid._prefix] == [max(depths) * n] * 3
+    for rec in grid._levels.values():
+        assert rec.phi.shape == rec.sw.shape == rec.S.shape == (rec.cut + n,)
+        assert rec.G_end.shape == (jmax + 1, n)
+        for arr in (rec.theta, rec.w, rec.T, rec.A, rec.B, rec.phi, rec.sw, rec.S, rec.G_end):
+            assert not arr.flags.writeable
+            assert not any(np.shares_memory(arr, part) for part in grid._prefix)
 
 
-@pytest.mark.parametrize("arg", ["theta", "phi"])
+@pytest.mark.parametrize("arg", ["d2", "theta"])
 def test_quadrature_kernel_cannot_write_the_grid(arg):
-    # a kernel reads read-only views of the grid every table at its jmax shares:
-    # writing into theta or phi raises, and the next table is unchanged
+    # a kernel reads d2 and a view of the grid every table at its jmax shares, both
+    # read-only: writing into either raises, and the next table is unchanged
     kern = spectra.kernel_K1(4.0)
     want = spectra.eig_quadrature_table(kern, 4.0, 3).values
 
-    def angles(theta, phi):
-        {"theta": theta, "phi": phi}[arg][...] = 1.0
-        return kern.angles(theta, phi)
+    def at(d2, theta):
+        {"d2": d2, "theta": theta}[arg][...] = 1.0
+        return kern.at(d2, theta)
 
     with pytest.raises(ValueError, match="read-only"):
-        spectra.eig_quadrature_table(spectra.ZonalKernel(angles), math.nan, 3)
+        spectra.eig_quadrature_table(spectra.ZonalKernel(at), math.nan, 3)
     got = spectra.eig_quadrature_table(kern, 4.0, 3).values
     assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
+def test_quadrature_kernel_receives_the_distance_of_its_level():
+    # d2 = A + B S from the grid's factors is 4 sin^4(theta/2) + 4 cos theta sin^2(phi/2)
+    # on the level's theta and phi nodes, bit for bit, at every level of a K1 table
+    kern, seen = spectra.kernel_K1(5.45), []
+
+    def at(d2, theta):
+        seen.append((d2, theta))
+        return kern.at(d2, theta)
+
+    spectra.eig_quadrature_table(spectra.ZonalKernel(at), 5.45, 6)
+    grid = spectra._grid(6)
+    assert len(seen) > spectra._BLOCK
+    for level, (d2, theta) in enumerate(seen):
+        th, phi = grid.theta[level][:, None], grid.level(level).phi
+        want = 4.0 * np.sin(th / 2.0) ** 4 + 4.0 * np.cos(th) * np.sin(phi / 2.0) ** 2
+        assert theta.tobytes() == th.tobytes() and d2.shape == want.shape, level
+        assert d2.tobytes() == want.tobytes(), level
+
+
+def test_quadrature_table_that_overflows_raises(monkeypatch):
+    # every level's sums are finite, but the table they close to is not: 1e308 (1 + 1/2
+    # + 1/4 / (1 - 1/2)) at the settled level 2.  A table runs under one np.errstate,
+    # so its own tail arithmetic does not warn, and the table is checked instead
+    def level(grid, kern, level):
+        return np.full(len(grid.j), 1e308 * 0.5 ** level), 0.5 ** level
+
+    monkeypatch.setattr(spectra, "_level", level)
+    with pytest.raises(ValueError, match=r"K1 at alpha = 4\.0 is not finite at dyadic theta level 2"):
+        spectra.eig_quadrature_table(spectra.kernel_K1(4.0), 4.0, 3)
 
 
 _INDEXED = {
@@ -1023,10 +1055,10 @@ def test_quadrature_rule_follows_jmax(monkeypatch):
         for alpha in (4.0, 5.0):
             kern = spectra.kernel_K1(alpha)
 
-            def angles(th, phi, kern=kern):
-                shapes.add((th.shape[0], phi.size % th.shape[0]))
-                return kern.angles(th, phi)
+            def at(d2, th, kern=kern):
+                shapes.add((d2.shape[0], d2.shape[1] % d2.shape[0]))
+                return kern.at(d2, th)
 
-            spectra.eig_quadrature_table(spectra.ZonalKernel(angles), alpha, jmax)
+            spectra.eig_quadrature_table(spectra.ZonalKernel(at), alpha, jmax)
         assert sizes == [max(16, jmax + 8)], jmax
         assert shapes == {(max(16, jmax + 8), 0)}, jmax
