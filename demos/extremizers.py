@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from octhls import constants, functional as fn, spectra
+from octhls.cayley import NORTH_POLE
 from octhls.nilgroup import Q
 from octhls.specfun import zonal
 
@@ -21,7 +22,7 @@ def main():
     ref = constants.C_hls_sphere(lam)
     print(f"sharp constant at lambda = {lam:.0f}: {ref:.8e}\n")
 
-    params = fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=lam)
+    params = fn.ExtremizerParams(xi=0.3 * NORTH_POLE, lam=lam)
     h = fn.extremizer_profile(params)
     print("quotient of the conformal extremizer (|xi| = 0.3):")
     print("  ", fn.hls_quotient(h, lam, jmax=40))
@@ -52,7 +53,7 @@ def main():
 
     print("\nthe concentrated end of the family (|xi| = 0.99):")
     rho = 0.99
-    far = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
+    far = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * NORTH_POLE, lam=lam))
     try:
         fn.hls_quotient(far, lam, jmax=40)
     except ValueError as err:  # a jmax 40 projection cannot hold it

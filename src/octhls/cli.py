@@ -186,7 +186,7 @@ def cmd_verify(args):
 
     import numpy as np
 
-    from . import _checks, constants, functional
+    from . import _checks, cayley, constants, functional
 
     rng = np.random.Generator(np.random.Philox(key=[args.seed, 99]))
     n = args.mc_samples
@@ -194,7 +194,7 @@ def cmd_verify(args):
     # the distance relation on the pairs (2i, 2i+1)
     rt, jac, dr = _checks.cayley_identities(zs, ts, slice(0, n - 1, 2), slice(1, n, 2))
     sphere = constants.C_hls_sphere
-    ex = functional.ExtremizerParams(xi=0.3 * functional.NORTH_AXIS, lam=16.0)
+    ex = functional.ExtremizerParams(xi=0.3 * cayley.NORTH_POLE, lam=16.0)
     h = functional.extremizer_profile(ex)
     reports = [
         _check("cayley_round_trip", "", rt, 0.0, 1e-11),

@@ -30,7 +30,6 @@ __all__ = [
     "AxisZonalFunction",
     "BisphericalFunction",
     "ExtremizerParams",
-    "NORTH_AXIS",
     "sample_sphere",
     "extremizer_eval",
     "extremizer_profile",
@@ -47,10 +46,6 @@ __all__ = [
     "recenter",
     "log_sobolev_pair",
 ]
-
-#: the north pole of the zonal frame: e0 of the zeta2 slot
-NORTH_AXIS = NORTH_POLE
-
 
 # ---------------------------------------------------------------------------
 # sampling and zonal angles
@@ -107,7 +102,7 @@ class AxisZonalFunction:
 
     def __init__(self, profile, axis=None, name="zonal function"):
         self.profile = profile
-        a = NORTH_AXIS if axis is None else np.asarray(axis, dtype=float)
+        a = NORTH_POLE if axis is None else np.asarray(axis, dtype=float)
         n = np.linalg.norm(a)
         if not abs(n - 1.0) <= 1e-10:
             raise ValueError("axis must be a unit vector in R^16")
@@ -434,7 +429,7 @@ def center_mass(h, p):
     so the integral reduces to the scalar int cos(theta) cos(phi) h^p.
     """
     p = _check_exponent(p)
-    axis = h.axis if isinstance(h, AxisZonalFunction) else NORTH_AXIS
+    axis = h.axis if isinstance(h, AxisZonalFunction) else NORTH_POLE
     return _axis_moment(_grid_values(h) ** p) * axis
 
 

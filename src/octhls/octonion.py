@@ -33,7 +33,6 @@ __all__ = [
     "mul",
     "im_mul_conj",
     "conj",
-    "im",
     "basis_table_text",
 ]
 
@@ -142,14 +141,9 @@ def im_mul_conj(x, y):
     """Im(x conj(y)) of arrays with shape (..., 8), shape (..., 7).
 
     ``mul`` with the conjugation folded into the expansion of y and the
-    real column dropped: equal to ``im(mul(x, conj(y)))`` to the last bit.
+    real column dropped: equal to ``mul(x, conj(y))[..., 1:]`` to the last bit.
     """
     return _blocked(x, y, _RIGHT_CONJ_IM)
-
-
-def im(x):
-    """Imaginary coefficients c1..c7, shape (..., 7)."""
-    return np.asarray(x, dtype=float)[..., 1:]
 
 
 def from_im(t):

@@ -144,15 +144,16 @@ class _Grid:
     and B = 4 cos theta of |1 - w|^2 = A + B sin^2(phi/2) are built with the grid.
     The rest is built as tables reach deeper levels: the theta factors in blocks
     of _BLOCK levels, the phi panels, and one _Level record per level reached.
-    A level L's phi grid is the dyadic panels [pi 2^(-i-1), pi 2^-i], i < L,
-    then the end panel [0, pi 2^-L].  The dyadic panels are kept once, as one
-    prefix of three arrays (their nodes, sin^6 phi times their weights, and their
-    gegenbauer3 rows) that a deeper level extends by one concatenation; a level
-    reads the first L n columns of its rows in place.  The end panel's rows of
-    each L are kept with the level's whole 1-D nodes, weights and sin^2(phi/2),
-    so the gegenbauer3 rows a grid keeps grow with the levels reached, not their
-    square; only those 1-D arrays do (11.3 MB after all 64 levels at jmax 100,
-    against 285 MB of theta factors).  Every array a grid hands out is read-only.
+    The phi grid of depth D is the dyadic panels [pi 2^(-i-1), pi 2^-i], i < D,
+    then the end panel [0, pi 2^-D]; each level has its own depth, 2 level + 4.
+    The dyadic panels are kept once, as one prefix of three arrays (their nodes,
+    sin^6 phi times their weights, and their gegenbauer3 rows) that a deeper
+    level extends by one concatenation; a level reads the first D n columns of
+    its rows in place.  A level's record keeps its end panel's rows with its whole
+    1-D phi nodes, weights and sin^2(phi/2), so the gegenbauer3 rows a grid keeps
+    grow with the levels reached, not their square; only those 1-D arrays do
+    (11.3 MB after all 64 levels at jmax 100, against 285 MB of theta factors).
+    Every array a grid hands out is read-only.
     """
 
     def __init__(self, jmax):
@@ -166,18 +167,10 @@ class _Grid:
         self.B = _freeze(4.0 * np.cos(theta))
         j, k, T = bispherical_basis(jmax, theta[:_BLOCK])  # every table visits level 0
         self.j, self.k, self.m = _freeze(j), _freeze(k), _freeze(j - k)
-        self._T = [_freeze(T)]
-        # the dyadic panels i < L reached, end to end: (nodes, sin^6 phi w, gegenbauer3 rows)
+        self._T = [_freeze(T)]  # by block of _BLOCK levels: their theta factors, (pairs, block, n)
+        # the dyadic panels i < D reached, end to end: (nodes, sin^6 phi w, gegenbauer3 rows)
         self._prefix = tuple(_freeze(np.empty(shape)) for shape in (0, 0, (jmax + 1, 0)))
-        self._ends = {}  # by L: the level's nodes, sin^6 phi w and S, and the end panel's rows
         self._levels = {}  # by level reached: its _Level
-
-    def theta_factors(self, level):
-        """The theta factors of bispherical_basis at the nodes of the level, shape (pairs, n)."""
-        while len(self._T) * _BLOCK <= level:
-            b = len(self._T) * _BLOCK
-            self._T.append(_freeze(bispherical_basis(self.jmax, self.theta[b:b + _BLOCK])[2]))
-        return self._T[level // _BLOCK][:, level % _BLOCK]
 
     def level(self, level):
         """The _Level of dyadic theta level `level`, built when a table first reaches it,
@@ -200,14 +193,15 @@ class _Grid:
                    for i in range(reached, depth)]
             self._prefix = tuple(_freeze(np.concatenate(parts, axis=-1))
                                  for parts in zip(self._prefix, *new))
-        if depth not in self._ends:
-            phi, sw, G_end = self._panel(0.0, math.pi * 2.0 ** -depth)
-            nodes = _freeze(np.concatenate([self._prefix[0][:cut], phi]))
-            self._ends[depth] = (nodes, _freeze(np.concatenate([self._prefix[1][:cut], sw])),
-                                 _freeze(np.sin(nodes / 2.0) ** 2), G_end)
-        phi, sw, S, G_end = self._ends[depth]
-        rec = _Level(th[:, None], self.w7[level], self.theta_factors(level), self.A[level][:, None],
-                     self.B[level][:, None], phi, sw, S, cut, G_end)
+        phi, sw, G_end = self._panel(0.0, math.pi * 2.0 ** -depth)
+        phi = _freeze(np.concatenate([self._prefix[0][:cut], phi]))
+        sw = _freeze(np.concatenate([self._prefix[1][:cut], sw]))
+        S = _freeze(np.sin(phi / 2.0) ** 2)
+        while len(self._T) * _BLOCK <= level:
+            b = len(self._T) * _BLOCK
+            self._T.append(_freeze(bispherical_basis(self.jmax, self.theta[b:b + _BLOCK])[2]))
+        rec = _Level(th[:, None], self.w7[level], self._T[level // _BLOCK][:, level % _BLOCK],
+                     self.A[level][:, None], self.B[level][:, None], phi, sw, S, cut, G_end)
         self._levels[level] = rec
         return rec
 
@@ -248,20 +242,28 @@ def _not_finite(kern, level):
                       f" level {level}: the oracle cannot converge there")
 
 
-def _quadrature_core(kern, jmax):
-    """Evaluation of the Funk-Hecke integral for every j <= jmax on the shared grid.
+@dataclass
+class EigenTable:
+    """Eigenvalues for one kernel exponent: ``values`` maps (j, k) to the eigenvalue."""
 
-    Returns (j, k, values) in bispherical_basis order.  Every theta and phi
-    panel takes the one Gauss-Legendre rule of n = max(16, jmax + 8) nodes, exact
-    to polynomial degree 2n - 1: the harmonic factors times the measure are
-    trigonometric polynomials of degree up to 2 jmax + 14 in theta (jmax + 6 in
-    phi), so the rule follows jmax (16 nodes miss 1e-6 from jmax 9 at alpha = 2.5).
-    Dyadic theta level l is the panel [pi 2^(-l-2), pi 2^(-l-1)].  Everything
-    but the kernel comes from the _Grid of jmax; a table evaluates the kernel
-    once per level on its (theta nodes x phi nodes) array, with the phi grid of
-    the level's smallest theta node.  A table runs under one np.errstate that
-    ignores overflow: a level whose sums are not finite, or a table that is not,
-    raises instead.
+    alpha: float
+    values: dict
+
+
+def eig_quadrature_table(kern, alpha, jmax):
+    """Quadrature eigenvalues of the Funk-Hecke integral for all j <= jmax, k <= j, as an
+    EigenTable of alpha.
+
+    Every theta and phi panel takes the one Gauss-Legendre rule of n = max(16, jmax + 8)
+    nodes, exact to polynomial degree 2n - 1: the harmonic factors times the measure are
+    trigonometric polynomials of degree up to 2 jmax + 14 in theta (jmax + 6 in phi), so
+    the rule follows jmax (16 nodes miss 1e-6 from jmax 9 at alpha = 2.5).  Dyadic theta
+    level l is the panel [pi 2^(-l-2), pi 2^(-l-1)].  Everything but the kernel comes from
+    the _Grid of jmax, built as tables reach deeper levels and kept for the _GRIDS most
+    recently used values of jmax; a table evaluates the kernel once per level on its
+    (theta nodes x phi nodes) array, with the phi grid of the level's smallest theta node,
+    and shares it across all indices.  A table runs under one np.errstate that ignores
+    overflow: a level whose sums are not finite, or a table that is not, raises instead.
 
     Level L adds c_L to the pairs and ref_L to the (0, 0) reference, whose
     ratios rho_L = ref_L / ref_(L-1) approach rho with an error that shrinks by
@@ -276,8 +278,7 @@ def _quadrature_core(kern, jmax):
     closes with an empty tail.
     """
     grid = _grid(_check_degree("jmax", jmax))
-    j, k = grid.j, grid.k
-    totals = np.zeros(len(j))
+    totals = np.zeros(len(grid.j))
     ref_total, prev, rho_prev, hat_prev = 0.0, 0.0, math.inf, math.inf
     c_prev = est = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -299,37 +300,18 @@ def _quadrature_core(kern, jmax):
                     values = _FH_CONST * est
                     if not np.isfinite(values).all():
                         raise _not_finite(kern, level)
-                    return j, k, values
+                    break
             else:
                 est = None
             totals += c
             c_prev, prev, rho_prev, hat_prev = c, ref, rho, rho_hat
-    if not ref_total:  # the kernel vanishes on every level
-        return j, k, np.zeros(len(j))
-    raise ValueError(
-        f"Funk-Hecke quadrature of {kern.name} did not settle within {_LEVELS} dyadic theta levels"
-    )
-
-
-@dataclass
-class EigenTable:
-    """Eigenvalues for one kernel exponent: ``values`` maps (j, k) to the eigenvalue."""
-
-    alpha: float
-    values: dict
-
-
-def eig_quadrature_table(kern, alpha, jmax):
-    """Quadrature eigenvalues for all j <= jmax, k <= j, as an EigenTable.
-
-    The kernel is evaluated once per dyadic level and shared across all
-    indices.  The rest of the grid (the Gauss-Legendre rule of
-    max(16, jmax + 8) nodes per panel, the theta factors, the phi panels and
-    their Gegenbauer rows) is built once per jmax, as tables reach deeper
-    levels, and kept for the _GRIDS most recently used values of jmax.
-    """
-    j, k, vals = _quadrature_core(kern, jmax)
-    return EigenTable(float(alpha), dict(zip(zip(j.tolist(), k.tolist()), vals.tolist())))
+        else:
+            if ref_total:
+                raise ValueError(f"Funk-Hecke quadrature of {kern.name} did not settle within"
+                                 f" {_LEVELS} dyadic theta levels")
+            values = np.zeros(len(grid.j))  # the kernel vanishes on every level
+    cells = zip(grid.j.tolist(), grid.k.tolist())
+    return EigenTable(float(alpha), dict(zip(cells, values.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -468,22 +450,6 @@ def eig_K1_ratio(j, k, alpha):
 # So a margin reads the alpha tables alone, and it is exactly 0 where lambda(K1) is.
 
 
-@functools.lru_cache(maxsize=32)
-def _margin_coefficients(a):
-    """The alpha-only coefficients of the margin product, in the order _margin reads them."""
-    return (2.0 * (2.0 * a - 11.0) / (11.0 - a), 11.0 - a, 8.0 - a, a - 8.0, 8.0 * a - 58.0,
-            (a - 4.0) * (a - 8.0), (8.0 * a - 90.0) * a + 232.0, (15.0 - a) * a - 84.0,
-            (a - 12.0) * a + 11.0, (27.0 - a) * a - 176.0)
-
-
-def _margin(j, k, a, rows):
-    """The margin product at j >= 1, k >= 1 on broadcasting index arrays (rows as ndarrays);
-    each element takes the same operations in the same order, whatever the shapes."""
-    s, t, u, _, _, e2, e1, f1, g2, g1 = _margin_coefficients(a)
-    p = ((e2 - k * (k + 4)) * j + (e1 + k * (f1 - 10 * k))) * j + k * (k * g2 + g1)
-    return rows[0][j] * rows[5][k - 1] * s * p / ((j + t) * ((j - 1.0) + a) * (k + u)) + 0.0
-
-
 #: log2 of the scan-order cells per margin block: block b holds the rows j whose first cell
 #: j (j + 1) / 2 falls in [b 2^_MARGIN_BITS, (b + 1) 2^_MARGIN_BITS), so at most
 #: 2^_MARGIN_BITS + j + 1 cells; 15 was measured against 13..17 (see CHANGES.md)
@@ -536,16 +502,24 @@ def margin_table(alpha, jmax):
 
 def _margin_block(j0, j1, a):
     """(j, k, margin) of the cells of rows j0 <= j < j1 at alpha = a, in scan order: the
-    (j column, k row) rectangle, masked."""
+    (j column, k row) rectangle, masked.  Each cell takes the same operations in the same
+    order, whatever the block."""
     rows = [np.asarray(row) for row in _factor_tables(a, _size(j1 - 1))]
+    s, t, u = 2.0 * (2.0 * a - 11.0) / (11.0 - a), 11.0 - a, 8.0 - a
+    # the alpha parts of P's coefficients: c2 = c2_0 - k (k + 4), c1 = c1_0 + k (c1_1 - 10k),
+    # c0 = k (k c0_2 + c0_1)
+    c2_0, c1_0, c1_1 = (a - 4.0) * (a - 8.0), (8.0 * a - 90.0) * a + 232.0, (15.0 - a) * a - 84.0
+    c0_2, c0_1 = (a - 12.0) * a + 11.0, (27.0 - a) * a - 176.0
     j, k = np.arange(j0, j1)[:, None], np.arange(j1)
     m = np.zeros((len(j), len(k)))
     first = 1 if j0 == 0 else 0  # the one cell of row j = 0 is 0
-    s, t, u, h1, h0 = _margin_coefficients(a)[:5]
-    i = j[first:, 0]  # the k = 0 column, where P / (a + k - 4) = j ((a - 8) j + 8a - 58)
-    den = (i + t) * ((i - 1.0) + a) * u
-    m[first:, 0] = rows[0][i] * rows[3][0] * s * (i * (h1 * i + h0)) / den + 0.0
-    m[first:, 1:] = _margin(j[first:], k[1:], a, rows)
+    i, k1 = j[first:], k[1:]
+    jt = (i + t) * ((i - 1.0) + a)
+    # the k = 0 column, where P / (a + k - 4) = j ((a - 8) j + 8a - 58)
+    p0 = i * ((a - 8.0) * i + (8.0 * a - 58.0))
+    m[first:, :1] = rows[0][i] * rows[3][0] * s * p0 / (jt * u) + 0.0
+    p = ((c2_0 - k1 * (k1 + 4)) * i + (c1_0 + k1 * (c1_1 - 10 * k1))) * i + k1 * (k1 * c0_2 + c0_1)
+    m[first:, 1:] = rows[0][i] * rows[5][k1 - 1] * s * p / (jt * (k1 + u)) + 0.0
     cell = k <= j
     return np.broadcast_to(j, cell.shape)[cell], np.broadcast_to(k, cell.shape)[cell], m[cell]
 

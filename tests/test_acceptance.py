@@ -13,6 +13,7 @@ import pytest
 
 from octhls import _checks, cli, constants, functional as fn, nilgroup as ng, spectra
 from octhls import octonion as oc
+from octhls.cayley import NORTH_POLE
 from octhls.nilgroup import Q
 from octhls.specfun import zonal
 
@@ -187,7 +188,7 @@ def test_criterion_08_intertwining_consistency():
 def test_criterion_09_extremality():
     lam = 16.0
     ref = constants.C_hls_sphere(lam)
-    params = fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=lam)
+    params = fn.ExtremizerParams(xi=0.3 * NORTH_POLE, lam=lam)
     q = fn.hls_quotient(fn.extremizer_profile(params), lam, jmax=40)
     ext_err = abs(q - ref) / ref
     rng = np.random.default_rng(109)
@@ -215,7 +216,7 @@ def test_criterion_09_extremality():
 
 def test_criterion_10_euler_lagrange_residual():
     res_ext = max(
-        fn.el_residual(fn.ExtremizerParams(xi=s * fn.NORTH_AXIS, lam=lam))
+        fn.el_residual(fn.ExtremizerParams(xi=s * NORTH_POLE, lam=lam))
         for s, lam in ((0.0, 12.0), (0.3, 16.0), (0.45, 14.0))
     )
     control = fn.AxisZonalFunction(lambda th, ph: 1.0 + 0.5 * zonal(1, 0, th, ph))

@@ -225,7 +225,7 @@ def ref_cayley_inv(v):
     """((1 + zeta2)^-1 zeta1, -Im((1 + zeta2)^-1 (1 - zeta2))): two products."""
     op = _one_plus(v[..., 8:])
     q = oc.conj(op) / (op * op).sum(axis=-1)[..., None]
-    return oc.mul(q, v[..., :8]), -oc.im(oc.mul(q, _one_plus(v[..., 8:], -1.0)))
+    return oc.mul(q, v[..., :8]), -oc.mul(q, _one_plus(v[..., 8:], -1.0))[..., 1:]
 
 
 def _pair_sets(seed, n):

@@ -9,6 +9,7 @@ import pytest
 
 from octhls import constants, functional as fn, spectra
 from octhls.cayley import (
+    NORTH_POLE,
     SOUTH_POLE,
     cayley_inv_arrays,
     cayley_zt,
@@ -120,7 +121,7 @@ def test_each_input_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(fn, "conformal_pullback", counted_pullback)
     for rho, most in ((0.3, 6), (0.999, 13)):
-        h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
+        h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * NORTH_POLE, lam=lam))
         calls.clear()
         pullbacks.clear()
         outer.clear()
@@ -143,7 +144,7 @@ def _same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-_EXTREMIZER = fn.extremizer_profile(fn.ExtremizerParams(xi=0.6 * fn.NORTH_AXIS, lam=16.0))
+_EXTREMIZER = fn.extremizer_profile(fn.ExtremizerParams(xi=0.6 * NORTH_POLE, lam=16.0))
 _GRID_PROFILES = {
     "extremizer": _EXTREMIZER,
     **{f"pullback {delta}": fn.conformal_pullback(_EXTREMIZER, delta, 1.5) for delta in (0.4, 1.7, 5.0)},
@@ -169,7 +170,7 @@ def test_grid_values_equal_a_full_grid_call(f):
 def test_recenter_equals_its_full_grid_run(monkeypatch, rho, lam):
     # recenter on the sparse grid takes the same steps as on the full meshgrid
     p = 2.0 * Q / (2.0 * Q - lam)
-    h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * NORTH_POLE, lam=lam))
     delta, g = fn.recenter(h, p)
     values = fn._grid_values(g)
     with monkeypatch.context() as m:
@@ -181,7 +182,7 @@ def test_recenter_equals_its_full_grid_run(monkeypatch, rho, lam):
 
 def test_projection_basis_built_once_per_jmax():
     fn._grid_basis.cache_clear()
-    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=16.0))
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.3 * NORTH_POLE, lam=16.0))
     for _ in range(6):
         fn.hls_quotient(h, 16.0, jmax=40)
     assert fn._grid_basis.cache_info().misses == 1
@@ -200,7 +201,7 @@ def test_projection_basis_built_once_per_jmax():
 
 
 def test_parseval():
-    params = fn.ExtremizerParams(xi=0.2 * fn.NORTH_AXIS, lam=16.0)
+    params = fn.ExtremizerParams(xi=0.2 * NORTH_POLE, lam=16.0)
     h = fn.extremizer_profile(params)
     proj = fn.project_bispherical(h, jmax=30)
     total = proj.norms2.sum()
@@ -212,7 +213,7 @@ def test_parseval():
 
 
 def test_extremizer_eval_matches_profile():
-    params = fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=16.0)
+    params = fn.ExtremizerParams(xi=0.3 * NORTH_POLE, lam=16.0)
     h = fn.extremizer_profile(params)
     pts = fn.sample_sphere(50, seed=5)
     direct = fn.extremizer_eval(params, pts)
@@ -225,7 +226,7 @@ def _random_axis(seed):
     return v / np.linalg.norm(v)
 
 
-@pytest.mark.parametrize("axis", [fn.NORTH_AXIS, _random_axis(21)], ids=["north", "random"])
+@pytest.mark.parametrize("axis", [NORTH_POLE, _random_axis(21)], ids=["north", "random"])
 def test_pairing_matrix_matches_hermitian_pairing(axis):
     # the fixed-axis pairing as one (16, 8) matrix against the two octonion
     # products of hermitian_pairing: |w| = cos(theta), Re w = cos(theta) cos(phi)
@@ -258,9 +259,9 @@ def test_pairing_matrix_keeps_point_shape():
 
 def test_extremizer_param_validation():
     with pytest.raises(ValueError):
-        fn.ExtremizerParams(xi=1.5 * fn.NORTH_AXIS, lam=16.0)
+        fn.ExtremizerParams(xi=1.5 * NORTH_POLE, lam=16.0)
     with pytest.raises(ValueError):
-        fn.ExtremizerParams(xi=0.1 * fn.NORTH_AXIS, lam=25.0)
+        fn.ExtremizerParams(xi=0.1 * NORTH_POLE, lam=25.0)
 
 
 def test_extremizer_param_rejects_nan():
@@ -283,7 +284,7 @@ def test_quotient_at_constant_equals_sharp_constant():
 
 
 def test_quotient_at_extremizer_equals_sharp_constant():
-    params = fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=16.0)
+    params = fn.ExtremizerParams(xi=0.3 * NORTH_POLE, lam=16.0)
     q = fn.hls_quotient(fn.extremizer_profile(params), 16.0, jmax=40)
     ref = constants.C_hls_sphere(16.0)
     assert abs(q - ref) / ref < 1e-6
@@ -302,7 +303,7 @@ def test_quotient_below_constant_for_perturbation():
 def test_quotient_refuses_beyond_its_tail_bound(rho, lam):
     # at jmax 40 the tail bound passes 1e-10 of the value from rho = 0.7; unrefused,
     # the quotient at rho = 0.9, lam = 16 read 15 % below the sharp constant
-    h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * NORTH_POLE, lam=lam))
     with pytest.raises(ValueError, match=r"tail bound .* exceeds 1e-10 of the spectral value .* recenter"):
         fn.hls_quotient(h, lam, jmax=40)
 
@@ -313,7 +314,7 @@ def test_quotient_within_its_tail_bound_is_unchanged(rho):
     # norm, bit for bit; measured bound at most 2.8e-13 of the value here
     for lam in (12.0, 16.0, 20.0):
         p = 2.0 * Q / (2.0 * Q - lam)
-        h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
+        h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * NORTH_POLE, lam=lam))
         F = fn._grid_values(h)
         proj = fn._project(F, 40)
         value = fn.hls_spectral(proj, lam)
@@ -359,7 +360,7 @@ def test_monte_carlo_sample_count_must_be_an_integer():
     (2.5, TypeError, "jmax must be an integer, got 2.5"),
 ])
 def test_projection_routines_name_a_bad_jmax(jmax, error, match):
-    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=16.0))
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.3 * NORTH_POLE, lam=16.0))
     wave = fn.AxisZonalFunction(lambda th, ph: np.cos(th) * np.cos(ph))
     for run in (
         lambda: fn.project_bispherical(const_one(), jmax),
@@ -393,7 +394,7 @@ def test_lambda_outside_open_interval_rejected_on_entry(lam):
         "hls_quotient": lambda: fn.hls_quotient(f, lam, jmax=4),
         "second_variation": lambda: fn.second_variation(f, f, lam, jmax=4),
         "el_residual": lambda: fn.el_residual(f, lam=lam, jmax=4),
-        "ExtremizerParams": lambda: fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=lam),
+        "ExtremizerParams": lambda: fn.ExtremizerParams(xi=0.3 * NORTH_POLE, lam=lam),
         "hls_mc": lambda: fn.hls_mc(f, f, lam, 100, seed=1),
     }
     for call in calls.values():
@@ -406,7 +407,7 @@ def test_lambda_outside_open_interval_rejected_on_entry(lam):
 
 
 def test_el_residual_extremizer_small():
-    params = fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=16.0)
+    params = fn.ExtremizerParams(xi=0.3 * NORTH_POLE, lam=16.0)
     assert fn.el_residual(params) < 1e-8
 
 
@@ -444,7 +445,7 @@ def test_el_residual_check_grid_built_once_per_jmax():
     # value to the last bit, and elsewhere el_residual refuses
     fn._check_basis.cache_clear()
     cases = [(0.3 * _random_axis(seed), 16.0) for seed in (71, 72, 73)]
-    cases += [(rho * fn.NORTH_AXIS, lam) for rho in (0.0, 0.3, 0.6) for lam in (12.0, 16.0, 20.0)]
+    cases += [(rho * NORTH_POLE, lam) for rho in (0.0, 0.3, 0.6) for lam in (12.0, 16.0, 20.0)]
     read = set()
     for jmax in (40, 20, 40):
         for xi, lam in cases:
@@ -483,7 +484,7 @@ def test_el_residual_reads_or_refuses_on_the_family_grid(jmax):
     read = set()
     for lam in (12.0, 14.0, 16.0, 20.0):
         for rho in (0.0, 0.15, 0.3, 0.45, 0.5, 0.55, 0.6, 0.7, 0.8, 0.9, 0.999):
-            params = fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam)
+            params = fn.ExtremizerParams(xi=rho * NORTH_POLE, lam=lam)
             try:
                 value = fn.el_residual(params, jmax=jmax)
             except ValueError as err:
@@ -550,7 +551,7 @@ def test_center_mass_constant_is_zero():
 
 
 def test_center_mass_mc_consistency():
-    params = fn.ExtremizerParams(xi=0.4 * fn.NORTH_AXIS, lam=16.0)
+    params = fn.ExtremizerParams(xi=0.4 * NORTH_POLE, lam=16.0)
     h = fn.extremizer_profile(params)
     p = 2.0 * Q / (2.0 * Q - 16.0)
     quad = fn.center_mass(h, p)
@@ -586,7 +587,7 @@ def test_center_mass_mc_of_a_scalar_profile():
 
 
 def test_center_mass_mc_needs_a_sample():
-    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.4 * fn.NORTH_AXIS, lam=16.0))
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.4 * NORTH_POLE, lam=16.0))
     with pytest.raises(ValueError, match="need n >= 1 Monte Carlo samples, got 0"):
         fn.center_mass_mc(h, 2.0, 0, seed=2)
     assert np.isfinite(fn.center_mass_mc(h, 2.0, 1, seed=2)).all()
@@ -595,7 +596,7 @@ def test_center_mass_mc_needs_a_sample():
 def test_conformal_pullback_preserves_lp_norm():
     lam = 16.0
     p = 2.0 * Q / (2.0 * Q - lam)
-    params = fn.ExtremizerParams(xi=0.2 * fn.NORTH_AXIS, lam=lam)
+    params = fn.ExtremizerParams(xi=0.2 * NORTH_POLE, lam=lam)
     h = fn.extremizer_profile(params)
     g = fn.conformal_pullback(h, 1.7, p)
     n_h = fn._integrate(np.abs(fn._grid_values(h)) ** p)
@@ -609,7 +610,7 @@ def test_pullback_of_constant_is_extremizer():
     delta = 0.6  # delta < 1 keeps the induced parameter s positive
     g = fn.conformal_pullback(const_one(), delta, p)
     s = (1.0 - delta ** 2) / (1.0 + delta ** 2)
-    ref = fn.extremizer_profile(fn.ExtremizerParams(xi=s * fn.NORTH_AXIS, lam=lam))
+    ref = fn.extremizer_profile(fn.ExtremizerParams(xi=s * NORTH_POLE, lam=lam))
     th = np.linspace(0.05, math.pi / 2 - 0.05, 9)
     ph = np.linspace(0.05, math.pi - 0.05, 9)
     TH, PH = np.meshgrid(th, ph)
@@ -632,7 +633,7 @@ def test_pullback_matches_cayley_composition(delta):
     z, t = cayley_inv_arrays(pts)
     zv, tv = z / delta, t / delta ** 2
     jac = delta ** (-Q) * jac_cayley_zt(zv, tv) / jac_cayley_zt(z, t)
-    extremizer = fn.extremizer_profile(fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=lam))
+    extremizer = fn.extremizer_profile(fn.ExtremizerParams(xi=0.3 * NORTH_POLE, lam=lam))
     # a bare profile takes the north axis
     for h, g in (
         (extremizer, fn.conformal_pullback(extremizer, delta, p)),
@@ -699,7 +700,7 @@ def test_pullback_rejects_bad_dilation(delta):
 
 
 @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
-@pytest.mark.parametrize("axis", [fn.NORTH_AXIS, _random_axis(25)], ids=["north", "random"])
+@pytest.mark.parametrize("axis", [NORTH_POLE, _random_axis(25)], ids=["north", "random"])
 def test_recenter_undoes_extremizer_parameter(rho, axis):
     # the dilation with delta^2 = (1 + rho) / (1 - rho) maps the family member
     # at rho to the constant; measured worst 4.2e-10 relative, at rho = 0.5
@@ -713,7 +714,7 @@ def test_recenter_undoes_extremizer_parameter(rho, axis):
 def test_recenter_extremizer():
     lam = 16.0
     p = 2.0 * Q / (2.0 * Q - lam)
-    params = fn.ExtremizerParams(xi=0.3 * fn.NORTH_AXIS, lam=lam)
+    params = fn.ExtremizerParams(xi=0.3 * NORTH_POLE, lam=lam)
     h = fn.extremizer_profile(params)
     delta, gn = fn.recenter(h, p)
     assert np.linalg.norm(fn.center_mass(gn, p)) < 1e-8
@@ -746,7 +747,7 @@ def test_recenter_whole_extremizer_family(rho, lam):
     # the extremizer at rho is the pullback of the constant by delta^2 = (1 + rho) / (1 - rho);
     # measured worst: delta 1.5e-9 (rho = 0.99), center 7.5e-9, quotient 6.2e-15, EL 4.6e-9
     p = 2.0 * Q / (2.0 * Q - lam)
-    h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * fn.NORTH_AXIS, lam=lam))
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=rho * NORTH_POLE, lam=lam))
     delta, gn = fn.recenter(h, p)
     assert abs(delta / math.sqrt((1.0 + rho) / (1.0 - rho)) - 1.0) < 1e-8
     assert np.linalg.norm(fn.center_mass(gn, p)) < 1e-8
@@ -794,7 +795,7 @@ def test_recenter_names_a_bad_input(profile, match):
 
 def test_recenter_reports_non_convergence(monkeypatch):
     p = 2.0 * Q / (2.0 * Q - 16.0)
-    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.9 * fn.NORTH_AXIS, lam=16.0))
+    h = fn.extremizer_profile(fn.ExtremizerParams(xi=0.9 * NORTH_POLE, lam=16.0))
     monkeypatch.setattr(fn, "_RECENTER_MAX_ITER", 3)
     with pytest.raises(RuntimeError, match=r"recenter did not converge; residual -?\d"):
         fn.recenter(h, p)

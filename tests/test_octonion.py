@@ -159,7 +159,7 @@ def test_im_mul_conj_matches_mul():
     # the folded expansion gives Im(x conj(y)) of mul and conj bit for bit, the
     # sign of every zero included, on each layout mul is checked on
     for a, b in _product_layouts():
-        got, want = oc.im_mul_conj(a, b), oc.im(oc.mul(a, oc.conj(b)))
+        got, want = oc.im_mul_conj(a, b), oc.mul(a, oc.conj(b))[..., 1:]
         assert got.shape == want.shape == np.broadcast_shapes(np.shape(a), np.shape(b))[:-1] + (7,)
         assert got.tobytes() == want.tobytes()
 
@@ -169,7 +169,6 @@ def test_from_im():
     o = oc.from_im(t)
     assert o[0] == 0.0
     assert np.array_equal(o[1:], t)
-    assert np.array_equal(oc.im(o), t)
 
 
 def test_records_check_shape():

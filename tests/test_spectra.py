@@ -324,19 +324,23 @@ def margin_terms(j, k, alpha):
 
 
 def scalar_margin(j, k, alpha):
-    """The margin product of spectra cell by cell, on Python ints and floats: the
-    _factor_tables views and _margin_coefficients, no array arithmetic.  The reference
-    that the array form (margin_table, and bilinear_margin, which reads its rows) must
-    equal to the last bit."""
+    """The margin product cell by cell, on Python ints and floats: the _factor_tables
+    views, and P's coefficients written out from the product formula, no array
+    arithmetic.  The reference that the array form (margin_table, and bilinear_margin,
+    which reads its rows) must equal to the last bit."""
     a = float(alpha)
     if j == 0:
         return 0.0
     rows = spectra._factor_tables(a, spectra._size(j))
-    s, t, u, h1, h0, e2, e1, f1, g2, g1 = spectra._margin_coefficients(a)
-    if k == 0:
-        return rows[0][j] * rows[3][0] * s * (j * (h1 * j + h0)) / ((j + t) * ((j - 1.0) + a) * u) + 0.0
-    p = ((e2 - k * (k + 4)) * j + (e1 + k * (f1 - 10 * k))) * j + k * (k * g2 + g1)
-    return rows[0][j] * rows[5][k - 1] * s * p / ((j + t) * ((j - 1.0) + a) * (k + u)) + 0.0
+    s = 2.0 * (2.0 * a - 11.0) / (11.0 - a)
+    den = (j + (11.0 - a)) * ((j - 1.0) + a)
+    if k == 0:  # P / (a - 4) = j ((a - 8) j + 8a - 58)
+        return rows[0][j] * rows[3][0] * s * (j * ((a - 8.0) * j + (8.0 * a - 58.0))) / (
+            den * (8.0 - a)) + 0.0
+    c2 = (a - 4.0) * (a - 8.0) - k * (k + 4)
+    c1 = ((8.0 * a - 90.0) * a + 232.0) + k * (((15.0 - a) * a - 84.0) - 10 * k)
+    c0 = k * (k * ((a - 12.0) * a + 11.0) + ((27.0 - a) * a - 176.0))
+    return rows[0][j] * rows[5][k - 1] * s * ((c2 * j + c1) * j + c0) / (den * (k + (8.0 - a))) + 0.0
 
 
 def _four_term_error(j, k, alpha):
@@ -880,32 +884,32 @@ def test_quadrature_table_names_a_bad_index(args, error, match):
 def test_quadrature_table_builds_theta_factors_once(monkeypatch):
     # the grid of a jmax builds each part once, as its tables reach it: jmax + 1
     # jacobi33 calls per block of _BLOCK theta levels, and one gegenbauer3 call per
-    # phi panel, the dyadic panels i < L and the end panel [0, pi 2^-L] of each L a
-    # level uses; a table that reaches no new level builds nothing
+    # phi panel, the dyadic panels i < D and the end panel [0, pi 2^-D] of the depth D
+    # of each level reached; a table that reaches no new level builds nothing
     jac, geg = [], []
     jacobi33, gegenbauer3 = specfun.jacobi33, spectra.gegenbauer3
     monkeypatch.setattr(specfun, "jacobi33", lambda k, m, x: jac.append(m) or jacobi33(k, m, x))
     monkeypatch.setattr(spectra, "gegenbauer3", lambda n, x: geg.append(n) or gegenbauer3(n, x))
     spectra._grid.cache_clear()
-    levels, ends, depths = 0, set(), set()
+    levels, ends, counts = 0, set(), set()
     for alpha in (4.0, 1.5, 4.0, 5.499, 1.5):  # a first table, then shallower, same, deeper
         for kind in (spectra.kernel_K1, spectra.kernel_K2):
-            kern, Ls = kind(alpha), []
+            kern, Ds = kind(alpha), []
 
-            def at(d2, th, kern=kern, Ls=Ls):
-                Ls.append(d2.shape[1] // 16 - 1)  # 16 phi nodes per panel at jmax 6
+            def at(d2, th, kern=kern, Ds=Ds):
+                Ds.append(d2.shape[1] // 16 - 1)  # 16 phi nodes per panel at jmax 6
                 return kern.at(d2, th)
 
             built = len(jac), len(geg)
             spectra.eig_quadrature_table(spectra.ZonalKernel(at, kern.name), alpha, 6)
-            deeper = len(Ls) > levels
-            levels = max(levels, len(Ls))
-            ends.update(Ls)
-            depths.add(len(Ls))
+            deeper = len(Ds) > levels
+            levels = max(levels, len(Ds))
+            ends.update(Ds)
+            counts.add(len(Ds))
             assert jac == list(range(7)) * -(-levels // spectra._BLOCK), kern.name
             assert geg == [6] * (max(ends) + len(ends)), kern.name
             assert deeper or (len(jac), len(geg)) == built, kern.name
-    assert len(depths) == 3
+    assert len(counts) == 3
     assert levels < spectra._LEVELS - spectra._BLOCK  # blocks no table reached stay unbuilt
 
 
@@ -933,9 +937,9 @@ def test_quadrature_warm_table_equals_cold(jmax):
 @pytest.mark.parametrize("jmax", [2, 6])
 def test_quadrature_grid_keeps_each_dyadic_panel_once(jmax, monkeypatch):
     # the dyadic phi panels of a grid are one prefix of n columns per panel, each built
-    # once, in order: after tables at several depths the prefix holds the deepest L's
-    # panels, every depth has built its one end panel, and no level's record holds a
-    # view of the prefix, which a deeper level replaces
+    # once, in order: after tables at several depths the prefix holds the deepest depth's
+    # panels, each level's record has its own depth and built its one end panel, and no
+    # record holds a view of the prefix, which a deeper level replaces
     spectra._grid.cache_clear()
     grid, n = spectra._grid(jmax), max(16, jmax + 8)
     panel, built = grid._panel, []
@@ -943,11 +947,11 @@ def test_quadrature_grid_keeps_each_dyadic_panel_once(jmax, monkeypatch):
     for alpha in (4.0, 5.499, 1.5):  # a first table, a deeper one, then a shallower one
         for make in (spectra.kernel_K1, spectra.kernel_K2):
             spectra.eig_quadrature_table(make(alpha), alpha, jmax)
-    depths = {rec.cut // n for rec in grid._levels.values()}
-    assert len(depths) > 2
+    depths = [rec.cut // n for rec in grid._levels.values()]
+    assert len(set(depths)) == len(grid._levels) > 2
     assert [p for p in built if p[0]] == [(np.pi * 2.0 ** -(i + 1), np.pi * 2.0 ** -i)
                                           for i in range(max(depths))]
-    assert sorted(hi for lo, hi in built if not lo) == sorted(np.pi * 2.0 ** -L for L in depths)
+    assert sorted(hi for lo, hi in built if not lo) == sorted(np.pi * 2.0 ** -D for D in depths)
     assert [a.shape[-1] for a in grid._prefix] == [max(depths) * n] * 3
     for rec in grid._levels.values():
         assert rec.phi.shape == rec.sw.shape == rec.S.shape == (rec.cut + n,)
