@@ -26,6 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import Q
+from .constants import _J_FACTORS, _K_FACTORS, _check_alpha, _gamma_starts, _signed_log_gamma, c_d
 from .specfun import _check_degree, _check_index, bispherical_basis, gegenbauer3
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "margin_table",
     "bilinear_margin",
     "intertwining_spectrum",
-    "c_d",
     "logsob_gap",
     "logsob_gap_limit",
 ]
@@ -318,26 +318,13 @@ def eig_quadrature_table(kern, alpha, jmax):
 # closed forms
 
 
-def _check_alpha(alpha, lo=-1.0):
-    a = float(alpha)
-    if not (lo < a < Q / 4):
-        raise ValueError(f"exponent alpha = {a} outside ({lo}, {Q / 4})")
-    return a
-
-
 # eig_K1 and eig_K2 are sums of terms
 #   2 pi^8 Gamma(t - 2a) (a)_j (a + s)_k / (Gamma(j + t - a) Gamma(k + u - a)),
 # each a j-factor times a k-factor.  With Gamma(n + t - a) = Gamma(t - a) (t - a)_n
 # a factor is a gamma constant times the prefix product of the ratios
 # (a + (s + i)) / ((t - a) + i), i < n; a product of n such ratios rounds by
 # at most about n ulps (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2002, ch. 3).
-
-_2PI8 = 2.0 * math.pi ** 8
-# j-factors 2 pi^8 Gamma(t - 2a) (a)_n / Gamma(n + t - a), for t = 11, 12, 13
-_J_FACTORS = (11, 12, 13)
-# k-factors (a + s)_n / Gamma(n + u - a), for (s, u) = (-3, 8), (-4, 8), (-3, 9), (-4, 9)
-_K_FACTORS = ((-3, 8), (-4, 8), (-3, 9), (-4, 9))
+# Algorithms, 2002, ch. 3).  The gamma constants are constants._gamma_starts.
 
 
 @functools.lru_cache(maxsize=32)
@@ -348,13 +335,12 @@ def _factor_tables(a, size):
 
     Each numerator a + (s + i) is formed from a itself, so a shift that
     would round a (a - 3 for a just below 1) loses no digits, and a factor
-    is exactly 0 from the first numerator that is.  Every gamma argument
-    and denominator is positive for alpha in (-1, 11/2).  All seven tables
-    are one in-place cumprod.
+    is exactly 0 from the first numerator that is.  Every denominator is
+    positive for alpha in (-1, 11/2).  All seven tables are one in-place
+    cumprod, so column 0 is _gamma_starts(a) as it is.
     """
     a = _check_alpha(a)
-    starts = [_2PI8 * math.gamma(t - 2.0 * a) / math.gamma(t - a) for t in _J_FACTORS]
-    starts += [1.0 / math.gamma(u - a) for _, u in _K_FACTORS]
+    starts = _gamma_starts(a)
     # one (7, size) array holds the starts, then the ratios row by row, then the products
     rows = np.empty((len(starts), size))
     rows[:, 0] = starts
@@ -524,14 +510,6 @@ def _margin_block(j0, j1, a):
     return np.broadcast_to(j, cell.shape)[cell], np.broadcast_to(k, cell.shape)[cell], m[cell]
 
 
-def _signed_log_gamma(x):
-    """(sign, log|Gamma(x)|); raises at the poles x = 0, -1, -2, ..."""
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at {x}")
-    return (-1.0 if x < 0.0 and math.floor(x) % 2 else 1.0), math.lgamma(x)
-
-
 def intertwining_spectrum(d, j, k):
     """Eigenvalue of the degree-d intertwining operator on W_{j,k}.
 
@@ -552,28 +530,6 @@ def intertwining_spectrum(d, j, k):
         s *= si
         log += sgn * li
     return s * math.exp(log)
-
-
-def c_d(d):
-    """Normalizing constant of the fundamental solution of the degree-d operator.
-
-    1 / c_d = 2^((Q-d)/2 + 1) pi^8 Gamma(d/2) / (Gamma((Q-d)/4) Gamma((Q-d)/4 - 3)).
-    Positive for 0 < d < Q - 12; evaluated with sign tracking elsewhere,
-    with a domain error at the gamma poles d in {10, 14, 18}.
-    """
-    d = float(d)
-    if not (0.0 < d < Q):
-        raise ValueError(f"degree d = {d} outside (0, {Q})")
-    s1, l1 = _signed_log_gamma((Q - d) / 4.0)
-    s2, l2 = _signed_log_gamma((Q - d) / 4.0 - 3.0)
-    log = (
-        l1
-        + l2
-        - ((Q - d) / 2.0 + 1.0) * math.log(2.0)
-        - 8.0 * math.log(math.pi)
-        - math.lgamma(d / 2.0)
-    )
-    return s1 * s2 * math.exp(log)
 
 
 # Log-Sobolev gap constant, from the residue of Gamma(11 - 2 alpha) at

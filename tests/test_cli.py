@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import octhls
@@ -66,6 +67,15 @@ def test_constants_out_file(tmp_path, capsys):
     assert payload["command"] == "constants"
 
 
+def test_spectral_constant_reads_lambda00_bit_for_bit():
+    # constants' residual column, computed without numpy, is the spectral route through
+    # spectra.eig_K1 to the last bit
+    for lam in [22.0 * i / 2200 for i in range(1, 2200)]:
+        want = 2.0 ** (lam / 2.0) * spectra.eig_K1(0, 0, lam / 4.0) * constants.sphere_measure() ** (
+            (lam - octhls.Q) / octhls.Q)
+        assert cli._spectral_constant(lam).hex() == want.hex(), lam
+
+
 def test_eigs_oracle_rows(capsys):
     code, out, _ = run(["eigs", "--alpha", "4", "--jmax", "1"], capsys)
     assert code == 0
@@ -96,6 +106,20 @@ def test_margin_flags(capsys):
     assert by_alpha[4.0]["zero_count"] == 1  # only (0, 0)
     assert by_alpha[2.5]["violated"]
     assert by_alpha[2.5]["min_margin"] < 0.0
+
+
+@pytest.mark.parametrize("alpha, code", [(4.0, 1), (2.5, 0)])
+def test_margin_negative_cell_fails_from_alpha_three(capsys, monkeypatch, alpha, code):
+    # one negative cell is a failed check at alpha >= 3, where the margin is nonnegative;
+    # below 3 the paper expects violations, so the row reports it and the exit stays 0
+    def margin_table(a, jmax):
+        yield np.array([0, 1, 1]), np.array([0, 0, 1]), np.array([0.0, -1e-3, 2e-3])
+
+    monkeypatch.setattr(spectra, "margin_table", margin_table)
+    got, out, _ = run(["margin", "--alpha", str(alpha), "--jmax", "1"], capsys)
+    assert got == code
+    assert json.loads(out)["rows"] == [{"alpha": alpha, "min_margin": -1e-3, "argmin_j": 1,
+                                        "argmin_k": 0, "violated": True, "zero_count": 1}]
 
 
 def test_margin_zero_set_alpha_three(capsys):
@@ -493,13 +517,28 @@ def test_q_is_defined_in_the_package():
     assert set(users.values()) == {octhls.Q}
 
 
-def test_commands_load_only_their_layers():
-    # constants, eigs and margin run on spectra (and constants) alone
+@pytest.mark.parametrize("fmt", [["--format", "json"], ["--format", "csv"], ["--out", "OUT"]],
+                         ids=["json", "csv", "out"])
+def test_constants_loads_no_numpy(tmp_path, fmt):
+    # constants is scalar gamma math: it runs on the cli and constants modules alone
+    argv = ["constants", "--lambda", "12,16,20", "--d", "2,6"] + [
+        str(tmp_path / "c.json") if f == "OUT" else f for f in fmt]
     code = (
         "import contextlib, io, sys\n"
         "from octhls import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    cli.main(['constants', '--lambda', '12', '--d', '2'])\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('octhls.')))\n"
+    )
+    assert _python_with_src(code) == "0 False ['octhls.cli', 'octhls.constants']"
+
+
+def test_commands_load_only_their_layers():
+    # eigs and margin run on spectra (and what it imports) alone
+    code = (
+        "import contextlib, io, sys\n"
+        "from octhls import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    cli.main(['eigs', '--alpha', '4', '--jmax', '1'])\n"
         "    cli.main(['margin', '--alpha', '4', '--jmax', '2'])\n"
         "print(sorted(m for m in sys.modules if m.startswith('octhls.')))\n"

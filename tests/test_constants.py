@@ -42,6 +42,21 @@ def test_spectral_identity():
         assert abs(spectral - ref) / ref < 1e-12
 
 
+def test_lambda00_is_eig_K1_at_the_origin_bit_for_bit():
+    # the numpy-free lambda_00 of `octhls constants` reads the same gamma starts as the
+    # factor tables, so it equals eig_K1(0, 0, a) to the last bit
+    grid = [-1.0 + 6.5 * i / 6500 for i in range(1, 6500)]
+    grid += [0.0, 1.0, 2.0, 3.0, 1.0 - 1e-9, 1.0 + 1e-9, 5.499, -1.0 + 1e-9, 5.5 - 1e-9]
+    for a in grid:
+        assert constants._lambda00(a).hex() == spectra.eig_K1(0, 0, a).hex(), a
+    for a in (-1.0, 5.5, 6.0, math.nan):
+        with pytest.raises(ValueError) as want:
+            spectra.eig_K1(0, 0, a)
+        with pytest.raises(ValueError) as got:
+            constants._lambda00(a)
+        assert str(got.value) == str(want.value)
+
+
 def test_sobolev_constant():
     assert constants.C_sobolev(2.0) > 0.0
     # identity with the inverse of the composed normalization
