@@ -42,11 +42,13 @@ def _float_list(text):
         raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}") from None
 
 
-def _alpha_grid(alphas):
-    """The sorted --alpha grid of eigs and margin, which check nothing without one."""
+def _alpha_grid(alphas, lo):
+    """The sorted --alpha grid of eigs and margin, which check nothing without one, each
+    value checked against the command's domain (lo, Q/4) before any table is built."""
     if not alphas:
         raise ValueError("--alpha needs at least one value")
-    return sorted(alphas)
+    from .constants import _check_alpha
+    return sorted(_check_alpha(a, lo) for a in alphas)
 
 
 def _emit(command, rows, fmt, out):
@@ -114,7 +116,7 @@ def cmd_constants(args):
 
 
 def cmd_eigs(args):
-    alphas = _alpha_grid(args.alpha)
+    alphas = _alpha_grid(args.alpha, -1.0)
     rows = []
     failed = False
     for alpha in alphas:
@@ -151,7 +153,7 @@ def _margin_scan(alpha, jmax):
 
 
 def cmd_margin(args):
-    alphas = _alpha_grid(args.alpha)
+    alphas = _alpha_grid(args.alpha, 0.0)
     rows = []
     for alpha in alphas:
         worst, arg, zeros, violated = _margin_scan(alpha, args.jmax)

@@ -19,15 +19,22 @@ def sphere_measure():
     return 2.0 * math.pi ** 8 / math.factorial(7)
 
 
+def _check_open(name, x):
+    """x as a float; ValueError naming it unless 0 < x < Q, the range of lambda and of
+    the degree d."""
+    x = float(x)
+    if not (0.0 < x < Q):
+        raise ValueError(f"{name} = {x} outside (0, {Q})")
+    return x
+
+
 def C_hls_group(lam):
     """Sharp constant of the bilinear inequality on the group side.
 
     2^(-4 lam/Q) |S|^(lam/Q) 7! Gamma((Q-lam)/2) /
     (Gamma((2Q-lam)/4) Gamma((2Q-lam)/4 - 3)).
     """
-    lam = float(lam)
-    if not (0.0 < lam < Q):
-        raise ValueError(f"lambda = {lam} outside (0, {Q})")
+    lam = _check_open("lambda", lam)
     gammas = math.gamma((Q - lam) / 2.0) / (
         math.gamma((2.0 * Q - lam) / 4.0) * math.gamma((2.0 * Q - lam) / 4.0 - 3.0)
     )
@@ -107,9 +114,7 @@ def c_d(d):
     Positive for 0 < d < Q - 12; evaluated with sign tracking elsewhere,
     with a domain error at the gamma poles d in {10, 14, 18}.
     """
-    d = float(d)
-    if not (0.0 < d < Q):
-        raise ValueError(f"degree d = {d} outside (0, {Q})")
+    d = _check_open("degree d", d)
     s1, l1 = _signed_log_gamma((Q - d) / 4.0)
     s2, l2 = _signed_log_gamma((Q - d) / 4.0 - 3.0)
     log = (l1 + l2 - ((Q - d) / 2.0 + 1.0) * math.log(2.0) - 8.0 * math.log(math.pi)

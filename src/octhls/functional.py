@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .cayley import NORTH_POLE, hermitian_pairing, sdist_arrays
-from .constants import C_logsobolev, sphere_measure
+from .constants import C_logsobolev, _check_open, sphere_measure
 from . import Q
 from .specfun import _check_degree, bispherical_basis, gegenbauer3
 from .spectra import _FH_CONST, _eig_K1_arrays, _freeze, _logsob_gap, eig_K1
@@ -229,14 +229,6 @@ def _project(F, jmax):
 # extremizers
 
 
-def _check_lambda(lam):
-    """lambda as a float; ValueError unless 0 < lambda < Q."""
-    lam = float(lam)
-    if not (0.0 < lam < Q):
-        raise ValueError(f"lambda = {lam} outside (0, {Q})")
-    return lam
-
-
 def _check_exponent(p):
     """p as a float; ValueError unless p is finite and > 1."""
     p = float(p)
@@ -258,7 +250,7 @@ class ExtremizerParams:
             raise ValueError("xi must be a 16-vector")
         if not np.linalg.norm(self.xi) < 1.0:
             raise ValueError("extremizer parameter requires |xi| < 1")
-        self.lam = _check_lambda(self.lam)
+        self.lam = _check_open("lambda", self.lam)
 
 
 def extremizer_eval(params: ExtremizerParams, points):
@@ -294,7 +286,7 @@ def extremizer_profile(params: ExtremizerParams):
 def hls_spectral(f: BisphericalFunction, lam):
     """Spectral value of the bilinear form with kernel d_S^(-lambda):
     sum over (j, k) of 2^(lambda/2) eig_K1(j, k, lambda/4) |f_{j,k}|^2."""
-    lam = _check_lambda(lam)
+    lam = _check_open("lambda", lam)
     return 2.0 ** (lam / 2.0) * float(np.dot(_eig_K1_arrays(f.j, f.k, lam / 4.0), f.norms2))
 
 
@@ -302,7 +294,7 @@ def hls_tail_bound(f: BisphericalFunction, lam):
     """Bound on the spectral mass beyond the truncation: largest eigenvalue
     outside the table times the Parseval residual.  ``hls_quotient`` refuses
     a value whose bound exceeds 1e-10 of it."""
-    lam = _check_lambda(lam)
+    lam = _check_open("lambda", lam)
     return 2.0 ** (lam / 2.0) * eig_K1(f.jmax + 1, 0, lam / 4.0) * max(f.residual(), 0.0)
 
 
@@ -313,7 +305,7 @@ def hls_quotient(f, lam, jmax=40):
     value: f is too concentrated for jmax.  The quotient is conformally
     invariant, so the quotient of ``recenter(f, p)[1]`` is the same value.
     """
-    lam = _check_lambda(lam)
+    lam = _check_open("lambda", lam)
     p = 2.0 * Q / (2.0 * Q - lam)
     F = _grid_values(f)
     proj = _project(F, jmax)
@@ -332,7 +324,7 @@ def hls_mc(f, g, lam, n, seed):
     Returns (estimate, stderr) from n >= 20 samples; the standard error comes
     from 20 batch means because the integrand is heavy-tailed near the diagonal.
     """
-    lam, n, nb = _check_lambda(lam), _check_degree("n", n), 20
+    lam, n, nb = _check_open("lambda", lam), _check_degree("n", n), 20
     if n < nb:  # a batch without a sample has no mean
         raise ValueError(f"need n >= {nb} Monte Carlo samples, got {n}")
     zp = sample_sphere(n, seed, stream=0)
@@ -379,7 +371,7 @@ def el_residual(h, lam=None, jmax=40):
         h = extremizer_profile(h)
     if lam is None:
         raise ValueError("lam is required for a plain function input")
-    lam = _check_lambda(lam)
+    lam = _check_open("lambda", lam)
     p = 2.0 * Q / (2.0 * Q - lam)
     proj = project_bispherical(h, jmax)
     scale = 2.0 ** (lam / 2.0)
@@ -404,7 +396,7 @@ def second_variation(h, phi_fn, lam, jmax=40):
     Nonpositive at extremizers for admissible phi; requires the
     orthogonality constraint int h^(p-1) phi = 0.
     """
-    lam = _check_lambda(lam)
+    lam = _check_open("lambda", lam)
     p = 2.0 * Q / (2.0 * Q - lam)
     H = _grid_values(h)
     P = _grid_values(phi_fn)

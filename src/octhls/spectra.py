@@ -26,7 +26,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import Q
-from .constants import _J_FACTORS, _K_FACTORS, _check_alpha, _gamma_starts, _signed_log_gamma, c_d
+from .constants import (_J_FACTORS, _K_FACTORS, _check_alpha, _check_open, _gamma_starts,
+                        _signed_log_gamma, c_d)
 from .specfun import _check_degree, _check_index, bispherical_basis, gegenbauer3
 
 __all__ = [
@@ -120,39 +121,32 @@ _BLOCK = 8
 
 
 class _Level(NamedTuple):
-    """What a dyadic theta level reads of its grid.  Its arrays are read-only, and none
-    is a view of the dyadic prefix: a deeper level replaces the prefix, and a kept view
-    would keep the old one alive."""
+    """What a dyadic theta level reads of its grid, every array read-only."""
 
     theta: np.ndarray  # the level's theta nodes, a column (n, 1)
     w: np.ndarray  # their sin^7 cos^7 weights
     T: np.ndarray  # the theta factors of bispherical_basis at them, (pairs, n)
     A: np.ndarray  # 4 sin^4(theta/2), a column
     B: np.ndarray  # 4 cos theta, a column
-    phi: np.ndarray  # the nodes of the level's phi grid on [0, pi]
-    sw: np.ndarray  # sin^6 phi times their weights
-    S: np.ndarray  # sin^2(phi/2) at them
+    sw: np.ndarray  # sin^6 phi times the weights of the level's phi grid on [0, pi]
+    S: np.ndarray  # sin^2(phi/2) at its nodes
     cut: int  # the dyadic panels' columns: the first cut, then the end panel's n
-    G_end: np.ndarray  # the end panel's gegenbauer3 rows
+    G_end: np.ndarray  # the end panel's gegenbauer3 rows, a view of the grid's G
 
 
 class _Grid:
     """Everything of the oracle at one jmax that does not depend on the kernel.
 
-    The Gauss-Legendre rule of n = max(16, jmax + 8) nodes, the theta nodes of
-    every level, their sin^7 cos^7 weights and the theta parts A = 4 sin^4(theta/2)
-    and B = 4 cos theta of |1 - w|^2 = A + B sin^2(phi/2) are built with the grid.
-    The rest is built as tables reach deeper levels: the theta factors in blocks
-    of _BLOCK levels, the phi panels, and one _Level record per level reached.
-    The phi grid of depth D is the dyadic panels [pi 2^(-i-1), pi 2^-i], i < D,
-    then the end panel [0, pi 2^-D]; each level has its own depth, 2 level + 4.
-    The dyadic panels are kept once, as one prefix of three arrays (their nodes,
-    sin^6 phi times their weights, and their gegenbauer3 rows) that a deeper
-    level extends by one concatenation; a level reads the first D n columns of
-    its rows in place.  A level's record keeps its end panel's rows with its whole
-    1-D phi nodes, weights and sin^2(phi/2), so the gegenbauer3 rows a grid keeps
-    grow with the levels reached, not their square; only those 1-D arrays do
-    (11.3 MB after all 64 levels at jmax 100, against 285 MB of theta factors).
+    Built with the grid: the Gauss-Legendre rule of n = max(16, jmax + 8) nodes, the
+    theta nodes of every level, their sin^7 cos^7 weights, the theta parts A = 4
+    sin^4(theta/2) and B = 4 cos theta of |1 - w|^2 = A + B sin^2(phi/2), and every phi
+    panel.  Level l reads the dyadic panels [pi 2^(-i-1), pi 2^-i], i < D_l = 2 l + 4,
+    then its end panel [0, pi 2^-D_l].  The grid holds the 2 _LEVELS + 2 dyadic panels,
+    then the _LEVELS end panels, as rows of n: sw = sin^6 phi times the weights, S =
+    sin^2(phi/2), and G, their gegenbauer3 rows from one call, (jmax + 1, panels n),
+    whose first D_l n columns a level reads in place (16 MiB at jmax 100).  The theta
+    factors are built in blocks of _BLOCK levels as tables reach them (34 MiB a block
+    at jmax 100, 272 MiB for all _LEVELS), with one _Level record per level reached.
     Every array a grid hands out is read-only.
     """
 
@@ -168,52 +162,37 @@ class _Grid:
         j, k, T = bispherical_basis(jmax, theta[:_BLOCK])  # every table visits level 0
         self.j, self.k, self.m = _freeze(j), _freeze(k), _freeze(j - k)
         self._T = [_freeze(T)]  # by block of _BLOCK levels: their theta factors, (pairs, block, n)
-        # the dyadic panels i < D reached, end to end: (nodes, sin^6 phi w, gegenbauer3 rows)
-        self._prefix = tuple(_freeze(np.empty(shape)) for shape in (0, 0, (jmax + 1, 0)))
+        # the kernel's feature scale in phi is 1 - cos theta, below which the integrand is
+        # smooth: about pi^2 2^(-2l-5) at level l's smallest theta node, so D_l = 2 l + 4
+        top = math.pi * 2.0 ** -np.arange(2 * _LEVELS + 3)
+        phi, w = _panels(np.concatenate([top[1:], np.zeros(_LEVELS)]),
+                         np.concatenate([top[:-1], top[4::2]]), self.rule)
+        self.sw = _freeze(np.sin(phi) ** 6 * w)  # (panels, n)
+        self.S = _freeze(np.sin(phi / 2.0) ** 2)
+        self.G = _freeze(gegenbauer3(jmax, np.cos(phi)).reshape(jmax + 1, -1))
         self._levels = {}  # by level reached: its _Level
 
     def level(self, level):
-        """The _Level of dyadic theta level `level`, built when a table first reaches it,
-        with its phi grid refined dyadically down to the kernel width at its smallest
-        theta node.
-
-        The kernel feature scale in phi at r = cos theta is ~ (1 - r); below
-        it the integrand is smooth, so refinement stops there.
-        """
+        """The _Level of dyadic theta level `level`, built when a table first reaches it."""
         rec = self._levels.get(level)
         if rec is not None:
             return rec
-        th = self.theta[level]
-        width = 2.0 * math.sin(th[0] / 2.0) ** 2
-        depth = math.ceil(math.log2(math.pi / width))
-        n = len(self.rule[0])
-        cut, reached = depth * n, self._prefix[0].size // n
-        if reached < depth:
-            new = [self._panel(math.pi * 2.0 ** -(i + 1), math.pi * 2.0 ** -i)
-                   for i in range(reached, depth)]
-            self._prefix = tuple(_freeze(np.concatenate(parts, axis=-1))
-                                 for parts in zip(self._prefix, *new))
-        phi, sw, G_end = self._panel(0.0, math.pi * 2.0 ** -depth)
-        phi = _freeze(np.concatenate([self._prefix[0][:cut], phi]))
-        sw = _freeze(np.concatenate([self._prefix[1][:cut], sw]))
-        S = _freeze(np.sin(phi / 2.0) ** 2)
+        depth, n = 2 * level + 4, len(self.rule[0])
+        end = 2 * _LEVELS + 2 + level  # the row of the level's end panel
+        sw, S = (_freeze(np.concatenate([a[:depth].ravel(), a[end]])) for a in (self.sw, self.S))
         while len(self._T) * _BLOCK <= level:
             b = len(self._T) * _BLOCK
             self._T.append(_freeze(bispherical_basis(self.jmax, self.theta[b:b + _BLOCK])[2]))
-        rec = _Level(th[:, None], self.w7[level], self._T[level // _BLOCK][:, level % _BLOCK],
-                     self.A[level][:, None], self.B[level][:, None], phi, sw, S, cut, G_end)
+        rec = _Level(self.theta[level][:, None], self.w7[level],
+                     self._T[level // _BLOCK][:, level % _BLOCK], self.A[level][:, None],
+                     self.B[level][:, None], sw, S, depth * n, self.G[:, end * n:(end + 1) * n])
         self._levels[level] = rec
         return rec
 
-    def _panel(self, lo, hi):
-        phi, w = _panels(lo, hi, self.rule)
-        return (_freeze(phi), _freeze(np.sin(phi) ** 6 * w),
-                _freeze(gegenbauer3(self.jmax, np.cos(phi))))
 
-
-#: the most recently used jmax values whose grid is kept: a CLI command runs at one
-#: jmax, and at jmax 100 a grid holds about 35 MiB per block of levels reached: 71 MiB
-#: after a K1 table at alpha = 4 (9 levels), 109 MiB at 5.45 (21), 184 MiB at 5.49 (38)
+#: the most recently used jmax values whose grid is kept: a CLI command runs at one jmax,
+#: and at jmax 100 a grid holds 17 MiB, nearly all phi panels, and 34 MiB per block of levels
+#: reached: 85 MiB after a K1 table at alpha = 4 (9 levels), 120 at 5.45 (22), 189 at 5.49 (38)
 _GRIDS = 2
 
 
@@ -228,9 +207,9 @@ def _level(grid, kern, level):
     Funk-Hecke integral, without _FH_CONST, and of the (0, 0) reference integral
     of |K| over phi.  The kernel takes d2 = A + B S, the operations of
     4 sin^4(theta/2) + 4 cos theta sin^2(phi/2) in their order, read-only."""
-    theta, w, T, A, B, _, sw, S, cut, G_end = grid.level(level)
+    theta, w, T, A, B, sw, S, cut, G_end = grid.level(level)
     kw = kern.at(_freeze(A + B * S), theta) * sw
-    inner = kw[:, :cut] @ grid._prefix[2][:, :cut].T  # inner[i, m]: the dyadic panels,
+    inner = kw[:, :cut] @ grid.G[:, :cut].T  # inner[i, m]: the dyadic panels,
     inner += kw[:, cut:] @ G_end.T  # then the end panel
     c = np.einsum("pi,i,ip->p", T, w, inner[:, grid.m])
     ref = float(np.dot(w, np.abs(inner[:, 0])))
@@ -259,11 +238,11 @@ def eig_quadrature_table(kern, alpha, jmax):
     trigonometric polynomials of degree up to 2 jmax + 14 in theta (jmax + 6 in phi), so
     the rule follows jmax (16 nodes miss 1e-6 from jmax 9 at alpha = 2.5).  Dyadic theta
     level l is the panel [pi 2^(-l-2), pi 2^(-l-1)].  Everything but the kernel comes from
-    the _Grid of jmax, built as tables reach deeper levels and kept for the _GRIDS most
-    recently used values of jmax; a table evaluates the kernel once per level on its
-    (theta nodes x phi nodes) array, with the phi grid of the level's smallest theta node,
-    and shares it across all indices.  A table runs under one np.errstate that ignores
-    overflow: a level whose sums are not finite, or a table that is not, raises instead.
+    the _Grid of jmax, kept for the _GRIDS most recently used values of jmax; a table
+    evaluates the kernel once per level on its (theta nodes x phi nodes) array, with the
+    phi grid of the level's smallest theta node, and shares it across all indices.  A table
+    runs under one np.errstate that ignores overflow: a level whose sums are not finite, or
+    a table that is not, raises instead.
 
     Level L adds c_L to the pairs and ref_L to the (0, 0) reference, whose
     ratios rho_L = ref_L / ref_(L-1) approach rho with an error that shrinks by
@@ -518,9 +497,7 @@ def intertwining_spectrum(d, j, k):
     pole: at d in {10, 14, 18} when k + (Q-d)/4 - 3 is a nonpositive integer.
     """
     j, k = _check_index(j, k)
-    d = float(d)
-    if not (0.0 < d < Q):
-        raise ValueError(f"degree d = {d} outside (0, {Q})")
+    d = _check_open("degree d", d)
     up, dn = (Q + d) / 4.0, (Q - d) / 4.0
     s, log = 1.0, 0.0
     for x, sgn in ((j + up, 1), (j + dn, -1), (k + up - 3.0, 1), (k + dn - 3.0, -1)):

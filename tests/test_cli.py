@@ -354,12 +354,29 @@ def test_eigs_bad_alpha_exit_two(capsys):
     assert code == 2
 
 
-def test_eigs_non_convergence_exit_two(capsys):
-    # at alpha = 11/2 the kernel overflows, so the quadrature cannot converge
-    code, out, err = run(["eigs", "--alpha", "5.5", "--jmax", "1"], capsys)
+def test_eigs_non_convergence_exit_two(capsys, monkeypatch):
+    # a K1 that overflows near the corner (the exponent 6, past 11/2, under the name of
+    # alpha = 4): the quadrature cannot converge, and the command exits 2
+    kernel_K1 = spectra.kernel_K1
+    monkeypatch.setattr(spectra, "kernel_K1",
+                        lambda alpha: spectra.ZonalKernel(kernel_K1(6.0).at, kernel_K1(alpha).name))
+    code, out, err = run(["eigs", "--alpha", "4", "--jmax", "1"], capsys)
     assert code == 2
     assert out == ""
-    assert "K1 at alpha = 5.5" in err and "dyadic theta level" in err
+    assert "K1 at alpha = 4.0" in err and "dyadic theta level" in err
+
+
+@pytest.mark.parametrize("command, table, domain", [
+    ("eigs", "eig_quadrature_table", "(-1.0, 5.5)"), ("margin", "margin_table", "(0.0, 5.5)")])
+@pytest.mark.parametrize("alpha", ["6", "5.5", "-2", "4,6"])
+def test_alpha_grid_is_checked_before_any_table(capsys, monkeypatch, command, table, domain, alpha):
+    # every alpha of the grid is checked against the command's domain first: no table is
+    # built, not even for an alpha of the grid inside the domain
+    tables = []
+    monkeypatch.setattr(spectra, table, lambda *args: tables.append(args))
+    code, out, err = run([command, "--alpha", alpha, "--jmax", "2"], capsys)
+    assert code == 2 and out == "" and tables == []
+    assert f"exponent alpha = {float(alpha.split(',')[-1])} outside {domain}" in err
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):

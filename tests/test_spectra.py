@@ -250,7 +250,7 @@ def test_quadrature_level_ratios_settle_by_a_quarter(alpha):
 
 # criterion 04's alpha grid, and the dyadic levels each table there visited when the
 # levels left over closed as the one geometric tail c_L / (1 - rho); at jmax 40 the
-# alpha = 5.49 tables overflow at level 47 with either tail
+# alpha = 5.49 tables overflowed at level 47 with that tail, and close before it now
 _CRITERION_04_ALPHAS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.25, 3.5, 4.0, 4.75, 5.0, 5.2, 5.25, 5.3,
                         5.45, 5.49)
 _ONE_RATIO_LEVELS = {
@@ -274,10 +274,7 @@ def test_quadrature_visits_no_more_levels(jmax):
                 calls.append(d2.shape)
                 return kern.at(d2, th)
 
-            try:
-                spectra.eig_quadrature_table(spectra.ZonalKernel(at, kern.name), alpha, jmax)
-            except ValueError:
-                assert (jmax, alpha) == (40, 5.49), kern.name  # the overflow near the corner
+            spectra.eig_quadrature_table(spectra.ZonalKernel(at, kern.name), alpha, jmax)
             assert len(calls) <= before, (kern.name, len(calls))
             levels[kind, alpha] = len(calls)
     if jmax == 6:
@@ -501,6 +498,41 @@ def test_margin_positivity_certificate():
     assert row == _Poly({(1, 0, 1): Fraction(1), (1, 0, 0): Fraction(-8), (0, 0, 1): Fraction(8),
                          (0, 0, 0): Fraction(-58)})
     assert Fraction(29, 4) - 8 < 0 and 8 * Fraction(29, 4) - 58 == 0
+
+
+def _first_negative_k1_row(alpha):
+    """The first row j at which the k = 1 margin at alpha in (2, 3) is < 0: the margin has
+    the sign of -P there, and P(i, 0), i = j - 1, is a quadratic in i with a positive
+    leading and a negative constant coefficient, so it is > 0 exactly past its one
+    positive root.  The row comes from that root, checked in exact rationals."""
+    a, i = Fraction(alpha), _Poly({(1, 0, 0): Fraction(1)})
+    P = _margin_polynomial(a, 1 + i, 1)
+    c2, c1, c0 = (P.get((d, 0, 0), Fraction(0)) for d in (2, 1, 0))
+    assert set(P) <= {(2, 0, 0), (1, 0, 0), (0, 0, 0)} and c2 > 0 > c0
+    first = math.floor((-c1 + math.sqrt(c1 * c1 - 4 * c2 * c0)) / (2 * c2)) + 2
+    assert _margin_polynomial(a, first - 1, 1) <= 0 < _margin_polynomial(a, first, 1)
+    return first
+
+
+def test_margin_sign_pattern_on_every_cell():
+    # the certificate's signs against margin_table, cell by cell at jmax 300: > 0 at
+    # every j >= 1 on (3, 11/2); at alpha = 3 the (alpha - 3)_(k-1) k-factor makes every
+    # k >= 2 cell exactly 0.0; on (2, 3) that factor turns every k >= 2 cell < 0, the k = 1
+    # cells are < 0 from the root of P(i, 0) on, and the k = 0 cells stay > 0
+    def cells(alpha):
+        return (np.concatenate(parts) for parts in zip(*spectra.margin_table(alpha, 300)))
+
+    for alpha in (3.2, 4.0, 5.45, 5.499):
+        j, k, m = cells(alpha)
+        assert (m[j >= 1] > 0.0).all() and (m[j == 0] == 0.0).all(), alpha
+    j, k, m = cells(3.0)
+    zero = (j == 0) | (k >= 2)
+    assert (m[zero] == 0.0).all() and (m[~zero] > 0.0).all()
+    for alpha in (2.5, 2.9):
+        j, k, m = cells(alpha)
+        first = _first_negative_k1_row(alpha)
+        assert (m[k >= 2] < 0.0).all() and (m[(k == 0) & (j >= 1)] > 0.0).all(), alpha
+        assert ((m[k == 1] < 0.0) == (j[k == 1] >= first)).all(), (alpha, first)
 
 
 def test_margin_violation_below_three():
@@ -882,32 +914,30 @@ def test_quadrature_table_names_a_bad_index(args, error, match):
 
 
 def test_quadrature_table_builds_theta_factors_once(monkeypatch):
-    # the grid of a jmax builds each part once, as its tables reach it: jmax + 1
-    # jacobi33 calls per block of _BLOCK theta levels, and one gegenbauer3 call per
-    # phi panel, the dyadic panels i < D and the end panel [0, pi 2^-D] of the depth D
-    # of each level reached; a table that reaches no new level builds nothing
+    # the grid of a jmax builds each part once: its one gegenbauer3 call, for every phi
+    # panel, when it is built, and jmax + 1 jacobi33 calls per block of _BLOCK theta
+    # levels as tables reach it; a table that reaches no new level builds nothing
     jac, geg = [], []
     jacobi33, gegenbauer3 = specfun.jacobi33, spectra.gegenbauer3
     monkeypatch.setattr(specfun, "jacobi33", lambda k, m, x: jac.append(m) or jacobi33(k, m, x))
     monkeypatch.setattr(spectra, "gegenbauer3", lambda n, x: geg.append(n) or gegenbauer3(n, x))
     spectra._grid.cache_clear()
-    levels, ends, counts = 0, set(), set()
+    levels, counts = 0, set()
     for alpha in (4.0, 1.5, 4.0, 5.499, 1.5):  # a first table, then shallower, same, deeper
         for kind in (spectra.kernel_K1, spectra.kernel_K2):
-            kern, Ds = kind(alpha), []
+            kern, calls = kind(alpha), []
 
-            def at(d2, th, kern=kern, Ds=Ds):
-                Ds.append(d2.shape[1] // 16 - 1)  # 16 phi nodes per panel at jmax 6
+            def at(d2, th, kern=kern, calls=calls):
+                calls.append(d2.shape)
                 return kern.at(d2, th)
 
             built = len(jac), len(geg)
             spectra.eig_quadrature_table(spectra.ZonalKernel(at, kern.name), alpha, 6)
-            deeper = len(Ds) > levels
-            levels = max(levels, len(Ds))
-            ends.update(Ds)
-            counts.add(len(Ds))
+            deeper = len(calls) > levels
+            levels = max(levels, len(calls))
+            counts.add(len(calls))
             assert jac == list(range(7)) * -(-levels // spectra._BLOCK), kern.name
-            assert geg == [6] * (max(ends) + len(ends)), kern.name
+            assert geg == [6], kern.name
             assert deeper or (len(jac), len(geg)) == built, kern.name
     assert len(counts) == 3
     assert levels < spectra._LEVELS - spectra._BLOCK  # blocks no table reached stay unbuilt
@@ -934,31 +964,40 @@ def test_quadrature_warm_table_equals_cold(jmax):
             assert table(kern, alpha) == cold, (kern.name, [k.name for k, _ in first])
 
 
+def _phi_panels(grid, level):
+    """The nodes and weights of level `level`'s phi grid, panel by panel: the dyadic
+    panels [pi 2^(-i-1), pi 2^-i], i < D = 2 level + 4, then the end panel [0, pi 2^-D]."""
+    depth = 2 * level + 4
+    bounds = [(np.pi * 2.0 ** -(i + 1), np.pi * 2.0 ** -i) for i in range(depth)]
+    bounds.append((0.0, np.pi * 2.0 ** -depth))
+    return [spectra._panels(lo, hi, grid.rule) for lo, hi in bounds]
+
+
 @pytest.mark.parametrize("jmax", [2, 6])
-def test_quadrature_grid_keeps_each_dyadic_panel_once(jmax, monkeypatch):
-    # the dyadic phi panels of a grid are one prefix of n columns per panel, each built
-    # once, in order: after tables at several depths the prefix holds the deepest depth's
-    # panels, each level's record has its own depth and built its one end panel, and no
-    # record holds a view of the prefix, which a deeper level replaces
+def test_quadrature_grid_keeps_each_dyadic_panel_once(jmax):
+    # the phi panels of a grid are one table of n columns per panel, the dyadic panels
+    # first, each once: a level reads the first 2 level + 4 panels of it in place, and
+    # its record holds a view of its own end panel's rows; after tables at several depths
+    # each record equals its phi grid built panel by panel, to the last bit
     spectra._grid.cache_clear()
     grid, n = spectra._grid(jmax), max(16, jmax + 8)
-    panel, built = grid._panel, []
-    monkeypatch.setattr(grid, "_panel", lambda lo, hi: built.append((lo, hi)) or panel(lo, hi))
+    panels = 3 * spectra._LEVELS + 2
+    assert grid.G.shape == (jmax + 1, panels * n) and grid.sw.shape == grid.S.shape == (panels, n)
     for alpha in (4.0, 5.499, 1.5):  # a first table, a deeper one, then a shallower one
         for make in (spectra.kernel_K1, spectra.kernel_K2):
             spectra.eig_quadrature_table(make(alpha), alpha, jmax)
-    depths = [rec.cut // n for rec in grid._levels.values()]
-    assert len(set(depths)) == len(grid._levels) > 2
-    assert [p for p in built if p[0]] == [(np.pi * 2.0 ** -(i + 1), np.pi * 2.0 ** -i)
-                                          for i in range(max(depths))]
-    assert sorted(hi for lo, hi in built if not lo) == sorted(np.pi * 2.0 ** -D for D in depths)
-    assert [a.shape[-1] for a in grid._prefix] == [max(depths) * n] * 3
-    for rec in grid._levels.values():
-        assert rec.phi.shape == rec.sw.shape == rec.S.shape == (rec.cut + n,)
-        assert rec.G_end.shape == (jmax + 1, n)
-        for arr in (rec.theta, rec.w, rec.T, rec.A, rec.B, rec.phi, rec.sw, rec.S, rec.G_end):
+    assert len(grid._levels) > 2
+    for level, rec in grid._levels.items():
+        phi, w = (np.concatenate(part) for part in zip(*_phi_panels(grid, level)))
+        assert rec.cut == (2 * level + 4) * n and rec.sw.shape == rec.S.shape == (rec.cut + n,)
+        assert rec.sw.tobytes() == (np.sin(phi) ** 6 * w).tobytes(), level
+        assert rec.S.tobytes() == (np.sin(phi / 2.0) ** 2).tobytes(), level
+        G = specfun.gegenbauer3(jmax, np.cos(phi))
+        assert grid.G[:, :rec.cut].tobytes() == G[:, :rec.cut].tobytes(), level
+        assert rec.G_end.tobytes() == G[:, rec.cut:].tobytes(), level
+        assert np.shares_memory(rec.G_end, grid.G)
+        for arr in (rec.theta, rec.w, rec.T, rec.A, rec.B, rec.sw, rec.S, rec.G_end):
             assert not arr.flags.writeable
-            assert not any(np.shares_memory(arr, part) for part in grid._prefix)
 
 
 @pytest.mark.parametrize("arg", ["d2", "theta"])
@@ -991,7 +1030,8 @@ def test_quadrature_kernel_receives_the_distance_of_its_level():
     grid = spectra._grid(6)
     assert len(seen) > spectra._BLOCK
     for level, (d2, theta) in enumerate(seen):
-        th, phi = grid.theta[level][:, None], grid.level(level).phi
+        th = grid.theta[level][:, None]
+        phi = np.concatenate([nodes for nodes, _ in _phi_panels(grid, level)])
         want = 4.0 * np.sin(th / 2.0) ** 4 + 4.0 * np.cos(th) * np.sin(phi / 2.0) ** 2
         assert theta.tobytes() == th.tobytes() and d2.shape == want.shape, level
         assert d2.tobytes() == want.tobytes(), level
