@@ -11,7 +11,7 @@ from octhls import spectra
 
 def main():
     print("eigenvalues of the kernel |1 - w|^(-2 alpha) on bispherical subspaces")
-    print("(closed form vs adaptive two-angle quadrature)\n")
+    print("(closed form vs Duffy-mapped Gauss-Jacobi quadrature)\n")
     alpha = 4.0
     table = spectra.eig_quadrature_table(spectra.kernel_K1(alpha), alpha, 4)
     print(" j  k   closed form       quadrature        rel diff")

@@ -4,7 +4,8 @@ Two independent routes to the same numbers: closed-form gamma-ratio
 formulas (gamma constants times prefix products of rising-factorial
 ratios, so indices up to 10^4 neither overflow nor lose the exact zeros
 at the integer limit points) and a Funk-Hecke quadrature oracle that
-integrates the kernel against the zonal harmonics directly.  Also: the spectrum of the intertwining
+integrates the kernel against the zonal harmonics directly, on one
+Duffy-mapped Gauss-Jacobi rule.  Also: the spectrum of the intertwining
 operator of degree d, its fundamental-solution constant, the bilinear
 eigenvalue margin, and the Log-Sobolev spectral gap.
 
@@ -20,7 +21,6 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from . import Q
 from .constants import (_J_FACTORS, _K_FACTORS, _check_alpha, _check_open, _gamma_starts,
                         _signed_log_gamma, c_d)
-from .specfun import _check_degree, _check_index, bispherical_basis, gegenbauer3
+from .specfun import _check_degree, _check_index, gegenbauer3, jacobi33
 
 __all__ = [
     "ZonalKernel",
@@ -60,12 +60,12 @@ class ZonalKernel:
 
     ``at(d2, theta)`` returns K at |1 - w|^2 = d2, |w| = cos theta for arrays
     of any broadcastable shapes, with the broadcast shape.  The quadrature
-    oracle passes a level's (theta nodes x phi nodes) array of d2 and its
-    theta column, d2 formed as 4 sin^4(theta/2) + 4 cos theta sin^2(phi/2)
-    = (1 - r)^2 + 2 r (1 - cos phi) at r = cos theta, which keeps the digits
-    that 1 - cos loses near the singular corner.  Both are read-only: the
-    theta column is a view of the grid every table at the same jmax shares,
-    and a write raises ValueError.
+    oracle calls it once per table, with d2 and theta at the nodes of both
+    Duffy triangles, each (2, n, n), d2 formed as 4 sin^4(theta/2) + 4 cos
+    theta sin^2(phi/2) = (1 - r)^2 + 2 r (1 - cos phi) at r = cos theta,
+    which keeps the digits that 1 - cos loses near the singular corner.
+    Both are read-only arrays of the rule every table at the same (n, alpha)
+    shares, and a write raises ValueError.
     """
 
     at: Callable
@@ -92,20 +92,16 @@ def kernel_K2(alpha):
 #                   * p_k(cos 2 theta) * int_0^pi dphi K(cos theta, cos phi)
 #                   * c_m(cos phi) sin^6 phi
 # with m = j - k, p_k and c_m the normalized Jacobi/Gegenbauer factors.
-# The kernel blows up at (theta, phi) = (0, 0); both integrals use
-# composite Gauss-Legendre panels refined dyadically toward 0.  Near the
-# corner the integrand is theta^s times an even series in theta, and each
-# level halves theta, so level l contributes A rho^l + B (rho/4)^l, with
-# rho = 2^(4 alpha - Q) for K1 above alpha = 7/2 and 2^-8 below.  The levels
-# left over close as the two geometric tails of that model, at the ratio
-# the levels measure, extrapolated once over its 1/4 subleading factor.
+# The kernel blows up at the corner (theta, phi) = (0, 0).  In u = theta^2 everything but
+# the kernel is analytic on [0, U] x [0, Phi], U = (pi/2)^2, Phi = pi, and near the corner
+# d2 = |1 - w|^2 = u^2/4 + phi^2 + ... is homogeneous of degree 2 in (u, phi).  Duffy's
+# map (SIAM J. Numer. Anal. 19, 1982) splits the rectangle into the triangles
+# A: (u, phi) = (U s, Phi s t) and B: (u, phi) = (U s t, Phi s), s, t in [0, 1], each of
+# Jacobian U Phi s; there the measure u^3 phi^6 du dphi / 2 and K1 = d2^-alpha make the
+# integrand s^(10 - 2 alpha) times a function analytic in (s, t), with 10 = Q/2 - 1.  So
+# the rule is Gauss-Jacobi in s, of weight s^(10 - 2 alpha), times Gauss-Legendre in t.
 
-
-def _panels(lo, hi, rule):
-    """Nodes and weights of the rule (x, w) on the panels [lo, hi], shape (*np.shape(lo), n)."""
-    x, w = rule
-    mid, half = np.asarray(0.5 * (lo + hi))[..., None], np.asarray(0.5 * (hi - lo))[..., None]
-    return mid + half * x, half * w
+_U, _PHI = (math.pi / 2.0) ** 2, math.pi
 
 
 def _freeze(arr):
@@ -113,112 +109,67 @@ def _freeze(arr):
     return arr
 
 
-#: the dyadic theta levels a table may visit
-_LEVELS = 64
-#: theta levels per bispherical_basis call: a grid builds the theta factors of the levels
-#: tables reach, a block at a time
-_BLOCK = 8
+def _orthonormal(s, a, off):
+    """(p_n, p_n', sum_(k<n) p_k^2) at s, n = len(a) - 1, of the polynomials p_0 = 1,
+    s p_k = off[k + 1] p_(k+1) + a[k] p_k + off[k] p_(k-1), in the dtype of s."""
+    p_prev, p, d_prev, d, total = 0.0, np.ones_like(s), 0.0, np.zeros_like(s), np.zeros_like(s)
+    for k in range(len(a) - 1):
+        total += p * p
+        p_prev, p, d_prev, d = (p, ((s - a[k]) * p - off[k] * p_prev) / off[k + 1],
+                                d, ((s - a[k]) * d + p - off[k] * d_prev) / off[k + 1])
+    return p, d, total
 
 
-class _Level(NamedTuple):
-    """What a dyadic theta level reads of its grid, every array read-only."""
+def _gauss_jacobi(n, b):
+    """The n-point Gauss rule of the weight s^b on [0, 1], b > -1: (nodes ascending, weights),
+    np.longdouble arrays.
 
-    theta: np.ndarray  # the level's theta nodes, a column (n, 1)
-    w: np.ndarray  # their sin^7 cos^7 weights
-    T: np.ndarray  # the theta factors of bispherical_basis at them, (pairs, n)
-    A: np.ndarray  # 4 sin^4(theta/2), a column
-    B: np.ndarray  # 4 cos theta, a column
-    sw: np.ndarray  # sin^6 phi times the weights of the level's phi grid on [0, pi]
-    S: np.ndarray  # sin^2(phi/2) at its nodes
-    cut: int  # the dyadic panels' columns: the first cut, then the end panel's n
-    G_end: np.ndarray  # the end panel's gegenbauer3 rows, a view of the grid's G
-
-
-class _Grid:
-    """Everything of the oracle at one jmax that does not depend on the kernel.
-
-    Built with the grid: the Gauss-Legendre rule of n = max(16, jmax + 8) nodes, the
-    theta nodes of every level, their sin^7 cos^7 weights, the theta parts A = 4
-    sin^4(theta/2) and B = 4 cos theta of |1 - w|^2 = A + B sin^2(phi/2), and every phi
-    panel.  Level l reads the dyadic panels [pi 2^(-i-1), pi 2^-i], i < D_l = 2 l + 4,
-    then its end panel [0, pi 2^-D_l].  The grid holds the 2 _LEVELS + 2 dyadic panels,
-    then the _LEVELS end panels, as rows of n: sw = sin^6 phi times the weights, S =
-    sin^2(phi/2), and G, their gegenbauer3 rows from one call, (jmax + 1, panels n),
-    whose first D_l n columns a level reads in place (16 MiB at jmax 100).  The theta
-    factors are built in blocks of _BLOCK levels as tables reach them (34 MiB a block
-    at jmax 100, 272 MiB for all _LEVELS), with one _Level record per level reached.
-    Every array a grid hands out is read-only.
+    The recurrence is that of the Jacobi polynomials P^(0, b), mapped by s = (1 + x) / 2.
+    Golub-Welsch (np.linalg.eigvalsh of its matrix) gives the nodes in float64; two Newton
+    steps on the recurrence polish them, and the weights are the Christoffel numbers
+    1 / ((b + 1) sum_(k<n) p_k(s)^2) of the orthonormal recurrence, both in np.longdouble.
+    float64 alone falls short: weights from 1 / ((1 - x^2) P_n'^2) are off by up to 1e-10
+    in total mass at b = -0.998, and eigenvector weights by up to 5.9e-9 at b = 12.
     """
-
-    def __init__(self, jmax):
-        self.jmax = jmax
-        self.rule = leggauss(max(16, jmax + 8))
-        hi = math.pi * 2.0 ** -np.arange(1, _LEVELS + 1)
-        theta, w = _panels(hi / 2.0, hi, self.rule)
-        self.theta = _freeze(theta)
-        self.w7 = _freeze(w * np.sin(theta) ** 7 * np.cos(theta) ** 7)
-        self.A = _freeze(4.0 * np.sin(theta / 2.0) ** 4)
-        self.B = _freeze(4.0 * np.cos(theta))
-        j, k, T = bispherical_basis(jmax, theta[:_BLOCK])  # every table visits level 0
-        self.j, self.k, self.m = _freeze(j), _freeze(k), _freeze(j - k)
-        self._T = [_freeze(T)]  # by block of _BLOCK levels: their theta factors, (pairs, block, n)
-        # the kernel's feature scale in phi is 1 - cos theta, below which the integrand is
-        # smooth: about pi^2 2^(-2l-5) at level l's smallest theta node, so D_l = 2 l + 4
-        top = math.pi * 2.0 ** -np.arange(2 * _LEVELS + 3)
-        phi, w = _panels(np.concatenate([top[1:], np.zeros(_LEVELS)]),
-                         np.concatenate([top[:-1], top[4::2]]), self.rule)
-        self.sw = _freeze(np.sin(phi) ** 6 * w)  # (panels, n)
-        self.S = _freeze(np.sin(phi / 2.0) ** 2)
-        self.G = _freeze(gegenbauer3(jmax, np.cos(phi)).reshape(jmax + 1, -1))
-        self._levels = {}  # by level reached: its _Level
-
-    def level(self, level):
-        """The _Level of dyadic theta level `level`, built when a table first reaches it."""
-        rec = self._levels.get(level)
-        if rec is not None:
-            return rec
-        depth, n = 2 * level + 4, len(self.rule[0])
-        end = 2 * _LEVELS + 2 + level  # the row of the level's end panel
-        sw, S = (_freeze(np.concatenate([a[:depth].ravel(), a[end]])) for a in (self.sw, self.S))
-        while len(self._T) * _BLOCK <= level:
-            b = len(self._T) * _BLOCK
-            self._T.append(_freeze(bispherical_basis(self.jmax, self.theta[b:b + _BLOCK])[2]))
-        rec = _Level(self.theta[level][:, None], self.w7[level],
-                     self._T[level // _BLOCK][:, level % _BLOCK], self.A[level][:, None],
-                     self.B[level][:, None], sw, S, depth * n, self.G[:, end * n:(end + 1) * n])
-        self._levels[level] = rec
-        return rec
+    k, b = np.arange(n + 1, dtype=np.longdouble), np.longdouble(b)
+    two = 2.0 * k[1:] + b
+    # x-diagonal b^2 / ((2k + b)(2k + b + 2)), which is b / (b + 2) at k = 0, even at b = 0
+    a = (1.0 + np.concatenate([[b / (b + 2.0)], b * b / (two * (two + 2.0))])) / 2.0
+    off = np.concatenate([[0.0], k[1:] * (k[1:] + b) / (two * np.sqrt((two + 1.0) * (two - 1.0)))])
+    s = np.linalg.eigvalsh(np.diag(a[:n].astype(float)) + np.diag(off[1:n].astype(float), -1)
+                           ).astype(np.longdouble)  # eigvalsh reads the lower triangle
+    for _ in range(2):
+        p, d, _ = _orthonormal(s, a, off)
+        s -= p / d
+    return s, 1.0 / ((b + 1.0) * _orthonormal(s, a, off)[2])
 
 
-#: the most recently used jmax values whose grid is kept: a CLI command runs at one jmax,
-#: and at jmax 100 a grid holds 17 MiB, nearly all phi panels, and 34 MiB per block of levels
-#: reached: 85 MiB after a K1 table at alpha = 4 (9 levels), 120 at 5.45 (22), 189 at 5.49 (38)
-_GRIDS = 2
+@functools.lru_cache(maxsize=32)
+def _duffy_rule(n, a):
+    """The rule of eig_quadrature_table at n nodes and a checked alpha = a, read-only arrays
+    kept for the 32 most recently used (n, alpha) (1 MB each at n = 116, jmax 100).
 
-
-@functools.lru_cache(maxsize=_GRIDS)
-def _grid(jmax):
-    """The _Grid of a checked jmax, shared by every table at that jmax."""
-    return _Grid(jmax)
-
-
-def _level(grid, kern, level):
-    """(c, ref) of dyadic theta level `level`: the level's share of every pair's
-    Funk-Hecke integral, without _FH_CONST, and of the (0, 0) reference integral
-    of |K| over phi.  The kernel takes d2 = A + B S, the operations of
-    4 sin^4(theta/2) + 4 cos theta sin^2(phi/2) in their order, read-only."""
-    theta, w, T, A, B, sw, S, cut, G_end = grid.level(level)
-    kw = kern.at(_freeze(A + B * S), theta) * sw
-    inner = kw[:, :cut] @ grid.G[:, :cut].T  # inner[i, m]: the dyadic panels,
-    inner += kw[:, cut:] @ G_end.T  # then the end panel
-    c = np.einsum("pi,i,ip->p", T, w, inner[:, grid.m])
-    ref = float(np.dot(w, np.abs(inner[:, 0])))
-    return c, ref
-
-
-def _not_finite(kern, level):
-    return ValueError(f"Funk-Hecke quadrature of {kern.name} is not finite at dyadic theta"
-                      f" level {level}: the oracle cannot converge there")
+    theta, d2 = 4 sin^4(theta/2) + 4 cos theta sin^2(phi/2) and mu at the nodes, each
+    (2, n, n) over (triangle, s, t): the Gauss-Jacobi nodes s of weight s^(10 - 2a), the
+    Gauss-Legendre nodes t, and mu the measure sin^7 cos^7 theta dtheta sin^6 phi dphi as
+    weights, without s^(10 - 2a).  Then, over A's theta by s and B's theta, (n + n^2,):
+    cos theta and cos 2 theta; and over B's phi by s and A's phi: cos phi.
+    """
+    b = 10.0 - 2.0 * a
+    s, w = _gauss_jacobi(n, b)
+    ws = (w * s ** (1.0 - np.longdouble(b))).astype(float) * (_U * _PHI)  # the Jacobian U Phi s
+    s = s.astype(float)
+    t, wt = leggauss(n)
+    t, wt = (t + 1.0) / 2.0, wt / 2.0
+    st = s[:, None] * t
+    theta = np.stack([np.broadcast_to(np.sqrt(_U * s)[:, None], st.shape), np.sqrt(_U * st)])
+    phi = np.stack([_PHI * st, np.broadcast_to(_PHI * s[:, None], st.shape)])
+    d2 = 4.0 * np.sin(theta / 2.0) ** 4 + 4.0 * np.cos(theta) * np.sin(phi / 2.0) ** 2
+    mu = (ws[:, None] * wt * np.sin(theta) ** 7 * np.cos(theta) ** 7 / (2.0 * theta)
+          * np.sin(phi) ** 6)
+    x = np.concatenate([theta[0, :, 0], theta[1].ravel()])
+    cphi = np.cos(np.concatenate([phi[1, :, 0], phi[0].ravel()]))
+    return tuple(map(_freeze, (theta, d2, mu, np.cos(x), np.cos(2.0 * x), cphi)))
 
 
 @dataclass
@@ -233,64 +184,36 @@ def eig_quadrature_table(kern, alpha, jmax):
     """Quadrature eigenvalues of the Funk-Hecke integral for all j <= jmax, k <= j, as an
     EigenTable of alpha.
 
-    Every theta and phi panel takes the one Gauss-Legendre rule of n = max(16, jmax + 8)
-    nodes, exact to polynomial degree 2n - 1: the harmonic factors times the measure are
-    trigonometric polynomials of degree up to 2 jmax + 14 in theta (jmax + 6 in phi), so
-    the rule follows jmax (16 nodes miss 1e-6 from jmax 9 at alpha = 2.5).  Dyadic theta
-    level l is the panel [pi 2^(-l-2), pi 2^(-l-1)].  Everything but the kernel comes from
-    the _Grid of jmax, kept for the _GRIDS most recently used values of jmax; a table
-    evaluates the kernel once per level on its (theta nodes x phi nodes) array, with the
-    phi grid of the level's smallest theta node, and shares it across all indices.  A table
-    runs under one np.errstate that ignores overflow: a level whose sums are not finite, or
-    a table that is not, raises instead.
-
-    Level L adds c_L to the pairs and ref_L to the (0, 0) reference, whose
-    ratios rho_L = ref_L / ref_(L-1) approach rho with an error that shrinks by
-    1/4 per level, so rho^ = rho_L + (rho_L - rho_(L-1)) / 3 estimates rho.  A
-    level is settled when rho_L < 1 and ref_L |rho_L - rho_(L-1)| / (1 - rho_L)^2 is
-    within 1e-15 of the reference total.  Once rho^ < 1, and the level is settled
-    or the same test passes on rho^, the model A rho^l + B (rho/4)^l through the
-    last two levels of each pair gives the table, sum_(l<L) c_l + (c_L - b) / (1 -
-    rho^) + b / (1 - rho^/4) with b = B (rho^/4)^L.  It is returned at a settled
-    level, or once it moved by at most 1e-15 of its largest entry since the level
-    before.  A level the reference does not see (rho_L = 0 after a nonzero level)
-    closes with an empty tail.
+    alpha, checked on (-1, 11/2) before the kernel is called, is the exponent of the
+    kernel's corner singularity d2^-alpha, and selects the rule: on both Duffy triangles
+    (see above), Gauss-Jacobi in s of weight s^(10 - 2 alpha) times Gauss-Legendre in t,
+    each of n = max(24, jmax + 16) nodes, so the rule follows the highest degree.  The
+    kernel is called once, on both triangles' (s nodes x t nodes) arrays stacked, (2, n, n).
+    Triangle A's theta depends on s alone, so its phi sum is taken first; triangle B's phi
+    depends on s alone, so its gegenbauer3 rows are read by s.  One jacobi33 call per m
+    covers the n + n^2 theta values of both, so memory is O(jmax n^2).  The rule is kept
+    per (n, alpha) (_duffy_rule), read-only.  A table runs under one np.errstate that
+    ignores overflow, and raises a ValueError naming the kernel when a value is not finite.
     """
-    grid = _grid(_check_degree("jmax", jmax))
-    totals = np.zeros(len(grid.j))
-    ref_total, prev, rho_prev, hat_prev = 0.0, 0.0, math.inf, math.inf
-    c_prev = est = None
+    jmax = _check_degree("jmax", jmax)
+    a = _check_alpha(alpha)
+    n = max(24, jmax + 16)
+    theta, d2, mu, c, x2, cphi = _duffy_rule(n, a)
+    G = gegenbauer3(jmax, cphi)
+    values = np.empty((jmax + 1) * (jmax + 2) // 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        for level in range(_LEVELS):
-            c, ref = _level(grid, kern, level)
-            ref_total += ref
-            if not (np.isfinite(c).all() and math.isfinite(ref_total)):
-                raise _not_finite(kern, level)
-            rho = ref / prev if prev else math.inf  # no ratio after an empty level
-            rho_hat = max(rho + (rho - rho_prev) / 3.0, 0.0) if rho_prev < math.inf else math.inf
-            settled = (rho < 1.0
-                       and ref * abs(rho - rho_prev) <= 1e-15 * (1.0 - rho) ** 2 * ref_total)
-            if rho_hat < 1.0 and (settled or ref * abs(rho_hat - hat_prev)
-                                  <= 1e-15 * (1.0 - rho_hat) ** 2 * ref_total):
-                b = (rho_hat * c_prev - c) / 3.0  # (c_L - rho c_(L-1)) q / (q - rho), q = rho/4
-                last, est = est, totals + (c - b) / (1.0 - rho_hat) + b / (1.0 - rho_hat / 4.0)
-                if settled or (last is not None
-                               and np.abs(est - last).max() <= 1e-15 * np.abs(est).max()):
-                    values = _FH_CONST * est
-                    if not np.isfinite(values).all():
-                        raise _not_finite(kern, level)
-                    break
-            else:
-                est = None
-            totals += c
-            c_prev, prev, rho_prev, hat_prev = c, ref, rho, rho_hat
-        else:
-            if ref_total:
-                raise ValueError(f"Funk-Hecke quadrature of {kern.name} did not settle within"
-                                 f" {_LEVELS} dyadic theta levels")
-            values = np.zeros(len(grid.j))  # the kernel vanishes on every level
-    cells = zip(grid.j.tolist(), grid.k.tolist())
-    return EigenTable(float(alpha), dict(zip(cells, values.tolist())))
+        kmu = kern.at(d2, theta) * mu
+        v = np.concatenate([np.einsum("mil,il->mi", G[:, n:].reshape(-1, n, n), kmu[0]),
+                            (G[:, :n, None] * kmu[1]).reshape(-1, n * n)], axis=1)
+        for m in range(jmax + 1):
+            k = np.arange(jmax + 1 - m)
+            values[(k + m) * (k + m + 1) // 2 + k] = jacobi33(jmax - m, m, x2) @ (c ** m * v[m])
+        values *= _FH_CONST
+    if not np.isfinite(values).all():
+        raise ValueError(f"Funk-Hecke quadrature of {kern.name} is not finite: the oracle"
+                         " cannot integrate it")
+    j, k = np.tril_indices(jmax + 1)
+    return EigenTable(a, dict(zip(zip(j.tolist(), k.tolist()), values.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,10 @@ def test_criterion_03_cayley_identities():
 
 def test_criterion_04_eigenvalue_oracle_equivalence():
     worst = 0.0
-    for alpha in (1.0, 1.5, 2.0, 2.5, 3.0, 3.25, 3.5, 4.0, 4.75, 5.0, 5.2, 5.25, 5.3, 5.45, 5.49):
+    # below alpha = 1 too: the worst cell, K1's (6, 6) at alpha = -0.5, reads 3.2e-7;
+    # alpha = -0.9 misses (6, 6) of each kernel, the float64 floor (ROADMAP item 5)
+    for alpha in (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.25, 3.5, 4.0, 4.75, 5.0,
+                  5.2, 5.25, 5.3, 5.45, 5.49):
         for kind in ("K1", "K2"):
             for j, k, cf, _, err in cli._oracle_cells(kind, alpha, 6):
                 if cf != 0.0:

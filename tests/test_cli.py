@@ -311,8 +311,7 @@ def test_verify_builds_no_margin_block(capsys):
 
 
 def test_eigs_high_degree_exits_zero(capsys):
-    # every K1 and K2 cell at jmax 100 meets the 1e-6 bound; here the tail's 1/4
-    # subleading term decides cells near 1e-6
+    # every K1 and K2 cell at jmax 100 meets the 1e-6 bound
     code, out, _ = run(["eigs", "--alpha", "4", "--jmax", "100"], capsys)
     assert code == 0
     rows = json.loads(out)["rows"]
@@ -355,15 +354,15 @@ def test_eigs_bad_alpha_exit_two(capsys):
 
 
 def test_eigs_non_convergence_exit_two(capsys, monkeypatch):
-    # a K1 that overflows near the corner (the exponent 6, past 11/2, under the name of
-    # alpha = 4): the quadrature cannot converge, and the command exits 2
+    # a K1 whose values are not finite (inf, under the name of alpha = 4): the quadrature
+    # cannot integrate it, and the command exits 2 with a message that names the kernel
     kernel_K1 = spectra.kernel_K1
-    monkeypatch.setattr(spectra, "kernel_K1",
-                        lambda alpha: spectra.ZonalKernel(kernel_K1(6.0).at, kernel_K1(alpha).name))
+    monkeypatch.setattr(spectra, "kernel_K1", lambda alpha: spectra.ZonalKernel(
+        lambda d2, theta: np.full_like(d2, np.inf), kernel_K1(alpha).name))
     code, out, err = run(["eigs", "--alpha", "4", "--jmax", "1"], capsys)
     assert code == 2
     assert out == ""
-    assert "K1 at alpha = 4.0" in err and "dyadic theta level" in err
+    assert "K1 at alpha = 4.0 is not finite" in err
 
 
 @pytest.mark.parametrize("command, table, domain", [

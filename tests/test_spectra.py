@@ -142,16 +142,16 @@ def test_alpha_domain_errors():
 
 
 def test_quadrature_constant_kernel_gives_sphere_measure():
-    # a kernel other than K1 or K2 has no alpha: its tables here carry nan as their alpha
+    # a constant is K1 at alpha = 0, so its table takes alpha = 0's rule
     kern = spectra.ZonalKernel(lambda d2, theta: np.ones_like(d2), name="one")
-    val = spectra.eig_quadrature_table(kern, math.nan, 0).values[(0, 0)]
+    val = spectra.eig_quadrature_table(kern, 0.0, 0).values[(0, 0)]
     assert abs(val - SPHERE) / SPHERE < 1e-13
 
 
 def test_quadrature_orthogonality():
     # a constant kernel is orthogonal to every non-trivial zonal subspace
     kern = spectra.ZonalKernel(lambda d2, theta: np.ones_like(d2), name="one")
-    values = spectra.eig_quadrature_table(kern, math.nan, 3).values
+    values = spectra.eig_quadrature_table(kern, 0.0, 3).values
     for j, k in ((1, 0), (2, 1), (3, 3)):
         assert abs(values[(j, k)]) < 1e-10
 
@@ -175,111 +175,49 @@ def test_quadrature_K2_matches_closed_form_spot():
 
 
 def test_quadrature_non_convergence_raises():
-    # at alpha = 11/2 the kernel is not integrable: it overflows near the
-    # corner before the dyadic levels settle; the oracle says so instead of
-    # returning inf (and, under the suite's error::RuntimeWarning filter,
-    # without a numpy warning)
-    with pytest.raises(ValueError, match=r"K1 at alpha = 5\.5 .* dyadic theta level \d+"):
-        spectra.eig_quadrature_table(spectra.kernel_K1(5.5), 5.5, 0)
-
-
-def test_quadrature_level_budget_raises():
-    # sin^-8 theta against the sin^7 theta weight: every level contributes
-    # the same amount and nothing overflows, so the levels never settle
-    kern = spectra.ZonalKernel(lambda d2, th: np.sin(th) ** -8 + 0 * d2)
-    with pytest.raises(ValueError, match=r"zonal did not settle within 64 dyadic theta levels"):
-        spectra.eig_quadrature_table(kern, math.nan, 0)
+    # at alpha = 11/2 the kernel is not integrable and the rule's weight s^(10 - 2 alpha)
+    # is not either: the table refuses alpha before it calls the kernel
+    calls = []
+    kern = spectra.ZonalKernel(lambda d2, theta: calls.append(d2) or d2 ** -5.5, name="K1")
+    with pytest.raises(ValueError, match=r"exponent alpha = 5\.5 outside \(-1\.0, 5\.5\)"):
+        spectra.eig_quadrature_table(kern, 5.5, 0)
+    assert calls == []
 
 
 def test_quadrature_zero_kernel_gives_zero():
     kern = spectra.ZonalKernel(lambda d2, th: np.zeros_like(d2), name="zero")
-    values = spectra.eig_quadrature_table(kern, math.nan, 3).values
+    values = spectra.eig_quadrature_table(kern, 0.0, 3).values
     assert values[(0, 0)] == 0.0
     assert values[(3, 1)] == 0.0
 
 
-def _sin7_antiderivative(u):
-    c = np.cos(u)
-    return -c + c ** 3 - 3.0 * c ** 5 / 5.0 + c ** 7 / 7.0
-
-
-def _band_measure(lo, hi):
-    """The measure of the band lo < theta < hi of S^15: the weight is sin^7(2 theta) up
-    to constants, and the integral of sin^7 over [0, pi] is 32/35."""
-    return SPHERE * (_sin7_antiderivative(2 * hi) - _sin7_antiderivative(2 * lo)) / (32.0 / 35.0)
-
-
-def test_quadrature_kernel_vanishing_on_top_levels():
-    # the indicator of theta < pi/8 is zero on dyadic levels 0 and 1: an
-    # empty level gives no ratio, so the oracle must not stop there
-    kern = spectra.ZonalKernel(lambda d2, th: (th < np.pi / 8) + 0.0 * d2, name="cap")
-    exact = _band_measure(0.0, np.pi / 8)
-    val = spectra.eig_quadrature_table(kern, math.nan, 0).values[(0, 0)]
-    assert abs(val - exact) / exact < 1e-13
-
-
-@pytest.mark.parametrize("cut", [np.pi / 8, np.pi / 16], ids=["pi/8", "pi/16"])
-def test_quadrature_kernel_vanishing_near_the_corner(cut):
-    # the indicator of theta > cut is zero from dyadic level 2 (pi/8) or 3 (pi/16) on:
-    # the level ratio drops to 0 there, and the table closes with an empty tail
-    kern = spectra.ZonalKernel(lambda d2, th: (th > cut) + 0.0 * d2, name="band")
-    exact = _band_measure(cut, np.pi / 2)
-    val = spectra.eig_quadrature_table(kern, math.nan, 0).values[(0, 0)]
-    assert abs(val - exact) / exact < 1e-13
-
-
 def test_quadrature_near_domain_edge():
-    # the measured geometric tail carries the oracle up to alpha < 11/2,
-    # where 92% of the (0, 0) integral lies beyond the last level
+    # the rule's weight s^(10 - 2 alpha) carries the corner singularity up to alpha < 11/2
     for kind in ("K1", "K2"):
         for j, k, cf, _, err in cli._oracle_cells(kind, 5.499, 6):
             assert cf != 0.0 and err < 1e-12, (kind, j, k)
 
 
-@pytest.mark.parametrize("alpha", [4.0, 5.0, 5.45])
-def test_quadrature_level_ratios_settle_by_a_quarter(alpha):
-    # the tail's model: level l adds A rho^l + B (rho/4)^l, so the ratios rho_l of the
-    # (0, 0) reference approach rho with an error that shrinks by 1/4 per level, and so
-    # do their successive differences, over levels 4 to 19 (the tables close at 7 to 18)
-    grid = spectra._grid(6)
-    for kern in (spectra.kernel_K1(alpha), spectra.kernel_K2(alpha)):
-        ref = np.array([spectra._level(grid, kern, level)[1] for level in range(20)])
-        d = np.diff(ref[1:] / ref[:-1])
-        assert np.all(np.abs(d[5:] / d[4:-1] - 0.25) <= 0.005), kern.name
-
-
-# criterion 04's alpha grid, and the dyadic levels each table there visited when the
-# levels left over closed as the one geometric tail c_L / (1 - rho); at jmax 40 the
-# alpha = 5.49 tables overflowed at level 47 with that tail, and close before it now
-_CRITERION_04_ALPHAS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.25, 3.5, 4.0, 4.75, 5.0, 5.2, 5.25, 5.3,
-                        5.45, 5.49)
-_ONE_RATIO_LEVELS = {
-    6: {"K1": (7, 7, 7, 7, 7, 8, 8, 9, 13, 16, 19, 20, 22, 28, 39),
-        "K2": (7, 7, 7, 7, 7, 8, 8, 9, 13, 16, 19, 21, 22, 28, 39)},
-    40: {"K1": (7, 7, 7, 7, 7, 8, 8, 9, 13, 16, 19, 20, 22, 28, 47),
-         "K2": (7, 7, 7, 7, 7, 8, 8, 9, 13, 16, 19, 21, 22, 28, 47)},
-}
-
-
-@pytest.mark.parametrize("jmax", [6, 40])
-def test_quadrature_visits_no_more_levels(jmax):
-    # the two-term tail settles sooner near 11/2 and later nowhere; levels are counted
-    # as kernel calls, one per level, as in test_quadrature_table_builds_theta_factors_once
-    levels = {}
-    for kind, make in (("K1", spectra.kernel_K1), ("K2", spectra.kernel_K2)):
-        for alpha, before in zip(_CRITERION_04_ALPHAS, _ONE_RATIO_LEVELS[jmax][kind]):
-            kern, calls = make(alpha), []
-
-            def at(d2, th, kern=kern, calls=calls):
-                calls.append(d2.shape)
-                return kern.at(d2, th)
-
-            spectra.eig_quadrature_table(spectra.ZonalKernel(at, kern.name), alpha, jmax)
-            assert len(calls) <= before, (kern.name, len(calls))
-            levels[kind, alpha] = len(calls)
-    if jmax == 6:
-        assert max(levels["K1", 5.45], levels["K2", 5.45]) <= 18
-        assert max(levels["K1", 5.0], levels["K2", 5.0]) <= 13
+@pytest.mark.parametrize("n", [24, 56, 116])
+@pytest.mark.parametrize("b", [-0.998, -0.98, -0.6, 0.0, 4.0, 12.0])
+def test_gauss_jacobi_rule_matches_mpmath(b, n):
+    # the rule of weight s^b on [0, 1] against mpmath's Jacobi (0, b) rule at 40 digits,
+    # mapped by s = (1 + x) / 2: nodes to 1e-18 absolute, weights to 4e-16 relative
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 40
+    nodes, weights = mp.gauss_quadrature(n, "jacobi", 0, mp.mpf(b))
+    scale = mp.mpf(2) ** (mp.mpf(b) + 1)
+    ref = sorted(((x + 1) / 2, w / scale) for x, w in zip(nodes, weights))
+    s, w = spectra._gauss_jacobi(n, b)
+    assert s.dtype == w.dtype == np.longdouble and s.shape == w.shape == (n,)
+    for i, (x, wx) in enumerate(ref):
+        assert abs(mp.mpf(str(s[i])) - x) < 1e-18, (i, s[i])
+        assert abs(mp.mpf(str(w[i])) - wx) < 4e-16 * wx, (i, w[i])
+    # the table keeps the rule mapped to both triangles per (n, alpha), read-only
+    rule = spectra._duffy_rule(n, (10.0 - b) / 2.0)
+    assert spectra._duffy_rule(n, (10.0 - b) / 2.0) is rule
+    assert not any(arr.flags.writeable for arr in rule)
 
 
 def test_ratio_identity_matches_direct_quotient():
@@ -913,41 +851,11 @@ def test_quadrature_table_names_a_bad_index(args, error, match):
         spectra.eig_quadrature_table(spectra.kernel_K1(4.0), 4.0, *args)
 
 
-def test_quadrature_table_builds_theta_factors_once(monkeypatch):
-    # the grid of a jmax builds each part once: its one gegenbauer3 call, for every phi
-    # panel, when it is built, and jmax + 1 jacobi33 calls per block of _BLOCK theta
-    # levels as tables reach it; a table that reaches no new level builds nothing
-    jac, geg = [], []
-    jacobi33, gegenbauer3 = specfun.jacobi33, spectra.gegenbauer3
-    monkeypatch.setattr(specfun, "jacobi33", lambda k, m, x: jac.append(m) or jacobi33(k, m, x))
-    monkeypatch.setattr(spectra, "gegenbauer3", lambda n, x: geg.append(n) or gegenbauer3(n, x))
-    spectra._grid.cache_clear()
-    levels, counts = 0, set()
-    for alpha in (4.0, 1.5, 4.0, 5.499, 1.5):  # a first table, then shallower, same, deeper
-        for kind in (spectra.kernel_K1, spectra.kernel_K2):
-            kern, calls = kind(alpha), []
-
-            def at(d2, th, kern=kern, calls=calls):
-                calls.append(d2.shape)
-                return kern.at(d2, th)
-
-            built = len(jac), len(geg)
-            spectra.eig_quadrature_table(spectra.ZonalKernel(at, kern.name), alpha, 6)
-            deeper = len(calls) > levels
-            levels = max(levels, len(calls))
-            counts.add(len(calls))
-            assert jac == list(range(7)) * -(-levels // spectra._BLOCK), kern.name
-            assert geg == [6], kern.name
-            assert deeper or (len(jac), len(geg)) == built, kern.name
-    assert len(counts) == 3
-    assert levels < spectra._LEVELS - spectra._BLOCK  # blocks no table reached stay unbuilt
-
-
 @pytest.mark.parametrize("jmax", [2, 6])
 def test_quadrature_warm_table_equals_cold(jmax):
-    # a table does not depend on what the shared grid held before it: computed right
-    # after cache_clear, after a deeper and a shallower table, and after all the other
-    # tables, it is the same to the last bit
+    # a table does not depend on what the kept rules held before it: computed right after
+    # the cache is cleared, after a deeper and a shallower table, and after all the
+    # other tables, it is the same to the last bit
     kernels = [(make(alpha), alpha) for alpha in (1.5, 4.0, 5.499)
                for make in (spectra.kernel_K1, spectra.kernel_K2)]
 
@@ -955,54 +863,18 @@ def test_quadrature_warm_table_equals_cold(jmax):
         return [v.hex() for v in spectra.eig_quadrature_table(kern, alpha, jmax).values.values()]
 
     for kern, alpha in kernels:
-        spectra._grid.cache_clear()
+        spectra._duffy_rule.cache_clear()
         cold = table(kern, alpha)
         for first in (kernels[-1:] + kernels[:1], [ka for ka in kernels if ka[0] is not kern]):
-            spectra._grid.cache_clear()
+            spectra._duffy_rule.cache_clear()
             for other in first:
                 table(*other)
             assert table(kern, alpha) == cold, (kern.name, [k.name for k, _ in first])
 
 
-def _phi_panels(grid, level):
-    """The nodes and weights of level `level`'s phi grid, panel by panel: the dyadic
-    panels [pi 2^(-i-1), pi 2^-i], i < D = 2 level + 4, then the end panel [0, pi 2^-D]."""
-    depth = 2 * level + 4
-    bounds = [(np.pi * 2.0 ** -(i + 1), np.pi * 2.0 ** -i) for i in range(depth)]
-    bounds.append((0.0, np.pi * 2.0 ** -depth))
-    return [spectra._panels(lo, hi, grid.rule) for lo, hi in bounds]
-
-
-@pytest.mark.parametrize("jmax", [2, 6])
-def test_quadrature_grid_keeps_each_dyadic_panel_once(jmax):
-    # the phi panels of a grid are one table of n columns per panel, the dyadic panels
-    # first, each once: a level reads the first 2 level + 4 panels of it in place, and
-    # its record holds a view of its own end panel's rows; after tables at several depths
-    # each record equals its phi grid built panel by panel, to the last bit
-    spectra._grid.cache_clear()
-    grid, n = spectra._grid(jmax), max(16, jmax + 8)
-    panels = 3 * spectra._LEVELS + 2
-    assert grid.G.shape == (jmax + 1, panels * n) and grid.sw.shape == grid.S.shape == (panels, n)
-    for alpha in (4.0, 5.499, 1.5):  # a first table, a deeper one, then a shallower one
-        for make in (spectra.kernel_K1, spectra.kernel_K2):
-            spectra.eig_quadrature_table(make(alpha), alpha, jmax)
-    assert len(grid._levels) > 2
-    for level, rec in grid._levels.items():
-        phi, w = (np.concatenate(part) for part in zip(*_phi_panels(grid, level)))
-        assert rec.cut == (2 * level + 4) * n and rec.sw.shape == rec.S.shape == (rec.cut + n,)
-        assert rec.sw.tobytes() == (np.sin(phi) ** 6 * w).tobytes(), level
-        assert rec.S.tobytes() == (np.sin(phi / 2.0) ** 2).tobytes(), level
-        G = specfun.gegenbauer3(jmax, np.cos(phi))
-        assert grid.G[:, :rec.cut].tobytes() == G[:, :rec.cut].tobytes(), level
-        assert rec.G_end.tobytes() == G[:, rec.cut:].tobytes(), level
-        assert np.shares_memory(rec.G_end, grid.G)
-        for arr in (rec.theta, rec.w, rec.T, rec.A, rec.B, rec.sw, rec.S, rec.G_end):
-            assert not arr.flags.writeable
-
-
 @pytest.mark.parametrize("arg", ["d2", "theta"])
 def test_quadrature_kernel_cannot_write_the_grid(arg):
-    # a kernel reads d2 and a view of the grid every table at its jmax shares, both
+    # a kernel reads d2 and theta of the rule every table at its (n, alpha) shares, both
     # read-only: writing into either raises, and the next table is unchanged
     kern = spectra.kernel_K1(4.0)
     want = spectra.eig_quadrature_table(kern, 4.0, 3).values
@@ -1012,14 +884,26 @@ def test_quadrature_kernel_cannot_write_the_grid(arg):
         return kern.at(d2, theta)
 
     with pytest.raises(ValueError, match="read-only"):
-        spectra.eig_quadrature_table(spectra.ZonalKernel(at), math.nan, 3)
+        spectra.eig_quadrature_table(spectra.ZonalKernel(at), 4.0, 3)
     got = spectra.eig_quadrature_table(kern, 4.0, 3).values
     assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
 
 
+def _duffy_nodes(n, alpha):
+    """(theta, phi), each (2, n, n), of the Duffy triangles A: (u, phi) = (U s, Phi s t) and
+    B: (u, phi) = (U s t, Phi s), u = theta^2, U = (pi/2)^2, Phi = pi, at the Gauss-Jacobi
+    nodes s of weight s^(10 - 2 alpha) and the Gauss-Legendre nodes t, both on [0, 1]."""
+    s = spectra._gauss_jacobi(n, 10.0 - 2.0 * alpha)[0].astype(float)[:, None]
+    t = (np.polynomial.legendre.leggauss(n)[0] + 1.0) / 2.0
+    U, PHI = (math.pi / 2.0) ** 2, math.pi
+    theta = np.stack([np.broadcast_to(np.sqrt(U * s), (n, n)), np.sqrt(U * (s * t))])
+    phi = np.stack([PHI * (s * t), np.broadcast_to(PHI * s, (n, n))])
+    return theta, phi
+
+
 def test_quadrature_kernel_receives_the_distance_of_its_level():
-    # d2 = A + B S from the grid's factors is 4 sin^4(theta/2) + 4 cos theta sin^2(phi/2)
-    # on the level's theta and phi nodes, bit for bit, at every level of a K1 table
+    # d2 is 4 sin^4(theta/2) + 4 cos theta sin^2(phi/2) at the mapped nodes of both
+    # triangles, bit for bit, not the cancelling 1 + cos^2 theta - 2 cos theta cos phi
     kern, seen = spectra.kernel_K1(5.45), []
 
     def at(d2, theta):
@@ -1027,26 +911,19 @@ def test_quadrature_kernel_receives_the_distance_of_its_level():
         return kern.at(d2, theta)
 
     spectra.eig_quadrature_table(spectra.ZonalKernel(at), 5.45, 6)
-    grid = spectra._grid(6)
-    assert len(seen) > spectra._BLOCK
-    for level, (d2, theta) in enumerate(seen):
-        th = grid.theta[level][:, None]
-        phi = np.concatenate([nodes for nodes, _ in _phi_panels(grid, level)])
-        want = 4.0 * np.sin(th / 2.0) ** 4 + 4.0 * np.cos(th) * np.sin(phi / 2.0) ** 2
-        assert theta.tobytes() == th.tobytes() and d2.shape == want.shape, level
-        assert d2.tobytes() == want.tobytes(), level
+    [(d2, theta)] = seen
+    th, phi = _duffy_nodes(24, 5.45)
+    want = 4.0 * np.sin(th / 2.0) ** 4 + 4.0 * np.cos(th) * np.sin(phi / 2.0) ** 2
+    assert theta.tobytes() == th.tobytes() and d2.shape == want.shape == (2, 24, 24)
+    assert d2.tobytes() == want.tobytes()
 
 
-def test_quadrature_table_that_overflows_raises(monkeypatch):
-    # every level's sums are finite, but the table they close to is not: 1e308 (1 + 1/2
-    # + 1/4 / (1 - 1/2)) at the settled level 2.  A table runs under one np.errstate,
-    # so its own tail arithmetic does not warn, and the table is checked instead
-    def level(grid, kern, level):
-        return np.full(len(grid.j), 1e308 * 0.5 ** level), 0.5 ** level
-
-    monkeypatch.setattr(spectra, "_level", level)
-    with pytest.raises(ValueError, match=r"K1 at alpha = 4\.0 is not finite at dyadic theta level 2"):
-        spectra.eig_quadrature_table(spectra.kernel_K1(4.0), 4.0, 3)
+def test_quadrature_table_that_overflows_raises():
+    # a kernel that overflows: the table runs under one np.errstate, so its sums do not
+    # warn, and it raises instead of returning inf, naming the kernel
+    kern = spectra.ZonalKernel(lambda d2, theta: np.full_like(d2, np.inf), name="K1 at alpha = 4.0")
+    with pytest.raises(ValueError, match=r"K1 at alpha = 4\.0 is not finite"):
+        spectra.eig_quadrature_table(kern, 4.0, 3)
 
 
 _INDEXED = {
@@ -1071,12 +948,13 @@ def test_indices_are_integers(call):
             call(j, k)
 
 
-@pytest.mark.parametrize("jmax", [20, 40])
-@pytest.mark.parametrize("alpha", [3.0, 3.25, 3.5, 4.0, 4.75, 5.0, 5.2, 5.25, 5.3, 5.45])
-def test_quadrature_high_degree(jmax, alpha):
-    # criterion 04's bounds far above its jmax 6: a fixed 16-node rule fails here
-    # from (15, 15) up, and the rule that follows jmax does not; and every table
-    # within 1e-14 of its largest entry (measured: at most 6.3e-15, at alpha = 5.45)
+@pytest.mark.parametrize("alpha, jmax", [(alpha, jmax) for alpha in (3.0, 3.25, 3.5, 4.0, 4.75,
+                                                                      5.0, 5.2, 5.25, 5.3, 5.45)
+                                         for jmax in (20, 40)] + [(3.5, 100), (4.0, 100)])
+def test_quadrature_high_degree(alpha, jmax):
+    # criterion 04's bounds far above its jmax 6: a fixed 24-node rule fails here from
+    # (19, 6) at alpha = 4, and the rule that follows jmax does not; and every table within
+    # 1e-14 of its largest entry (measured: at most 6.2e-15, at alpha = 5.45, jmax 40)
     for kind in ("K1", "K2"):
         cells = list(cli._oracle_cells(kind, alpha, jmax))
         assert len(cells) == (jmax + 1) * (jmax + 2) // 2
@@ -1087,22 +965,23 @@ def test_quadrature_high_degree(jmax, alpha):
 
 
 def test_quadrature_rule_follows_jmax(monkeypatch):
-    # one Gauss-Legendre rule per jmax, of max(16, jmax + 8) nodes, for theta and phi
-    # alike: the first table at a jmax builds it, and later tables there share it
-    sizes, shapes = [], set()
+    # one rule of n = max(24, jmax + 16) nodes in s and in t, for both triangles, built
+    # once per (n, alpha), and one kernel call per table, on the (2, n, n) nodes
+    sizes = []
     leggauss = spectra.leggauss
     monkeypatch.setattr(spectra, "leggauss", lambda n: sizes.append(n) or leggauss(n))
-    spectra._grid.cache_clear()
+    spectra._duffy_rule.cache_clear()
     for jmax in (0, 6, 8, 9, 20):
-        sizes.clear()
-        shapes.clear()
+        n = max(24, jmax + 16)
         for alpha in (4.0, 5.0):
-            kern = spectra.kernel_K1(alpha)
+            kern, shapes = spectra.kernel_K1(alpha), []
 
-            def at(d2, th, kern=kern):
-                shapes.add((d2.shape[0], d2.shape[1] % d2.shape[0]))
+            def at(d2, th, kern=kern, shapes=shapes):
+                shapes.append((d2.shape, th.shape))
                 return kern.at(d2, th)
 
             spectra.eig_quadrature_table(spectra.ZonalKernel(at), alpha, jmax)
-        assert sizes == [max(16, jmax + 8)], jmax
-        assert shapes == {(max(16, jmax + 8), 0)}, jmax
+            assert shapes == [((2, n, n), (2, n, n))], (jmax, alpha)
+    # jmax 0, 6 and 8 share n = 24; 9 and 20 take 25 and 36
+    assert sizes == [24, 24, 25, 25, 36, 36]
+    spectra._duffy_rule.cache_clear()
