@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from . import Q, cayley, cli, functional, nilgroup, spectra
+from . import Q, cayley, functional, nilgroup, spectra
 
 #: the constant function 1
 ONE = functional.AxisZonalFunction(lambda th, ph: np.ones_like(th))
@@ -41,7 +41,7 @@ def intertwining_error(jmax):
 def oracle_error(kind, alpha, jmax):
     """Largest error of the kind's quadrature oracle against its closed form at alpha,
     over the cells k <= j <= jmax (relative, or absolute where the closed form is 0)."""
-    return max(err for *_, err in cli._oracle_cells(kind, alpha, jmax))
+    return max(err for *_, err in spectra._oracle_cells(kind, alpha, jmax))
 
 
 def margin_four_term_error(alpha, jmax):

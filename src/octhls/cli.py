@@ -81,16 +81,6 @@ def _spectral_constant(lam):
     return 2.0 ** (lam / 2.0) * constants._lambda00(lam / 4.0) * constants.sphere_measure() ** ((lam - Q) / Q)
 
 
-def _oracle_cells(kind, alpha, jmax):
-    """(j, k, closed form, quadrature, error) per cell of the kind's ("K1" or "K2") oracle
-    table at alpha, in scan order; the error is relative, or absolute where the closed form is 0."""
-    from . import spectra
-    kernel, closed = getattr(spectra, f"kernel_{kind}"), getattr(spectra, f"eig_{kind}")
-    for (j, k), qd in sorted(spectra.eig_quadrature_table(kernel(alpha), alpha, jmax).values.items()):
-        cf = closed(j, k, alpha)
-        yield j, k, cf, qd, abs(qd - cf) / abs(cf) if cf != 0.0 else abs(qd)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -117,11 +107,12 @@ def cmd_constants(args):
 
 def cmd_eigs(args):
     alphas = _alpha_grid(args.alpha, -1.0)
+    from . import spectra
     rows = []
     failed = False
     for alpha in alphas:
         for kind in ("K1", "K2"):
-            for j, k, cf, qd, rel in _oracle_cells(kind, alpha, args.jmax):
+            for j, k, cf, qd, rel in spectra._oracle_cells(kind, alpha, args.jmax):
                 ok = rel < (1e-6 if cf != 0.0 else 1e-8)
                 failed = failed or not ok
                 rows.append({"j": j, "k": k, "alpha": alpha, "kernel": kind,

@@ -109,7 +109,7 @@ def test_criterion_04_eigenvalue_oracle_equivalence():
     for alpha in (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.25, 3.5, 4.0, 4.75, 5.0,
                   5.2, 5.25, 5.3, 5.45, 5.49):
         for kind in ("K1", "K2"):
-            for j, k, cf, _, err in cli._oracle_cells(kind, alpha, 6):
+            for j, k, cf, _, err in spectra._oracle_cells(kind, alpha, 6):
                 if cf != 0.0:
                     worst = max(worst, err)
                 else:

@@ -562,6 +562,22 @@ def test_commands_load_only_their_layers():
     assert _python_with_src(code) == "['octhls.cli', 'octhls.constants', 'octhls.specfun', 'octhls.spectra']"
 
 
+def test_verify_as_a_script_runs_cli_once():
+    # python -m octhls.cli runs cli as __main__; verify then imports its layers, and none of
+    # them may import octhls.cli again, which would run the module body a second time
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        "sys.argv = ['octhls', 'verify', '--mc-samples', '200']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('octhls.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, 'octhls.cli' in sys.modules, 'octhls._checks' in sys.modules)\n"
+    )
+    assert _python_with_src(code) == "0 False True"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [(["--help"], 0), (["verify", "--help"], 0), (["eigs", "--lambda", "12"], 2), ([], 2),

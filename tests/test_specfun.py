@@ -131,6 +131,69 @@ def test_degrees_are_checked(call, error, match):
         call(np.linspace(-1.0, 1.0, 5))
 
 
+@pytest.mark.parametrize("m, error, match", [
+    (np.array([1.5, 2.0]), TypeError, r"m must be an integer or a 1-D array of integers, got array\(\[1\.5, 2\. \]\)"),
+    (np.array([[0, 1]]), TypeError, r"m must be an integer or a 1-D array of integers, got array\(\[\[0, 1\]\]\)"),
+    (np.array([True, False]), TypeError, "m must be an integer or a 1-D array of integers"),
+    ([1, [2]], TypeError, "m must be an integer or a 1-D array of integers"),
+    (np.array([0, 3, -2]), ValueError, "m must be >= 0, got -2"),
+], ids=["float", "2-D", "bool", "ragged", "negative"])
+def test_jacobi33_checks_an_array_of_orders(m, error, match):
+    # an array of orders that is not 1-D, not integers or not >= 0 is an error that names m
+    with pytest.raises(error, match=match):
+        sf.jacobi33(2, m, np.linspace(-1.0, 1.0, 5))
+
+
+def test_jacobi33_orders_array_is_the_calls_stacked():
+    # one recurrence over every order gives each order's rows to the last bit, in the order
+    # given (repeats and any sort allowed), for any x shape
+    x = np.concatenate([np.linspace(-1.0, 1.0, 37), [-0.0, 0.0, 0.3, 0.99, 2.0]])
+    for xs in (x, x.reshape(6, 7), np.float64(0.3)):
+        for k in (0, 1, 2, 7, 40):
+            for ms in ([0], [3], [0, 1, 2, 3], [9, 2, 9, 0], list(range(45))):
+                got = sf.jacobi33(k, np.array(ms), xs)
+                want = np.stack([sf.jacobi33(k, m, xs) for m in ms])
+                assert got.shape == (len(ms), k + 1, *np.shape(xs))
+                assert got.tobytes() == want.tobytes(), (k, ms)
+    assert sf.jacobi33(3, [2, 0], x).tobytes() == sf.jacobi33(3, np.array([2, 0]), x).tobytes()
+    assert sf.jacobi33(3, np.array([], dtype=int), x).shape == (0, 4, x.size)
+
+
+def _basis_order_by_order(jmax, theta):
+    """bispherical_basis as one jacobi33 call per m, each m stored through its pairs."""
+    j, k = np.tril_indices(jmax + 1)
+    c, x = np.cos(theta), np.cos(2.0 * theta)
+    T = np.empty((len(j), *theta.shape))
+    for m in range(jmax + 1):
+        kk = np.arange(jmax + 1 - m)
+        T[(kk + m) * (kk + m + 1) // 2 + kk] = c ** m * sf.jacobi33(jmax - m, m, x)
+    return j, k, T
+
+
+@pytest.mark.parametrize("block", [1, None, 1 << 40], ids=["one-m-blocks", "default", "one-block"])
+def test_bispherical_basis_equals_the_order_by_order_loop(monkeypatch, block):
+    # whatever the blocks of orders, the basis is the one-call-per-m loop to the last bit
+    if block is not None:
+        monkeypatch.setattr(sf, "_BLOCK", block)
+    theta = np.linspace(0.0, math.pi / 2, 200)
+    for jmax, th in ((0, theta), (1, theta), (6, theta), (40, theta), (40, theta[:12].reshape(3, 4))):
+        got, want = sf.bispherical_basis(jmax, th), _basis_order_by_order(jmax, th)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), jmax
+        assert got[2].shape == want[2].shape
+
+
+def test_m_blocks_cover_the_orders_within_the_bound():
+    for jmax, size in ((0, 1), (6, 600), (20, 1332), (40, 3192), (100, 13572), (40, 200)):
+        blocks = list(sf._m_blocks(jmax, size))
+        assert [m0 for m0, _ in blocks] == [0] + [m1 for _, m1 in blocks[:-1]]
+        assert blocks[-1][1] == jmax + 1
+        for m0, m1 in blocks:
+            assert m1 == m0 + 1 or (m1 - m0) * (jmax + 1 - m0) * size <= sf._BLOCK
+    # a jmax 6 oracle table (600 theta values) is one block, a jmax 100 one one order at a time
+    assert list(sf._m_blocks(6, 600)) == [(0, 7)]
+    assert all(m1 == m0 + 1 for m0, m1 in sf._m_blocks(100, 13572) if m0 < 90)
+
+
 def test_gegenbauer3_against_scipy():
     # every row i is C_i^(3) times its normalization 5! i! / (i+5)!
     xs = np.linspace(-1.0, 1.0, 11)

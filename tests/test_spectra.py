@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from octhls import _checks, cli, specfun, spectra
+from octhls import _checks, specfun, spectra
 from octhls.nilgroup import Q
 
 SPHERE = 2.0 * math.pi ** 8 / math.factorial(7)
@@ -158,7 +158,7 @@ def test_quadrature_orthogonality():
 
 def _cell_errors(kind, alpha, jmax):
     """{(j, k): the oracle's error against the closed form} over the kind's table."""
-    return {(j, k): err for j, k, *_, err in cli._oracle_cells(kind, alpha, jmax)}
+    return {(j, k): err for j, k, *_, err in spectra._oracle_cells(kind, alpha, jmax)}
 
 
 def test_quadrature_matches_closed_form_spot():
@@ -194,7 +194,7 @@ def test_quadrature_zero_kernel_gives_zero():
 def test_quadrature_near_domain_edge():
     # the rule's weight s^(10 - 2 alpha) carries the corner singularity up to alpha < 11/2
     for kind in ("K1", "K2"):
-        for j, k, cf, _, err in cli._oracle_cells(kind, 5.499, 6):
+        for j, k, cf, _, err in spectra._oracle_cells(kind, 5.499, 6):
             assert cf != 0.0 and err < 1e-12, (kind, j, k)
 
 
@@ -872,6 +872,37 @@ def test_quadrature_warm_table_equals_cold(jmax):
             assert table(kern, alpha) == cold, (kern.name, [k.name for k, _ in first])
 
 
+def _table_order_by_order(kern, alpha, jmax):
+    """eig_quadrature_table's values as one jacobi33 call per m, each m's cells stored at
+    their scan positions (j, then k), the keys from np.tril_indices."""
+    n = max(24, jmax + 16)
+    theta, d2, mu, c, x2, cphi = spectra._duffy_rule(n, alpha)
+    G = specfun.gegenbauer3(jmax, cphi)
+    values = np.empty((jmax + 1) * (jmax + 2) // 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kmu = kern.at(d2, theta) * mu
+        v = np.concatenate([np.einsum("mil,il->mi", G[:, n:].reshape(-1, n, n), kmu[0]),
+                            (G[:, :n, None] * kmu[1]).reshape(-1, n * n)], axis=1)
+        for m in range(jmax + 1):
+            k = np.arange(jmax + 1 - m)
+            values[(k + m) * (k + m + 1) // 2 + k] = specfun.jacobi33(jmax - m, m, x2) @ (c ** m * v[m])
+        values *= spectra._FH_CONST
+    j, k = np.tril_indices(jmax + 1)
+    return dict(zip(zip(j.tolist(), k.tolist()), values.tolist()))
+
+
+@pytest.mark.parametrize("jmax", [0, 1, 2, 6, 8, 9, 20, 40])
+def test_quadrature_table_equals_the_order_by_order_loop(jmax):
+    # one jacobi33 call per block of orders, each m contracted on its own, gives the table
+    # of one call per m to the last bit, keys and their order included
+    for alpha in (-0.5, 4.0, 5.45):
+        for kern in (spectra.kernel_K1(alpha), spectra.kernel_K2(alpha)):
+            got = spectra.eig_quadrature_table(kern, alpha, jmax).values
+            want = _table_order_by_order(kern, alpha, jmax)
+            assert list(got) == list(want)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()], kern.name
+
+
 @pytest.mark.parametrize("arg", ["d2", "theta"])
 def test_quadrature_kernel_cannot_write_the_grid(arg):
     # a kernel reads d2 and theta of the rule every table at its (n, alpha) shares, both
@@ -956,7 +987,7 @@ def test_quadrature_high_degree(alpha, jmax):
     # (19, 6) at alpha = 4, and the rule that follows jmax does not; and every table within
     # 1e-14 of its largest entry (measured: at most 6.2e-15, at alpha = 5.45, jmax 40)
     for kind in ("K1", "K2"):
-        cells = list(cli._oracle_cells(kind, alpha, jmax))
+        cells = list(spectra._oracle_cells(kind, alpha, jmax))
         assert len(cells) == (jmax + 1) * (jmax + 2) // 2
         top = max(abs(cf) for _, _, cf, _, _ in cells)
         for j, k, cf, qd, err in cells:
