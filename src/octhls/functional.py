@@ -381,8 +381,8 @@ def el_residual(h, lam=None, jmax=40):
     top = slice(-(2 * jmax + 1), None)  # the shells j >= jmax - 1, last in tril order
     tail = float(np.max(np.abs((T[top].T * a[top]) @ C[top]) / np.abs(conv)))
     if not tail <= _EL_TAIL:
-        raise ValueError(f"el_residual: the shells j >= {jmax - 1} reach {tail:.3e} of K h at a "
-                         f"check point, above {_EL_TAIL:.0e}, at jmax {jmax}; recenter h first")
+        raise ValueError(f"el_residual: the shells j >= {max(jmax - 1, 0)} reach {tail:.3e} of K h "
+                         f"at a check point, above {_EL_TAIL:.0e}, at jmax {jmax}; recenter h first")
     if not abs(proj.residual()) <= _EL_CUT * proj.l2:
         raise ValueError(f"el_residual: jmax {jmax} misses {abs(proj.residual()) / proj.l2:.3e} of "
                          f"int h^2, above {_EL_CUT:.0e}; raise jmax")

@@ -2,9 +2,9 @@
 
 Provides Gegenbauer C_n^(3) and Jacobi P_k^(3, 3+m) polynomials, normalized
 to 1 at x = 1 and returned for every degree 0..n from one pass of the
-three-term recurrence (for Jacobi, one pass for one order m or for an array
-of them), the theta factors of the whole bispherical basis, and the zonal
-harmonics in polar angles (theta, phi).
+three-term recurrence, the theta factors of the whole bispherical basis (one
+recurrence per block of orders m), and the zonal harmonics in polar angles
+(theta, phi).
 
 Polar-angle convention: |zeta2| = cos(theta) with theta in [0, pi/2],
 Re zeta2 = cos(theta) cos(phi) with phi in [0, pi].
@@ -47,31 +47,15 @@ def _check_index(j, k):
     return j, k
 
 
-def _check_orders(m):
-    """The order m of jacobi33 as a Python int, from an integer >= 0, or its orders as a tuple
-    of Python ints, from a 1-D integer array of them; the errors name m."""
-    try:
-        arr = np.asarray(m)
-    except ValueError:  # a ragged sequence
-        arr = None
-    if arr is not None and arr.ndim == 0:
-        return _check_degree("m", m)
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iu":
-        raise TypeError(f"m must be an integer or a 1-D array of integers, got {m!r}")
-    if arr.size and arr.min() < 0:
-        raise ValueError(f"m must be >= 0, got {arr.min()} in its array")
-    return tuple(arr.tolist())
-
-
 def _recurrence(x, p1, steps, scale):
     """Rows 0..n of the three-term recurrence p_i = (a_i x + b_i) p_{i-1} + c_i p_{i-2},
     started from p_0 = 1 and the given p_1, with row i multiplied by scale[i]: one
     (n + 1, *p1.shape) array, x a 1-D float array.  steps = (a, b, c) holds a_i, b_i and c_i
-    for i = 2..n: for one set of coefficients each a sequence of floats and p1 of x's shape,
-    for M sets at once each an (n - 1, M, 1) array and p1 (M, x.size), row i then the sets'
-    rows side by side.  A step is written in place, in the order of operations of its
-    formula, so each set's rows are those of a recurrence run for that set alone, to the
-    last bit."""
+    for i = 2..n: for gegenbauer3's one set of coefficients each a list of floats and p1 of
+    x's shape; for jacobi33's M orders at once each an (n - 1, M, 1) array and p1
+    (M, x.size), row i then the orders' rows side by side.  A step is written in place, in
+    the order of operations of its formula, so each order's rows are those of a recurrence
+    run for that order alone, to the last bit."""
     a, b, c = steps
     n = len(scale) - 1
     out = np.empty((n + 1, *p1.shape))
@@ -104,14 +88,14 @@ def _gegenbauer_steps(n):
 
 
 @functools.lru_cache(maxsize=16)
-def _jacobi_steps(k, m):
-    """(slope, steps, scale) of jacobi33's recurrence up to row k, for the order m (an int) or
-    the orders m (a tuple): p_1 = 4 + slope (x - 1) / 2, and the rest as in _recurrence, the
-    slope a float or an (M, 1) array like the steps.  Each coefficient is formed as a Python
-    float would be, in the same operations.  The 16 most recently used are kept: a small
-    table reuses one or two, while the 101 one-order calls of a jmax 100 table would keep
-    about 0.4 MB, for coefficients that cost 2 % of its time."""
-    a, b = 3.0, 3.0 + np.array(m, dtype=float)[..., None]
+def _jacobi_steps(k, orders):
+    """(slope, steps, scale) of jacobi33's recurrence up to row k for the orders (a tuple of
+    ints): p_1 = 4 + slope (x - 1) / 2, slope an (M, 1) array, and the rest as in
+    _recurrence.  Each coefficient is formed as a Python float would be, in the same
+    operations.  The 16 most recently used are kept: a small table reuses one or two, while
+    the 101 one-order blocks of a jmax 100 table would keep about 0.4 MB, for coefficients
+    that cost 2 % of its time."""
+    a, b = 3.0, 3.0 + np.array(orders, dtype=float)[:, None]
     n = np.arange(2.0, k + 1.0)[:, None, None]
     n2 = 2.0 * n
     t = n2 + a + b  # 2n + a + b
@@ -119,10 +103,15 @@ def _jacobi_steps(k, m):
     c2 = (t - 1.0) * (a * a - b * b)
     c3 = (t - 1.0) * t * (t - 2.0)
     c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * t
-    slope, steps = a + b + 2.0, (c3 / c1, c2 / c1, -c4 / c1)
-    if isinstance(m, int):
-        slope, steps = float(slope[0]), tuple(s.ravel().tolist() for s in steps)
-    return slope, steps, _scale(k, 6.0, lambda i: (i + 1) * (i + 2) * (i + 3))
+    scale = _scale(k, 6.0, lambda i: (i + 1) * (i + 2) * (i + 3))
+    return a + b + 2.0, (c3 / c1, c2 / c1, -c4 / c1), scale
+
+
+def _jacobi_rows(k, orders, x):
+    """Rows 0..k of jacobi33 at each of the orders (a tuple of ints) at the 1-D x, from one
+    recurrence: shape (k + 1, len(orders), x.size), the orders' rows side by side."""
+    slope, steps, scale = _jacobi_steps(k, orders)
+    return _recurrence(x, 4.0 + slope * (x - 1.0) / 2.0, steps, scale)
 
 
 def gegenbauer3(n, x):
@@ -136,40 +125,45 @@ def gegenbauer3(n, x):
 
 def jacobi33(k, m, x):
     """Rows 0..k of (3! i! / (i+3)!) P_i^(3, 3+m)(x), each equal to 1 at x = 1;
-    shape (k + 1, *x.shape).
-
-    m may also be a 1-D array of integers >= 0: then one recurrence runs for every order,
-    and the result, of shape (len(m), k + 1, *x.shape), is the calls at each order stacked,
-    to the last bit (a view that swaps the axes of the recurrence's rows).
-    """
-    k = _check_degree("k", k)
-    m = _check_orders(m)
+    shape (k + 1, *x.shape)."""
+    k, m = _check_degree("k", k), _check_degree("m", m)
     x = np.asarray(x, dtype=float)
-    xf = x.ravel()
-    slope, steps, scale = _jacobi_steps(k, m)
-    out = _recurrence(xf, 4.0 + slope * (xf - 1.0) / 2.0, steps, scale)
-    if isinstance(m, int):
-        return out.reshape((k + 1,) + x.shape)
-    return out.swapaxes(0, 1).reshape((len(m), k + 1) + x.shape)
+    return _jacobi_rows(k, (m,), x.ravel()).reshape((k + 1,) + x.shape)
 
 
 # ---------------------------------------------------------------------------
 # the bispherical basis and the zonal harmonics
 
-#: doubles per block of orders m: bispherical_basis and the quadrature oracle take jacobi33's
-#: rows for the orders of a block in one call, at most _BLOCK doubles, or one order's rows
-#: where those are more (so a jmax 100 oracle table still holds one order's rows at a time);
-#: 2^15 (256 KiB) tied 2^14 as fastest of 2^13..2^18 on oracle tables of jmax 6, 20 and 40
+#: doubles per block of orders m in _each_order: one recurrence builds the rows of the orders
+#: of a block, at most _BLOCK doubles, or one order's rows where those are more (so a jmax 100
+#: oracle table holds one order's rows at a time); 2^15 (256 KiB) tied 2^14 as fastest of
+#: 2^13..2^18 on oracle tables of jmax 6, 20 and 40
 _BLOCK = 1 << 15
 
 
-def _m_blocks(jmax, size):
-    """The orders 0..jmax in blocks [m0, m1): the rows k <= jmax - m0 of the orders of a block
-    at size points hold at most _BLOCK doubles, or the block is one order."""
-    m0 = 0
+@functools.lru_cache(maxsize=16)
+def _pairs(jmax):
+    """For m = 0..jmax, the positions (k + m)(k + m + 1)/2 + k, k = 0..jmax - m, of the pairs
+    (k + m, k) of order m in np.tril_indices(jmax + 1) order, read-only; kept."""
+    pos = tuple((k + m) * (k + m + 1) // 2 + k
+                for m in range(jmax + 1) for k in [np.arange(jmax + 1 - m)])
+    for p in pos:
+        p.flags.writeable = False
+    return pos
+
+
+def _each_order(jmax, x, use):
+    """Calls use(m, pos, P) for m = 0..jmax in turn: pos the positions of the pairs of order m
+    (_pairs), and P the rows k <= jmax - m of jacobi33(jmax - m, m, x) at the 1-D x, a
+    (jmax + 1 - m, x.size) view.  One recurrence runs per block of orders (see _BLOCK), and
+    a block is dropped before the next one is built."""
+    pairs, m0 = _pairs(jmax), 0
     while m0 <= jmax:
-        m1 = min(jmax + 1, m0 + max(1, _BLOCK // max(1, (jmax + 1 - m0) * size)))
-        yield m0, m1
+        m1 = min(jmax + 1, m0 + max(1, _BLOCK // max(1, (jmax + 1 - m0) * x.size)))
+        P = _jacobi_rows(jmax - m0, tuple(range(m0, m1)), x)
+        for m in range(m0, m1):
+            use(m, pairs[m], P[:jmax + 1 - m, m - m0])
+        del P  # else this block's rows live on while the next block's are built
         m0 = m1
 
 
@@ -178,25 +172,20 @@ def bispherical_basis(jmax, theta):
 
     Returns (j, k, T): the index arrays of np.tril_indices(jmax + 1), j, then k, and
     T[p] = cos^m theta p_k(cos 2 theta), m = j[p] - k[p], over theta, of shape
-    (pairs, *theta.shape).  The harmonic of pair p is T[p] times row m of
-    gegenbauer3(jmax, cos phi).  One jacobi33 call per block of orders (_m_blocks) builds
-    the rows k <= jmax - m of each m of the block, stored through the pairs of that m.
+    (pairs, *theta.shape), each order's rows stored through its pairs (_each_order).  The
+    harmonic of pair p is T[p] times row m of gegenbauer3(jmax, cos phi).
     """
     jmax = _check_degree("jmax", jmax)
     theta = np.asarray(theta, dtype=float)
     j, k = np.tril_indices(jmax + 1)
-    order = np.argsort(j - k, kind="stable")  # the pairs m by m, k ascending within each m
-    c, x = np.cos(theta), np.cos(2.0 * theta)
-    T = np.empty((len(j), *theta.shape))
-    start = 0
-    for m0, m1 in _m_blocks(jmax, theta.size):
-        P = jacobi33(jmax - m0, np.arange(m0, m1), x)
-        for mm in range(m0, m1):
-            stop = start + jmax + 1 - mm
-            T[order[start:stop]] = c ** mm * P[mm - m0, :jmax + 1 - mm]
-            start = stop
-        del P  # else a block's rows live on while the next block's are built
-    return j, k, T
+    c = np.cos(theta).ravel()
+    T = np.empty((len(j), theta.size))
+
+    def store(m, pos, P):
+        T[pos] = c ** m * P
+
+    _each_order(jmax, np.cos(2.0 * theta).ravel(), store)
+    return j, k, T.reshape(len(j), *theta.shape)
 
 
 def zonal(j, k, theta, phi):

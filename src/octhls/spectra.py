@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from . import Q
 from .constants import (_J_FACTORS, _K_FACTORS, _check_alpha, _check_open, _gamma_starts,
                         _signed_log_gamma, c_d)
-from .specfun import _check_degree, _check_index, _m_blocks, gegenbauer3, jacobi33
+from .specfun import _check_degree, _check_index, _each_order, gegenbauer3
 
 __all__ = [
     "ZonalKernel",
@@ -180,17 +180,6 @@ class EigenTable:
     values: dict
 
 
-@functools.lru_cache(maxsize=16)
-def _table_layout(jmax):
-    """(j, k, gather) of a jmax table, kept: the lists of its keys' j and k in scan order (j,
-    then k), and the positions in the order-by-order values (m = j - k, then k) of the keys'
-    values.  The (j, k) tuples are the table's own, as a kept tuple each would hold memory."""
-    j, k = np.tril_indices(jmax + 1)
-    gather = np.empty_like(j)
-    gather[np.argsort(j - k, kind="stable")] = np.arange(len(j))
-    return j.tolist(), k.tolist(), gather
-
-
 def eig_quadrature_table(kern, alpha, jmax):
     """Quadrature eigenvalues of the Funk-Hecke integral for all j <= jmax, k <= j, as an
     EigenTable of alpha.
@@ -201,11 +190,11 @@ def eig_quadrature_table(kern, alpha, jmax):
     each of n = max(24, jmax + 16) nodes, so the rule follows the highest degree.  The
     kernel is called once, on both triangles' (s nodes x t nodes) arrays stacked, (2, n, n).
     Triangle A's theta depends on s alone, so its phi sum is taken first; triangle B's phi
-    depends on s alone, so its gegenbauer3 rows are read by s.  One jacobi33 call per block
-    of orders m (specfun._m_blocks) covers the n + n^2 theta values of both, so memory is
-    O(jmax n^2), and each m is contracted on its own.  The rule is kept per (n, alpha)
-    (_duffy_rule), read-only, and the keys per jmax (_table_layout).  A table runs under one
-    np.errstate that ignores overflow, and raises a ValueError naming the kernel when a
+    depends on s alone, so its gegenbauer3 rows are read by s.  specfun._each_order hands
+    over the Jacobi rows at the n + n^2 theta values of both one block of orders at a time,
+    so memory is O(jmax n^2), and each order m is contracted on its own, straight into scan
+    order.  The rule is kept per (n, alpha) (_duffy_rule), read-only.  A table runs under
+    one np.errstate that ignores overflow, and raises a ValueError naming the kernel when a
     value is not finite.
     """
     jmax = _check_degree("jmax", jmax)
@@ -213,25 +202,22 @@ def eig_quadrature_table(kern, alpha, jmax):
     n = max(24, jmax + 16)
     theta, d2, mu, c, x2, cphi = _duffy_rule(n, a)
     G = gegenbauer3(jmax, cphi)
-    j, k, gather = _table_layout(jmax)
-    values = np.empty(len(j))  # order by order: m, then k
+    values = np.empty((jmax + 1) * (jmax + 2) // 2)  # scan order: j, then k
     with np.errstate(over="ignore", invalid="ignore"):
         kmu = kern.at(d2, theta) * mu
         v = np.concatenate([np.einsum("mil,il->mi", G[:, n:].reshape(-1, n, n), kmu[0]),
                             (G[:, :n, None] * kmu[1]).reshape(-1, n * n)], axis=1)
-        start = 0
-        for m0, m1 in _m_blocks(jmax, x2.size):
-            P = jacobi33(jmax - m0, np.arange(m0, m1), x2)
-            for m in range(m0, m1):
-                stop = start + jmax + 1 - m
-                values[start:stop] = P[m - m0, :jmax + 1 - m] @ (c ** m * v[m])
-                start = stop
-            del P  # else a block's rows live on while the next block's are built
+
+        def contract(m, pos, P):
+            values[pos] = P @ (c ** m * v[m])
+
+        _each_order(jmax, x2, contract)
         values *= _FH_CONST
     if not np.isfinite(values).all():
         raise ValueError(f"Funk-Hecke quadrature of {kern.name} is not finite: the oracle"
                          " cannot integrate it")
-    return EigenTable(a, dict(zip(zip(j, k), values[gather].tolist())))
+    keys = ((j, k) for j in range(jmax + 1) for k in range(j + 1))
+    return EigenTable(a, dict(zip(keys, values.tolist())))
 
 
 def _oracle_cells(kind, alpha, jmax):

@@ -502,7 +502,7 @@ def test_el_residual_refuses_where_jmax_cuts_the_expansion():
 
     f = fn.AxisZonalFunction(lambda th, ph: 1.0 + 0.5 * zonal(2, 0, th, ph))
     for jmax in range(4):
-        with pytest.raises(ValueError, match=r"the shells j >= -?\d+ reach [\d.e+-]+ of K h"):
+        with pytest.raises(ValueError, match=r"the shells j >= \d+ reach [\d.e+-]+ of K h"):
             fn.el_residual(f, lam=16.0, jmax=jmax)
     value = fn.el_residual(f, lam=16.0, jmax=4)
     assert value > 1e-2 and abs(fn.el_residual(f, lam=16.0, jmax=5) / value - 1.0) < 1e-12
