@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from . import Q, cayley, functional, nilgroup, spectra
+from . import Q, cayley, constants, functional, nilgroup, spectra
 
 #: the constant function 1
 ONE = functional.AxisZonalFunction(lambda th, ph: np.ones_like(th))
@@ -60,6 +60,17 @@ def margin_four_term_error(alpha, jmax):
             err = abs(margin - total) / scale if scale else 0.0 if margin == 0.0 else math.inf
             worst = max(worst, err)
     return worst
+
+
+def log_sobolev_defect(s, jmax):
+    """|LHS - RHS| / LHS of functional.log_sobolev_pair at jmax on the endpoint extremizer
+    (1 - 2s cos th cos ph + s^2 cos^2 th)^(-Q/4), scaled to the L2 norm of the constant 1."""
+    raw = functional.AxisZonalFunction(
+        lambda th, ph: (1.0 - 2.0 * s * np.cos(th) * np.cos(ph) + s * s * np.cos(th) ** 2) ** (-Q / 4.0))
+    scale = math.sqrt(constants.sphere_measure() / functional.project_bispherical(raw, jmax=0).l2)
+    lhs, rhs = functional.log_sobolev_pair(
+        functional.AxisZonalFunction(lambda th, ph: scale * raw.profile(th, ph)), jmax=jmax)
+    return abs(lhs - rhs) / lhs
 
 
 def recenter_residual(h, p):

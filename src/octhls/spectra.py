@@ -372,20 +372,45 @@ def _margin_cells(a, b):
     return j0 * (j0 + 1) // 2, memoryview(_freeze(_margin_block(j0, _block_start(b + 1), a)[2]))
 
 
+#: the block bilinear_margin read last, (alpha, first, end, cells): its cells hold the scan
+#: indices [first, end) at alpha; replaced whole, so a reader never sees half a slot
+_hot = (None, 0, 0, None)
+
+
+def _clear_margin_cells(clear=_margin_cells.cache_clear):
+    """_margin_cells.cache_clear, which also drops the hot block."""
+    global _hot
+    _hot = (None, 0, 0, None)
+    clear()
+
+
+_margin_cells.cache_clear = _clear_margin_cells
+
+
 def bilinear_margin(j, k, alpha):
     """lambda(K1) + lambda(K2) - lambda(K1^(alpha-1)) - 2a/(11-a) lambda(K1) on W_{j,k}, as
     the product above: nonnegative on 3 <= alpha < 11/2, and exactly 0.0 where it vanishes.
     Any alpha in (0, 11/2) is accepted for exploration (so alpha - 1 > -1).
 
-    A call reads cell (j, k) of its margin block, so equals margin_table to the last bit;
-    the 8 most recently used (alpha, block) pairs are kept, and a cold block costs a whole
-    block (every j <= 255 is in block 0; about 0.7 ms at j = 10^4).
+    A call reads cell (j, k) of its margin block, so equals margin_table to the last bit.
+    A call with int j, k and a float alpha in the block read last reads it with no cache
+    lookup (about 0.25 us); any other call reads the 8 most recently used (alpha, block)
+    pairs (about 0.6 us warm), and a cold block costs a whole block (every j <= 255 is in
+    block 0; about 0.7 ms at j = 10^4).  Up to 8 kept blocks and the last one stay alive.
     """
-    if not (type(j) is int and type(k) is int and j >= k >= 0):  # else _check_index decides
+    global _hot
+    if type(j) is int and type(k) is int and j >= k >= 0:
+        i = j * (j + 1) // 2 + k
+        a, first, end, cells = _hot
+        if type(alpha) is float and alpha == a and first <= i < end:
+            return cells[i - first]
+    else:
         j, k = _check_index(j, k)
-    start = j * (j + 1) // 2
-    first, cells = _margin_cells(float(alpha), start >> _MARGIN_BITS)
-    return cells[start - first + k]
+        i = j * (j + 1) // 2 + k
+    a = float(alpha)
+    first, cells = _margin_cells(a, (i - k) >> _MARGIN_BITS)
+    _hot = (a, first, first + len(cells), cells)
+    return cells[i - first]
 
 
 def margin_table(alpha, jmax):

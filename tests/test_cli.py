@@ -231,7 +231,7 @@ def test_verify_exit_zero(capsys):
     assert all(r["pass"] for r in rows)
     checks = {r["check"] for r in rows}
     assert "distance_relation" in checks
-    assert "log_sobolev_constant" in checks
+    assert "log_sobolev_equality" in checks
     assert "margin_four_terms" in checks and len(rows) == 15
 
 
@@ -265,6 +265,11 @@ def _quotient_off_at(lam):
     return lambda quotient: lambda f, at, jmax=40: quotient(f, at, jmax) * (1.0 + 1e-10 * (at == lam))
 
 
+def _rhs_off(pair):
+    """A fault: the right side of the log-Sobolev pair off by 1e-10, relative."""
+    return lambda f, jmax=40: (lambda lhs, rhs: (lhs, rhs * (1.0 + 1e-10)))(*pair(f, jmax))
+
+
 #: (the verify row, the layer and the function a fault replaces, the fault, the field
 #: of the row it moves and the range the field then falls in)
 VERIFY_FAULTS = [
@@ -283,6 +288,8 @@ VERIFY_FAULTS = [
     ("jacobian_duality", cayley, "jac_cayley_sphere_arrays", _scaled(1.0 + 1e-8), "value",
      9e-9, 1.1e-8),
     ("distance_relation", cayley, "sdist_arrays", _scaled(1.0 + 1e-8), "value", 6e-9, 7e-9),
+    # the log-Sobolev row measures 1.84e-14 against its 1e-12 bound
+    ("log_sobolev_equality", functional, "log_sobolev_pair", _rhs_off, "value", 8e-11, 1.2e-10),
     # the intertwining row measures about 4e-15 against its 1e-13 bound
     ("intertwining_identity", spectra, "intertwining_spectrum", _scaled(1.0 + 1e-11), "value",
      9e-12, 1.1e-11),

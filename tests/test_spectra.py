@@ -3,6 +3,8 @@
 import importlib.util
 import math
 import pathlib
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -668,6 +670,99 @@ def test_margin_table_validates_like_bilinear_margin():
         spectra.margin_table(4.0, -1)
     with pytest.raises(TypeError, match="jmax must be an integer, got 2.5"):
         spectra.margin_table(4.0, 2.5)
+
+
+#: every cell of the rows on both sides of the first two margin block edges
+_EDGE_CELLS = [(j, k) for edge in _EDGES[:2] for j in (edge - 1, edge) for k in range(j + 1)]
+
+
+def _refusals():
+    """The message of each refused call of test_margin_validates_its_arguments' kinds."""
+    messages = []
+    for j, k, alpha in ((2, 3, 4.0), (3, -1, 4.0), (3, 1, math.nan), (3, 1, 0.0), (3, 1, 5.5)):
+        with pytest.raises(ValueError) as refused:
+            spectra.bilinear_margin(j, k, alpha)
+        messages.append(str(refused.value))
+    return messages
+
+
+def test_hot_block_reads_what_the_cache_reads():
+    # a float alpha on the block read last is read without a cache lookup; 4.0 and 3.5
+    # each read twice in a row hit it, while np.float64(4.0), 4 and the first read of each
+    # after the other alpha take the cache, on both sides of the first two block edges
+    _cold_caches()
+    cold = _refusals()
+    cells = _EDGE_CELLS
+    assert _EDGES[0] == 256 and {_block_of(j) for j, _ in cells} == {0, 1, 2}
+    alphas = (4.0, 4.0, np.float64(4.0), 4, 3.5, 3.5)
+    table = {alpha: _margin_table_values(alpha, _EDGES[1]) for alpha in (4.0, 3.5)}
+    before = spectra._margin_cells.cache_info()
+    got = [[] for _ in alphas]
+    for j, k in cells:
+        for read, alpha in zip(got, alphas):
+            read.append(spectra.bilinear_margin(j, k, alpha))
+    after = spectra._margin_cells.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 4 * len(cells)
+    scan = [j * (j + 1) // 2 + k for j, k in cells]
+    for read, alpha in zip(got, alphas):
+        assert all(type(m) is float for m in read)
+        assert _same_bits(np.array(read), table[float(alpha)][scan]), alpha
+    # a run at one float alpha crosses each edge on the hot block, up and down
+    for order in (cells, cells[::-1]):
+        read = {cell: spectra.bilinear_margin(*cell, 4.0) for cell in order}
+        assert _same_bits(np.array([read[cell] for cell in cells]), table[4.0][scan])
+    # right after a hot read, refused arguments raise what they raise on cold caches,
+    # and np.int64 indices read the same floats
+    for j, k in cells[::97]:
+        for _ in range(2):
+            want = spectra.bilinear_margin(j, k, 4.0)
+        assert _refusals() == cold
+        got = spectra.bilinear_margin(np.int64(j), np.int64(k), 4.0)
+        assert got == want and type(got) is float
+
+
+def test_repeated_scan_makes_no_cache_lookup():
+    # after the first read of a j <= 200 scan at one float alpha, the scan and a second
+    # one read the hot block alone; cache_clear drops it too
+    spectra.bilinear_margin(3, 1, 4.0)
+    spectra._margin_cells.cache_clear()
+    spectra.bilinear_margin(0, 0, 4.0)
+    first = spectra._margin_cells.cache_info()
+    assert (first.hits, first.misses) == (0, 1)
+    for _ in range(2):
+        for j in range(201):
+            for k in range(j + 1):
+                spectra.bilinear_margin(j, k, 4.0)
+    assert spectra._margin_cells.cache_info() == first
+
+
+def test_hot_block_is_shared_by_threads_without_a_torn_read():
+    # four threads, each at its own alpha, replace the one hot block under a short switch
+    # interval; a slot read half from one block and half from another would give a cell
+    # of the wrong alpha or row
+    cells = _EDGE_CELLS
+    scan = [j * (j + 1) // 2 + k for j, k in cells]
+    alphas = (4.0, 4.5, 3.5, 5.0)
+    want = {alpha: _margin_table_values(alpha, _EDGES[1])[scan] for alpha in alphas}
+    wrong = []
+
+    def read(alpha):
+        for _ in range(3):
+            got = np.array([spectra.bilinear_margin(j, k, alpha) for j, k in cells])
+            if not _same_bits(got, want[alpha]):
+                wrong.append(alpha)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(alpha,)) for alpha in alphas]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and wrong == []
 
 
 def _cold_caches():
